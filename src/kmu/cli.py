@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -152,18 +150,33 @@ def _submanifold_block(analysis, sub: dict) -> tuple[dict, bool]:
     return block, all_passed(records)
 
 
-def build_report(desc: ModelDescriptor, deformation_a: Fraction | None = None) -> dict:
-    """Assemble the full verification report for one descriptor."""
-    model = build_boeckx_model(desc.n, desc.alpha, desc.beta)
-    analysis = analyze_structure(model)
-    ok = analysis.passed
+def _report(desc: ModelDescriptor, body: dict, ok: bool, notes: list) -> dict:
+    """The model header, then ``body``, then the notes/pass/generated_at tail.
 
+    An empty ``notes`` list leaves the key out.
+    """
     report = {
         "model": {
             "n": desc.n,
             "alpha": rat_str(desc.alpha),
             "beta": rat_str(desc.beta),
         },
+        **body,
+    }
+    if notes:
+        report["notes"] = notes
+    report["pass"] = ok
+    report["generated_at"] = datetime.now(timezone.utc).isoformat()
+    return report
+
+
+def build_report(desc: ModelDescriptor, deformation_a: Fraction | None = None) -> dict:
+    """Assemble the full verification report for one descriptor."""
+    model = build_boeckx_model(desc.n, desc.alpha, desc.beta)
+    analysis = analyze_structure(model)
+    ok = analysis.passed
+
+    body = {
         "invariants": analysis.invariants.to_dict(),
         "identities": _records_json(analysis.records),
     }
@@ -171,7 +184,7 @@ def build_report(desc: ModelDescriptor, deformation_a: Fraction | None = None) -
     a = deformation_a if deformation_a is not None else desc.deformation_a
     if a is not None:
         block, block_ok = _deformation_block(analysis, a)
-        report["deformation"] = block
+        body["deformation"] = block
         ok = ok and block_ok
 
     if desc.submanifolds:
@@ -180,12 +193,9 @@ def build_report(desc: ModelDescriptor, deformation_a: Fraction | None = None) -
             block, block_ok = _submanifold_block(analysis, sub)
             blocks.append(block)
             ok = ok and block_ok
-        report["submanifolds"] = blocks
+        body["submanifolds"] = blocks
 
-    report["notes"] = [LAMBDA_NOTE]
-    report["pass"] = ok
-    report["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return report
+    return _report(desc, body, ok, [LAMBDA_NOTE])
 
 
 def _sweep_point(n: int, alpha: Fraction, beta: Fraction) -> dict:
@@ -227,15 +237,7 @@ def sweep_report(n: int, alphas, betas) -> dict:
         raise KmuError("sweep grid is empty: no point satisfies beta^2 > alpha^2")
 
     points.sort()
-    workers = os.cpu_count() or 1
-    env = os.environ.get("KMU_THREADS")
-    if env:
-        try:
-            workers = max(1, int(env))
-        except ValueError:
-            raise KmuError(f"KMU_THREADS must be a positive integer, got {env!r}")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda ab: _sweep_point(n, *ab), points))
+    rows = [_sweep_point(n, alpha, beta) for alpha, beta in points]
 
     invariants = [Fraction(row["invariants"]["boeckx_invariant"]) for row in rows]
     report = {
@@ -272,17 +274,9 @@ def dump_tables_report(desc: ModelDescriptor, which: str) -> dict:
                     for l in range(model.dim):
                         if vec[l] != 0:
                             entries[f"{i},{j},{k},{l}"] = rat_str(vec[l])
-    return {
-        "model": {
-            "n": desc.n,
-            "alpha": rat_str(desc.alpha),
-            "beta": rat_str(desc.beta),
-        },
-        "table": which,
-        "entries": dict(sorted(entries.items())),
-        "pass": True,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-    }
+    return _report(
+        desc, {"table": which, "entries": dict(sorted(entries.items()))}, True, []
+    )
 
 
 def _emit(report: dict, out_path: str | None) -> int:
@@ -375,17 +369,9 @@ def main(argv=None) -> int:
                     "d": rat(args.d) if args.d else None,
                 },
             )
-            report = {
-                "model": {
-                    "n": desc.n,
-                    "alpha": rat_str(desc.alpha),
-                    "beta": rat_str(desc.beta),
-                },
-                "submanifold": block,
-                "notes": [LAMBDA_NOTE],
-                "pass": ok and all(r.passed for r in analysis.records),
-                "generated_at": datetime.now(timezone.utc).isoformat(),
-            }
+            report = _report(
+                desc, {"submanifold": block}, ok and analysis.passed, [LAMBDA_NOTE]
+            )
             return _emit(report, args.out)
 
         if args.command == "sweep":

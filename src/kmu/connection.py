@@ -66,9 +66,6 @@ class CurvatureTable:
     table: tuple
     lowered_table: tuple
 
-    def apply_basis(self, i: int, j: int, k: int) -> Vec:
-        return self.table[i][j][k]
-
     def apply(self, u: Vec, v: Vec, w: Vec) -> Vec:
         """Multilinear extension of the basis table."""
         out = Vec.zero(self.dim)
@@ -193,8 +190,10 @@ def riemann(model: LieAlgebraModel, conn: ConnectionTable) -> CurvatureTable:
 def curvature_symmetry_residuals(R: CurvatureTable):
     """Antisymmetry, first Bianchi and pair-symmetry residual scan.
 
-    Scans the generating index ranges; the remaining tuples follow from
-    the symmetries already established (diagonal antisymmetry cases and
+    Returns (witness index tuple, nonzero residual) pairs; a vector
+    residual is reported by its largest entry magnitude.  Scans the
+    generating index ranges; the remaining tuples follow from the
+    symmetries already established (diagonal antisymmetry cases and
     permuted Bianchi sums are linear consequences).
     """
     out = []
@@ -205,24 +204,24 @@ def curvature_symmetry_residuals(R: CurvatureTable):
             for k in range(dim):
                 anti = R.table[i][j][k] + R.table[j][i][k]
                 if not anti.is_zero():
-                    out.append(("antisymmetry", (i, j, k)))
+                    out.append(((i, j, k), max(abs(x) for x in anti)))
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
                 bianchi = R.table[i][j][k] + R.table[j][k][i] + R.table[k][i][j]
                 if not bianchi.is_zero():
-                    out.append(("bianchi", (i, j, k)))
+                    out.append(((i, j, k), max(abs(x) for x in bianchi)))
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(dim):
                 # second-slot-pair diagonal must vanish by pair symmetry
                 if low[i][j][k][k] != 0:
-                    out.append(("pair_symmetry", (i, j, k, k)))
+                    out.append(((i, j, k, k), low[i][j][k][k]))
                 for l in range(k + 1, dim):
                     if (k, l) < (i, j):
                         continue
                     if low[i][j][k][l] != low[k][l][i][j]:
-                        out.append(("pair_symmetry", (i, j, k, l)))
+                        out.append(((i, j, k, l), low[i][j][k][l] - low[k][l][i][j]))
     return out
 
 

@@ -24,7 +24,7 @@ from .connection import (
 from .errors import NotKappaMuError, StructureError
 from .liealg import LieAlgebraModel, bracket
 from .linalg import Mat, Vec, inner, outer, rank, rat_str
-from .report import IdentityRecord, failed_record, passed_record
+from .report import IdentityRecord, scan
 
 
 @dataclass(frozen=True)
@@ -74,26 +74,20 @@ def check_contact_axioms(
     dim = model.dim
     records = []
 
-    def verdict(identity_id, residual_entries):
-        if residual_entries:
-            witness, residual = residual_entries[0]
-            records.append(failed_record(identity_id, witness, residual))
+    def verdict(identity_id, residuals):
+        record = scan(identity_id, residuals)
+        records.append(record)
+        if not record.passed:
             raise StructureError(
-                f"{identity_id} fails at {witness} with residual {rat_str(residual)}"
+                f"{identity_id} fails at {record.witness_indices}"
+                f" with residual {rat_str(record.residual)}"
             )
-        records.append(passed_record(identity_id))
 
     eta_xi = sum(eta[i] * xi[i] for i in range(dim))
     verdict("eta_xi", [] if eta_xi == 1 else [((0,), eta_xi - 1)])
 
     phi_sq = phi @ phi + Mat.identity(dim) - outer(xi, eta)
-    bad = [
-        ((i, j), phi_sq[i, j])
-        for i in range(dim)
-        for j in range(dim)
-        if phi_sq[i, j] != 0
-    ]
-    verdict("phi_square", bad)
+    verdict("phi_square", phi_sq.nonzero_entries())
 
     phi_xi = phi @ xi
     verdict(
@@ -110,13 +104,7 @@ def check_contact_axioms(
     verdict("phi_rank", [] if r == 2 * model.n else [((r,), Fraction(r - 2 * model.n))])
 
     compat = phi.transpose() @ G @ phi - G + outer(eta, eta)
-    bad = [
-        ((i, j), compat[i, j])
-        for i in range(dim)
-        for j in range(dim)
-        if compat[i, j] != 0
-    ]
-    verdict("metric_phi_compatibility", bad)
+    verdict("metric_phi_compatibility", compat.nonzero_entries())
 
     bad = []
     for i in range(dim):
@@ -373,22 +361,7 @@ def verify_identities(
     dim = model.dim
     G, phi, h, xi = cs.metric, cs.phi, cs.h, cs.xi
     kappa, mu = invariants.kappa, invariants.mu
-    records = []
-
-    def scan(identity_id, residual_iter):
-        for witness, residual in residual_iter:
-            records.append(failed_record(identity_id, witness, residual))
-            return
-        records.append(passed_record(identity_id))
-
-    def h_square_residuals():
-        M = h @ h - (kappa - 1) * (phi @ phi)
-        for i in range(dim):
-            for j in range(dim):
-                if M[i, j] != 0:
-                    yield (i, j), M[i, j]
-
-    scan("h_square", h_square_residuals())
+    h_square = h @ h - (kappa - 1) * (phi @ phi)
 
     def nabla_phi_residuals():
         for i in range(dim):
@@ -400,8 +373,6 @@ def verify_identities(
                 res = D @ Y - rhs
                 if not res.is_zero():
                     yield (i, j), max(abs(x) for x in res)
-
-    scan("nabla_phi", nabla_phi_residuals())
 
     def nabla_h_residuals():
         for i in range(dim):
@@ -419,8 +390,6 @@ def verify_identities(
                 if not res.is_zero():
                     yield (i, j), max(abs(x) for x in res)
 
-    scan("nabla_h", nabla_h_residuals())
-
     def closed_form_residuals():
         ctx = _ClosedFormContext(invariants, cs)
         for i in range(dim):
@@ -432,8 +401,6 @@ def verify_identities(
                     if not res.is_zero():
                         yield (i, j, k), max(abs(x) for x in res)
 
-    scan("curvature_closed_form", closed_form_residuals())
-
     def nabla_xi_residuals():
         for i in range(dim):
             e = Vec.basis(dim, i)
@@ -441,9 +408,13 @@ def verify_identities(
             if not res.is_zero():
                 yield (i,), max(abs(x) for x in res)
 
-    scan("nabla_xi", nabla_xi_residuals())
-
-    return records
+    return [
+        scan("h_square", h_square.nonzero_entries()),
+        scan("nabla_phi", nabla_phi_residuals()),
+        scan("nabla_h", nabla_h_residuals()),
+        scan("curvature_closed_form", closed_form_residuals()),
+        scan("nabla_xi", nabla_xi_residuals()),
+    ]
 
 
 def nijenhuis(model: LieAlgebraModel, cs: ContactStructure):

@@ -43,19 +43,8 @@ class LieAlgebraModel:
         """Basis index of Y_i (1-based)."""
         return self.n + i
 
-    @property
-    def xi_index(self) -> int:
-        return 0
-
     def basis_vector(self, k: int) -> Vec:
         return Vec.basis(self.dim, k)
-
-    def basis_name(self, k: int) -> str:
-        if k == 0:
-            return "xi"
-        if 1 <= k <= self.n:
-            return f"X{k}"
-        return f"Y{k - self.n}"
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .errors import DimensionMismatchError, ParameterError, SingularMetricError
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
@@ -177,9 +175,6 @@ class Mat:
     def shape(self):
         return (len(self._rows), len(self._rows[0]) if self._rows else 0)
 
-    def row(self, i: int) -> Vec:
-        return Vec(self._rows[i])
-
     def col(self, j: int) -> Vec:
         return Vec(r[j] for r in self._rows)
 
@@ -285,6 +280,13 @@ class Mat:
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._rows for x in row)
+
+    def nonzero_entries(self):
+        """((i, j), entry) for every nonzero entry, row by row."""
+        for i, row in enumerate(self._rows):
+            for j, x in enumerate(row):
+                if x != 0:
+                    yield (i, j), x
 
 
 def inner(u: Vec, v: Vec, G: Mat) -> Fraction:

@@ -9,7 +9,6 @@ record produced along the way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .connection import (
     ConnectionTable,
@@ -32,7 +31,7 @@ from .contact import (
 )
 from .liealg import LieAlgebraModel, check_jacobi
 from .linalg import Vec, inner
-from .report import IdentityRecord, failed_record, passed_record
+from .report import IdentityRecord, passed_record, scan
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ def sectional_records(
     G = cs.metric
     k_plus = 2 * (1 + inv.lam) - inv.mu
     k_minus = 2 * (1 - inv.lam) - inv.mu
-    records = []
     bad = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -87,11 +85,7 @@ def sectional_records(
             got = sectional_curvature(R, G, u, v)
             if got != expected:
                 bad.append(((i, n + j), got - expected))
-    if bad:
-        records.append(failed_record("sectional_curvature", bad[0][0], bad[0][1]))
-    else:
-        records.append(passed_record("sectional_curvature"))
-    return records
+    return [scan("sectional_curvature", bad)]
 
 
 def analyze_structure(
@@ -103,45 +97,23 @@ def analyze_structure(
     recorded); passing a deformed structure re-derives the connection,
     curvature, h and invariants with respect to its metric.
     """
-    records: list[IdentityRecord] = []
-
     jacobi = check_jacobi(model)
-    if jacobi.ok:
-        records.append(passed_record("jacobi"))
-    else:
-        records.append(
-            failed_record("jacobi", jacobi.violations[0], jacobi.max_residual)
-        )
+    # the first violating triple, reported with the largest residual of all
+    records = [scan("jacobi", ((w, jacobi.max_residual) for w in jacobi.violations))]
 
     if cs is None:
         cs = build_contact_structure(model)
-        records += check_contact_axioms(model, cs.phi, cs.xi, cs.eta, cs.metric)
-    else:
-        records += check_contact_axioms(model, cs.phi, cs.xi, cs.eta, cs.metric)
+    records += check_contact_axioms(model, cs.phi, cs.xi, cs.eta, cs.metric)
 
     conn = levi_civita(model, metric=cs.metric)
     torsion = torsion_residuals(model, conn)
     records.append(
-        passed_record("torsion_free")
-        if not torsion
-        else failed_record(
-            "torsion_free", torsion[0][0], max(abs(x) for x in torsion[0][1])
-        )
+        scan("torsion_free", ((w, max(abs(x) for x in res)) for w, res in torsion))
     )
-    compat = metric_compatibility_residuals(conn)
-    records.append(
-        passed_record("metric_compatibility")
-        if not compat
-        else failed_record("metric_compatibility", compat[0][0], compat[0][1])
-    )
+    records.append(scan("metric_compatibility", metric_compatibility_residuals(conn)))
 
     R = riemann(model, conn)
-    sym = curvature_symmetry_residuals(R)
-    records.append(
-        passed_record("curvature_symmetries")
-        if not sym
-        else failed_record("curvature_symmetries", sym[0][1], Fraction(0))
-    )
+    records.append(scan("curvature_symmetries", curvature_symmetry_residuals(R)))
 
     cs = attach_h(model, cs, conn=conn)
     records.append(passed_record("h_structure"))

@@ -52,5 +52,16 @@ def failed_record(identity_id: str, witness, residual) -> IdentityRecord:
     )
 
 
+def scan(identity_id: str, residuals) -> IdentityRecord:
+    """Pass record, or a fail record at the first (witness, residual).
+
+    ``residuals`` yields (witness index tuple, nonzero residual) pairs
+    and is consumed only up to its first item.
+    """
+    for witness, residual in residuals:
+        return failed_record(identity_id, witness, residual)
+    return passed_record(identity_id)
+
+
 def all_passed(records) -> bool:
     return all(r.passed for r in records)

@@ -26,7 +26,7 @@ from .contact import ContactStructure, ModelInvariants, standard_phi
 from .errors import NonInvolutiveError, ParameterError, StructureError
 from .liealg import LieAlgebraModel, bracket
 from .linalg import Mat, Vec, inner, rat, rat_str
-from .report import IdentityRecord, failed_record, passed_record
+from .report import IdentityRecord, scan
 
 KINDS = ("x", "y", "mixed", "diagonal")
 
@@ -61,20 +61,6 @@ class InvolutivityVerdict:
     ok: bool
     witness_pair: tuple | None = None
     offending: Vec | None = None
-
-
-@dataclass(frozen=True)
-class SubmanifoldGeometry:
-    """Second fundamental form data and the classification verdict."""
-
-    frame: tuple
-    sigma: tuple
-    mean_curvature_vector: Vec
-    classification: str
-    umbilical_vector: Vec | None
-    h1: Mat | None = None
-    h2: Mat | None = None
-    theta_data: ThetaData | None = None
 
 
 def build_distribution(
@@ -168,58 +154,79 @@ def _check_legendrian(model: LieAlgebraModel, spec: DistributionSpec):
                 )
 
 
+def _combine(coeffs, vectors) -> Vec:
+    """sum_i coeffs[i] vectors[i], skipping zero coefficients."""
+    out = Vec.zero(len(vectors[0]))
+    for coeff, v in zip(coeffs, vectors):
+        if coeff != 0:
+            out = out + coeff * v
+    return out
+
+
 class _Frame:
-    """Projection and frame-coordinate helpers for one distribution."""
+    """Projection onto the span of an orthogonal frame, and its Gram matrix."""
 
     def __init__(self, vectors, metric: Mat):
         self.vectors = tuple(vectors)
         self.G = metric
-        self.dim = len(self.vectors[0])
-        self.norms = [inner(v, v, metric) for v in self.vectors]
+        self.gram = tuple(
+            tuple(inner(u, v, metric) for v in self.vectors) for u in self.vectors
+        )
+        self.norms = tuple(self.gram[a][a] for a in range(len(self.vectors)))
 
-    @classmethod
-    def of(cls, model: LieAlgebraModel, spec: DistributionSpec) -> "_Frame":
-        return cls(spec.vectors, model.metric)
-
-    def tangential(self, w: Vec) -> Vec:
-        out = Vec.zero(self.dim)
-        for v, nv in zip(self.vectors, self.norms):
-            coeff = inner(w, v, self.G) / nv
-            if coeff != 0:
-                out = out + coeff * v
-        return out
+    def project(self, w: Vec) -> tuple[Vec, Vec]:
+        """Frame coordinates of the tangential part of w, and the normal part."""
+        coeffs = Vec._raw(
+            tuple(inner(w, v, self.G) / nv for v, nv in zip(self.vectors, self.norms))
+        )
+        return coeffs, w - _combine(coeffs, self.vectors)
 
     def normal(self, w: Vec) -> Vec:
-        return w - self.tangential(w)
+        return self.project(w)[1]
 
-    def coords(self, w: Vec):
+    def coords(self, w: Vec) -> Vec:
         """Frame coordinates of a tangent vector; raises if not tangent."""
-        coeffs = [inner(w, v, self.G) / nv for v, nv in zip(self.vectors, self.norms)]
-        rebuilt = Vec.zero(self.dim)
-        for coeff, v in zip(coeffs, self.vectors):
-            rebuilt = rebuilt + coeff * v
-        if rebuilt != w:
+        coeffs, off = self.project(w)
+        if not off.is_zero():
             raise StructureError("vector is not tangent to the distribution")
         return coeffs
 
-    def from_coords(self, coeffs) -> Vec:
-        out = Vec.zero(self.dim)
-        for coeff, v in zip(coeffs, self.vectors):
-            if coeff != 0:
-                out = out + coeff * v
-        return out
 
-    def induced_metric(self, a: int, b: int) -> Fraction:
-        return inner(self.vectors[a], self.vectors[b], self.G)
+@dataclass(frozen=True)
+class SubmanifoldGeometry:
+    """One leaf's tables, each built once, and its classification verdict.
+
+    In frame coordinates nb[a][b] is nablabar_{v_a} v_b, br[a][b] is
+    [v_a, v_b] and rbar[a][b][c] is Rbar(v_a, v_b) v_c; sigma[a][b] is
+    sigma(v_a, v_b) in the ambient basis.  Every check on the leaf reads
+    these tables instead of rebuilding them.
+    """
+
+    spec: DistributionSpec
+    frame: _Frame
+    nb: tuple
+    br: tuple
+    sigma: tuple
+    rbar: tuple
+    mean_curvature_vector: Vec
+    classification: str
+    umbilical_vector: Vec | None
+    h1: Mat | None = None
+    h2: Mat | None = None
+    theta_data: ThetaData | None = None
+
+    def lowered_bar(self, a: int, b: int, c: int, d: int) -> Fraction:
+        """Rbar(v_a, v_b, v_c, v_d), lowered with the induced metric."""
+        gram = self.frame.gram
+        return sum(self.rbar[a][b][c][e] * gram[e][d] for e in range(len(gram)))
 
 
 def check_involutive(model: LieAlgebraModel, spec: DistributionSpec) -> InvolutivityVerdict:
     """True iff every bracket of spanning vectors stays in the span."""
-    frame = _Frame.of(model, spec)
+    frame = _Frame(spec.vectors, model.metric)
     for a in range(spec.rank):
         for b in range(a + 1, spec.rank):
-            br = bracket(model, spec.vectors[a], spec.vectors[b])
-            off = frame.normal(br)
+            off = frame.normal(bracket(model, spec.vectors[a], spec.vectors[b]))
             if not off.is_zero():
                 return InvolutivityVerdict(ok=False, witness_pair=(a, b), offending=off)
     return InvolutivityVerdict(ok=True)
@@ -228,31 +235,33 @@ def check_involutive(model: LieAlgebraModel, spec: DistributionSpec) -> Involuti
 def second_fundamental_form(
     model: LieAlgebraModel, conn: ConnectionTable, spec: DistributionSpec
 ) -> SubmanifoldGeometry:
-    """sigma table, mean curvature and the classification verdict.
+    """The leaf's tables: frame, nablabar, brackets, sigma and Rbar.
 
-    sigma(v_a, v_b) is the normal part of nabla_{v_a} v_b; the verdict
-    is totally_geodesic when sigma vanishes, totally_umbilical when
-    sigma(X, Y) = g(X, Y) V for the mean curvature vector V, otherwise
-    generic.  Refuses non-involutive distributions, which bound no
-    integral submanifold.
+    sigma(v_a, v_b) is the normal part of nabla_{v_a} v_b and nablabar
+    its tangential part.  The verdict is totally_geodesic when sigma
+    vanishes, totally_umbilical when sigma(X, Y) = g(X, Y) V for the
+    mean curvature vector V, otherwise generic.  Refuses non-involutive
+    distributions, which bound no integral submanifold.
     """
-    verdict = check_involutive(model, spec)
-    if not verdict.ok:
-        a, b = verdict.witness_pair
-        raise NonInvolutiveError(
-            f"distribution is not involutive: [v_{a}, v_{b}] leaves the span"
-        )
-    frame = _Frame.of(model, spec)
+    frame = _Frame(spec.vectors, conn.metric)
+    vectors = frame.vectors
     n = spec.rank
+    nb = [[None] * n for _ in range(n)]
+    br = [[None] * n for _ in range(n)]
     sigma = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            sigma[a][b] = frame.normal(conn.nabla(spec.vectors[a], spec.vectors[b]))
+            br[a][b], off = frame.project(bracket(model, vectors[a], vectors[b]))
+            if not off.is_zero():
+                raise NonInvolutiveError(
+                    f"distribution is not involutive: [v_{a}, v_{b}] leaves the span"
+                )
+            nb[a][b], sigma[a][b] = frame.project(conn.nabla(vectors[a], vectors[b]))
     for a in range(n):
         for b in range(a + 1, n):
             if sigma[a][b] != sigma[b][a]:
                 raise StructureError(f"sigma is not symmetric at ({a}, {b})")
-    sigma = tuple(tuple(row) for row in sigma)
+    nb, br, sigma = (tuple(tuple(row) for row in t) for t in (nb, br, sigma))
 
     mean = Vec.zero(model.dim)
     for a in range(n):
@@ -265,7 +274,7 @@ def second_fundamental_form(
     else:
         umbilical = mean
         is_umbilical = all(
-            sigma[a][b] == frame.induced_metric(a, b) * mean
+            sigma[a][b] == frame.gram[a][b] * mean
             for a in range(n)
             for b in range(n)
         )
@@ -274,15 +283,41 @@ def second_fundamental_form(
             umbilical = None
 
     return SubmanifoldGeometry(
-        frame=spec.vectors,
+        spec=spec,
+        frame=frame,
+        nb=nb,
+        br=br,
         sigma=sigma,
+        rbar=intrinsic_curvature(nb, br),
         mean_curvature_vector=mean,
         classification=classification,
         umbilical_vector=umbilical,
     )
 
 
-def split_h(cs: ContactStructure, spec: DistributionSpec) -> tuple[Mat, Mat]:
+def intrinsic_curvature(nb: tuple, br: tuple) -> tuple:
+    """Leaf curvature Rbar(v_a, v_b) v_c in frame coordinates.
+
+    Rbar(X, Y) Z = nablabar_X nablabar_Y Z - nablabar_Y nablabar_X Z
+    - nablabar_[X, Y] Z, read off the frame tables of nablabar and the
+    bracket.
+    """
+    n = len(nb)
+    return tuple(
+        tuple(
+            tuple(
+                _combine(nb[b][c], nb[a])
+                - _combine(nb[a][c], nb[b])
+                - _combine(br[a][b], [nb[e][c] for e in range(n)])
+                for c in range(n)
+            )
+            for b in range(n)
+        )
+        for a in range(n)
+    )
+
+
+def split_h(cs: ContactStructure, geom: SubmanifoldGeometry) -> tuple[Mat, Mat]:
     """Tangential / phi-twisted-normal components of h on the frame.
 
     Returns (h1, h2) as rank-n matrices in frame coordinates.  The
@@ -291,30 +326,17 @@ def split_h(cs: ContactStructure, spec: DistributionSpec) -> tuple[Mat, Mat]:
     """
     if cs.h is None:
         raise StructureError("h has not been computed for this structure")
-    model_dim = len(cs.xi)
-    n = spec.rank
-    frame = _Frame(spec.vectors, cs.metric)
+    frame = geom.frame
     h1_cols, h2_cols = [], []
-    for a in range(n):
-        hv = cs.h @ spec.vectors[a]
-        tangent = Vec.zero(model_dim)
-        coeffs = []
-        for v, nv in zip(spec.vectors, frame.norms):
-            coeff = inner(hv, v, cs.metric) / nv
-            coeffs.append(coeff)
-            if coeff != 0:
-                tangent = tangent + coeff * v
-        normal = hv - tangent
+    for a, v in enumerate(frame.vectors):
+        coeffs, normal = frame.project(cs.h @ v)
         if inner(normal, cs.xi, cs.metric) != 0:
             raise StructureError(
                 f"normal part of h v_{a} has a xi component; split undefined"
             )
         h1_cols.append(coeffs)
-        h2v = -(cs.phi @ normal)
-        h2_cols.append(frame.coords(h2v))
-    h1 = Mat.from_columns(h1_cols)
-    h2 = Mat.from_columns(h2_cols)
-    return h1, h2
+        h2_cols.append(frame.coords(-(cs.phi @ normal)))
+    return Mat.from_columns(h1_cols), Mat.from_columns(h2_cols)
 
 
 def theta_parametrization(c, d, lam) -> ThetaData:
@@ -351,13 +373,7 @@ def _operator_symmetry_residuals(frame: _Frame, M: Mat):
 
 
 def verify_split_identities(
-    model: LieAlgebraModel,
-    cs: ContactStructure,
-    spec: DistributionSpec,
-    geom: SubmanifoldGeometry,
-    h1: Mat,
-    h2: Mat,
-    kappa: Fraction,
+    cs: ContactStructure, geom: SubmanifoldGeometry, kappa: Fraction
 ) -> list[IdentityRecord]:
     """The h-decomposition identity suite on one distribution.
 
@@ -365,70 +381,40 @@ def verify_split_identities(
     operators, h1^2 + h2^2 = (1 - kappa) Id, commutation, and the
     sigma-h2 pairing g(sigma(X, Y), xi) + g(X, h2 Y) = 0.
     """
-    frame = _Frame.of(model, spec)
-    n = spec.rank
-    records = []
-
-    def scan(identity_id, residual_iter):
-        for witness, residual in residual_iter:
-            records.append(failed_record(identity_id, witness, residual))
-            return
-        records.append(passed_record(identity_id))
+    frame, sigma, h1, h2 = geom.frame, geom.sigma, geom.h1, geom.h2
+    vectors = frame.vectors
+    n = len(vectors)
 
     def split_residuals():
         for a in range(n):
-            recon = frame.from_coords([h1[i, a] for i in range(n)]) + cs.phi @ (
-                frame.from_coords([h2[i, a] for i in range(n)])
-            )
-            res = cs.h @ spec.vectors[a] - recon
+            recon = _combine(h1.col(a), vectors) + cs.phi @ _combine(h2.col(a), vectors)
+            res = cs.h @ vectors[a] - recon
             if not res.is_zero():
                 yield (a,), max(abs(x) for x in res)
 
-    scan("h_split", split_residuals())
-    scan("h1_symmetric", _operator_symmetry_residuals(frame, h1))
-    scan("h2_symmetric", _operator_symmetry_residuals(frame, h2))
-
-    def square_sum_residuals():
-        M = h1 @ h1 + h2 @ h2 - (1 - kappa) * Mat.identity(n)
-        for a in range(n):
-            for b in range(n):
-                if M[a, b] != 0:
-                    yield (a, b), M[a, b]
-
-    scan("h1_sq_plus_h2_sq", square_sum_residuals())
-
-    def commute_residuals():
-        M = h1 @ h2 - h2 @ h1
-        for a in range(n):
-            for b in range(n):
-                if M[a, b] != 0:
-                    yield (a, b), M[a, b]
-
-    scan("h1_h2_commute", commute_residuals())
-
     def sigma_xi_residuals():
+        h2v = [_combine(h2.col(b), vectors) for b in range(n)]
         for a in range(n):
             for b in range(n):
-                h2vb = frame.from_coords([h2[i, b] for i in range(n)])
-                val = inner(geom.sigma[a][b], cs.xi, cs.metric) + inner(
-                    spec.vectors[a], h2vb, cs.metric
+                val = inner(sigma[a][b], cs.xi, cs.metric) + inner(
+                    vectors[a], h2v[b], cs.metric
                 )
                 if val != 0:
                     yield (a, b), val
 
-    scan("sigma_xi_h2", sigma_xi_residuals())
-
-    return records
+    square_sum = h1 @ h1 + h2 @ h2 - (1 - kappa) * Mat.identity(n)
+    return [
+        scan("h_split", split_residuals()),
+        scan("h1_symmetric", _operator_symmetry_residuals(frame, h1)),
+        scan("h2_symmetric", _operator_symmetry_residuals(frame, h2)),
+        scan("h1_sq_plus_h2_sq", square_sum.nonzero_entries()),
+        scan("h1_h2_commute", (h1 @ h2 - h2 @ h1).nonzero_entries()),
+        scan("sigma_xi_h2", sigma_xi_residuals()),
+    ]
 
 
 def verify_prop32(
-    model: LieAlgebraModel,
-    conn: ConnectionTable,
-    cs: ContactStructure,
-    spec: DistributionSpec,
-    geom: SubmanifoldGeometry,
-    h1: Mat,
-    h2: Mat,
+    conn: ConnectionTable, cs: ContactStructure, geom: SubmanifoldGeometry
 ) -> list[IdentityRecord]:
     """Covariant-derivative identities of the split operators.
 
@@ -439,173 +425,58 @@ def verify_prop32(
         (nablabar_X h1) Y = -phi sigma(X, h2 Y) - h2 phi sigma(X, Y),
         (nablabar_X h2) Y =  phi sigma(X, h1 Y) + h1 phi sigma(X, Y).
     """
-    frame = _Frame.of(model, spec)
-    n = spec.rank
-    records = []
+    frame, sigma, nb, h1, h2 = geom.frame, geom.sigma, geom.nb, geom.h1, geom.h2
+    vectors = frame.vectors
+    n = len(vectors)
+    G, phi = cs.metric, cs.phi
 
-    # nablabar in frame coordinates: nb[a][b] = coords of tangential
-    # nabla_{v_a} v_b
-    nb = [
-        [frame.coords(frame.tangential(conn.nabla(spec.vectors[a], spec.vectors[b])))
-         for b in range(n)]
-        for a in range(n)
-    ]
-
-    def sigma_bilinear(coords_u, coords_w) -> Vec:
-        out = Vec.zero(model.dim)
-        for a in range(n):
-            if coords_u[a] == 0:
-                continue
-            for b in range(n):
-                if coords_w[b] != 0:
-                    out = out + (coords_u[a] * coords_w[b]) * geom.sigma[a][b]
-        return out
-
-    def basis_coords(a):
-        return [Fraction(1) if i == a else Fraction(0) for i in range(n)]
-
-    def scan(identity_id, residual_iter):
-        for witness, residual in residual_iter:
-            records.append(failed_record(identity_id, witness, residual))
-            return
-        records.append(passed_record(identity_id))
-
-    def wein1_residuals():
+    def shape_operator_residuals():
         for a in range(n):
             for b in range(n):
                 # A_{phi v_b} v_a assembled from sigma through the
                 # shape-operator pairing
-                shape = Vec.zero(model.dim)
-                for cdx in range(n):
-                    coeff = inner(
-                        geom.sigma[a][cdx], cs.phi @ spec.vectors[b], cs.metric
-                    ) / frame.norms[cdx]
-                    if coeff != 0:
-                        shape = shape + coeff * spec.vectors[cdx]
-                res = shape + cs.phi @ geom.sigma[a][b]
+                phi_vb = phi @ vectors[b]
+                shape = _combine(
+                    [inner(sigma[a][c], phi_vb, G) / frame.norms[c] for c in range(n)],
+                    vectors,
+                )
+                res = shape + phi @ sigma[a][b]
                 if not res.is_zero():
                     yield (a, b), max(abs(x) for x in res)
 
-    scan("shape_operator_phi", wein1_residuals())
-
-    def wein2_residuals():
+    def normal_connection_residuals():
         for a in range(n):
             for b in range(n):
-                lhs = frame.normal(conn.nabla(spec.vectors[a], cs.phi @ spec.vectors[b]))
-                h1vb = frame.from_coords([h1[i, b] for i in range(n)])
-                rhs = cs.phi @ frame.from_coords(nb[a][b]) + inner(
-                    spec.vectors[a], spec.vectors[b] + h1vb, cs.metric
+                lhs = frame.normal(conn.nabla(vectors[a], phi @ vectors[b]))
+                h1vb = _combine(h1.col(b), vectors)
+                rhs = phi @ _combine(nb[a][b], vectors) + inner(
+                    vectors[a], vectors[b] + h1vb, G
                 ) * cs.xi
                 res = lhs - rhs
                 if not res.is_zero():
                     yield (a, b), max(abs(x) for x in res)
 
-    scan("normal_connection_phi", wein2_residuals())
-
-    def matvec(M, coords):
-        return [
-            sum(M[i, j] * coords[j] for j in range(n)) for i in range(n)
-        ]
-
-    def nablabar_of_field(a, field_coords):
-        # nablabar_{v_a} of a constant-coefficient tangent field
-        out = [Fraction(0)] * n
-        for b in range(n):
-            if field_coords[b] != 0:
-                out = [o + field_coords[b] * x for o, x in zip(out, nb[a][b])]
-        return out
-
-    def nabla_h_op_residuals(identity_id, M, sign, other):
+    def nabla_op_residuals(M, sign, other):
         # (nablabar_X M) Y vs sign * (phi sigma(X, other Y) + other phi sigma(X, Y))
-        def gen():
-            for a in range(n):
-                ea = basis_coords(a)
-                for b in range(n):
-                    eb = basis_coords(b)
-                    lhs = [
-                        x - y
-                        for x, y in zip(
-                            nablabar_of_field(a, matvec(M, eb)),
-                            matvec(M, nb[a][b]),
-                        )
-                    ]
-                    other_eb = matvec(other, eb)
-                    term1 = frame.coords(cs.phi @ sigma_bilinear(ea, other_eb))
-                    term2 = matvec(other, frame.coords(cs.phi @ sigma_bilinear(ea, eb)))
-                    rhs = [sign * (t1 + t2) for t1, t2 in zip(term1, term2)]
-                    diff = [x - y for x, y in zip(lhs, rhs)]
-                    if any(x != 0 for x in diff):
-                        yield (a, b), max(abs(x) for x in diff)
+        for a in range(n):
+            for b in range(n):
+                lhs = _combine(M.col(b), nb[a]) - M @ nb[a][b]
+                term1 = frame.coords(phi @ _combine(other.col(b), sigma[a]))
+                term2 = other @ frame.coords(phi @ sigma[a][b])
+                diff = lhs - sign * (term1 + term2)
+                if not diff.is_zero():
+                    yield (a, b), max(abs(x) for x in diff)
 
-        scan(identity_id, gen())
-
-    nabla_h_op_residuals("nabla_h1", h1, Fraction(-1), h2)
-    nabla_h_op_residuals("nabla_h2", h2, Fraction(1), h1)
-
-    return records
-
-
-def intrinsic_curvature(
-    model: LieAlgebraModel, conn: ConnectionTable, spec: DistributionSpec
-):
-    """Leaf curvature in frame coordinates.
-
-    Returns (table, lowered) where table[a][b][c] is the coordinate list
-    of Rbar(v_a, v_b) v_c and lowered(a, b, c, d) the fully lowered
-    component with respect to the induced metric.
-    """
-    frame = _Frame.of(model, spec)
-    n = spec.rank
-    nb = [
-        [frame.coords(frame.tangential(conn.nabla(spec.vectors[a], spec.vectors[b])))
-         for b in range(n)]
-        for a in range(n)
+    return [
+        scan("shape_operator_phi", shape_operator_residuals()),
+        scan("normal_connection_phi", normal_connection_residuals()),
+        scan("nabla_h1", nabla_op_residuals(h1, Fraction(-1), h2)),
+        scan("nabla_h2", nabla_op_residuals(h2, Fraction(1), h1)),
     ]
-    br = [
-        [frame.coords(bracket(model, spec.vectors[a], spec.vectors[b]))
-         for b in range(n)]
-        for a in range(n)
-    ]
-
-    def nablabar_of_coords(a, coords):
-        out = [Fraction(0)] * n
-        for b in range(n):
-            if coords[b] != 0:
-                out = [o + coords[b] * x for o, x in zip(out, nb[a][b])]
-        return out
-
-    table = []
-    for a in range(n):
-        plane = []
-        for b in range(n):
-            row = []
-            for cdx in range(n):
-                first = nablabar_of_coords(a, nb[b][cdx])
-                second = nablabar_of_coords(b, nb[a][cdx])
-                third = [Fraction(0)] * n
-                for e in range(n):
-                    if br[a][b][e] != 0:
-                        third = [
-                            t + br[a][b][e] * x for t, x in zip(third, nb[e][cdx])
-                        ]
-                row.append([f - s - t for f, s, t in zip(first, second, third)])
-            plane.append(row)
-        table.append(plane)
-
-    gram = [[frame.induced_metric(a, b) for b in range(n)] for a in range(n)]
-
-    def lowered(a, b, cdx, ddx):
-        return sum(table[a][b][cdx][e] * gram[e][ddx] for e in range(n))
-
-    return table, lowered
 
 
 def gauss_codazzi_residuals(
-    model: LieAlgebraModel,
-    R: CurvatureTable,
-    conn: ConnectionTable,
-    spec: DistributionSpec,
-    geom: SubmanifoldGeometry,
+    R: CurvatureTable, conn: ConnectionTable, geom: SubmanifoldGeometry
 ) -> list[IdentityRecord]:
     """Ambient-vs-intrinsic curvature compatibility on all frame tuples.
 
@@ -615,73 +486,44 @@ def gauss_codazzi_residuals(
     with (nabla_X sigma)(Y,Z) = nabla^perp_X(sigma(Y,Z))
          - sigma(nablabar_X Y, Z) - sigma(Y, nablabar_X Z).
     """
-    frame = _Frame.of(model, spec)
-    n = spec.rank
-    records = []
-    _, lowered_bar = intrinsic_curvature(model, conn, spec)
-    nb = [
-        [frame.coords(frame.tangential(conn.nabla(spec.vectors[a], spec.vectors[b])))
-         for b in range(n)]
-        for a in range(n)
-    ]
-
-    def sigma_bilinear(coords_u, b) -> Vec:
-        out = Vec.zero(model.dim)
-        for a in range(n):
-            if coords_u[a] != 0:
-                out = out + coords_u[a] * geom.sigma[a][b]
-        return out
-
-    def scan(identity_id, residual_iter):
-        for witness, residual in residual_iter:
-            records.append(failed_record(identity_id, witness, residual))
-            return
-        records.append(passed_record(identity_id))
-
+    frame, sigma, nb = geom.frame, geom.sigma, geom.nb
+    vectors = frame.vectors
+    n = len(vectors)
     G = conn.metric
+    triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    # R(v_a, v_b) v_c and (nabla_{v_a} sigma)(v_b, v_c), each built once;
+    # sigma is symmetric, so row c of sigma is sigma(., v_c)
+    ambient = {
+        (a, b, c): R.apply(vectors[a], vectors[b], vectors[c]) for a, b, c in triples
+    }
+    nabla_sigma = {
+        (a, b, c): frame.normal(conn.nabla(vectors[a], sigma[b][c]))
+        - _combine(nb[a][b], sigma[c])
+        - _combine(nb[a][c], sigma[b])
+        for a, b, c in triples
+    }
 
-    def gauss_gen():
-        for a in range(n):
-            for b in range(n):
-                for cdx in range(n):
-                    for ddx in range(n):
-                        ambient = R.lowered(
-                            spec.vectors[a],
-                            spec.vectors[b],
-                            spec.vectors[cdx],
-                            spec.vectors[ddx],
-                        )
-                        val = (
-                            lowered_bar(a, b, cdx, ddx)
-                            - inner(geom.sigma[a][ddx], geom.sigma[b][cdx], G)
-                            + inner(geom.sigma[a][cdx], geom.sigma[b][ddx], G)
-                        )
-                        if ambient != val:
-                            yield (a, b, cdx, ddx), ambient - val
+    def gauss_residuals():
+        for a, b, c in triples:
+            for d in range(n):
+                lhs = inner(ambient[a, b, c], vectors[d], G)
+                rhs = (
+                    geom.lowered_bar(a, b, c, d)
+                    - inner(sigma[a][d], sigma[b][c], G)
+                    + inner(sigma[a][c], sigma[b][d], G)
+                )
+                if lhs != rhs:
+                    yield (a, b, c, d), lhs - rhs
 
-    scan("gauss", gauss_gen())
+    def codazzi_residuals():
+        for a, b, c in triples:
+            res = frame.normal(ambient[a, b, c]) - (
+                nabla_sigma[a, b, c] - nabla_sigma[b, a, c]
+            )
+            if not res.is_zero():
+                yield (a, b, c), max(abs(x) for x in res)
 
-    def nabla_sigma(a, b, cdx) -> Vec:
-        term = frame.normal(conn.nabla(spec.vectors[a], geom.sigma[b][cdx]))
-        term = term - sigma_bilinear(nb[a][b], cdx)
-        term = term - sigma_bilinear(nb[a][cdx], b)
-        return term
-
-    def codazzi_gen():
-        for a in range(n):
-            for b in range(n):
-                for cdx in range(n):
-                    lhs = frame.normal(
-                        R.apply(spec.vectors[a], spec.vectors[b], spec.vectors[cdx])
-                    )
-                    rhs = nabla_sigma(a, b, cdx) - nabla_sigma(b, a, cdx)
-                    res = lhs - rhs
-                    if not res.is_zero():
-                        yield (a, b, cdx), max(abs(x) for x in res)
-
-    scan("codazzi", codazzi_gen())
-
-    return records
+    return [scan("gauss", gauss_residuals()), scan("codazzi", codazzi_residuals())]
 
 
 def eigen_split_dims(cs: ContactStructure, spec: DistributionSpec):
@@ -703,12 +545,7 @@ def eigen_split_dims(cs: ContactStructure, spec: DistributionSpec):
 
 
 def leaf_curvature_records(
-    model: LieAlgebraModel,
-    conn: ConnectionTable,
-    cs: ContactStructure,
-    spec: DistributionSpec,
-    geom: SubmanifoldGeometry,
-    inv: ModelInvariants,
+    cs: ContactStructure, geom: SubmanifoldGeometry, inv: ModelInvariants
 ) -> tuple[list[IdentityRecord], dict]:
     """Constant-curvature verdicts for the leaf.
 
@@ -718,20 +555,13 @@ def leaf_curvature_records(
     forms of curvature 2 (1 - mu/2 + lambda sin theta) < 0.  Returns the
     records plus a summary dict with the constants found.
     """
-    frame = _Frame.of(model, spec)
+    spec, gram, lowered_bar = geom.spec, geom.frame.gram, geom.lowered_bar
     n = spec.rank
-    _, lowered_bar = intrinsic_curvature(model, conn, spec)
     records = []
     summary: dict = {}
 
-    def scan(identity_id, residual_iter):
-        for witness, residual in residual_iter:
-            records.append(failed_record(identity_id, witness, residual))
-            return
-        records.append(passed_record(identity_id))
-
     def sectional_bar(a, b):
-        denom = frame.norms[a] * frame.norms[b] - frame.induced_metric(a, b) ** 2
+        denom = gram[a][a] * gram[b][b] - gram[a][b] ** 2
         return lowered_bar(a, b, b, a) / denom
 
     def space_form_residuals(K):
@@ -740,8 +570,7 @@ def leaf_curvature_records(
                 for cdx in range(n):
                     for ddx in range(n):
                         expected = K * (
-                            frame.induced_metric(a, ddx) * frame.induced_metric(b, cdx)
-                            - frame.induced_metric(a, cdx) * frame.induced_metric(b, ddx)
+                            gram[a][ddx] * gram[b][cdx] - gram[a][cdx] * gram[b][ddx]
                         )
                         got = lowered_bar(a, b, cdx, ddx)
                         if got != expected:
@@ -769,10 +598,12 @@ def leaf_curvature_records(
                         yield (a, b), got - K
 
         if k_plus >= 2:
-            scan("leaf_curvature_e_lambda", block_gen(plus_idx, K_plus))
+            records.append(scan("leaf_curvature_e_lambda", block_gen(plus_idx, K_plus)))
             summary["e_lambda_curvature"] = rat_str(K_plus)
         if k_minus >= 2:
-            scan("leaf_curvature_e_minus_lambda", block_gen(minus_idx, K_minus))
+            records.append(
+                scan("leaf_curvature_e_minus_lambda", block_gen(minus_idx, K_minus))
+            )
             summary["e_minus_lambda_curvature"] = rat_str(K_minus)
 
         def mixed_gen():
@@ -783,20 +614,17 @@ def leaf_curvature_records(
                         yield (a, b), got
 
         if plus_idx and minus_idx:
-            scan("leaf_curvature_mixed_planes", mixed_gen())
+            records.append(scan("leaf_curvature_mixed_planes", mixed_gen()))
         if not (plus_idx and minus_idx):
             # pure eigenleaf: a genuine space form
             K = K_plus if plus_idx else K_minus
-            scan("leaf_space_form", space_form_residuals(K))
+            records.append(scan("leaf_space_form", space_form_residuals(K)))
             summary["leaf_curvature"] = rat_str(K)
     elif geom.classification == "totally_umbilical" and spec.kind == "diagonal":
-        theta = theta_parametrization(spec.c, spec.d, inv.lam)
+        theta = geom.theta_data
         K = 2 * (1 - inv.mu / 2 + theta.b)
-        scan("leaf_space_form", space_form_residuals(K))
-        if K >= 0:
-            records.append(failed_record("leaf_curvature_negative", None, K))
-        else:
-            records.append(passed_record("leaf_curvature_negative"))
+        records.append(scan("leaf_space_form", space_form_residuals(K)))
+        records.append(scan("leaf_curvature_negative", [(None, K)] if K >= 0 else []))
         summary["leaf_curvature"] = rat_str(K)
         summary["theta"] = {
             "sin": rat_str(theta.sin_theta),
@@ -821,7 +649,7 @@ def analyze_submanifold(
     for reports.
     """
     geom = second_fundamental_form(model, conn, spec)
-    h1, h2 = split_h(cs, spec)
+    h1, h2 = split_h(cs, geom)
     theta = (
         theta_parametrization(spec.c, spec.d, inv.lam)
         if spec.kind == "diagonal"
@@ -829,11 +657,10 @@ def analyze_submanifold(
     )
     geom = replace(geom, h1=h1, h2=h2, theta_data=theta)
 
-    records = []
-    records += verify_split_identities(model, cs, spec, geom, h1, h2, inv.kappa)
-    records += verify_prop32(model, conn, cs, spec, geom, h1, h2)
-    records += gauss_codazzi_residuals(model, R, conn, spec, geom)
-    leaf_records, summary = leaf_curvature_records(model, conn, cs, spec, geom, inv)
+    records = verify_split_identities(cs, geom, inv.kappa)
+    records += verify_prop32(conn, cs, geom)
+    records += gauss_codazzi_residuals(R, conn, geom)
+    leaf_records, summary = leaf_curvature_records(cs, geom, inv)
     records += leaf_records
 
     n = spec.rank

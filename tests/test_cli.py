@@ -199,8 +199,7 @@ def test_submanifold_command_rejects_zero_c(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_grid_and_rejections(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KMU_THREADS", "2")
+def test_sweep_grid_and_rejections(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, ["sweep", "--n", "2", "--alphas", "0,1,2", "--betas", "1,2,3"]
     )

@@ -1,10 +1,12 @@
 """Connection and curvature: Koszul oracle, tables, and invariances."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import kmu.pipeline as pipeline
 from kmu import (
     Mat,
     Vec,
@@ -17,6 +19,7 @@ from kmu import (
 from kmu.connection import (
     curvature_symmetry_residuals,
     metric_compatibility_residuals,
+    riemann,
     torsion_residuals,
 )
 from kmu.errors import DegeneratePlaneError
@@ -113,6 +116,22 @@ def test_curvature_symmetries_by_direct_loop():
                 total = R.table[i][j][k] + R.table[j][k][i] + R.table[k][i][j]
                 assert total.is_zero()
     assert curvature_symmetry_residuals(R) == []
+
+
+def test_curvature_symmetries_record_fails_on_corrupted_entry(monkeypatch):
+    # R(X_1, X_2) X_3 gains an X_1 component, breaking antisymmetry there
+    def corrupted_riemann(model_, conn):
+        R = riemann(model_, conn)
+        table = [[list(row) for row in plane] for plane in R.table]
+        table[1][2][3] = table[1][2][3] + Vec.basis(R.dim, 1)
+        return replace(R, table=tuple(tuple(tuple(r) for r in p) for p in table))
+
+    monkeypatch.setattr(pipeline, "riemann", corrupted_riemann)
+    analysis_ = pipeline.analyze_structure(model(3, 1, 3))
+    record = {r.identity_id: r for r in analysis_.records}["curvature_symmetries"]
+    assert record.status == "fail"
+    assert record.witness_indices == (1, 2, 3)
+    assert record.residual == 1
 
 
 def test_lowered_pair_symmetry_direct():

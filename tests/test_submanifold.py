@@ -1,5 +1,6 @@
 """Legendrian distributions: construction, sigma, h split, leaf geometry."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,17 +17,24 @@ from kmu import (
     theta_parametrization,
 )
 from kmu.errors import NonInvolutiveError, ParameterError
+from kmu.linalg import Mat
 from kmu.report import all_passed
 from kmu.submanifold import (
     DistributionSpec,
     eigen_split_dims,
     gauss_codazzi_residuals,
-    intrinsic_curvature,
     verify_prop32,
     verify_split_identities,
 )
 
 from helpers import analysis, model
+
+
+def leaf_geometry(an, spec):
+    """The leaf's tables with the h split attached, as analyze_submanifold does."""
+    geom = second_fundamental_form(an.model, an.conn, spec)
+    h1, h2 = split_h(an.cs, geom)
+    return replace(geom, h1=h1, h2=h2)
 
 
 def spanned_indices(spec):
@@ -223,13 +231,11 @@ def test_split_on_x_family_is_ambient_restriction():
     m = model(3, 1, 3)
     an = analysis(3, 1, 3)
     spec = build_distribution(m, "x")
-    h1, h2 = split_h(an.cs, spec)
-    from kmu.linalg import Mat
-
+    h1, h2 = split_h(an.cs, second_fundamental_form(m, an.conn, spec))
     assert h1 == an.invariants.lam * Mat.identity(3)
     assert h2.is_zero()
     spec = build_distribution(m, "y")
-    h1, h2 = split_h(an.cs, spec)
+    h1, h2 = split_h(an.cs, second_fundamental_form(m, an.conn, spec))
     assert h1 == -an.invariants.lam * Mat.identity(3)
     assert h2.is_zero()
 
@@ -247,13 +253,11 @@ def test_split_on_diagonal_1_1_detailed_oracle():
     assert inner(hv, v, m.metric) == 0
     assert -(cs.phi @ hv) == -v
     spec = build_distribution(m, "diagonal", c=1, d=1)
-    h1, h2 = split_h(cs, spec)
+    geom = second_fundamental_form(m, an.conn, spec)
+    h1, h2 = split_h(cs, geom)
     assert h1.is_zero()
-    from kmu.linalg import Mat
-
     assert h2 == -Mat.identity(2)
     # the sigma-h2 pairing of the geometry suite, checked by hand
-    geom = second_fundamental_form(m, an.conn, spec)
     assert inner(geom.sigma[0][0], cs.xi, m.metric) + inner(
         v, h2[0, 0] * v, m.metric
     ) == 2 - 2
@@ -266,9 +270,7 @@ def test_split_on_diagonal_closed_forms(c, d):
     lam = an.invariants.lam
     c, d = Fraction(c), Fraction(d)
     spec = build_distribution(m, "diagonal", c=c, d=d)
-    h1, h2 = split_h(an.cs, spec)
-    from kmu.linalg import Mat
-
+    h1, h2 = split_h(an.cs, second_fundamental_form(m, an.conn, spec))
     assert h1 == (lam * (c * c - d * d) / (c * c + d * d)) * Mat.identity(3)
     assert h2 == (-2 * c * d * lam / (c * c + d * d)) * Mat.identity(3)
 
@@ -286,10 +288,8 @@ def test_split_identities_suite(kind, kwargs, n, alpha, beta):
     m = model(n, alpha, beta)
     an = analysis(n, alpha, beta)
     spec = build_distribution(m, kind, **kwargs)
-    geom = second_fundamental_form(m, an.conn, spec)
-    h1, h2 = split_h(an.cs, spec)
     records = verify_split_identities(
-        m, an.cs, spec, geom, h1, h2, an.invariants.kappa
+        an.cs, leaf_geometry(an, spec), an.invariants.kappa
     )
     assert {r.identity_id for r in records} == {
         "h_split",
@@ -334,9 +334,7 @@ def test_prop32_zero_residual(kind, kwargs):
     m = model(3, 1, 3)
     an = analysis(3, 1, 3)
     spec = build_distribution(m, kind, **kwargs)
-    geom = second_fundamental_form(m, an.conn, spec)
-    h1, h2 = split_h(an.cs, spec)
-    records = verify_prop32(m, an.conn, an.cs, spec, geom, h1, h2)
+    records = verify_prop32(an.conn, an.cs, leaf_geometry(an, spec))
     assert {r.identity_id for r in records} == {
         "shape_operator_phi",
         "normal_connection_phi",
@@ -351,13 +349,11 @@ def test_totally_geodesic_leaves_have_parallel_h1():
     m = model(3, 1, 3)
     an = analysis(3, 1, 3)
     spec = build_distribution(m, "x")
-    _, lowered = intrinsic_curvature(m, an.conn, spec)
-    geom = second_fundamental_form(m, an.conn, spec)
-    h1, h2 = split_h(an.cs, spec)
-    assert h2.is_zero()
+    geom = leaf_geometry(an, spec)
+    assert geom.h2.is_zero()
     # nablabar h1 = 0 holds entry by entry because h1 is lambda Id and
     # nablabar maps the frame into itself
-    records = verify_prop32(m, an.conn, an.cs, spec, geom, h1, h2)
+    records = verify_prop32(an.conn, an.cs, geom)
     assert all_passed(records)
 
 
@@ -378,7 +374,7 @@ def test_gauss_codazzi_zero_residual(kind, kwargs):
     an = analysis(3, 1, 2)
     spec = build_distribution(m, kind, **kwargs)
     geom = second_fundamental_form(m, an.conn, spec)
-    records = gauss_codazzi_residuals(m, an.curvature, an.conn, spec, geom)
+    records = gauss_codazzi_residuals(an.curvature, an.conn, geom)
     assert {r.identity_id for r in records} == {"gauss", "codazzi"}
     assert all_passed(records)
 
@@ -390,7 +386,7 @@ def test_x_leaf_curvature_equals_ambient():
     an = analysis(3, 1, 3)
     inv = an.invariants
     spec = build_distribution(m, "x")
-    _, lowered = intrinsic_curvature(m, an.conn, spec)
+    lowered = second_fundamental_form(m, an.conn, spec).lowered_bar
     expected = 2 * (1 + inv.lam) - inv.mu
     assert expected == 2 * inv.lam * (inv.boeckx_invariant + 1)
     for a in range(3):
@@ -404,7 +400,7 @@ def test_y_leaf_curvature_negative():
     an = analysis(3, 1, 3)
     inv = an.invariants
     spec = build_distribution(m, "y")
-    _, lowered = intrinsic_curvature(m, an.conn, spec)
+    lowered = second_fundamental_form(m, an.conn, spec).lowered_bar
     expected = 2 * (1 - inv.lam) - inv.mu
     assert expected == 2 * inv.lam * (inv.boeckx_invariant - 1)
     assert expected < 0
@@ -419,7 +415,7 @@ def test_diagonal_leaf_space_form_cross_checked_by_gauss():
     inv = an.invariants
     spec = build_distribution(m, "diagonal", c=1, d=1)
     geom = second_fundamental_form(m, an.conn, spec)
-    _, lowered = intrinsic_curvature(m, an.conn, spec)
+    lowered = geom.lowered_bar
     v0, v1 = spec.vectors[0], spec.vectors[1]
     ambient = an.curvature.lowered(v0, v1, v1, v0)
     gauss_rhs = ambient + inner(
@@ -446,6 +442,54 @@ def test_eigen_split_dimensions():
 
 
 # ---------------------------------------------------------------------------
+# negative controls: one corrupted leaf table flips the records reading it
+# ---------------------------------------------------------------------------
+
+
+def _wrong_kappa(geom, kappa):
+    return geom, kappa + 1
+
+
+def _changed_h1_entry(geom, kappa):
+    n = geom.spec.rank
+    rows = [[geom.h1[i, j] for j in range(n)] for i in range(n)]
+    rows[0][1] += 1
+    return replace(geom, h1=Mat(rows)), kappa
+
+
+def _changed_sigma_entry(geom, kappa):
+    # sigma(v_0, v_0) gains a xi component; sigma stays symmetric
+    sigma = [list(row) for row in geom.sigma]
+    sigma[0][0] = sigma[0][0] + Vec.basis(len(sigma[0][0]), 0)
+    return replace(geom, sigma=tuple(tuple(row) for row in sigma)), kappa
+
+
+@pytest.mark.parametrize("corrupt,flipped", [
+    (_wrong_kappa, {"h1_sq_plus_h2_sq"}),
+    (_changed_h1_entry, {"h_split"}),
+    (_changed_sigma_entry, {"gauss", "codazzi", "sigma_xi_h2"}),
+])
+def test_corrupted_leaf_table_flips_its_records(corrupt, flipped):
+    an = analysis(3, 1, 3)
+    spec = build_distribution(an.model, "diagonal", c=2, d=1)
+
+    def records(geom, kappa):
+        out = verify_split_identities(an.cs, geom, kappa)
+        out += verify_prop32(an.conn, an.cs, geom)
+        out += gauss_codazzi_residuals(an.curvature, an.conn, geom)
+        return {r.identity_id: r for r in out}
+
+    geom = leaf_geometry(an, spec)
+    clean = records(geom, an.invariants.kappa)
+    bad = records(*corrupt(geom, an.invariants.kappa))
+    for identity_id in flipped:
+        assert clean[identity_id].passed
+        assert bad[identity_id].status == "fail"
+        assert bad[identity_id].witness_indices
+        assert bad[identity_id].residual != 0
+
+
+# ---------------------------------------------------------------------------
 # theta parametrization
 # ---------------------------------------------------------------------------
 
@@ -458,7 +502,8 @@ def test_theta_for_equal_coefficients():
     # matches the h2 eigenvalue of the diagonal(1,1) split
     m = model(3, 1, 3)
     an = analysis(3, 1, 3)
-    h1, h2 = split_h(an.cs, build_distribution(m, "diagonal", c=1, d=1))
+    spec = build_distribution(m, "diagonal", c=1, d=1)
+    h1, h2 = split_h(an.cs, second_fundamental_form(m, an.conn, spec))
     assert h2[0, 0] == theta.a
     assert h1[0, 0] == theta.b
 
