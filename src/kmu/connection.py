@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import DegeneratePlaneError, DimensionMismatchError
 from .liealg import LieAlgebraModel, bracket
-from .linalg import Mat, Vec, inner, solve_diagonal_metric
+from .linalg import Mat, Vec, combine, inner, solve_diagonal_metric
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,14 @@ class ConnectionTable:
             raise DimensionMismatchError(
                 f"nabla operands of length {len(u)}, {len(v)} on dim {self.dim}"
             )
-        acc = [Fraction(0)] * self.dim
-        for i in range(self.dim):
-            if not u[i]:
-                continue
-            row = self.gamma[i]
-            for j in range(self.dim):
-                if v[j]:
-                    coeff = u[i] * v[j]
-                    entry = row[j]._c
-                    for k in range(self.dim):
-                        if entry[k]:
-                            acc[k] += coeff * entry[k]
-        return Vec._raw(tuple(acc))
+        def terms():
+            for i, x in u.nonzero_entries():
+                row = self.gamma[i]
+                for j, y in v.nonzero_entries():
+                    if row[j].nonzero_entries():
+                        yield x * y, row[j]
+
+        return combine(terms(), self.dim)
 
 
 @dataclass(frozen=True)
@@ -67,18 +62,17 @@ class CurvatureTable:
     lowered_table: tuple
 
     def apply(self, u: Vec, v: Vec, w: Vec) -> Vec:
-        """Multilinear extension of the basis table."""
-        out = Vec.zero(self.dim)
-        for i in range(self.dim):
-            if u[i] == 0:
-                continue
-            for j in range(self.dim):
-                if v[j] == 0:
-                    continue
-                for k in range(self.dim):
-                    if w[k] != 0:
-                        out = out + (u[i] * v[j] * w[k]) * self.table[i][j][k]
-        return out
+        """Multilinear extension of the basis table, over the supports."""
+        def terms():
+            for i, x in u.nonzero_entries():
+                plane = self.table[i]
+                for j, y in v.nonzero_entries():
+                    row, xy = plane[j], x * y
+                    for k, z in w.nonzero_entries():
+                        if row[k].nonzero_entries():
+                            yield xy * z, row[k]
+
+        return combine(terms(), self.dim)
 
     def lowered_basis(self, i: int, j: int, k: int, l: int) -> Fraction:
         return self.lowered_table[i][j][k][l]
@@ -96,20 +90,18 @@ def levi_civita(model: LieAlgebraModel, metric: Mat | None = None) -> Connection
     """
     G = model.metric if metric is None else metric
     dim = model.dim
-    c = model.structure
-    basis = [Vec.basis(dim, k) for k in range(dim)]
+    # low[i][j][k] = g([e_i, e_j], e_k), lowered once per bracket
+    gt = G.transpose()
+    low = [[(gt @ c_ij)._c for c_ij in row] for row in model.structure]
+    zero = Fraction(0)
     gamma = []
     for i in range(dim):
         row = []
         for j in range(dim):
             rhs = []
             for k in range(dim):
-                val = (
-                    inner(c[i][j], basis[k], G)
-                    - inner(c[j][k], basis[i], G)
-                    + inner(c[k][i], basis[j], G)
-                ) / 2
-                rhs.append(val)
+                a, b, c = low[i][j][k], low[j][k][i], low[k][i][j]
+                rhs.append((a - b + c) / 2 if a or b or c else zero)
             row.append(solve_diagonal_metric(G, Vec(rhs)))
         gamma.append(tuple(row))
     return ConnectionTable(dim=dim, metric=G, gamma=tuple(gamma))
@@ -133,13 +125,13 @@ def metric_compatibility_residuals(conn: ConnectionTable):
     compatibility is exactly this antisymmetry in (j, k).
     """
     out = []
-    basis = [Vec.basis(conn.dim, k) for k in range(conn.dim)]
+    gt = conn.metric.transpose()
+    # low[i][j][k] = g(nabla_i e_j, e_k)
+    low = [[(gt @ entry)._c for entry in row] for row in conn.gamma]
     for i in range(conn.dim):
         for j in range(conn.dim):
             for k in range(j, conn.dim):
-                res = inner(conn.gamma[i][j], basis[k], conn.metric) + inner(
-                    conn.gamma[i][k], basis[j], conn.metric
-                )
+                res = low[i][j][k] + low[i][k][j]
                 if res != 0:
                     out.append(((i, j, k), res))
     return out
@@ -171,16 +163,12 @@ def riemann(model: LieAlgebraModel, conn: ConnectionTable) -> CurvatureTable:
                 if table[i][j][k] is None:
                     table[i][j][k] = zero if i == j else -table[j][i][k]
     table = tuple(tuple(tuple(row) for row in plane) for plane in table)
-    basis = [Vec.basis(dim, l) for l in range(dim)]
+    # g(R(e_i, e_j) e_k, e_l) = sum_m R^m_ijk g_ml: the transposed metric
+    # applied to each entry, over the entry's and the metric's supports
+    gt = conn.metric.transpose()
     lowered = tuple(
-        tuple(
-            tuple(
-                tuple(inner(table[i][j][k], basis[l], conn.metric) for l in range(dim))
-                for k in range(dim)
-            )
-            for j in range(dim)
-        )
-        for i in range(dim)
+        tuple(tuple((gt @ entry)._c for entry in row) for row in plane)
+        for plane in table
     )
     return CurvatureTable(
         dim=dim, metric=conn.metric, table=table, lowered_table=lowered

@@ -23,7 +23,7 @@ from .connection import (
 )
 from .errors import NotKappaMuError, StructureError
 from .liealg import LieAlgebraModel, bracket
-from .linalg import Mat, Vec, inner, outer, rank, rat_str
+from .linalg import Mat, Vec, combine, dot, inner, outer, rank, rat_str
 from .report import IdentityRecord, scan
 
 
@@ -32,6 +32,8 @@ class ContactStructure:
     """phi, xi and eta with their metric; h and lambda once computed.
 
     ``eta`` stores covector coefficients: eta(u) = sum_i eta[i] u[i].
+    ``axioms`` holds the contact metric axiom records of (phi, xi, eta,
+    metric), checked once where the structure is built.
     """
 
     phi: Mat
@@ -40,9 +42,10 @@ class ContactStructure:
     metric: Mat
     h: Mat | None = None
     lam: Fraction | None = None
+    axioms: tuple = ()
 
     def eta_of(self, u: Vec) -> Fraction:
-        return sum(self.eta[i] * u[i] for i in range(len(u)))
+        return dot(self.eta, u)
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ class ModelInvariants:
 def d_eta(model: LieAlgebraModel, eta: Vec, u: Vec, v: Vec) -> Fraction:
     """d eta on left-invariant fields: -eta([u, v]) / 2."""
     br = bracket(model, u, v)
-    return -sum(eta[i] * br[i] for i in range(model.dim)) / 2
+    return -dot(eta, br) / 2
 
 
 def check_contact_axioms(
@@ -83,22 +86,17 @@ def check_contact_axioms(
                 f" with residual {rat_str(record.residual)}"
             )
 
-    eta_xi = sum(eta[i] * xi[i] for i in range(dim))
+    eta_xi = dot(eta, xi)
     verdict("eta_xi", [] if eta_xi == 1 else [((0,), eta_xi - 1)])
 
     phi_sq = phi @ phi + Mat.identity(dim) - outer(xi, eta)
     verdict("phi_square", phi_sq.nonzero_entries())
 
     phi_xi = phi @ xi
-    verdict(
-        "phi_xi",
-        [((k,), phi_xi[k]) for k in range(dim) if phi_xi[k] != 0],
-    )
+    verdict("phi_xi", [((k,), v) for k, v in phi_xi.nonzero_entries()])
 
-    eta_phi = [
-        sum(eta[i] * phi[i, j] for i in range(dim)) for j in range(dim)
-    ]
-    verdict("eta_phi", [((j,), v) for j, v in enumerate(eta_phi) if v != 0])
+    eta_phi = phi.transpose() @ eta
+    verdict("eta_phi", [((j,), v) for j, v in eta_phi.nonzero_entries()])
 
     r = rank(phi)
     verdict("phi_rank", [] if r == 2 * model.n else [((r,), Fraction(r - 2 * model.n))])
@@ -136,8 +134,10 @@ def build_contact_structure(model: LieAlgebraModel) -> ContactStructure:
     phi = standard_phi(model)
     xi = Vec.basis(model.dim, 0)
     eta = model.metric @ xi
-    check_contact_axioms(model, phi, xi, eta, model.metric)
-    return ContactStructure(phi=phi, xi=xi, eta=eta, metric=model.metric)
+    axioms = check_contact_axioms(model, phi, xi, eta, model.metric)
+    return ContactStructure(
+        phi=phi, xi=xi, eta=eta, metric=model.metric, axioms=tuple(axioms)
+    )
 
 
 def compute_h(
@@ -304,39 +304,35 @@ def closed_form_curvature(
     gphihYZ, gphihXZ = ctx.g_phih[j][k], ctx.g_phih[i][k]
     eX, eY, eZ = ctx.eta[i], ctx.eta[j], ctx.eta[k]
 
-    acc = [Fraction(0)] * dim
-
-    def axpy(coeff, vec):
-        if coeff:
-            vc = vec._c
-            for t in range(dim):
-                if vc[t]:
-                    acc[t] += coeff * vc[t]
-
-    axpy(ctx.one_minus_half_mu * gYZ, X)
-    axpy(-ctx.one_minus_half_mu * gXZ, Y)
-    axpy(gYZ, hX)
-    axpy(-gXZ, hY)
-    axpy(-ghXZ, Y)
-    axpy(ghYZ, X)
-    axpy(ctx.coef_h * ghYZ, hX)
-    axpy(-ctx.coef_h * ghXZ, hY)
-    axpy(-ctx.half_mu * gphiYZ, phiX)
-    axpy(ctx.half_mu * gphiXZ, phiY)
-    axpy(ctx.mu * gphiXY, phiZ)
-    axpy(ctx.coef_phih * gphihYZ, phihX)
-    axpy(-ctx.coef_phih * gphihXZ, phihY)
-    # eta-tail: the unique completion antisymmetric in (X, Y) that
-    # restricts to the defining curvature condition at Z = xi.
-    axpy(-eX * eZ * ctx.c1, Y)
-    axpy(-eX * eZ * ctx.c2, hY)
-    axpy(eY * eZ * ctx.c1, X)
-    axpy(eY * eZ * ctx.c2, hX)
-    axpy(
-        eX * (ctx.c1 * gYZ + ctx.c2 * ghYZ) - eY * (ctx.c1 * gXZ + ctx.c2 * ghXZ),
-        ctx.xi,
+    eXZ, eYZ = -eX * eZ, eY * eZ
+    # (metric factor, constant, vector): a term costs nothing when its
+    # metric factor vanishes, which it does for most index triples
+    terms = (
+        (gYZ, ctx.one_minus_half_mu, X),
+        (-gXZ, ctx.one_minus_half_mu, Y),
+        (gYZ, 1, hX),
+        (-gXZ, 1, hY),
+        (-ghXZ, 1, Y),
+        (ghYZ, 1, X),
+        (ghYZ, ctx.coef_h, hX),
+        (-ghXZ, ctx.coef_h, hY),
+        (-gphiYZ, ctx.half_mu, phiX),
+        (gphiXZ, ctx.half_mu, phiY),
+        (gphiXY, ctx.mu, phiZ),
+        (gphihYZ, ctx.coef_phih, phihX),
+        (-gphihXZ, ctx.coef_phih, phihY),
+        # eta-tail: the unique completion antisymmetric in (X, Y) that
+        # restricts to the defining curvature condition at Z = xi.
+        (eXZ, ctx.c1, Y),
+        (eXZ, ctx.c2, hY),
+        (eYZ, ctx.c1, X),
+        (eYZ, ctx.c2, hX),
     )
-    return Vec._raw(tuple(acc))
+    out = combine(((g * c, v) for g, c, v in terms if g), dim)
+    if eX or eY:
+        tail = eX * (ctx.c1 * gYZ + ctx.c2 * ghYZ) - eY * (ctx.c1 * gXZ + ctx.c2 * ghXZ)
+        out = out + tail * ctx.xi
+    return out
 
 
 def verify_identities(

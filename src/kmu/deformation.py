@@ -36,7 +36,8 @@ def d_homothetic(
     Returns the deformed structure (h cleared; recompute it against the
     deformed metric's connection) together with the deformed metric.
     The model supplies the bracket table for the contact-condition
-    recheck.  All contact metric axioms are re-verified exactly.
+    recheck.  All contact metric axioms are re-verified exactly, and
+    their records travel with the deformed structure.
     """
     a = rat(a)
     if a <= 0:
@@ -46,8 +47,10 @@ def d_homothetic(
     xi_t = Fraction(1, a) * cs.xi
     eta_t = a * cs.eta
     G_t = a * G + (a * (a - 1)) * outer(cs.eta, cs.eta)
-    check_contact_axioms(model, phi_t, xi_t, eta_t, G_t)
-    deformed = ContactStructure(phi=phi_t, xi=xi_t, eta=eta_t, metric=G_t)
+    axioms = check_contact_axioms(model, phi_t, xi_t, eta_t, G_t)
+    deformed = ContactStructure(
+        phi=phi_t, xi=xi_t, eta=eta_t, metric=G_t, axioms=tuple(axioms)
+    )
     return deformed, G_t
 
 

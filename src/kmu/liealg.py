@@ -16,9 +16,10 @@ from fractions import Fraction
 from .errors import (
     DegenerateModelError,
     DimensionMismatchError,
+    StructureError,
     UnsupportedDimensionError,
 )
-from .linalg import Mat, Vec, rat
+from .linalg import Mat, Vec, combine, rat
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,8 @@ def build_boeckx_model(n: int, alpha, beta) -> LieAlgebraModel:
     table = {}
 
     def put(a, b, value: Vec):
-        assert (a, b) not in table and (b, a) not in table
+        if (a, b) in table or (b, a) in table:
+            raise StructureError(f"bracket table lists the pair ({a}, {b}) twice")
         table[(a, b)] = value
 
     half_ab = alpha * beta / 2
@@ -182,17 +184,11 @@ def bracket(model: LieAlgebraModel, u: Vec, v: Vec) -> Vec:
         raise DimensionMismatchError(
             f"bracket operands of length {len(u)}, {len(v)} on a dim-{dim} model"
         )
-    out = Vec.zero(dim)
-    for i in range(dim):
-        if u[i] == 0:
-            continue
-        for j in range(dim):
-            if v[j] == 0:
-                continue
-            term = model.structure[i][j]
-            if not term.is_zero():
-                out = out + (u[i] * v[j]) * term
-    return out
+    c = model.structure
+    return combine(
+        ((x * y, c[i][j]) for i, x in u.nonzero_entries() for j, y in v.nonzero_entries()),
+        dim,
+    )
 
 
 def check_jacobi(model: LieAlgebraModel) -> JacobiReport:
@@ -208,16 +204,16 @@ def check_jacobi(model: LieAlgebraModel) -> JacobiReport:
     violations = []
     for i in range(dim):
         for j in range(i + 1, dim):
-            cij = c[i][j]
             for k in range(j + 1, dim):
-                acc = Vec.zero(dim)
-                for m in range(dim):
-                    if cij[m] != 0:
-                        acc = acc + cij[m] * c[m][k]
-                    if c[j][k][m] != 0:
-                        acc = acc + c[j][k][m] * c[m][i]
-                    if c[k][i][m] != 0:
-                        acc = acc + c[k][i][m] * c[m][j]
+                # sum_m c_ij^m [e_m, e_k] + c_jk^m [e_m, e_i] + c_ki^m [e_m, e_j]
+                acc = combine(
+                    (
+                        (x, c[m][last])
+                        for first, last in ((c[i][j], k), (c[j][k], i), (c[k][i], j))
+                        for m, x in first.nonzero_entries()
+                    ),
+                    dim,
+                )
                 if not acc.is_zero():
                     violations.append((i, j, k))
                     worst = max(abs(x) for x in acc)

@@ -6,6 +6,11 @@ residual.  Vectors and matrices are immutable; coefficients are indexed
 against the fixed basis order (xi, X_1..X_n, Y_1..Y_n) documented on the
 model builder.  Rational literals in files and on the command line are
 strings "p/q" or "p"; floats are rejected everywhere.
+
+The model tables are a few percent dense, so every kernel here visits
+only nonzero coefficients: vectors cache their nonzero entries and
+matrices their row supports.  Skipping a zero term never changes an
+exact sum, so results equal those of dense loops entry for entry.
 """
 
 from __future__ import annotations
@@ -50,28 +55,73 @@ def rat_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-class Vec:
-    """Immutable vector with Fraction coefficients."""
+# Shared exact constants: zero entries of every table are this one object,
+# so kernels and equality tests meet them without arithmetic.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-    __slots__ = ("_c",)
+
+def _frac(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _add(xs: tuple, ys: tuple) -> tuple:
+    """Entrywise xs + ys; a zero operand contributes no arithmetic."""
+    return tuple((x + y if x else y) if y else x for x, y in zip(xs, ys))
+
+
+def _sub(xs: tuple, ys: tuple) -> tuple:
+    return tuple((x - y if x else -y) if y else x for x, y in zip(xs, ys))
+
+
+def _neg(xs: tuple) -> tuple:
+    return tuple(-x if x else x for x in xs)
+
+
+def _scale(xs: tuple, s: Fraction) -> tuple:
+    if not s:
+        return (_ZERO,) * len(xs)
+    return tuple(x * s if x else x for x in xs)
+
+
+def _dot(pairs, c: tuple) -> Fraction:
+    """sum x * c[k] over (k, x) in pairs, skipping zero entries of c."""
+    total = None
+    for k, x in pairs:
+        y = c[k]
+        if y:
+            total = x * y if total is None else total + x * y
+    return _ZERO if total is None else total
+
+
+class Vec:
+    """Immutable vector with Fraction coefficients.
+
+    ``nonzero_entries()`` is computed once and cached, so every kernel
+    below iterates over a vector's support instead of its full range.
+    """
+
+    __slots__ = ("_c", "_nz")
 
     def __init__(self, coeffs):
-        self._c = tuple(Fraction(c) for c in coeffs)
+        self._c = tuple(_frac(c) for c in coeffs)
+        self._nz = None
 
     @classmethod
     def _raw(cls, coeffs: tuple) -> "Vec":
         # internal fast path: entries are known to be Fractions already
         v = object.__new__(cls)
         v._c = coeffs
+        v._nz = None
         return v
 
     @staticmethod
     def zero(dim: int) -> "Vec":
-        return Vec([0] * dim)
+        return Vec._raw((_ZERO,) * dim)
 
     @staticmethod
     def basis(dim: int, k: int) -> "Vec":
-        return Vec([1 if i == k else 0 for i in range(dim)])
+        return Vec._raw(tuple(_ONE if i == k else _ZERO for i in range(dim)))
 
     def __len__(self):
         return len(self._c)
@@ -101,28 +151,54 @@ class Vec:
         if not isinstance(other, Vec):
             return NotImplemented
         self._check_dim(other)
-        return Vec._raw(tuple(a + b for a, b in zip(self._c, other._c)))
+        return Vec._raw(_add(self._c, other._c))
 
     def __sub__(self, other):
         if not isinstance(other, Vec):
             return NotImplemented
         self._check_dim(other)
-        return Vec._raw(tuple(a - b for a, b in zip(self._c, other._c)))
+        return Vec._raw(_sub(self._c, other._c))
 
     def __neg__(self):
-        return Vec._raw(tuple(-a for a in self._c))
+        return Vec._raw(_neg(self._c))
 
     def __mul__(self, scalar):
         if isinstance(scalar, int):
             scalar = Fraction(scalar)
         if isinstance(scalar, Fraction):
-            return Vec._raw(tuple(a * scalar for a in self._c))
+            return Vec._raw(_scale(self._c, scalar))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self._c)
+        return not any(self._c)
+
+    def nonzero_entries(self) -> tuple:
+        """(index, entry) for every nonzero entry, in index order; cached."""
+        if self._nz is None:
+            self._nz = tuple((i, x) for i, x in enumerate(self._c) if x)
+        return self._nz
+
+
+def _settle(acc: list) -> tuple:
+    """Entries of an accumulator list; None marks an entry never written."""
+    return tuple(_ZERO if a is None else a for a in acc)
+
+
+def combine(terms, dim: int) -> Vec:
+    """sum coeff * v over the (coeff, v) pairs of terms, over supports.
+
+    Pairs with a zero coefficient cost nothing; the sum accumulates in
+    place instead of allocating a vector per term.
+    """
+    acc = [None] * dim
+    for coeff, v in terms:
+        if coeff:
+            for t, x in v.nonzero_entries():
+                a = acc[t]
+                acc[t] = coeff * x if a is None else a + coeff * x
+    return Vec._raw(_settle(acc))
 
 
 class Mat:
@@ -130,13 +206,15 @@ class Mat:
 
     ``m @ v`` applies the matrix to a vector (columns act on coefficients),
     ``m @ m2`` composes.  ``m[i, j]`` reads the entry in row i, column j.
+    The row supports, (column, entry) pairs per row, are computed once
+    and cached; products iterate over them.
     """
 
-    __slots__ = ("_rows", "_diag")
+    __slots__ = ("_rows", "_sup")
 
     def __init__(self, rows):
-        self._rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        self._diag = None
+        self._rows = tuple(tuple(_frac(x) for x in row) for row in rows)
+        self._sup = None
         if self._rows:
             width = len(self._rows[0])
             if any(len(r) != width for r in self._rows):
@@ -146,24 +224,34 @@ class Mat:
     def _raw(cls, rows: tuple) -> "Mat":
         m = object.__new__(cls)
         m._rows = rows
-        m._diag = None
+        m._sup = None
         return m
+
+    def _row_supports(self) -> tuple:
+        if self._sup is None:
+            self._sup = tuple(
+                tuple((j, x) for j, x in enumerate(row) if x) for row in self._rows
+            )
+        return self._sup
 
     @staticmethod
     def identity(dim: int) -> "Mat":
-        return Mat([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
+        return Mat.diagonal([_ONE] * dim)
 
     @staticmethod
     def zeros(nrows: int, ncols: int | None = None) -> "Mat":
         ncols = nrows if ncols is None else ncols
-        return Mat([[0] * ncols for _ in range(nrows)])
+        return Mat._raw(((_ZERO,) * ncols,) * nrows)
 
     @staticmethod
     def diagonal(entries) -> "Mat":
-        entries = [Fraction(e) for e in entries]
+        entries = [_frac(e) for e in entries]
         dim = len(entries)
-        return Mat(
-            [[entries[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+        return Mat._raw(
+            tuple(
+                tuple(entries[i] if i == j else _ZERO for j in range(dim))
+                for i in range(dim)
+            )
         )
 
     @staticmethod
@@ -176,7 +264,7 @@ class Mat:
         return (len(self._rows), len(self._rows[0]) if self._rows else 0)
 
     def col(self, j: int) -> Vec:
-        return Vec(r[j] for r in self._rows)
+        return Vec._raw(tuple(r[j] for r in self._rows))
 
     def __getitem__(self, key):
         i, j = key
@@ -202,10 +290,7 @@ class Mat:
                 f"matrix shapes differ: {self.shape} vs {other.shape}"
             )
         return Mat._raw(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self._rows, other._rows)
-            )
+            tuple(_add(r1, r2) for r1, r2 in zip(self._rows, other._rows))
         )
 
     def __sub__(self, other):
@@ -214,15 +299,13 @@ class Mat:
         return self + (-other)
 
     def __neg__(self):
-        return Mat._raw(tuple(tuple(-x for x in row) for row in self._rows))
+        return Mat._raw(tuple(_neg(row) for row in self._rows))
 
     def __mul__(self, scalar):
         if isinstance(scalar, int):
             scalar = Fraction(scalar)
         if isinstance(scalar, Fraction):
-            return Mat._raw(
-                tuple(tuple(x * scalar for x in row) for row in self._rows)
-            )
+            return Mat._raw(tuple(_scale(row, scalar) for row in self._rows))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -235,81 +318,74 @@ class Mat:
                     f"matrix is {self.shape} but vector has length {len(other)}"
                 )
             oc = other._c
-            return Vec._raw(
-                tuple(
-                    sum(row[k] * oc[k] for k in range(ncols) if row[k])
-                    or Fraction(0)
-                    for row in self._rows
-                )
-            )
+            return Vec._raw(tuple(_dot(sup, oc) for sup in self._row_supports()))
         if isinstance(other, Mat):
             orows, ocols = other.shape
             if ncols != orows:
                 raise DimensionMismatchError(
                     f"cannot compose {self.shape} with {other.shape}"
                 )
-            return Mat._raw(
-                tuple(
-                    tuple(
-                        sum(self._rows[i][k] * other._rows[k][j] for k in range(ncols))
-                        or Fraction(0)
-                        for j in range(ocols)
-                    )
-                    for i in range(nrows)
-                )
-            )
+            osup = other._row_supports()
+            rows = []
+            for sup in self._row_supports():
+                # row i of the product is sum_k a_ik (row k of other)
+                acc = [None] * ocols
+                for k, a in sup:
+                    for j, b in osup[k]:
+                        c = acc[j]
+                        acc[j] = a * b if c is None else c + a * b
+                rows.append(_settle(acc))
+            return Mat._raw(tuple(rows))
         return NotImplemented
 
     def transpose(self) -> "Mat":
-        nrows, ncols = self.shape
-        return Mat([self._rows[i][j] for i in range(nrows)] for j in range(ncols))
+        return Mat._raw(tuple(zip(*self._rows)))
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
 
     def is_diagonal(self) -> bool:
-        if self._diag is None:
-            nrows, ncols = self.shape
-            self._diag = all(
-                self._rows[i][j] == 0
-                for i in range(nrows)
-                for j in range(ncols)
-                if i != j
-            )
-        return self._diag
+        return all(
+            all(j == i for j, _ in sup) for i, sup in enumerate(self._row_supports())
+        )
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._rows for x in row)
+        return not any(self._row_supports())
 
     def nonzero_entries(self):
         """((i, j), entry) for every nonzero entry, row by row."""
-        for i, row in enumerate(self._rows):
-            for j, x in enumerate(row):
-                if x != 0:
-                    yield (i, j), x
+        for i, sup in enumerate(self._row_supports()):
+            for j, x in sup:
+                yield (i, j), x
+
+
+def dot(u: Vec, v: Vec) -> Fraction:
+    """Coefficient pairing sum_i u[i] v[i], over the support of u.
+
+    A covector stored as coefficients (such as eta) acts on vectors this
+    way, with no metric involved.
+    """
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"dot product dims: u={len(u)}, v={len(v)}")
+    return _dot(u.nonzero_entries(), v._c)
 
 
 def inner(u: Vec, v: Vec, G: Mat) -> Fraction:
-    """Metric pairing u^T G v, exact."""
+    """Metric pairing u^T G v, exact, over the supports of u, G and v."""
     dim = len(u)
     if len(v) != dim or G.shape != (dim, dim):
         raise DimensionMismatchError(
             f"inner product dims: u={len(u)}, v={len(v)}, G={G.shape}"
         )
-    uc, vc, rows = u._c, v._c, G._rows
-    if G.is_diagonal():
-        total = sum(
-            uc[i] * rows[i][i] * vc[i] for i in range(dim) if uc[i] and vc[i]
-        )
-    else:
-        total = sum(
-            uc[i] * rows[i][j] * vc[j]
-            for i in range(dim)
-            if uc[i]
-            for j in range(dim)
-            if vc[j] and rows[i][j]
-        )
-    return total if isinstance(total, Fraction) else Fraction(0)
+    rows, vc = G._row_supports(), v._c
+    total = None
+    for i, x in u.nonzero_entries():
+        for j, g in rows[i]:
+            y = vc[j]
+            if y:
+                term = x * g * y
+                total = term if total is None else total + term
+    return _ZERO if total is None else total
 
 
 def solve_diagonal_metric(G: Mat, rhs: Vec) -> Vec:
@@ -322,7 +398,7 @@ def solve_diagonal_metric(G: Mat, rhs: Vec) -> Vec:
     for i in range(dim):
         if G[i, i] == 0:
             raise SingularMetricError(f"zero diagonal entry at index {i}")
-    return Vec(rhs[i] / G[i, i] for i in range(dim))
+    return Vec._raw(tuple(x / G[i, i] if x else x for i, x in enumerate(rhs)))
 
 
 def outer(u: Vec, w: Vec) -> Mat:

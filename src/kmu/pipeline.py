@@ -93,9 +93,10 @@ def analyze_structure(
 ) -> StructureAnalysis:
     """Run the whole verification stack for one structure.
 
-    With ``cs=None`` the native contact structure is built (its axioms
-    recorded); passing a deformed structure re-derives the connection,
-    curvature, h and invariants with respect to its metric.
+    With ``cs=None`` the native contact structure is built; passing a
+    deformed structure re-derives the connection, curvature, h and
+    invariants with respect to its metric.  Either way the report carries
+    the axiom records made when the structure was built.
     """
     jacobi = check_jacobi(model)
     # the first violating triple, reported with the largest residual of all
@@ -103,7 +104,9 @@ def analyze_structure(
 
     if cs is None:
         cs = build_contact_structure(model)
-    records += check_contact_axioms(model, cs.phi, cs.xi, cs.eta, cs.metric)
+    # the axioms were checked where cs was built; a structure built by
+    # hand, with no records, is checked here
+    records += cs.axioms or check_contact_axioms(model, cs.phi, cs.xi, cs.eta, cs.metric)
 
     conn = levi_civita(model, metric=cs.metric)
     torsion = torsion_residuals(model, conn)

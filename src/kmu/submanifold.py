@@ -25,7 +25,7 @@ from .connection import ConnectionTable, CurvatureTable
 from .contact import ContactStructure, ModelInvariants, standard_phi
 from .errors import NonInvolutiveError, ParameterError, StructureError
 from .liealg import LieAlgebraModel, bracket
-from .linalg import Mat, Vec, inner, rat, rat_str
+from .linalg import Mat, Vec, combine, inner, rat, rat_str
 from .report import IdentityRecord, scan
 
 KINDS = ("x", "y", "mixed", "diagonal")
@@ -156,11 +156,7 @@ def _check_legendrian(model: LieAlgebraModel, spec: DistributionSpec):
 
 def _combine(coeffs, vectors) -> Vec:
     """sum_i coeffs[i] vectors[i], skipping zero coefficients."""
-    out = Vec.zero(len(vectors[0]))
-    for coeff, v in zip(coeffs, vectors):
-        if coeff != 0:
-            out = out + coeff * v
-    return out
+    return combine(zip(coeffs, vectors), len(vectors[0]))
 
 
 class _Frame:
@@ -176,8 +172,9 @@ class _Frame:
 
     def project(self, w: Vec) -> tuple[Vec, Vec]:
         """Frame coordinates of the tangential part of w, and the normal part."""
+        pairings = (inner(w, v, self.G) for v in self.vectors)
         coeffs = Vec._raw(
-            tuple(inner(w, v, self.G) / nv for v, nv in zip(self.vectors, self.norms))
+            tuple(p / nv if p else p for p, nv in zip(pairings, self.norms))
         )
         return coeffs, w - _combine(coeffs, self.vectors)
 
@@ -216,9 +213,11 @@ class SubmanifoldGeometry:
     theta_data: ThetaData | None = None
 
     def lowered_bar(self, a: int, b: int, c: int, d: int) -> Fraction:
-        """Rbar(v_a, v_b, v_c, v_d), lowered with the induced metric."""
-        gram = self.frame.gram
-        return sum(self.rbar[a][b][c][e] * gram[e][d] for e in range(len(gram)))
+        """Rbar(v_a, v_b, v_c, v_d), lowered with the induced metric.
+
+        The frame is orthogonal, so only the v_d coordinate pairs with v_d.
+        """
+        return self.rbar[a][b][c][d] * self.frame.norms[d]
 
 
 def check_involutive(model: LieAlgebraModel, spec: DistributionSpec) -> InvolutivityVerdict:
@@ -352,7 +351,8 @@ def theta_parametrization(c, d, lam) -> ThetaData:
     denom = c * c + d * d
     sin_theta = (c * c - d * d) / denom
     cos_theta = (-2 * c * d) / denom
-    assert sin_theta * sin_theta + cos_theta * cos_theta == 1
+    if sin_theta * sin_theta + cos_theta * cos_theta != 1:
+        raise StructureError(f"sin^2 + cos^2 != 1 for c={rat_str(c)}, d={rat_str(d)}")
     return ThetaData(
         sin_theta=sin_theta,
         cos_theta=cos_theta,

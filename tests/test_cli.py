@@ -1,8 +1,14 @@
 """Descriptor grammar, report content, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import kmu
 
 from kmu.cli import (
     build_report,
@@ -277,6 +283,35 @@ def test_reports_deterministic_modulo_timestamp(tmp_path, capsys):
     r1.pop("generated_at")
     r2.pop("generated_at")
     assert json.dumps(r1, sort_keys=False) == json.dumps(r2, sort_keys=False)
+
+
+def test_verify_report_identical_under_optimize_flag(tmp_path):
+    # python -O strips assert statements; no check may depend on one, so
+    # the report of a model with a diagonal leaf must not change
+    path = write_descriptor(
+        tmp_path,
+        {"n": 2, "alpha": "1", "beta": "3",
+         "submanifolds": [{"kind": "diag", "c": "2", "d": "-1/2"}]},
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(kmu.__file__).resolve().parent.parent))
+
+    def run(*flags):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "kmu.cli", "verify", path],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def without_timestamp(text):
+        return [line for line in text.splitlines() if '"generated_at"' not in line]
+
+    stripped = subprocess.run([sys.executable, "-O", "-c", "assert False"], env=env)
+    assert stripped.returncode == 0
+    plain, optimized = run(), run("-O")
+    assert without_timestamp(plain) == without_timestamp(optimized)
+    assert json.loads(plain)["submanifolds"][0]["theta"] is not None
 
 
 def test_out_flag_writes_report_file(tmp_path, capsys):

@@ -5,12 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+import kmu.contact as contact
+import kmu.deformation as deformation
+import kmu.pipeline as pipeline
 from kmu import (
     Mat,
     Vec,
     bracket,
+    build_boeckx_model,
     build_contact_structure,
     compute_h,
+    d_homothetic,
     nijenhuis,
     verify_identities,
 )
@@ -72,6 +77,32 @@ def test_broken_phi_rejected_with_named_violation():
             m.metric,
         )
     assert "phi_square" in str(err.value)
+
+
+def test_contact_axioms_checked_once_per_structure(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_contact_axioms(*args)
+
+    for module in (contact, deformation, pipeline):
+        monkeypatch.setattr(module, "check_contact_axioms", counting)
+    m = build_boeckx_model(2, 1, 3)
+    native = pipeline.analyze_structure(m)
+    assert len(calls) == 1
+    deformed_cs, _ = d_homothetic(m, native.cs, Fraction(5, 2))
+    deformed = pipeline.analyze_structure(m, deformed_cs)
+    assert len(calls) == 2
+    # the reported axiom records are those of a fresh check
+    for an in (native, deformed):
+        cs = an.cs
+        fresh = check_contact_axioms(m, cs.phi, cs.xi, cs.eta, cs.metric)
+        ids = {r.identity_id for r in fresh}
+        assert [r for r in an.records if r.identity_id in ids] == fresh
+    # a structure carrying no records is checked by the analysis itself
+    bare = replace(build_contact_structure(m), axioms=())
+    assert pipeline.analyze_structure(m, bare).records == native.records
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,267 @@
+"""Support-aware kernels against plain dense loops.
+
+Every kernel in ``linalg`` and ``connection`` visits only nonzero
+coefficients.  The references below walk every index with no zero test
+at all, so a kernel that drops a term, or keeps a stale one, disagrees
+with them.  Inputs are sparse rationals, and several tests build sums
+that cancel to exactly zero.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kmu import d_homothetic
+from kmu.connection import ConnectionTable, CurvatureTable, levi_civita, riemann
+from kmu.linalg import Mat, Vec, inner
+
+from helpers import analysis, grid_points, model
+from test_linalg import rationals
+
+ZERO = Fraction(0)
+
+# about two entries in three are zero, like the model tables
+sparse_entries = st.one_of(st.just(ZERO), st.just(ZERO), rationals)
+
+
+def sparse_lists(length):
+    return st.lists(sparse_entries, min_size=length, max_size=length)
+
+
+def sparse_rows(nrows, ncols):
+    return st.lists(sparse_lists(ncols), min_size=nrows, max_size=nrows)
+
+
+# ---------------------------------------------------------------------------
+# dense references: plain loops over every index
+# ---------------------------------------------------------------------------
+
+
+def dense_matvec(rows, v):
+    return [sum((row[k] * v[k] for k in range(len(v))), ZERO) for row in rows]
+
+
+def dense_matmat(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def dense_inner(u, v, g):
+    dim = len(u)
+    return sum((u[i] * g[i][j] * v[j] for i in range(dim) for j in range(dim)), ZERO)
+
+
+def dense_nabla(gamma, u, v):
+    dim = len(u)
+    return [
+        sum((u[i] * v[j] * gamma[i][j][k] for i in range(dim) for j in range(dim)), ZERO)
+        for k in range(dim)
+    ]
+
+
+def dense_apply(table, u, v, w):
+    dim = len(u)
+    return [
+        sum(
+            (
+                u[i] * v[j] * w[k] * table[i][j][k][t]
+                for i in range(dim)
+                for j in range(dim)
+                for k in range(dim)
+            ),
+            ZERO,
+        )
+        for t in range(dim)
+    ]
+
+
+def dense_tables(structure, G):
+    """Koszul connection, curvature and lowered curvature, all dense.
+
+    gamma[i][j][k] is the e_k coefficient of nabla_{e_i} e_j for a
+    diagonal metric G; R[i][j][k] is R(e_i, e_j) e_k computed from every
+    (i, j, k), not from antisymmetry.
+    """
+    dim = len(G)
+    c = [[list(v) for v in row] for row in structure]
+
+    def low(u, k):  # g(u, e_k)
+        return sum((u[m] * G[m][k] for m in range(dim)), ZERO)
+
+    gamma = [
+        [
+            [
+                (low(c[i][j], k) - low(c[j][k], i) + low(c[k][i], j)) / 2 / G[k][k]
+                for k in range(dim)
+            ]
+            for j in range(dim)
+        ]
+        for i in range(dim)
+    ]
+    R = [
+        [
+            [
+                [
+                    sum(
+                        (
+                            gamma[j][k][m] * gamma[i][m][t]
+                            - gamma[i][k][m] * gamma[j][m][t]
+                            - c[i][j][m] * gamma[m][k][t]
+                            for m in range(dim)
+                        ),
+                        ZERO,
+                    )
+                    for t in range(dim)
+                ]
+                for k in range(dim)
+            ]
+            for j in range(dim)
+        ]
+        for i in range(dim)
+    ]
+    lowered = [
+        [[[low(R[i][j][k], t) for t in range(dim)] for k in range(dim)] for j in range(dim)]
+        for i in range(dim)
+    ]
+    return gamma, R, lowered
+
+
+def as_lists(table):
+    """Nested tuples of Vecs (or of Fractions) as nested lists of Fractions."""
+    if isinstance(table, (tuple, list, Vec)):
+        return [as_lists(x) for x in table]
+    return table
+
+
+def exact_vec(v, expected):
+    assert all(type(x) is Fraction for x in v)
+    assert list(v) == expected
+    assert v.nonzero_entries() == tuple((i, x) for i, x in enumerate(expected) if x)
+
+
+# ---------------------------------------------------------------------------
+# Vec, Mat and inner
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40)
+@given(sparse_lists(6), sparse_lists(6), sparse_lists(6), rationals)
+def test_vec_arithmetic_matches_dense(us, vs, noise, s):
+    u, v = Vec(us), Vec(vs)
+    exact_vec(u + v, [a + b for a, b in zip(us, vs)])
+    exact_vec(u - v, [a - b for a, b in zip(us, vs)])
+    exact_vec(-u, [-a for a in us])
+    exact_vec(s * u, [s * a for a in us])
+    exact_vec(u * 0, [ZERO] * 6)
+    # w = -u + sparse noise: u + w cancels to exactly zero off the noise
+    w = Vec([b - a for a, b in zip(us, noise)])
+    exact_vec(u + w, noise)
+    exact_vec(u - u, [ZERO] * 6)
+    assert (u - u).is_zero() and (u + w).is_zero() == (not any(noise))
+
+
+@settings(max_examples=40)
+@given(sparse_rows(4, 5), sparse_lists(5), sparse_lists(5))
+def test_matvec_matches_dense(rows, vs, noise):
+    M, v = Mat(rows), Vec(vs)
+    exact_vec(M @ v, dense_matvec(rows, vs))
+    # rows doubled against (v, -v + noise): each dot product cancels
+    # exactly on the v part
+    doubled = Mat([row + row for row in rows])
+    w = Vec(vs + [b - a for a, b in zip(vs, noise)])
+    exact_vec(doubled @ w, dense_matvec(rows, noise))
+
+
+@settings(max_examples=40)
+@given(sparse_rows(3, 4), sparse_rows(4, 5), sparse_rows(4, 5))
+def test_matmat_matches_dense(a_rows, b_rows, c_rows):
+    A, B = Mat(a_rows), Mat(b_rows)
+    assert [list(r) for r in (A @ B)._rows] == dense_matmat(a_rows, b_rows)
+    # A (B - C) + A C = A B, with the partial sums cancelling
+    C = Mat(c_rows)
+    assert A @ (B - C) + A @ C == A @ B
+    assert (A @ (B - B)).is_zero()
+    stacked = Mat([ra + [-x for x in ra] for ra in a_rows])
+    assert (stacked @ Mat(b_rows + b_rows)).is_zero()
+
+
+@settings(max_examples=40)
+@given(sparse_lists(5), sparse_lists(5), sparse_rows(5, 5))
+def test_inner_matches_dense(us, vs, g_rows):
+    u, v = Vec(us), Vec(vs)
+    G = Mat(g_rows)
+    assert inner(u, v, G) == dense_inner(us, vs, g_rows)
+    diagonal = Mat.diagonal([g_rows[i][i] for i in range(5)])
+    assert inner(u, v, diagonal) == dense_inner(us, vs, [list(r) for r in diagonal._rows])
+    assert inner(u, -u, Mat.identity(5)) + inner(u, u, Mat.identity(5)) == 0
+
+
+# ---------------------------------------------------------------------------
+# connection and curvature kernels on random sparse tables
+# ---------------------------------------------------------------------------
+
+
+def sparse_tables(depth, dim):
+    strategy = sparse_lists(dim)
+    for _ in range(depth):
+        strategy = st.lists(strategy, min_size=dim, max_size=dim)
+    return strategy
+
+
+@settings(max_examples=30)
+@given(sparse_tables(2, 4), sparse_lists(4), sparse_lists(4))
+def test_nabla_matches_dense(gamma, us, vs):
+    conn = ConnectionTable(
+        dim=4,
+        metric=Mat.identity(4),
+        gamma=tuple(tuple(Vec(e) for e in row) for row in gamma),
+    )
+    exact_vec(conn.nabla(Vec(us), Vec(vs)), dense_nabla(gamma, us, vs))
+    # nabla(u, v) + nabla(u, -v) cancels entry by entry
+    assert (conn.nabla(Vec(us), Vec(vs)) + conn.nabla(Vec(us), -Vec(vs))).is_zero()
+
+
+@settings(max_examples=30)
+@given(sparse_tables(3, 3), sparse_lists(3), sparse_lists(3), sparse_lists(3))
+def test_curvature_apply_matches_dense(table, us, vs, ws):
+    R = CurvatureTable(
+        dim=3,
+        metric=Mat.identity(3),
+        table=tuple(tuple(tuple(Vec(e) for e in row) for row in plane) for plane in table),
+        lowered_table=(),
+    )
+    u, v, w = Vec(us), Vec(vs), Vec(ws)
+    exact_vec(R.apply(u, v, w), dense_apply(table, us, vs, ws))
+    assert (R.apply(u, v, w) + R.apply(u, v, -w)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the model tables against a dense rebuild
+# ---------------------------------------------------------------------------
+
+
+def assert_tables_match_dense(m, conn, R):
+    gamma, curvature, lowered = dense_tables(m.structure, as_lists(conn.metric._rows))
+    assert as_lists(conn.gamma) == gamma
+    assert as_lists(R.table) == curvature
+    assert as_lists(R.lowered_table) == lowered
+
+
+@pytest.mark.parametrize("n,alpha,beta", [p for p in grid_points() if p[0] <= 4])
+def test_model_tables_match_dense_rebuild(n, alpha, beta):
+    an = analysis(n, alpha, beta)
+    assert_tables_match_dense(an.model, an.conn, an.curvature)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_deformed_tables_match_dense_rebuild(n):
+    # a non-identity metric exercises the metric's support in the
+    # lowered table and the Koszul solve
+    m = model(n, 1, 3)
+    _, G = d_homothetic(m, analysis(n, 1, 3).cs, Fraction(7, 3))
+    conn = levi_civita(m, metric=G)
+    assert_tables_match_dense(m, conn, riemann(m, conn))
