@@ -109,7 +109,7 @@ def _records_json(records):
 def _deformation_block(analysis, a: Fraction) -> tuple[dict, bool]:
     model = analysis.model
     before = analysis.invariants
-    deformed_cs, _ = d_homothetic(model, analysis.cs, a)
+    deformed_cs = d_homothetic(model, analysis.cs, a)
     deformed = analyze_structure(model, deformed_cs)
     kappa_t, mu_t = predicted_invariants(before.kappa, before.mu, a)
     match = deformed.invariants.kappa == kappa_t and deformed.invariants.mu == mu_t

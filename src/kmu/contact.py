@@ -14,13 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
-from .connection import (
-    ConnectionTable,
-    CurvatureTable,
-    covariant_derivative_11,
-    levi_civita,
-)
+from .connection import ConnectionTable, CurvatureTable, covariant_derivative_11
 from .errors import NotKappaMuError, StructureError
 from .liealg import LieAlgebraModel, bracket
 from .linalg import Mat, Vec, combine, dot, inner, outer, rank, rat_str
@@ -47,6 +43,38 @@ class ContactStructure:
     def eta_of(self, u: Vec) -> Fraction:
         return dot(self.eta, u)
 
+    @cached_property
+    def tables(self) -> StructureTables:
+        """The structure's columns and pairings, built on first read."""
+        if self.h is None:
+            raise StructureError("h has not been computed for this structure")
+        return StructureTables(self)
+
+
+class StructureTables:
+    """Columns and metric pairings of one structure with h, built once.
+
+    hcol[t], phicol[t] and phihcol[t] are h e_t, phi e_t and phi h e_t;
+    eta[t] is eta(e_t).  g_id[a][b], g_h[a][b], g_phi[a][b] and
+    g_phih[a][b] are g(e_a, e_b), g(h e_a, e_b), g(phi e_a, e_b) and
+    g(phi h e_a, e_b).  Every structure identity reads these tables.
+    """
+
+    def __init__(self, cs: ContactStructure):
+        dim = len(cs.xi)
+        self.dim = dim
+        self.basis = tuple(Vec.basis(dim, t) for t in range(dim))
+        self.hcol = tuple(cs.h.col(t) for t in range(dim))
+        self.phicol = tuple(cs.phi.col(t) for t in range(dim))
+        self.phihcol = tuple(cs.phi @ col for col in self.hcol)
+        self.eta = cs.eta._c
+        # g(u, e_b) for every b is the transposed metric applied to u
+        gt = cs.metric.transpose()
+        self.g_id, self.g_h, self.g_phi, self.g_phih = (
+            tuple((gt @ u)._c for u in cols)
+            for cols in (self.basis, self.hcol, self.phicol, self.phihcol)
+        )
+
 
 @dataclass(frozen=True)
 class ModelInvariants:
@@ -62,6 +90,21 @@ class ModelInvariants:
             "lambda": rat_str(self.lam),
             "boeckx_invariant": rat_str(self.boeckx_invariant),
         }
+
+    @cached_property
+    def closed_form_constants(self) -> tuple:
+        """The constants ``closed_form_curvature`` reads, computed once."""
+        kappa, mu = self.kappa, self.mu
+        half_mu = mu / 2
+        return (
+            1 - half_mu,
+            (1 - half_mu) / (1 - kappa),
+            (kappa - half_mu) / (1 - kappa),
+            half_mu,
+            mu,
+            kappa - 1 + half_mu,
+            mu - 1,
+        )
 
 
 def d_eta(model: LieAlgebraModel, eta: Vec, u: Vec, v: Vec) -> Fraction:
@@ -140,73 +183,38 @@ def build_contact_structure(model: LieAlgebraModel) -> ContactStructure:
     )
 
 
-def compute_h(
-    model: LieAlgebraModel,
-    cs: ContactStructure,
-    conn: ConnectionTable | None = None,
-) -> tuple[Mat, Fraction]:
+def compute_h(model: LieAlgebraModel, cs: ContactStructure) -> tuple[Mat, Fraction]:
     """h = (Lie derivative of phi along xi) / 2, plus its eigenvalue.
 
-    On left-invariant fields h(u) = ([xi, phi u] - phi [xi, u]) / 2.
-    Verifies symmetry, h xi = 0, anticommutation with phi, the exact
-    eigenstructure {0, lambda^n, (-lambda)^n} on the X/Y blocks, and
-    nabla xi = -phi - phi h against the connection table.
+    On left-invariant fields h(u) = ([xi, phi u] - phi [xi, u]) / 2, and
+    lambda is read off h X_1.  Raises only if lambda is not positive;
+    the structure of h is checked by ``verify_structure``.
     """
     dim = model.dim
-    n = model.n
-    cols = []
-    for j in range(dim):
-        e = Vec.basis(dim, j)
-        col = (bracket(model, cs.xi, cs.phi @ e) - cs.phi @ bracket(model, cs.xi, e)) * Fraction(1, 2)
-        cols.append(col)
-    h = Mat.from_columns(cols)
-
-    gh = cs.metric @ h
-    if not gh.is_symmetric():
-        raise StructureError("h is not symmetric with respect to the metric")
-    if not (h @ cs.xi).is_zero():
-        raise StructureError("h xi != 0")
-    if not (h @ cs.phi + cs.phi @ h).is_zero():
-        raise StructureError("h phi + phi h != 0")
-
+    h = Mat.from_columns(
+        (bracket(model, cs.xi, cs.phi.col(j))
+         - cs.phi @ bracket(model, cs.xi, Vec.basis(dim, j))) * Fraction(1, 2)
+        for j in range(dim)
+    )
     lam = h[1, 1]
-    for i in range(1, n + 1):
-        if h.col(i) != lam * Vec.basis(dim, i):
-            raise StructureError(f"h X_{i} is not lambda X_{i}")
-        if h.col(n + i) != -lam * Vec.basis(dim, n + i):
-            raise StructureError(f"h Y_{i} is not -lambda Y_{i}")
     if lam <= 0:
         raise StructureError(f"computed h eigenvalue {rat_str(lam)} is not positive")
-
-    if conn is None:
-        conn = levi_civita(model, metric=cs.metric)
-    for i in range(dim):
-        e = Vec.basis(dim, i)
-        res = conn.nabla(e, cs.xi) + cs.phi @ e + cs.phi @ (h @ e)
-        if not res.is_zero():
-            raise StructureError(f"nabla xi = -phi - phi h fails on basis index {i}")
-
     return h, lam
 
 
-def attach_h(model: LieAlgebraModel, cs: ContactStructure,
-             conn: ConnectionTable | None = None) -> ContactStructure:
+def attach_h(model: LieAlgebraModel, cs: ContactStructure) -> ContactStructure:
     """Convenience: return the structure with h and lambda filled in."""
-    h, lam = compute_h(model, cs, conn=conn)
+    h, lam = compute_h(model, cs)
     return replace(cs, h=h, lam=lam)
 
 
 def extract_kappa_mu(R: CurvatureTable, cs: ContactStructure) -> ModelInvariants:
-    """Solve (kappa, mu) from two curvature probes, then re-verify.
+    """Solve (kappa, mu) from two curvature probes.
 
     Probes: R(X_1, xi)xi = (kappa + mu lambda) X_1 and R(Y_1, xi)xi =
-    (kappa - mu lambda) Y_1.  The defining condition
-
-        R(u, v) xi = kappa (eta(v) u - eta(u) v)
-                   + mu (eta(v) h u - eta(u) h v)
-
-    is then checked for every basis pair; any nonzero residual raises
-    with the witness pair.
+    (kappa - mu lambda) Y_1.  Raises only where a value cannot be read:
+    a probe that is not proportional, or kappa >= 1.  The condition on
+    every basis pair is checked by ``verify_structure``.
     """
     if cs.h is None or cs.lam is None:
         raise StructureError("h has not been computed for this structure")
@@ -225,24 +233,6 @@ def extract_kappa_mu(R: CurvatureTable, cs: ContactStructure) -> ModelInvariants
     c_minus = probe_y[n + 1]
     kappa = (c_plus + c_minus) / 2
     mu = (c_plus - c_minus) / (2 * lam)
-
-    for i in range(dim):
-        u = Vec.basis(dim, i)
-        for j in range(dim):
-            v = Vec.basis(dim, j)
-            lhs = R.apply(u, v, cs.xi)
-            rhs = kappa * (cs.eta_of(v) * u - cs.eta_of(u) * v) + mu * (
-                cs.eta_of(v) * (cs.h @ u) - cs.eta_of(u) * (cs.h @ v)
-            )
-            if lhs != rhs:
-                raise NotKappaMuError(
-                    f"curvature condition fails on basis pair ({i}, {j})"
-                )
-
-    if lam * lam != 1 - kappa:
-        raise StructureError(
-            f"lambda^2 = 1 - kappa fails: lambda={rat_str(lam)}, kappa={rat_str(kappa)}"
-        )
     if kappa >= 1:
         raise StructureError(f"kappa = {rat_str(kappa)} is not < 1")
 
@@ -250,40 +240,64 @@ def extract_kappa_mu(R: CurvatureTable, cs: ContactStructure) -> ModelInvariants
     return ModelInvariants(kappa=kappa, mu=mu, lam=lam, boeckx_invariant=boeckx)
 
 
-class _ClosedFormContext:
-    """Per-structure tables for fast closed-form curvature sweeps."""
+def verify_structure(
+    cs: ContactStructure, R: CurvatureTable, inv: ModelInvariants
+) -> list[IdentityRecord]:
+    """The h_structure, kappa_mu_condition and lambda_kappa_identity records.
 
-    def __init__(self, inv: ModelInvariants, cs: ContactStructure):
-        dim = len(cs.xi)
-        G, phi, h = cs.metric, cs.phi, cs.h
-        self.dim = dim
-        self.xi = cs.xi
-        self.basis = [Vec.basis(dim, t) for t in range(dim)]
-        self.hcol = [h @ e for e in self.basis]
-        self.phicol = [phi @ e for e in self.basis]
-        self.phihcol = [phi @ col for col in self.hcol]
-        self.eta = [cs.eta[t] for t in range(dim)]
-        # lowered pairings g(T e_a, e_b) as lookup tables
-        self.g_id = [[inner(u, e, G) for e in self.basis] for u in self.basis]
-        self.g_h = [[inner(u, e, G) for e in self.basis] for u in self.hcol]
-        self.g_phi = [[inner(u, e, G) for e in self.basis] for u in self.phicol]
-        self.g_phih = [[inner(u, e, G) for e in self.basis] for u in self.phihcol]
-        self.one_minus_half_mu = 1 - inv.mu / 2
-        self.coef_h = self.one_minus_half_mu / (1 - inv.kappa)
-        self.coef_phih = (inv.kappa - inv.mu / 2) / (1 - inv.kappa)
-        self.half_mu = inv.mu / 2
-        self.mu = inv.mu
-        self.c1 = inv.kappa - 1 + inv.mu / 2
-        self.c2 = inv.mu - 1
+    h_structure: h is g-symmetric, h xi = 0, h phi + phi h = 0, and
+    h X_i = lambda X_i, h Y_i = -lambda Y_i.  kappa_mu_condition, on
+    every basis pair:
+
+        R(u, v) xi = kappa (eta(v) u - eta(u) v)
+                   + mu (eta(v) h u - eta(u) h v).
+
+    lambda_kappa_identity: lambda^2 = 1 - kappa.
+    """
+    t = cs.tables
+    dim, n = t.dim, (t.dim - 1) // 2
+    h, lam = cs.h, cs.lam
+    kappa, mu = inv.kappa, inv.mu
+
+    def h_residuals():
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                # g(e_a, h e_b) - g(h e_a, e_b)
+                if t.g_h[b][a] != t.g_h[a][b]:
+                    yield (a, b), t.g_h[b][a] - t.g_h[a][b]
+        yield from (((k,), x) for k, x in (h @ cs.xi).nonzero_entries())
+        yield from (h @ cs.phi + cs.phi @ h).nonzero_entries()
+        for s in range(1, dim):
+            col = t.hcol[s] - (lam if s <= n else -lam) * t.basis[s]
+            yield from (((k, s), x) for k, x in col.nonzero_entries())
+
+    def kappa_mu_residuals():
+        eta, basis, hcol = t.eta, t.basis, t.hcol
+        for i in range(dim):
+            for j in range(dim):
+                rhs = combine(
+                    (
+                        (kappa * eta[j], basis[i]),
+                        (-kappa * eta[i], basis[j]),
+                        (mu * eta[j], hcol[i]),
+                        (-mu * eta[i], hcol[j]),
+                    ),
+                    dim,
+                )
+                res = R.apply(basis[i], basis[j], cs.xi) - rhs
+                if not res.is_zero():
+                    yield (i, j), max(abs(x) for x in res)
+
+    gap = lam * lam - (1 - kappa)
+    return [
+        scan("h_structure", h_residuals()),
+        scan("kappa_mu_condition", kappa_mu_residuals()),
+        scan("lambda_kappa_identity", [(None, gap)] if gap else []),
+    ]
 
 
 def closed_form_curvature(
-    inv: ModelInvariants,
-    cs: ContactStructure,
-    i: int,
-    j: int,
-    k: int,
-    _ctx: _ClosedFormContext | None = None,
+    inv: ModelInvariants, cs: ContactStructure, i: int, j: int, k: int
 ) -> Vec:
     """R(e_i, e_j) e_k from the closed-form curvature of the class.
 
@@ -291,47 +305,47 @@ def closed_form_curvature(
     (kappa, mu) only, so it is an expansion fully independent of the
     connection-derived table it is compared against.
     """
-    ctx = _ctx if _ctx is not None else _ClosedFormContext(inv, cs)
-    dim = ctx.dim
-    X, Y, Z = ctx.basis[i], ctx.basis[j], ctx.basis[k]
-    hX, hY = ctx.hcol[i], ctx.hcol[j]
-    phiX, phiY, phiZ = ctx.phicol[i], ctx.phicol[j], ctx.phicol[k]
-    phihX, phihY = ctx.phihcol[i], ctx.phihcol[j]
-    gYZ, gXZ = ctx.g_id[j][k], ctx.g_id[i][k]
-    ghXZ, ghYZ = ctx.g_h[i][k], ctx.g_h[j][k]
-    gphiYZ, gphiXZ = ctx.g_phi[j][k], ctx.g_phi[i][k]
-    gphiXY = ctx.g_phi[i][j]
-    gphihYZ, gphihXZ = ctx.g_phih[j][k], ctx.g_phih[i][k]
-    eX, eY, eZ = ctx.eta[i], ctx.eta[j], ctx.eta[k]
+    t = cs.tables
+    one_minus_half_mu, coef_h, coef_phih, half_mu, mu, c1, c2 = inv.closed_form_constants
+    X, Y, Z = t.basis[i], t.basis[j], t.basis[k]
+    hX, hY = t.hcol[i], t.hcol[j]
+    phiX, phiY, phiZ = t.phicol[i], t.phicol[j], t.phicol[k]
+    phihX, phihY = t.phihcol[i], t.phihcol[j]
+    gYZ, gXZ = t.g_id[j][k], t.g_id[i][k]
+    ghXZ, ghYZ = t.g_h[i][k], t.g_h[j][k]
+    gphiYZ, gphiXZ = t.g_phi[j][k], t.g_phi[i][k]
+    gphiXY = t.g_phi[i][j]
+    gphihYZ, gphihXZ = t.g_phih[j][k], t.g_phih[i][k]
+    eX, eY, eZ = t.eta[i], t.eta[j], t.eta[k]
 
     eXZ, eYZ = -eX * eZ, eY * eZ
     # (metric factor, constant, vector): a term costs nothing when its
     # metric factor vanishes, which it does for most index triples
     terms = (
-        (gYZ, ctx.one_minus_half_mu, X),
-        (-gXZ, ctx.one_minus_half_mu, Y),
+        (gYZ, one_minus_half_mu, X),
+        (-gXZ, one_minus_half_mu, Y),
         (gYZ, 1, hX),
         (-gXZ, 1, hY),
         (-ghXZ, 1, Y),
         (ghYZ, 1, X),
-        (ghYZ, ctx.coef_h, hX),
-        (-ghXZ, ctx.coef_h, hY),
-        (-gphiYZ, ctx.half_mu, phiX),
-        (gphiXZ, ctx.half_mu, phiY),
-        (gphiXY, ctx.mu, phiZ),
-        (gphihYZ, ctx.coef_phih, phihX),
-        (-gphihXZ, ctx.coef_phih, phihY),
+        (ghYZ, coef_h, hX),
+        (-ghXZ, coef_h, hY),
+        (-gphiYZ, half_mu, phiX),
+        (gphiXZ, half_mu, phiY),
+        (gphiXY, mu, phiZ),
+        (gphihYZ, coef_phih, phihX),
+        (-gphihXZ, coef_phih, phihY),
         # eta-tail: the unique completion antisymmetric in (X, Y) that
         # restricts to the defining curvature condition at Z = xi.
-        (eXZ, ctx.c1, Y),
-        (eXZ, ctx.c2, hY),
-        (eYZ, ctx.c1, X),
-        (eYZ, ctx.c2, hX),
+        (eXZ, c1, Y),
+        (eXZ, c2, hY),
+        (eYZ, c1, X),
+        (eYZ, c2, hX),
     )
-    out = combine(((g * c, v) for g, c, v in terms if g), dim)
+    out = combine(((g * c, v) for g, c, v in terms if g), t.dim)
     if eX or eY:
-        tail = eX * (ctx.c1 * gYZ + ctx.c2 * ghYZ) - eY * (ctx.c1 * gXZ + ctx.c2 * ghXZ)
-        out = out + tail * ctx.xi
+        tail = eX * (c1 * gYZ + c2 * ghYZ) - eY * (c1 * gXZ + c2 * ghXZ)
+        out = out + tail * cs.xi
     return out
 
 
@@ -339,68 +353,58 @@ def verify_identities(
     model: LieAlgebraModel,
     cs: ContactStructure,
     R: CurvatureTable,
-    invariants: ModelInvariants | None = None,
-    conn: ConnectionTable | None = None,
+    invariants: ModelInvariants,
+    conn: ConnectionTable,
 ) -> list[IdentityRecord]:
     """Zero-residual check of the structural identity suite.
 
     Covers h^2 = (kappa - 1) phi^2, the covariant derivatives of phi and
     h, the closed-form curvature expansion against the computed table,
-    and nabla xi = -phi - phi h.  ``invariants`` may be supplied
-    explicitly (tests use this to inject corrupted constants and watch
-    the checks fail).
+    and nabla xi = -phi - phi h.  Tests pass corrupted ``invariants``
+    to watch the checks fail.
     """
-    if conn is None:
-        conn = levi_civita(model, metric=cs.metric)
-    if invariants is None:
-        invariants = extract_kappa_mu(R, cs)
+    t = cs.tables
     dim = model.dim
-    G, phi, h, xi = cs.metric, cs.phi, cs.h, cs.xi
+    phi, h, xi = cs.phi, cs.h, cs.xi
     kappa, mu = invariants.kappa, invariants.mu
     h_square = h @ h - (kappa - 1) * (phi @ phi)
 
     def nabla_phi_residuals():
         for i in range(dim):
-            X = Vec.basis(dim, i)
-            D = covariant_derivative_11(conn, phi, X)
+            D = covariant_derivative_11(conn, phi, t.basis[i])
             for j in range(dim):
-                Y = Vec.basis(dim, j)
-                rhs = inner(X, Y + h @ Y, G) * xi - cs.eta_of(Y) * (X + h @ X)
-                res = D @ Y - rhs
+                # g(X, Y + h Y) xi - eta(Y) (X + h X)
+                rhs = (t.g_id[i][j] + t.g_h[j][i]) * xi - t.eta[j] * (
+                    t.basis[i] + t.hcol[i]
+                )
+                res = D.col(j) - rhs
                 if not res.is_zero():
                     yield (i, j), max(abs(x) for x in res)
 
     def nabla_h_residuals():
         for i in range(dim):
-            X = Vec.basis(dim, i)
-            D = covariant_derivative_11(conn, h, X)
+            D = covariant_derivative_11(conn, h, t.basis[i])
             for j in range(dim):
-                Y = Vec.basis(dim, j)
                 rhs = (
-                    ((1 - kappa) * inner(X, phi @ Y, G) - inner(X, phi @ (h @ Y), G))
-                    * xi
-                    - cs.eta_of(Y) * ((1 - kappa) * (phi @ X) + phi @ (h @ X))
-                    - (mu * cs.eta_of(X)) * (phi @ (h @ Y))
+                    ((1 - kappa) * t.g_phi[j][i] - t.g_phih[j][i]) * xi
+                    - t.eta[j] * ((1 - kappa) * t.phicol[i] + t.phihcol[i])
+                    - (mu * t.eta[i]) * t.phihcol[j]
                 )
-                res = D @ Y - rhs
+                res = D.col(j) - rhs
                 if not res.is_zero():
                     yield (i, j), max(abs(x) for x in res)
 
     def closed_form_residuals():
-        ctx = _ClosedFormContext(invariants, cs)
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
-                    res = R.table[i][j][k] - closed_form_curvature(
-                        invariants, cs, i, j, k, _ctx=ctx
-                    )
+                    res = R.table[i][j][k] - closed_form_curvature(invariants, cs, i, j, k)
                     if not res.is_zero():
                         yield (i, j, k), max(abs(x) for x in res)
 
     def nabla_xi_residuals():
         for i in range(dim):
-            e = Vec.basis(dim, i)
-            res = conn.nabla(e, xi) + phi @ e + phi @ (h @ e)
+            res = conn.nabla(t.basis[i], xi) + t.phicol[i] + t.phihcol[i]
             if not res.is_zero():
                 yield (i,), max(abs(x) for x in res)
 

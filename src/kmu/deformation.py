@@ -23,19 +23,17 @@ from fractions import Fraction
 from .contact import ContactStructure, check_contact_axioms
 from .errors import ParameterError
 from .liealg import LieAlgebraModel
-from .linalg import Mat, outer, rat
+from .linalg import outer, rat
 
 __all__ = ["d_homothetic", "predicted_invariants"]
 
 
-def d_homothetic(
-    model: LieAlgebraModel, cs: ContactStructure, a
-) -> tuple[ContactStructure, Mat]:
+def d_homothetic(model: LieAlgebraModel, cs: ContactStructure, a) -> ContactStructure:
     """Deform (phi, xi, eta, g) by the positive constant a.
 
-    Returns the deformed structure (h cleared; recompute it against the
-    deformed metric's connection) together with the deformed metric.
-    The model supplies the bracket table for the contact-condition
+    Returns the deformed structure, with h cleared (recompute it against
+    the deformed metric's connection); its ``metric`` is the deformed
+    metric.  The model supplies the bracket table for the contact-condition
     recheck.  All contact metric axioms are re-verified exactly, and
     their records travel with the deformed structure.
     """
@@ -48,10 +46,9 @@ def d_homothetic(
     eta_t = a * cs.eta
     G_t = a * G + (a * (a - 1)) * outer(cs.eta, cs.eta)
     axioms = check_contact_axioms(model, phi_t, xi_t, eta_t, G_t)
-    deformed = ContactStructure(
+    return ContactStructure(
         phi=phi_t, xi=xi_t, eta=eta_t, metric=G_t, axioms=tuple(axioms)
     )
-    return deformed, G_t
 
 
 def predicted_invariants(kappa, mu, a) -> tuple[Fraction, Fraction]:

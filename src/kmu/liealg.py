@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DegenerateModelError,
@@ -46,6 +47,15 @@ class LieAlgebraModel:
 
     def basis_vector(self, k: int) -> Vec:
         return Vec.basis(self.dim, k)
+
+    @cached_property
+    def jacobi(self) -> JacobiReport:
+        """The Jacobi sweep of this bracket table, run once per model.
+
+        The sweep reads only the structure constants, so a deformed
+        structure on the same model reuses it.
+        """
+        return check_jacobi(self)
 
 
 @dataclass(frozen=True)

@@ -39,28 +39,17 @@ class IdentityRecord:
         return out
 
 
-def passed_record(identity_id: str) -> IdentityRecord:
-    return IdentityRecord(identity_id=identity_id, status="pass", residual=Fraction(0))
-
-
-def failed_record(identity_id: str, witness, residual) -> IdentityRecord:
-    return IdentityRecord(
-        identity_id=identity_id,
-        status="fail",
-        witness_indices=tuple(witness) if witness is not None else None,
-        residual=residual,
-    )
-
-
 def scan(identity_id: str, residuals) -> IdentityRecord:
     """Pass record, or a fail record at the first (witness, residual).
 
     ``residuals`` yields (witness index tuple, nonzero residual) pairs
-    and is consumed only up to its first item.
+    and is consumed only up to its first item.  Every record is made
+    here, so none reads pass without a scan behind it.
     """
     for witness, residual in residuals:
-        return failed_record(identity_id, witness, residual)
-    return passed_record(identity_id)
+        witness = tuple(witness) if witness is not None else None
+        return IdentityRecord(identity_id, "fail", witness, residual)
+    return IdentityRecord(identity_id, "pass", residual=Fraction(0))
 
 
 def all_passed(records) -> bool:

@@ -526,34 +526,41 @@ def gauss_codazzi_residuals(
     return [scan("gauss", gauss_residuals()), scan("codazzi", codazzi_residuals())]
 
 
-def eigen_split_dims(cs: ContactStructure, spec: DistributionSpec):
-    """(dim E(lambda), dim E(-lambda)) among frame vectors, else None.
+def eigen_split(cs: ContactStructure, spec: DistributionSpec):
+    """(indices in E(lambda), indices in E(-lambda)) of the frame, else None.
 
     None is returned for frames that are not h-eigenvector frames (the
     diagonal family).
     """
-    plus = minus = 0
-    for v in spec.vectors:
+    plus, minus = [], []
+    for a, v in enumerate(spec.vectors):
         hv = cs.h @ v
         if hv == cs.lam * v:
-            plus += 1
+            plus.append(a)
         elif hv == -cs.lam * v:
-            minus += 1
+            minus.append(a)
         else:
             return None
     return plus, minus
 
 
+def eigen_split_dims(cs: ContactStructure, spec: DistributionSpec):
+    """(dim E(lambda), dim E(-lambda)) among frame vectors, else None."""
+    split = eigen_split(cs, spec)
+    return None if split is None else (len(split[0]), len(split[1]))
+
+
 def leaf_curvature_records(
-    cs: ContactStructure, geom: SubmanifoldGeometry, inv: ModelInvariants
+    geom: SubmanifoldGeometry, inv: ModelInvariants, split
 ) -> tuple[list[IdentityRecord], dict]:
     """Constant-curvature verdicts for the leaf.
 
     Totally geodesic leaves: sectional curvature is 2 lambda (I + 1) on
     planes inside E(lambda), 2 lambda (I - 1) on planes inside
     E(-lambda), 0 on mixed planes.  Umbilical diagonal leaves are space
-    forms of curvature 2 (1 - mu/2 + lambda sin theta) < 0.  Returns the
-    records plus a summary dict with the constants found.
+    forms of curvature 2 (1 - mu/2 + lambda sin theta) < 0.  ``split``
+    is the frame's ``eigen_split``.  Returns the records plus a summary
+    dict with the constants found.
     """
     spec, gram, lowered_bar = geom.spec, geom.frame.gram, geom.lowered_bar
     n = spec.rank
@@ -577,18 +584,14 @@ def leaf_curvature_records(
                             yield (a, b, cdx, ddx), got - expected
 
     if geom.classification == "totally_geodesic":
-        split = eigen_split_dims(cs, spec)
         if split is None:
             return records, summary
-        k_plus, k_minus = split
+        plus_idx, minus_idx = split
+        k_plus, k_minus = len(plus_idx), len(minus_idx)
         summary["e_lambda_dim"] = k_plus
         summary["e_minus_lambda_dim"] = k_minus
         K_plus = 2 * inv.lam * (inv.boeckx_invariant + 1)
         K_minus = 2 * inv.lam * (inv.boeckx_invariant - 1)
-        plus_idx = [
-            a for a, v in enumerate(spec.vectors) if cs.h @ v == inv.lam * v
-        ]
-        minus_idx = [a for a in range(n) if a not in plus_idx]
 
         def block_gen(indices, K):
             for ia, a in enumerate(indices):
@@ -660,7 +663,8 @@ def analyze_submanifold(
     records = verify_split_identities(cs, geom, inv.kappa)
     records += verify_prop32(conn, cs, geom)
     records += gauss_codazzi_residuals(R, conn, geom)
-    leaf_records, summary = leaf_curvature_records(cs, geom, inv)
+    split = eigen_split(cs, spec)
+    leaf_records, summary = leaf_curvature_records(geom, inv, split)
     records += leaf_records
 
     n = spec.rank
@@ -687,8 +691,7 @@ def analyze_submanifold(
     s2 = scalar_multiple_of_identity(h2)
     summary["h1_eigenvalue"] = rat_str(s1) if s1 is not None else None
     summary["h2_eigenvalue"] = rat_str(s2) if s2 is not None else None
-    split = eigen_split_dims(cs, spec)
     if split is not None:
-        summary.setdefault("e_lambda_dim", split[0])
-        summary.setdefault("e_minus_lambda_dim", split[1])
+        summary.setdefault("e_lambda_dim", len(split[0]))
+        summary.setdefault("e_minus_lambda_dim", len(split[1]))
     return geom, records, summary

@@ -24,7 +24,7 @@ from kmu import (
     verify_identities,
 )
 from kmu.connection import metric_compatibility_residuals, torsion_residuals
-from kmu.contact import ModelInvariants, _ClosedFormContext, closed_form_curvature
+from kmu.contact import ModelInvariants, closed_form_curvature
 from kmu.liealg import model_with_structure
 from kmu.report import LAMBDA_NOTE, all_passed
 from kmu.submanifold import DistributionSpec, eigen_split_dims
@@ -255,13 +255,12 @@ def test_criterion_4_curvature_closed_form():
         cs = build_contact_structure(m)
         from kmu.contact import attach_h, extract_kappa_mu
 
-        cs = attach_h(m, cs, conn=conn)
+        cs = attach_h(m, cs)
         inv = extract_kappa_mu(R, cs)
-        ctx = _ClosedFormContext(inv, cs)
         for i in range(m.dim):
             for j in range(m.dim):
                 for k in range(m.dim):
-                    expected = closed_form_curvature(inv, cs, i, j, k, _ctx=ctx)
+                    expected = closed_form_curvature(inv, cs, i, j, k)
                     ok = ok and R.table[i][j][k] == expected
     elapsed = time.monotonic() - start
     conclude(4, ok and elapsed <= 30, f"n=4 grid in {elapsed:.2f}s <= 30s")
@@ -292,7 +291,7 @@ def test_criterion_6_deformation():
         m = model(n, alpha, beta)
         base = analysis(n, alpha, beta)
         for a in a_values:
-            cs_t, _ = d_homothetic(m, base.cs, a)
+            cs_t = d_homothetic(m, base.cs, a)
             deformed = analyze_structure(m, cs_t)
             kappa_t, mu_t = predicted_invariants(
                 base.invariants.kappa, base.invariants.mu, a

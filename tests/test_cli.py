@@ -1,5 +1,7 @@
 """Descriptor grammar, report content, exit codes, determinism."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -327,3 +329,34 @@ def test_build_report_direct():
     report = build_report(desc)
     assert report["pass"] is True
     assert report["model"] == {"n": 2, "alpha": "0", "beta": "2"}
+
+
+def test_benchmark_stages_resolve_and_run(tmp_path, capsys, monkeypatch):
+    # perfbench/spans.py wraps these functions by module and name, and
+    # perfbench/run.py swaps cli.analyze_structure; a stage that is
+    # renamed or no longer called would drop out of a traced run unseen
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file executes
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    for _, module_name, func_name in spans.STAGES:
+        assert callable(getattr(importlib.import_module(module_name), func_name))
+    assert callable(kmu.cli.analyze_structure)
+
+    path = write_descriptor(tmp_path, {
+        "n": 2, "alpha": "1", "beta": "3", "deformation_a": "2",
+        "submanifolds": [{"kind": "x"}, {"kind": "diag", "c": "2", "d": "1"}],
+    })
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", path]) == 0
+        assert main(["sweep", "--n", "2", "--alphas", "0", "--betas", "1,2"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    called = {span.name for span in tracer.spans}
+    assert {stem for stem, _, _ in spans.STAGES} <= called
+    assert spans.REANALYSIS in called

@@ -19,7 +19,7 @@ from kmu import (
     nijenhuis,
     verify_identities,
 )
-from kmu.contact import ModelInvariants, check_contact_axioms, d_eta
+from kmu.contact import ModelInvariants, check_contact_axioms, d_eta, verify_structure
 from kmu.errors import StructureError
 from kmu.report import all_passed
 
@@ -91,7 +91,7 @@ def test_contact_axioms_checked_once_per_structure(monkeypatch):
     m = build_boeckx_model(2, 1, 3)
     native = pipeline.analyze_structure(m)
     assert len(calls) == 1
-    deformed_cs, _ = d_homothetic(m, native.cs, Fraction(5, 2))
+    deformed_cs = d_homothetic(m, native.cs, Fraction(5, 2))
     deformed = pipeline.analyze_structure(m, deformed_cs)
     assert len(calls) == 2
     # the reported axiom records are those of a fresh check
@@ -232,6 +232,51 @@ def test_corrupted_kappa_fails_h_square_check():
     )
     by_id = {r.identity_id: r for r in records}
     assert by_id["h_square"].status == "fail"
+
+
+# ---------------------------------------------------------------------------
+# negative controls: one corruption flips the structure records reading it
+# ---------------------------------------------------------------------------
+
+
+def _changed_h_entry(cs, inv):
+    rows = [[cs.h[i, j] for j in range(cs.h.shape[1])] for i in range(cs.h.shape[0])]
+    rows[1][2] += 1
+    return replace(cs, h=Mat(rows)), inv
+
+
+def _shifted_mu(cs, inv):
+    return cs, replace(inv, mu=inv.mu + 1)
+
+
+def _shifted_kappa(cs, inv):
+    return cs, replace(inv, kappa=inv.kappa + Fraction(1, 7))
+
+
+# The (kappa, mu) condition's right-hand side reads h X_2 and kappa, so
+# those two corruptions reach it as well; each row states its exact set.
+@pytest.mark.parametrize("corrupt,target,witness,residual,also_flipped", [
+    (_changed_h_entry, "h_structure", (1, 2), 1, {"kappa_mu_condition"}),
+    (_shifted_mu, "kappa_mu_condition", (0, 1), 2, set()),
+    (_shifted_kappa, "lambda_kappa_identity", None, Fraction(1, 7), {"kappa_mu_condition"}),
+])
+def test_corrupted_structure_flips_its_records(
+    corrupt, target, witness, residual, also_flipped
+):
+    an = analysis(2, 1, 3)
+    clean = verify_structure(an.cs, an.curvature, an.invariants)
+    assert [r.identity_id for r in clean] == [
+        "h_structure", "kappa_mu_condition", "lambda_kappa_identity"
+    ]
+    assert all_passed(clean)
+    cs, inv = corrupt(an.cs, an.invariants)
+    bad = {r.identity_id: r for r in verify_structure(cs, an.curvature, inv)}
+    assert {i for i, r in bad.items() if not r.passed} == {target} | also_flipped
+    assert bad[target].witness_indices == witness
+    assert bad[target].residual == residual
+    for identity_id in also_flipped:
+        assert bad[identity_id].witness_indices
+        assert bad[identity_id].residual != 0
 
 
 # ---------------------------------------------------------------------------

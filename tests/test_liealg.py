@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmu import Mat, Vec, bracket, build_boeckx_model, check_jacobi
+import kmu.liealg as liealg
+from kmu import (
+    Mat,
+    Vec,
+    analyze_structure,
+    bracket,
+    build_boeckx_model,
+    check_jacobi,
+    d_homothetic,
+)
 from kmu.errors import DegenerateModelError, UnsupportedDimensionError
 from kmu.liealg import model_with_structure
 
@@ -144,6 +153,30 @@ def test_corrupted_constant_fails_jacobi_with_named_triple():
     assert not report.ok
     assert report.max_residual > 0
     assert any(1 in triple or 3 in triple for triple in report.violations)
+
+
+def test_jacobi_checked_once_per_model(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return check_jacobi(m)
+
+    monkeypatch.setattr(liealg, "check_jacobi", counting)
+    m = build_boeckx_model(2, 1, 3)
+    native = analyze_structure(m)
+    deformed = analyze_structure(m, d_homothetic(m, native.cs, Fraction(5, 2)))
+    assert calls == [m]
+    jacobi = [r for r in native.records if r.identity_id == "jacobi"]
+    assert jacobi == [r for r in deformed.records if r.identity_id == "jacobi"]
+    assert jacobi[0].passed
+    # a swapped bracket table makes a new model, checked on its own
+    structure = [list(row) for row in m.structure]
+    structure[1][3] = structure[1][3] + Vec.basis(m.dim, 1)
+    structure[3][1] = -structure[1][3]
+    corrupted = model_with_structure(m, structure)
+    assert not corrupted.jacobi.ok
+    assert calls == [m, corrupted]
 
 
 # ---------------------------------------------------------------------------
