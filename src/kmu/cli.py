@@ -63,8 +63,11 @@ def parse_descriptor(data: dict) -> ModelDescriptor:
     if not isinstance(data["n"], int) or isinstance(data["n"], bool):
         raise DescriptorError(f"n must be an integer, got {data['n']!r}")
 
+    blocks = data.get("submanifolds", [])
+    if not isinstance(blocks, list):
+        raise DescriptorError(f"submanifolds must be a list, got {blocks!r}")
     subs = []
-    for i, block in enumerate(data.get("submanifolds") or []):
+    for i, block in enumerate(blocks):
         if not isinstance(block, dict):
             raise DescriptorError(f"submanifolds[{i}] must be an object")
         unknown = set(block) - _SUBMANIFOLD_KEYS
@@ -72,13 +75,23 @@ def parse_descriptor(data: dict) -> ModelDescriptor:
             raise DescriptorError(
                 f"unknown keys in submanifolds[{i}]: {sorted(unknown)}"
             )
+        k = block.get("k")
+        if "k" in block and (not isinstance(k, int) or isinstance(k, bool)):
+            raise DescriptorError(f"submanifolds[{i}].k must be an integer, got {k!r}")
+        z_choices = block.get("z_choices")
+        if "z_choices" in block and (
+            not isinstance(z_choices, list) or not all(isinstance(z, str) for z in z_choices)
+        ):
+            raise DescriptorError(
+                f"submanifolds[{i}].z_choices must be a list of strings, got {z_choices!r}"
+            )
         kind = block.get("kind")
         if kind == "diag":
             kind = "diagonal"
         sub = {
             "kind": kind,
-            "k": block.get("k"),
-            "z_choices": tuple(block["z_choices"]) if "z_choices" in block else None,
+            "k": k,
+            "z_choices": tuple(z_choices) if "z_choices" in block else None,
             "c": rat(block["c"]) if "c" in block else None,
             "d": rat(block["d"]) if "d" in block else None,
         }

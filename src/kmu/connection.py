@@ -178,8 +178,8 @@ def riemann(model: LieAlgebraModel, conn: ConnectionTable) -> CurvatureTable:
 def curvature_symmetry_residuals(R: CurvatureTable):
     """Antisymmetry, first Bianchi and pair-symmetry residual scan.
 
-    Returns (witness index tuple, nonzero residual) pairs; a vector
-    residual is reported by its largest entry magnitude.  Scans the
+    Returns (witness index tuple, nonzero residual) pairs; the
+    antisymmetry and Bianchi residuals are ``Vec``s.  Scans the
     generating index ranges; the remaining tuples follow from the
     symmetries already established (diagonal antisymmetry cases and
     permuted Bianchi sums are linear consequences).
@@ -192,13 +192,13 @@ def curvature_symmetry_residuals(R: CurvatureTable):
             for k in range(dim):
                 anti = R.table[i][j][k] + R.table[j][i][k]
                 if not anti.is_zero():
-                    out.append(((i, j, k), max(abs(x) for x in anti)))
+                    out.append(((i, j, k), anti))
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
                 bianchi = R.table[i][j][k] + R.table[j][k][i] + R.table[k][i][j]
                 if not bianchi.is_zero():
-                    out.append(((i, j, k), max(abs(x) for x in bianchi)))
+                    out.append(((i, j, k), bianchi))
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(dim):

@@ -64,26 +64,24 @@ def sectional_records(
     G, t = cs.metric, cs.tables
     k_plus = 2 * (1 + inv.lam) - inv.mu
     k_minus = 2 * (1 - inv.lam) - inv.mu
-    bad = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            got = sectional_curvature(R, G, t.basis[i], t.basis[j])
-            if got != k_plus:
-                bad.append(((i, j), got - k_plus))
-            got = sectional_curvature(R, G, t.basis[n + i], t.basis[n + j])
-            if got != k_minus:
-                bad.append(((n + i, n + j), got - k_minus))
-    for i in range(1, n + 1):
-        for j in range(n + 1, dim):
-            # the closed form is stated for unit vectors; normalize by
-            # the Gram determinant so non-unit frames are handled too
-            gram = t.g_id[i][i] * t.g_id[j][j] - t.g_id[i][j] ** 2
-            # g(e_i, phi e_j)
-            expected = -(inv.kappa + inv.mu) * t.g_phi[j][i] ** 2 / gram
-            got = sectional_curvature(R, G, t.basis[i], t.basis[j])
-            if got != expected:
-                bad.append(((i, j), got - expected))
-    return [scan("sectional_curvature", bad)]
+
+    def residuals():
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                yield (i, j), sectional_curvature(R, G, t.basis[i], t.basis[j]) - k_plus
+                yield (n + i, n + j), (
+                    sectional_curvature(R, G, t.basis[n + i], t.basis[n + j]) - k_minus
+                )
+        for i in range(1, n + 1):
+            for j in range(n + 1, dim):
+                # the closed form is stated for unit vectors; normalize by
+                # the Gram determinant so non-unit frames are handled too
+                gram = t.g_id[i][i] * t.g_id[j][j] - t.g_id[i][j] ** 2
+                # g(e_i, phi e_j)
+                expected = -(inv.kappa + inv.mu) * t.g_phi[j][i] ** 2 / gram
+                yield (i, j), sectional_curvature(R, G, t.basis[i], t.basis[j]) - expected
+
+    return [scan("sectional_curvature", residuals())]
 
 
 def analyze_structure(
@@ -107,10 +105,7 @@ def analyze_structure(
     records += cs.axioms or check_contact_axioms(model, cs.phi, cs.xi, cs.eta, cs.metric)
 
     conn = levi_civita(model, metric=cs.metric)
-    torsion = torsion_residuals(model, conn)
-    records.append(
-        scan("torsion_free", ((w, max(abs(x) for x in res)) for w, res in torsion))
-    )
+    records.append(scan("torsion_free", torsion_residuals(model, conn)))
     records.append(scan("metric_compatibility", metric_compatibility_residuals(conn)))
 
     R = riemann(model, conn)

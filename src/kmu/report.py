@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import rat_str
+from .linalg import Vec, rat_str
 
 # Emitted with every model report: the h eigenvalue is defined by
 # computation, not by the commonly quoted closed form with denominator 2.
@@ -24,8 +24,8 @@ class IdentityRecord:
 
     identity_id: str
     status: str
-    witness_indices: tuple | None = None
-    residual: Fraction | None = None
+    witness_indices: tuple | None
+    residual: Fraction
 
     @property
     def passed(self) -> bool:
@@ -35,21 +35,30 @@ class IdentityRecord:
         out = {"identity_id": self.identity_id, "status": self.status}
         if self.witness_indices is not None:
             out["witness_indices"] = list(self.witness_indices)
-        out["residual"] = rat_str(self.residual if self.residual is not None else 0)
+        out["residual"] = rat_str(self.residual)
         return out
 
 
 def scan(identity_id: str, residuals) -> IdentityRecord:
-    """Pass record, or a fail record at the first (witness, residual).
+    """Pass record, or a fail record at the first nonzero residual.
 
-    ``residuals`` yields (witness index tuple, nonzero residual) pairs
-    and is consumed only up to its first item.  Every record is made
-    here, so none reads pass without a scan behind it.
+    ``residuals`` yields (witness index tuple, lhs - rhs) for every tuple
+    a check visits, zero or not, and is consumed only up to its first
+    nonzero residual.  A ``Fraction`` residual is reported signed, a
+    ``Vec`` residual by its largest entry magnitude.  Every record is
+    made here, so none reads pass without a scan behind it.
     """
     for witness, residual in residuals:
+        if isinstance(residual, Vec):
+            # a Vec has a length, so its truth value says nothing
+            if residual.is_zero():
+                continue
+            residual = max(abs(x) for x in residual)
+        elif not residual:
+            continue
         witness = tuple(witness) if witness is not None else None
         return IdentityRecord(identity_id, "fail", witness, residual)
-    return IdentityRecord(identity_id, "pass", residual=Fraction(0))
+    return IdentityRecord(identity_id, "pass", None, Fraction(0))
 
 
 def all_passed(records) -> bool:

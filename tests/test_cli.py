@@ -55,11 +55,39 @@ def test_descriptor_parses_rational_strings():
         {"n": 2, "alpha": "1", "beta": "2", "extra": 1},
         {"n": 2, "alpha": "1"},
         {"n": 2, "alpha": "1", "beta": "2", "submanifolds": [{"kind": "x", "q": 1}]},
+        {"n": 3, "alpha": "1", "beta": "2", "submanifolds": 5},
+        {"n": 3, "alpha": "1", "beta": "2",
+         "submanifolds": [{"kind": "mixed", "z_choices": 5}]},
+        {"n": 3, "alpha": "1", "beta": "2", "submanifolds": [{"kind": "mixed", "k": "2"}]},
+        {"n": 3, "alpha": "1", "beta": "2", "submanifolds": [{"kind": "mixed", "k": True}]},
+        {"n": 4, "alpha": "1", "beta": "2",
+         "submanifolds": [{"kind": "mixed", "z_choices": "xy"}]},
     ],
 )
 def test_descriptor_rejects_bad_grammar(payload):
     with pytest.raises((DescriptorError, KmuError)):
         parse_descriptor(payload)
+
+
+def test_malformed_leaf_descriptor_is_a_parse_error(tmp_path):
+    # a leaf block of the wrong type must come out as a typed parse
+    # error on stderr, never as a traceback
+    path = write_descriptor(tmp_path, {
+        "n": 3, "alpha": "1", "beta": "2",
+        "submanifolds": [{"kind": "mixed", "k": "2"}],
+    })
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(kmu.__file__).resolve().parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "kmu.cli", "verify", path],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    error = json.loads(done.stderr)["error"]
+    assert error["stage"] == "parse"
+    assert "k must be an integer" in error["message"]
 
 
 def test_load_descriptor_missing_file():

@@ -1,0 +1,227 @@
+"""Fault matrix: one minimal corruption per row, and its exact failing records.
+
+Each row replaces one named call of the pipeline by the same call with a
+corrupted input or output, runs ``analyze_structure`` (structure rows)
+or ``analyze_submanifold`` (leaf rows) on model (3, 1, 3), and pins the
+set of failing records with each one's witness and residual.  The other
+records of the run must still pass, so a corruption that leaks into an
+unrelated check shows up as well as one that is missed.
+"""
+
+import inspect
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from kmu import pipeline, submanifold
+from kmu.linalg import Mat, Vec
+
+from helpers import analysis, model
+
+N, ALPHA, BETA = 3, 1, 3
+DIM = 2 * N + 1
+
+
+def _bump(table, index, delta):
+    """The nested tuple ``table`` with ``delta`` added at ``index``."""
+    head, *rest = index
+    entry = table[head] + delta if not rest else _bump(table[head], rest, delta)
+    return table[:head] + (entry,) + table[head + 1:]
+
+
+def _bump_mat(M, row, col):
+    n = M.shape[0]
+    return M + Mat([[int((r, c) == (row, col)) for c in range(n)] for r in range(n)])
+
+
+def _gamma_plus(i, j, k):
+    """Gamma[i][j] + e_k on a connection table."""
+    return lambda conn: replace(conn, gamma=_bump(conn.gamma, (i, j), Vec.basis(DIM, k)))
+
+
+def _invariant_plus(field, delta):
+    return lambda inv: replace(inv, **{field: getattr(inv, field) + delta})
+
+
+def _geom_plus(field, index, delta):
+    """A leaf table entry plus ``delta``; ``delta`` may read the geometry."""
+    def corrupt(geom):
+        step = delta(geom) if callable(delta) else delta
+        return replace(geom, **{field: _bump(getattr(geom, field), index, step)})
+    return corrupt
+
+
+def _split_plus(which, row, col):
+    """h1 or h2 of the split, with one entry plus 1."""
+    def corrupt(hs):
+        hs = list(hs)
+        hs[which] = _bump_mat(hs[which], row, col)
+        return tuple(hs)
+    return corrupt
+
+
+def _phi_v(b):
+    return lambda geom: analysis(N, ALPHA, BETA).cs.phi @ geom.frame.vectors[b]
+
+
+def _corrupt(monkeypatch, module, name, inputs=None, output=None):
+    """Replace module.name by the same call with corrupted inputs or output.
+
+    ``inputs`` maps a parameter name to a function of its value.
+    """
+    original = getattr(module, name)
+    signature = inspect.signature(original)
+
+    def call(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        for param, change in (inputs or {}).items():
+            bound.arguments[param] = change(bound.arguments[param])
+        result = original(*bound.args, **bound.kwargs)
+        return output(result) if output else result
+
+    monkeypatch.setattr(module, name, call)
+
+
+DIAG = {"kind": "diagonal", "c": 2, "d": 1}
+MIXED = {"kind": "mixed", "k": 2}
+
+# (leaf or None for the structure, call, corruption, failing records as
+# identity id -> (witness, residual))
+ROWS = [
+    pytest.param(
+        None, "sectional_records", {"inputs": {"inv": _invariant_plus("mu", 1)}},
+        {"sectional_curvature": ((1, 2), 1)},
+        id="sectional_records-mu+1",
+    ),
+    pytest.param(
+        None, "verify_identities", {"inputs": {"conn": _gamma_plus(1, 0, 2)}},
+        {
+            "nabla_phi": ((1, 0), 1),
+            "nabla_h": ((1, 0), 2),
+            "nabla_xi": ((1,), 1),
+        },
+        id="verify_identities-gamma10+e2",
+    ),
+    pytest.param(
+        None, "levi_civita", {"output": _gamma_plus(1, 2, 3)},
+        {
+            "torsion_free": ((1, 2), 1),
+            "metric_compatibility": ((1, 2, 3), 1),
+            "curvature_symmetries": ((0, 1, 2), Fraction(7, 2)),
+            "kappa_mu_condition": ((1, 5), 1),
+            "nabla_phi": ((1, 2), 1),
+            "curvature_closed_form": ((0, 1, 1), Fraction(3, 2)),
+        },
+        id="levi_civita-gamma12+e3",
+    ),
+    pytest.param(
+        DIAG, "split_h", {"output": _split_plus(1, 0, 1)},
+        {
+            "h_split": ((1,), 2),
+            "h2_symmetric": ((0, 1), -5),
+            "h1_sq_plus_h2_sq": ((0, 1), Fraction(-16, 5)),
+            "sigma_xi_h2": ((0, 1), 5),
+            "nabla_h2": ((0, 0), 3),
+        },
+        id="diag-h2[0][1]+1",
+    ),
+    pytest.param(
+        DIAG, "split_h", {"output": _split_plus(0, 0, 1)},
+        {
+            "h_split": ((1,), 2),
+            "h1_symmetric": ((0, 1), -5),
+            "h1_sq_plus_h2_sq": ((0, 1), Fraction(12, 5)),
+            "normal_connection_phi": ((0, 1), 5),
+            "nabla_h1": ((0, 0), 3),
+        },
+        id="diag-h1[0][1]+1",
+    ),
+    pytest.param(
+        DIAG, "second_fundamental_form", {"output": _geom_plus("sigma", (0, 0), _phi_v(1))},
+        {
+            "shape_operator_phi": ((0, 0), 2),
+            "nabla_h1": ((0, 0), Fraction(16, 5)),
+            "nabla_h2": ((0, 0), Fraction(12, 5)),
+            "codazzi": ((0, 1, 0), 11),
+        },
+        id="diag-sigma[0][0]+phi_v1",
+    ),
+    pytest.param(
+        DIAG, "leaf_curvature_records", {"inputs": {"inv": _invariant_plus("mu", -100)}},
+        {
+            "leaf_space_form": ((0, 1, 0, 1), 2500),
+            "leaf_curvature_negative": (None, Fraction(487, 5)),
+        },
+        id="diag-mu-100",
+    ),
+    pytest.param(
+        MIXED, "split_h", {"output": _split_plus(1, 0, 1)},
+        {
+            "h_split": ((1,), 1),
+            "h2_symmetric": ((0, 1), -1),
+            "h1_h2_commute": ((0, 1), 4),
+            "sigma_xi_h2": ((0, 1), 1),
+            "nabla_h2": ((2, 1), 1),
+        },
+        id="mixed-h2[0][1]+1",
+    ),
+    pytest.param(
+        MIXED, "second_fundamental_form",
+        {"output": _geom_plus("nb", (0, 1), Vec.basis(N, 2))},
+        {
+            "normal_connection_phi": ((0, 1), 1),
+            "nabla_h1": ((0, 1), 4),
+        },
+        id="mixed-nb[0][1]+e2",
+    ),
+    pytest.param(
+        MIXED, "second_fundamental_form",
+        {"output": _geom_plus("rbar", (0, 1, 1), Vec.basis(N, 0))},
+        {
+            "gauss": ((0, 1, 1, 0), -1),
+            "leaf_curvature_mixed_planes": ((0, 1), 1),
+        },
+        id="mixed-rbar[0][1][1]+e0",
+    ),
+    pytest.param(
+        {"kind": "x"}, "leaf_curvature_records",
+        {"inputs": {"inv": _invariant_plus("boeckx_invariant", 1)}},
+        {
+            "leaf_curvature_e_lambda": ((0, 1), -4),
+            "leaf_space_form": ((0, 1, 0, 1), 4),
+        },
+        id="x-I+1",
+    ),
+    pytest.param(
+        {"kind": "y"}, "leaf_curvature_records",
+        {"inputs": {"inv": _invariant_plus("boeckx_invariant", 1)}},
+        {
+            "leaf_curvature_e_minus_lambda": ((0, 1), -4),
+            "leaf_space_form": ((0, 1, 0, 1), 4),
+        },
+        id="y-I+1",
+    ),
+]
+
+
+@pytest.mark.parametrize("leaf,call,corruption,failing", ROWS)
+def test_fault_matrix(monkeypatch, leaf, call, corruption, failing):
+    an = analysis(N, ALPHA, BETA)
+    if leaf is None:
+        _corrupt(monkeypatch, pipeline, call, **corruption)
+        records = pipeline.analyze_structure(model(N, ALPHA, BETA)).records
+    else:
+        spec = submanifold.build_distribution(an.model, **leaf)
+        clean = submanifold.analyze_submanifold(
+            an.model, an.conn, an.curvature, an.cs, an.invariants, spec
+        )[1]
+        assert all(r.passed for r in clean)
+        _corrupt(monkeypatch, submanifold, call, **corruption)
+        records = submanifold.analyze_submanifold(
+            an.model, an.conn, an.curvature, an.cs, an.invariants, spec
+        )[1]
+    got = {
+        r.identity_id: (r.witness_indices, r.residual) for r in records if not r.passed
+    }
+    assert got == failing
