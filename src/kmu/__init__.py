@@ -38,7 +38,6 @@ from .submanifold import (
     check_involutive,
     second_fundamental_form,
     split_h,
-    theta_parametrization,
 )
 
 __version__ = "0.1.0"
@@ -80,6 +79,5 @@ __all__ = [
     "sectional_curvature",
     "solve_diagonal_metric",
     "split_h",
-    "theta_parametrization",
     "verify_identities",
 ]

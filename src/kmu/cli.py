@@ -16,15 +16,14 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from .deformation import d_homothetic, predicted_invariants
-from .errors import DescriptorError, KmuError
+from .errors import DescriptorError, KmuError, ParameterError
 from .liealg import build_boeckx_model
 from .linalg import rat, rat_str
 from .pipeline import analyze_structure
 from .report import LAMBDA_NOTE, all_passed
-from .submanifold import analyze_submanifold, build_distribution
+from .submanifold import PRESETS, analyze_submanifold, build_distribution, leaf_preset
 
 _DESCRIPTOR_KEYS = {"n", "alpha", "beta", "deformation_a", "submanifolds"}
-_SUBMANIFOLD_KEYS = {"kind", "k", "z_choices", "c", "d"}
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,36 @@ def _no_floats(obj, where="descriptor"):
             _no_floats(value, f"{where}[{i}]")
 
 
+def _parse_leaf(block: dict, where: str) -> dict:
+    """One leaf block checked against its kind's key set, rationals parsed.
+
+    Returns the kind and exactly the keys the block gave, ready for
+    ``build_distribution``.
+    """
+    keys = set(block) - {"kind"}
+    try:
+        leaf_preset(block.get("kind"), keys)
+    except ParameterError as exc:
+        raise DescriptorError(f"{where}: {exc}") from exc
+    leaf = {"kind": block["kind"]}
+    if "k" in block:
+        k = block["k"]
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise DescriptorError(f"{where}.k must be an integer, got {k!r}")
+        leaf["k"] = k
+    if "z_choices" in block:
+        z_choices = block["z_choices"]
+        if not isinstance(z_choices, list) or not all(isinstance(z, str) for z in z_choices):
+            raise DescriptorError(
+                f"{where}.z_choices must be a list of strings, got {z_choices!r}"
+            )
+        leaf["z_choices"] = tuple(z_choices)
+    for key in ("c", "d"):
+        if key in block:
+            leaf[key] = rat(block[key])
+    return leaf
+
+
 def parse_descriptor(data: dict) -> ModelDescriptor:
     """Validate the descriptor grammar and parse all rationals."""
     if not isinstance(data, dict):
@@ -70,32 +99,7 @@ def parse_descriptor(data: dict) -> ModelDescriptor:
     for i, block in enumerate(blocks):
         if not isinstance(block, dict):
             raise DescriptorError(f"submanifolds[{i}] must be an object")
-        unknown = set(block) - _SUBMANIFOLD_KEYS
-        if unknown:
-            raise DescriptorError(
-                f"unknown keys in submanifolds[{i}]: {sorted(unknown)}"
-            )
-        k = block.get("k")
-        if "k" in block and (not isinstance(k, int) or isinstance(k, bool)):
-            raise DescriptorError(f"submanifolds[{i}].k must be an integer, got {k!r}")
-        z_choices = block.get("z_choices")
-        if "z_choices" in block and (
-            not isinstance(z_choices, list) or not all(isinstance(z, str) for z in z_choices)
-        ):
-            raise DescriptorError(
-                f"submanifolds[{i}].z_choices must be a list of strings, got {z_choices!r}"
-            )
-        kind = block.get("kind")
-        if kind == "diag":
-            kind = "diagonal"
-        sub = {
-            "kind": kind,
-            "k": k,
-            "z_choices": tuple(z_choices) if "z_choices" in block else None,
-            "c": rat(block["c"]) if "c" in block else None,
-            "d": rat(block["d"]) if "d" in block else None,
-        }
-        subs.append(sub)
+        subs.append(_parse_leaf(block, f"submanifolds[{i}]"))
 
     return ModelDescriptor(
         n=data["n"],
@@ -142,14 +146,7 @@ def _deformation_block(analysis, a: Fraction) -> tuple[dict, bool]:
 
 
 def _submanifold_block(analysis, sub: dict) -> tuple[dict, bool]:
-    spec = build_distribution(
-        analysis.model,
-        sub["kind"],
-        k=sub.get("k"),
-        z_choices=sub.get("z_choices"),
-        c=sub.get("c"),
-        d=sub.get("d"),
-    )
+    spec = build_distribution(analysis.model, **sub)
     _, records, summary = analyze_submanifold(
         analysis.model,
         analysis.conn,
@@ -326,10 +323,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("submanifold", help="classify and verify one distribution")
     p.add_argument("descriptor")
-    p.add_argument("--kind", required=True, choices=["x", "y", "mixed", "diag"])
+    p.add_argument("--kind", required=True, choices=list(PRESETS))
     p.add_argument("--k", type=int, help="E(lambda) dimension for kind=mixed")
     p.add_argument(
         "--z-choices",
+        type=list,
         help="string of 'x'/'y' characters for Z_3..Z_n (kind=mixed)",
     )
     p.add_argument("--c", help="rational coefficient for kind=diag")
@@ -368,20 +366,15 @@ def main(argv=None) -> int:
 
         if args.command == "submanifold":
             desc = load_descriptor(args.descriptor)
+            given = {key: getattr(args, key) for key in ("kind", "k", "z_choices", "c", "d")}
+            leaf = _parse_leaf(
+                {key: value for key, value in given.items() if value is not None},
+                "submanifold",
+            )
             stage = "submanifold"
-            kind = "diagonal" if args.kind == "diag" else args.kind
             model = build_boeckx_model(desc.n, desc.alpha, desc.beta)
             analysis = analyze_structure(model)
-            block, ok = _submanifold_block(
-                analysis,
-                {
-                    "kind": kind,
-                    "k": args.k,
-                    "z_choices": tuple(args.z_choices) if args.z_choices else None,
-                    "c": rat(args.c) if args.c else None,
-                    "d": rat(args.d) if args.d else None,
-                },
-            )
+            block, ok = _submanifold_block(analysis, leaf)
             report = _report(
                 desc, {"submanifold": block}, ok and analysis.passed, [LAMBDA_NOTE]
             )

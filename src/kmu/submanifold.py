@@ -28,32 +28,19 @@ from .liealg import LieAlgebraModel, bracket
 from .linalg import Mat, Vec, combine, inner, rat, rat_str
 from .report import IdentityRecord, scan
 
-KINDS = ("x", "y", "mixed", "diagonal")
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
-    """A rank-n Legendrian distribution given by spanning vectors."""
+    """A rank-n Legendrian distribution given by spanning vectors.
+
+    ``kind`` is only the report label; every check reads ``vectors``.
+    """
 
     kind: str
     vectors: tuple
-    c: Fraction | None = None
-    d: Fraction | None = None
-    z_choices: tuple | None = None
 
     @property
     def rank(self) -> int:
         return len(self.vectors)
-
-
-@dataclass(frozen=True)
-class ThetaData:
-    """Exact (sin, cos) parametrization of the diagonal family."""
-
-    sin_theta: Fraction
-    cos_theta: Fraction
-    a: Fraction
-    b: Fraction
 
 
 @dataclass(frozen=True)
@@ -63,65 +50,83 @@ class InvolutivityVerdict:
     offending: Vec | None = None
 
 
-def build_distribution(
-    model: LieAlgebraModel,
-    kind: str,
-    k: int | None = None,
-    z_choices=None,
-    c=None,
-    d=None,
-) -> DistributionSpec:
-    """Spanning vectors for one of the four example families.
+# per-block (c_i, d_i) of X_i and of Y_i
+_X, _Y = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
 
-    kind "x": {X_1..X_n};  "y": {Y_1..Y_n};
-    "mixed": {X_1, Y_2, Z_3..Z_n} with each Z_i one of X_i / Y_i, given
-    either explicitly (z_choices, entries "x"/"y") or through the
-    eigenspace dimension k = 1 + #{Z_i = X_i};
-    "diagonal": {c X_i + d Y_i} for nonzero rationals c, d.
 
-    The spanning set is verified Legendrian: orthogonal to xi and
-    anti-invariant (pairwise phi-orthogonal).
-    """
-    n, dim = model.n, model.dim
-    if kind not in KINDS:
-        raise ParameterError(f"unknown distribution kind {kind!r}; one of {KINDS}")
-
-    if kind == "x":
-        vectors = tuple(Vec.basis(dim, model.x(i)) for i in range(1, n + 1))
-        spec = DistributionSpec(kind=kind, vectors=vectors)
-    elif kind == "y":
-        vectors = tuple(Vec.basis(dim, model.y(i)) for i in range(1, n + 1))
-        spec = DistributionSpec(kind=kind, vectors=vectors)
-    elif kind == "mixed":
-        if z_choices is None:
-            if k is None:
-                raise ParameterError("mixed distribution needs z_choices or k")
-            if not 1 <= k <= n - 1:
-                raise ParameterError(f"k must be in 1..{n - 1}, got {k}")
-            z_choices = ("x",) * (k - 1) + ("y",) * (n - 1 - k)
-        z_choices = tuple(z_choices)
+def _mixed_blocks(n: int, params: dict) -> list:
+    """X_1, Y_2, then X_i or Y_i per z_choices entry, or per k = 1 + #{X_i}."""
+    if "k" in params:
+        k = params["k"]
+        if not 1 <= k <= n - 1:
+            raise ParameterError(f"k must be in 1..{n - 1}, got {k}")
+        z_choices = ("x",) * (k - 1) + ("y",) * (n - 1 - k)
+    else:
+        z_choices = tuple(params["z_choices"])
         if len(z_choices) != n - 2 or any(z not in ("x", "y") for z in z_choices):
             raise ParameterError(
                 f"z_choices must be {n - 2} entries of 'x'/'y', got {z_choices!r}"
             )
-        vectors = [Vec.basis(dim, model.x(1)), Vec.basis(dim, model.y(2))]
-        for i, z in enumerate(z_choices, start=3):
-            idx = model.x(i) if z == "x" else model.y(i)
-            vectors.append(Vec.basis(dim, idx))
-        spec = DistributionSpec(kind=kind, vectors=tuple(vectors), z_choices=z_choices)
-    else:
-        c = rat(c) if c is not None else None
-        d = rat(d) if d is not None else None
-        if not c or not d:
-            raise ParameterError(
-                "diagonal distribution requires nonzero rationals c and d"
-            )
-        vectors = tuple(
-            c * Vec.basis(dim, model.x(i)) + d * Vec.basis(dim, model.y(i))
-            for i in range(1, n + 1)
-        )
-        spec = DistributionSpec(kind=kind, vectors=vectors, c=c, d=d)
+    return [_X, _Y] + [_X if z == "x" else _Y for z in z_choices]
 
+
+def _diagonal_blocks(n: int, params: dict) -> list:
+    c, d = rat(params["c"]), rat(params["d"])
+    if not c or not d:
+        raise ParameterError("diagonal distribution requires nonzero rationals c and d")
+    return [(c, d)] * n
+
+
+# kind -> (report label, the key sets it accepts, per-block (c_i, d_i) rule);
+# this table alone says which keys a leaf kind takes
+PRESETS = {
+    "x": ("x", (set(),), lambda n, params: [_X] * n),
+    "y": ("y", (set(),), lambda n, params: [_Y] * n),
+    "mixed": ("mixed", ({"k"}, {"z_choices"}), _mixed_blocks),
+    "diagonal": ("diagonal", ({"c", "d"},), _diagonal_blocks),
+}
+PRESETS["diag"] = PRESETS["diagonal"]
+
+
+def leaf_preset(kind, keys):
+    """The label and block rule of a leaf kind, given the keys it came with.
+
+    Raises ParameterError for an unknown kind, or for keys that are not
+    exactly one of the key sets the kind accepts.
+    """
+    if not isinstance(kind, str) or kind not in PRESETS:
+        raise ParameterError(
+            f"unknown distribution kind {kind!r}; one of {tuple(PRESETS)}"
+        )
+    label, key_sets, blocks = PRESETS[kind]
+    if set(keys) not in key_sets:
+        accepted = " or ".join(str(sorted(ks)) if ks else "no keys" for ks in key_sets)
+        raise ParameterError(f"kind {kind!r} takes {accepted}, got {sorted(keys)}")
+    return label, blocks
+
+
+def build_distribution(model: LieAlgebraModel, kind: str, **params) -> DistributionSpec:
+    """Spanning vectors {c_i X_i + d_i Y_i} of one of the four example families.
+
+    kind "x" (no keys): {X_1..X_n};  "y" (no keys): {Y_1..Y_n};
+    "mixed": {X_1, Y_2, Z_3..Z_n} with each Z_i one of X_i / Y_i, given
+    by exactly one of z_choices (entries "x"/"y") or the eigenspace
+    dimension k = 1 + #{Z_i = X_i};
+    "diagonal" or "diag" (keys c and d): {c X_i + d Y_i} for nonzero
+    rationals c, d.
+
+    The spanning set is verified Legendrian: orthogonal to xi and
+    anti-invariant (pairwise phi-orthogonal).
+    """
+    label, blocks = leaf_preset(kind, params)
+    dim = model.dim
+    vectors = tuple(
+        combine(
+            ((c, Vec.basis(dim, model.x(i))), (d, Vec.basis(dim, model.y(i)))), dim
+        )
+        for i, (c, d) in enumerate(blocks(model.n, params), start=1)
+    )
+    spec = DistributionSpec(kind=label, vectors=vectors)
     _check_legendrian(model, spec)
     return spec
 
@@ -210,7 +215,6 @@ class SubmanifoldGeometry:
     umbilical_vector: Vec | None
     h1: Mat | None = None
     h2: Mat | None = None
-    theta_data: ThetaData | None = None
 
     def lowered_bar(self, a: int, b: int, c: int, d: int) -> Fraction:
         """Rbar(v_a, v_b, v_c, v_d), lowered with the induced metric.
@@ -336,29 +340,6 @@ def split_h(cs: ContactStructure, geom: SubmanifoldGeometry) -> tuple[Mat, Mat]:
         h1_cols.append(coeffs)
         h2_cols.append(frame.coords(-(cs.phi @ normal)))
     return Mat.from_columns(h1_cols), Mat.from_columns(h2_cols)
-
-
-def theta_parametrization(c, d, lam) -> ThetaData:
-    """Exact (sin, cos) of the angle parametrizing the diagonal family.
-
-    sin = (c^2 - d^2)/(c^2 + d^2), cos = -2cd/(c^2 + d^2); then
-    b = lam * sin is the h1 eigenvalue and a = lam * cos the h2
-    eigenvalue of the corresponding submanifold, with a^2 + b^2 = lam^2.
-    """
-    c, d, lam = rat(c), rat(d), rat(lam)
-    if c == 0 or d == 0:
-        raise ParameterError("c and d must be nonzero (the angle avoids +-pi/2)")
-    denom = c * c + d * d
-    sin_theta = (c * c - d * d) / denom
-    cos_theta = (-2 * c * d) / denom
-    if sin_theta * sin_theta + cos_theta * cos_theta != 1:
-        raise StructureError(f"sin^2 + cos^2 != 1 for c={rat_str(c)}, d={rat_str(d)}")
-    return ThetaData(
-        sin_theta=sin_theta,
-        cos_theta=cos_theta,
-        a=lam * cos_theta,
-        b=lam * sin_theta,
-    )
 
 
 def _operator_symmetry_residuals(frame: _Frame, M: Mat):
@@ -528,26 +509,22 @@ def eigen_split(cs: ContactStructure, spec: DistributionSpec):
     return plus, minus
 
 
-def eigen_split_dims(cs: ContactStructure, spec: DistributionSpec):
-    """(dim E(lambda), dim E(-lambda)) among frame vectors, else None."""
-    split = eigen_split(cs, spec)
-    return None if split is None else (len(split[0]), len(split[1]))
-
-
 def leaf_curvature_records(
-    geom: SubmanifoldGeometry, inv: ModelInvariants, split
+    geom: SubmanifoldGeometry, cs: ContactStructure, inv: ModelInvariants, split
 ) -> tuple[list[IdentityRecord], dict]:
     """Constant-curvature verdicts for the leaf.
 
     Totally geodesic leaves: sectional curvature is 2 lambda (I + 1) on
     planes inside E(lambda), 2 lambda (I - 1) on planes inside
-    E(-lambda), 0 on mixed planes.  Umbilical diagonal leaves are space
-    forms of curvature 2 (1 - mu/2 + lambda sin theta) < 0.  ``split``
-    is the frame's ``eigen_split``.  Returns the records plus a summary
-    dict with the constants found.
+    E(-lambda), 0 on mixed planes.  Totally umbilical leaves are space
+    forms of curvature 2 (1 - mu/2 + lambda sin theta) < 0, with theta
+    read off the leaf: the umbilical vector V has g(V, xi) =
+    -lambda cos theta, and g(h v, v) = lambda sin theta g(v, v) on the
+    first frame vector v.  ``split`` is the frame's ``eigen_split``.
+    Returns the records plus a summary dict with the constants found.
     """
-    spec, gram, lowered_bar = geom.spec, geom.frame.gram, geom.lowered_bar
-    n = spec.rank
+    gram, lowered_bar = geom.frame.gram, geom.lowered_bar
+    n = len(gram)
     records = []
     summary: dict = {}
 
@@ -598,16 +575,15 @@ def leaf_curvature_records(
             K = K_plus if plus_idx else K_minus
             records.append(scan("leaf_space_form", space_form_residuals(K)))
             summary["leaf_curvature"] = rat_str(K)
-    elif geom.classification == "totally_umbilical" and spec.kind == "diagonal":
-        theta = geom.theta_data
-        K = 2 * (1 - inv.mu / 2 + theta.b)
+    elif geom.classification == "totally_umbilical":
+        v = geom.frame.vectors[0]
+        sin_theta = inner(cs.h @ v, v, cs.metric) / (inv.lam * geom.frame.norms[0])
+        cos_theta = -inner(geom.umbilical_vector, cs.xi, cs.metric) / inv.lam
+        K = 2 * (1 - inv.mu / 2 + inv.lam * sin_theta)
         records.append(scan("leaf_space_form", space_form_residuals(K)))
         records.append(scan("leaf_curvature_negative", [(None, K)] if K >= 0 else []))
         summary["leaf_curvature"] = rat_str(K)
-        summary["theta"] = {
-            "sin": rat_str(theta.sin_theta),
-            "cos": rat_str(theta.cos_theta),
-        }
+        summary["theta"] = {"sin": rat_str(sin_theta), "cos": rat_str(cos_theta)}
 
     return records, summary
 
@@ -618,32 +594,28 @@ def analyze_submanifold(
     R: CurvatureTable,
     cs: ContactStructure,
     inv: ModelInvariants,
-    spec: DistributionSpec,
+    leaf: DistributionSpec,
 ) -> tuple[SubmanifoldGeometry, list[IdentityRecord], dict]:
     """Full verification pipeline for one distribution.
 
-    Returns the completed geometry (sigma, classification, h1/h2 and
-    theta data), the concatenated identity records, and a summary dict
-    for reports.
+    Every check and summary entry reads the spanning vectors and the
+    tables built from them; ``leaf.kind`` is only the report label.
+    Returns the completed geometry (sigma, classification, h1/h2), the
+    concatenated identity records, and a summary dict for reports.
     """
-    geom = second_fundamental_form(model, conn, spec)
+    geom = second_fundamental_form(model, conn, leaf)
     h1, h2 = split_h(cs, geom)
-    theta = (
-        theta_parametrization(spec.c, spec.d, inv.lam)
-        if spec.kind == "diagonal"
-        else None
-    )
-    geom = replace(geom, h1=h1, h2=h2, theta_data=theta)
+    geom = replace(geom, h1=h1, h2=h2)
 
     records = verify_split_identities(cs, geom, inv.kappa)
     records += verify_prop32(conn, cs, geom)
     records += gauss_codazzi_residuals(R, conn, geom)
-    split = eigen_split(cs, spec)
-    leaf_records, summary = leaf_curvature_records(geom, inv, split)
+    split = eigen_split(cs, leaf)
+    leaf_records, summary = leaf_curvature_records(geom, cs, inv, split)
     records += leaf_records
 
-    n = spec.rank
-    summary["kind"] = spec.kind
+    n = leaf.rank
+    summary["kind"] = leaf.kind
     summary["involutive"] = True
     summary["classification"] = geom.classification
     summary["V"] = (

@@ -26,8 +26,9 @@ from kmu import (
 from kmu.connection import metric_compatibility_residuals, torsion_residuals
 from kmu.contact import ModelInvariants, closed_form_curvature
 from kmu.liealg import model_with_structure
+from kmu.linalg import rat_str
 from kmu.report import LAMBDA_NOTE, all_passed
-from kmu.submanifold import DistributionSpec, eigen_split_dims
+from kmu.submanifold import DistributionSpec, eigen_split
 from kmu.cli import build_report, parse_descriptor, sweep_report
 
 from helpers import GRID_AB, analysis, grid_points, model
@@ -44,20 +45,16 @@ def submanifold_runs(n, alpha, beta):
         m = model(n, alpha, beta)
         an = analysis(n, alpha, beta)
         runs = []
-        specs = [("x", build_distribution(m, "x")), ("y", build_distribution(m, "y"))]
-        specs += [
-            (f"mixed(k={k})", build_distribution(m, "mixed", k=k))
-            for k in range(1, n)
-        ]
-        specs += [
-            (f"diagonal({c},{d})", build_distribution(m, "diagonal", c=c, d=d))
-            for (c, d) in DIAGONAL_CD
-        ]
-        for label, spec in specs:
+        # each label is the (kind, keys) the leaf was built from
+        labels = [("x", {}), ("y", {})]
+        labels += [("mixed", {"k": k}) for k in range(1, n)]
+        labels += [("diagonal", {"c": c, "d": d}) for (c, d) in DIAGONAL_CD]
+        for kind, keys in labels:
+            spec = build_distribution(m, kind, **keys)
             geom, records, summary = analyze_submanifold(
                 m, an.conn, an.curvature, an.cs, an.invariants, spec
             )
-            runs.append((label, spec, geom, records, summary))
+            runs.append(((kind, keys), spec, geom, records, summary))
         _submanifold_cache[key] = runs
     return _submanifold_cache[key]
 
@@ -377,23 +374,28 @@ def test_criterion_9_classification():
         m = model(n, alpha, beta)
         an = analysis(n, alpha, beta)
         lam = an.invariants.lam
-        for label, spec, geom, records, summary in submanifold_runs(n, alpha, beta):
-            if spec.kind == "diagonal":
+        for (kind, keys), spec, geom, records, summary in submanifold_runs(
+            n, alpha, beta
+        ):
+            ok = ok and summary["kind"] == kind
+            if kind == "diagonal":
                 ok = ok and geom.classification == "totally_umbilical"
-                c, d = spec.c, spec.d
+                c, d = Fraction(keys["c"]), Fraction(keys["d"])
                 expected_v = (2 * c * d * lam / (c * c + d * d)) * m.basis_vector(0)
                 ok = ok and geom.umbilical_vector == expected_v
                 ok = ok and not expected_v.is_zero()
+                ok = ok and eigen_split(an.cs, spec) is None
             else:
                 ok = ok and geom.classification == "totally_geodesic"
-                split = eigen_split_dims(an.cs, spec)
-                if spec.kind == "x":
+                plus, minus = eigen_split(an.cs, spec)
+                split = (len(plus), len(minus))
+                ok = ok and (summary["e_lambda_dim"], summary["e_minus_lambda_dim"]) == split
+                if kind == "x":
                     ok = ok and split == (n, 0)
-                elif spec.kind == "y":
+                elif kind == "y":
                     ok = ok and split == (0, n)
                 else:
-                    k = 1 + sum(1 for z in spec.z_choices if z == "x")
-                    ok = ok and split == (k, n - k)
+                    ok = ok and split == (keys["k"], n - keys["k"])
     conclude(9, ok)
 
 
@@ -403,8 +405,6 @@ def test_criterion_9_classification():
 
 
 def test_criterion_10_leaf_curvature():
-    from kmu import theta_parametrization
-
     ok = True
     for n, alpha, beta in grid_points():
         an = analysis(n, alpha, beta)
@@ -413,15 +413,20 @@ def test_criterion_10_leaf_curvature():
         K_minus = 2 * inv.lam * (inv.boeckx_invariant - 1)
         ok = ok and K_plus <= 0 and (K_plus == 0) == (inv.boeckx_invariant == -1)
         ok = ok and K_minus < 0
-        for label, spec, geom, records, summary in submanifold_runs(n, alpha, beta):
+        for (kind, keys), spec, geom, records, summary in submanifold_runs(
+            n, alpha, beta
+        ):
             by_id = {r.identity_id: r for r in records}
             ok = ok and by_id["gauss"].passed and by_id["codazzi"].passed
-            if spec.kind == "diagonal":
-                theta = theta_parametrization(spec.c, spec.d, inv.lam)
-                expected = 2 * (1 - inv.mu / 2 + theta.b)
+            if kind == "diagonal":
+                c, d = Fraction(keys["c"]), Fraction(keys["d"])
+                sin = (c * c - d * d) / (c * c + d * d)
+                cos = -2 * c * d / (c * c + d * d)
+                ok = ok and summary["theta"] == {"sin": rat_str(sin), "cos": rat_str(cos)}
+                expected = 2 * (1 - inv.mu / 2 + inv.lam * sin)
                 ok = ok and Fraction(summary["leaf_curvature"]) == expected
                 ok = ok and expected < 0
-                ok = ok and theta.a ** 2 + theta.b ** 2 == inv.lam ** 2
+                ok = ok and (inv.lam * cos) ** 2 + (inv.lam * sin) ** 2 == inv.lam ** 2
                 ok = ok and by_id["leaf_space_form"].passed
                 ok = ok and by_id["leaf_curvature_negative"].passed
             else:

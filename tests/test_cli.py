@@ -35,6 +35,16 @@ def run_cli(capsys, args):
     return code, captured.out, captured.err
 
 
+def run_cli_process(args):
+    """``python -m kmu.cli`` in a fresh interpreter, so a traceback would show."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(kmu.__file__).resolve().parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "kmu.cli", *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
 # ---------------------------------------------------------------------------
 # descriptor grammar
 # ---------------------------------------------------------------------------
@@ -62,6 +72,15 @@ def test_descriptor_parses_rational_strings():
         {"n": 3, "alpha": "1", "beta": "2", "submanifolds": [{"kind": "mixed", "k": True}]},
         {"n": 4, "alpha": "1", "beta": "2",
          "submanifolds": [{"kind": "mixed", "z_choices": "xy"}]},
+        {"n": 3, "alpha": "1", "beta": "3",
+         "submanifolds": [{"kind": "x", "k": 7, "c": "2", "d": "0"}]},
+        {"n": 3, "alpha": "1", "beta": "3",
+         "submanifolds": [{"kind": "mixed", "k": 1, "z_choices": ["x"]}]},
+        {"n": 3, "alpha": "1", "beta": "3",
+         "submanifolds": [{"kind": "mixed", "k": 2, "z_choices": ["x"]}]},
+        {"n": 3, "alpha": "1", "beta": "3", "submanifolds": [{"kind": "diag", "c": "1"}]},
+        {"n": 3, "alpha": "1", "beta": "3", "submanifolds": [{"k": 1}]},
+        {"n": 3, "alpha": "1", "beta": "3", "submanifolds": [{"kind": ["x"]}]},
     ],
 )
 def test_descriptor_rejects_bad_grammar(payload):
@@ -76,18 +95,34 @@ def test_malformed_leaf_descriptor_is_a_parse_error(tmp_path):
         "n": 3, "alpha": "1", "beta": "2",
         "submanifolds": [{"kind": "mixed", "k": "2"}],
     })
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=str(Path(kmu.__file__).resolve().parent.parent))
-    done = subprocess.run(
-        [sys.executable, "-m", "kmu.cli", "verify", path],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    done = run_cli_process(["verify", path])
     assert done.returncode == 1
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
     error = json.loads(done.stderr)["error"]
     assert error["stage"] == "parse"
     assert "k must be an integer" in error["message"]
+
+
+@pytest.mark.parametrize("argv,leaves", [
+    # keys a kind does not take, and contradictory keys, in a descriptor
+    (["verify"], [{"kind": "x", "k": 7, "c": "2", "d": "0"},
+                  {"kind": "mixed", "k": 1, "z_choices": ["x"]}]),
+    # the same key schema on the submanifold subcommand's flags
+    (["submanifold", "--kind", "x", "--k", "2"], None),
+], ids=["verify", "submanifold"])
+def test_leaf_keys_outside_the_kind_schema_are_parse_errors(tmp_path, argv, leaves):
+    payload = {"n": 3, "alpha": "1", "beta": "3"}
+    if leaves is not None:
+        payload["submanifolds"] = leaves
+    path = write_descriptor(tmp_path, payload)
+    done = run_cli_process([argv[0], path, *argv[1:]])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    error = json.loads(done.stderr)["error"]
+    assert error["stage"] == "parse"
+    assert "kind 'x' takes no keys" in error["message"]
 
 
 def test_load_descriptor_missing_file():

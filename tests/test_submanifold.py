@@ -1,5 +1,6 @@
 """Legendrian distributions: construction, sigma, h split, leaf geometry."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,14 +15,13 @@ from kmu import (
     inner,
     second_fundamental_form,
     split_h,
-    theta_parametrization,
 )
 from kmu.errors import NonInvolutiveError, ParameterError
-from kmu.linalg import Mat
+from kmu.linalg import Mat, rat_str
 from kmu.report import all_passed
 from kmu.submanifold import (
     DistributionSpec,
-    eigen_split_dims,
+    eigen_split,
     gauss_codazzi_residuals,
     verify_prop32,
     verify_split_identities,
@@ -35,6 +35,21 @@ def leaf_geometry(an, spec):
     geom = second_fundamental_form(an.model, an.conn, spec)
     h1, h2 = split_h(an.cs, geom)
     return replace(geom, h1=h1, h2=h2)
+
+
+def closed_form_theta(c, d):
+    """(sin, cos) of the diagonal(c, d) leaf's angle, from c and d alone."""
+    c, d = Fraction(c), Fraction(d)
+    return (c * c - d * d) / (c * c + d * d), -2 * c * d / (c * c + d * d)
+
+
+def summary_theta(summary):
+    return Fraction(summary["theta"]["sin"]), Fraction(summary["theta"]["cos"])
+
+
+def split_dims(cs, spec):
+    split = eigen_split(cs, spec)
+    return None if split is None else (len(split[0]), len(split[1]))
 
 
 def spanned_indices(spec):
@@ -79,11 +94,53 @@ def test_diagonal_family_is_phi_isotropic():
 
 
 def test_mixed_by_k_counts_x_choices():
+    # k = 1 + #{"x"}: mixed by k spans exactly the leaf of its z_choices
     m = model(4, 1, 3)
-    spec = build_distribution(m, "mixed", k=3)
-    assert spec.z_choices == ("x", "x")
-    spec = build_distribution(m, "mixed", k=1)
-    assert spec.z_choices == ("y", "y")
+    an = analysis(4, 1, 3)
+    for k, z_choices in ((3, ("x", "x")), (1, ("y", "y"))):
+        spec = build_distribution(m, "mixed", k=k)
+        assert spec == build_distribution(m, "mixed", z_choices=z_choices)
+        k_closed = 1 + sum(1 for z in z_choices if z == "x")
+        assert split_dims(an.cs, spec) == (k_closed, 4 - k_closed)
+
+
+def reference_vectors(m, kind, k=None, z_choices=None, c=None, d=None):
+    """Spanning vectors by the four-branch construction the presets replaced."""
+    n, dim = m.n, m.dim
+    if kind == "x":
+        return tuple(Vec.basis(dim, m.x(i)) for i in range(1, n + 1))
+    if kind == "y":
+        return tuple(Vec.basis(dim, m.y(i)) for i in range(1, n + 1))
+    if kind == "mixed":
+        if z_choices is None:
+            z_choices = ("x",) * (k - 1) + ("y",) * (n - 1 - k)
+        vectors = [Vec.basis(dim, m.x(1)), Vec.basis(dim, m.y(2))]
+        for i, z in enumerate(z_choices, start=3):
+            vectors.append(Vec.basis(dim, m.x(i) if z == "x" else m.y(i)))
+        return tuple(vectors)
+    c, d = Fraction(c), Fraction(d)
+    return tuple(
+        c * Vec.basis(dim, m.x(i)) + d * Vec.basis(dim, m.y(i)) for i in range(1, n + 1)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_presets_span_the_hand_built_basis_vectors(n):
+    m = model(n, 1, 3)
+    leaves = [("x", {}), ("y", {})]
+    leaves += [("mixed", {"k": k}) for k in range(1, n)]
+    leaves += [
+        ("mixed", {"z_choices": z}) for z in itertools.product("xy", repeat=n - 2)
+    ]
+    leaves += [
+        (kind, {"c": c, "d": d})
+        for kind in ("diagonal", "diag")
+        for c, d in [(1, 1), (2, -1), ("-1/2", "3/4"), ("-5/3", "-5/3"), (7, "2/9")]
+    ]
+    for kind, keys in leaves:
+        spec = build_distribution(m, kind, **keys)
+        assert spec.vectors == reference_vectors(m, kind, **keys), (kind, keys)
+        assert spec.kind == ("diagonal" if kind == "diag" else kind)
 
 
 @pytest.mark.parametrize(
@@ -97,6 +154,16 @@ def test_mixed_by_k_counts_x_choices():
         {"kind": "mixed", "k": 3},
         {"kind": "mixed", "z_choices": ("x", "z")},
         {"kind": "nonsense"},
+        {"kind": "x", "k": 7, "c": "2", "d": "0"},
+        {"kind": "x", "k": 2},
+        {"kind": "y", "c": 1, "d": 1},
+        {"kind": "mixed", "k": 1, "z_choices": ("x",)},
+        {"kind": "mixed", "k": 2, "z_choices": ("x",)},
+        {"kind": "mixed", "c": 1, "d": 1},
+        {"kind": "diag", "c": 1},
+        {"kind": "diagonal", "c": 1, "d": 1, "k": 1},
+        {"kind": None},
+        {"kind": ["x"]},
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
@@ -432,13 +499,13 @@ def test_diagonal_leaf_space_form_cross_checked_by_gauss():
 def test_eigen_split_dimensions():
     m = model(4, 1, 3)
     an = analysis(4, 1, 3)
-    assert eigen_split_dims(an.cs, build_distribution(m, "x")) == (4, 0)
-    assert eigen_split_dims(an.cs, build_distribution(m, "y")) == (0, 4)
+    assert eigen_split(an.cs, build_distribution(m, "x")) == ([0, 1, 2, 3], [])
+    assert eigen_split(an.cs, build_distribution(m, "y")) == ([], [0, 1, 2, 3])
     for k in (1, 2, 3):
         spec = build_distribution(m, "mixed", k=k)
-        assert eigen_split_dims(an.cs, spec) == (k, 4 - k)
+        assert split_dims(an.cs, spec) == (k, 4 - k)
     diag = build_distribution(m, "diagonal", c=1, d=1)
-    assert eigen_split_dims(an.cs, diag) is None
+    assert eigen_split(an.cs, diag) is None
 
 
 # ---------------------------------------------------------------------------
@@ -490,43 +557,72 @@ def test_corrupted_leaf_table_flips_its_records(corrupt, flipped):
 
 
 # ---------------------------------------------------------------------------
-# theta parametrization
+# theta, read off the leaf
 # ---------------------------------------------------------------------------
 
 
+def diagonal_summary(n, alpha, beta, c, d):
+    an = analysis(n, alpha, beta)
+    spec = build_distribution(an.model, "diagonal", c=c, d=d)
+    return analyze_submanifold(
+        an.model, an.conn, an.curvature, an.cs, an.invariants, spec
+    )[2]
+
+
 def test_theta_for_equal_coefficients():
-    lam = Fraction(2)
-    theta = theta_parametrization(1, 1, lam)
-    assert (theta.sin_theta, theta.cos_theta) == (0, -1)
-    assert theta.b == 0 and theta.a == -lam
-    # matches the h2 eigenvalue of the diagonal(1,1) split
+    sin, cos = closed_form_theta(1, 1)
+    assert (sin, cos) == (0, -1)
+    summary = diagonal_summary(3, 1, 3, 1, 1)
+    assert summary_theta(summary) == (sin, cos)
+    # matches the h1 and h2 eigenvalues of the diagonal(1,1) split
     m = model(3, 1, 3)
     an = analysis(3, 1, 3)
+    lam = an.invariants.lam
     spec = build_distribution(m, "diagonal", c=1, d=1)
     h1, h2 = split_h(an.cs, second_fundamental_form(m, an.conn, spec))
-    assert h2[0, 0] == theta.a
-    assert h1[0, 0] == theta.b
+    assert lam * sin == 0 and lam * cos == -lam
+    assert h2[0, 0] == lam * cos
+    assert h1[0, 0] == lam * sin
 
 
 def test_theta_two_one():
-    theta = theta_parametrization(2, 1, 1)
-    assert theta.sin_theta == Fraction(3, 5)
-    assert theta.cos_theta == Fraction(-4, 5)
-    assert theta.sin_theta ** 2 + theta.cos_theta ** 2 == 1
+    sin, cos = closed_form_theta(2, 1)
+    assert (sin, cos) == (Fraction(3, 5), Fraction(-4, 5))
+    for n, alpha, beta in [(2, 1, 3), (3, 0, 2)]:
+        sin_leaf, cos_leaf = summary_theta(diagonal_summary(n, alpha, beta, 2, 1))
+        assert (sin_leaf, cos_leaf) == (sin, cos)
+        assert sin_leaf ** 2 + cos_leaf ** 2 == 1
 
 
 def test_theta_pythagoras_ties_to_kappa():
     an = analysis(2, 1, 3)
     inv = an.invariants
-    theta = theta_parametrization(2, 1, inv.lam)
-    assert theta.a ** 2 + theta.b ** 2 == inv.lam ** 2 == 1 - inv.kappa
+    sin, cos = summary_theta(diagonal_summary(2, 1, 3, 2, 1))
+    assert (sin, cos) == closed_form_theta(2, 1)
+    a, b = inv.lam * cos, inv.lam * sin
+    assert a ** 2 + b ** 2 == inv.lam ** 2 == 1 - inv.kappa
 
 
 def test_theta_rejects_zero_coefficients():
+    # c = 0 or d = 0 would put theta at +-pi/2: those leaves are the y and
+    # x families, so the diagonal preset refuses them
+    m = model(3, 1, 3)
     with pytest.raises(ParameterError):
-        theta_parametrization(0, 1, 1)
+        build_distribution(m, "diagonal", c=0, d=1)
     with pytest.raises(ParameterError):
-        theta_parametrization(1, 0, 1)
+        build_distribution(m, "diagonal", c=1, d=0)
+
+
+@pytest.mark.parametrize("c,d", [(1, 1), (2, 1), (1, 3), (-2, 3), ("-1/2", "-1/2"),
+                                 ("5/7", -3), (3, 2)])
+@pytest.mark.parametrize("n,alpha,beta", [(3, 1, 3), (4, 0, 2), (5, "1/2", "5/3")])
+def test_theta_and_leaf_constant_read_off_the_leaf(c, d, n, alpha, beta):
+    an = analysis(n, Fraction(alpha), Fraction(beta))
+    inv = an.invariants
+    sin, cos = closed_form_theta(Fraction(c), Fraction(d))
+    summary = diagonal_summary(n, Fraction(alpha), Fraction(beta), c, d)
+    assert summary["theta"] == {"sin": rat_str(sin), "cos": rat_str(cos)}
+    assert summary["leaf_curvature"] == rat_str(2 * (1 - inv.mu / 2 + inv.lam * sin))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +643,9 @@ def test_analyze_diagonal_summary():
     assert summary["h2_eigenvalue"] == "-8/5"
     assert summary["leaf_curvature"] == "-13/5"
     assert summary["theta"] == {"sin": "3/5", "cos": "-4/5"}
-    assert geom.theta_data.b == Fraction(6, 5)
+    sin, _ = closed_form_theta(2, 1)
+    assert an.invariants.lam * sin == Fraction(6, 5)
+    assert geom.h1[0, 0] == an.invariants.lam * sin
 
 
 def test_diagonal_at_n_two_still_verifies():
