@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegeneratePlaneError, DimensionMismatchError
 from .liealg import LieAlgebraModel, bracket
@@ -73,6 +74,11 @@ class CurvatureTable:
                             yield xy * z, row[k]
 
         return combine(terms(), self.dim)
+
+    @cached_property
+    def antisymmetric(self) -> bool:
+        """``is_antisymmetric(table)``, checked once per table."""
+        return is_antisymmetric(self.table)
 
     def lowered_basis(self, i: int, j: int, k: int, l: int) -> Fraction:
         return self.lowered_table[i][j][k][l]
@@ -175,6 +181,30 @@ def riemann(model: LieAlgebraModel, conn: ConnectionTable) -> CurvatureTable:
     )
 
 
+def antisymmetry_residuals(table):
+    """((i, j, k), table[i][j][k] + table[j][i][k]) for every i <= j.
+
+    ``table`` is indexed like ``CurvatureTable.table`` with ``Vec``
+    entries.  Every residual is zero exactly when the table is
+    antisymmetric in its first two indices, its (i, i) entries included.
+    """
+    dim = len(table)
+    for i in range(dim):
+        for j in range(i, dim):
+            for k in range(len(table[i][j])):
+                yield (i, j, k), table[i][j][k] + table[j][i][k]
+
+
+def is_antisymmetric(table) -> bool:
+    """True when every ``antisymmetry_residuals`` entry of ``table`` is zero.
+
+    A scan whose residual inherits this antisymmetry may visit i < j
+    only: its failing tuples then come in swapped pairs and none has
+    i = j, so the first failing tuple in full index order has i < j.
+    """
+    return all(anti.is_zero() for _, anti in antisymmetry_residuals(table))
+
+
 def curvature_symmetry_residuals(R: CurvatureTable):
     """Antisymmetry, first Bianchi and pair-symmetry residual scan.
 
@@ -184,15 +214,9 @@ def curvature_symmetry_residuals(R: CurvatureTable):
     symmetries already established (diagonal antisymmetry cases and
     permuted Bianchi sums are linear consequences).
     """
-    out = []
     dim = R.dim
     low = R.lowered_table
-    for i in range(dim):
-        for j in range(i, dim):
-            for k in range(dim):
-                anti = R.table[i][j][k] + R.table[j][i][k]
-                if not anti.is_zero():
-                    out.append(((i, j, k), anti))
+    out = [(w, anti) for w, anti in antisymmetry_residuals(R.table) if not anti.is_zero()]
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):

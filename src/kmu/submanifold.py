@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .connection import ConnectionTable, CurvatureTable
+from .connection import ConnectionTable, CurvatureTable, is_antisymmetric
 from .contact import ContactStructure, ModelInvariants, standard_phi
 from .errors import NonInvolutiveError, ParameterError, StructureError
 from .liealg import LieAlgebraModel, bracket
@@ -58,12 +58,23 @@ def _mixed_blocks(n: int, params: dict) -> list:
     """X_1, Y_2, then X_i or Y_i per z_choices entry, or per k = 1 + #{X_i}."""
     if "k" in params:
         k = params["k"]
+        # a bool is an int, but True is no eigenspace dimension
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ParameterError(f"k must be an integer, got {k!r}")
         if not 1 <= k <= n - 1:
             raise ParameterError(f"k must be in 1..{n - 1}, got {k}")
         z_choices = ("x",) * (k - 1) + ("y",) * (n - 1 - k)
     else:
-        z_choices = tuple(params["z_choices"])
-        if len(z_choices) != n - 2 or any(z not in ("x", "y") for z in z_choices):
+        z_choices = params["z_choices"]
+        try:
+            z_choices = tuple(z_choices)
+        except TypeError:
+            pass  # not iterable: refused below
+        if (
+            not isinstance(z_choices, tuple)
+            or len(z_choices) != n - 2
+            or any(z not in ("x", "y") for z in z_choices)
+        ):
             raise ParameterError(
                 f"z_choices must be {n - 2} entries of 'x'/'y', got {z_choices!r}"
             )
@@ -458,9 +469,18 @@ def gauss_codazzi_residuals(
     vectors = frame.vectors
     n = len(vectors)
     G = conn.metric
-    triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    # both equations are antisymmetric in (a, b) when R and Rbar are; then
+    # a < b alone finds the same first failures (see is_antisymmetric)
+    half = R.antisymmetric and is_antisymmetric(geom.rbar)
+    triples = [
+        (a, b, c)
+        for a in range(n)
+        for b in range(a + 1 if half else 0, n)
+        for c in range(n)
+    ]
     # R(v_a, v_b) v_c and (nabla_{v_a} sigma)(v_b, v_c), each built once;
-    # sigma is symmetric, so row c of sigma is sigma(., v_c)
+    # sigma is symmetric, so row c of sigma is sigma(., v_c).  Codazzi
+    # reads nabla sigma only as a difference, which is zero at a = b.
     ambient = {
         (a, b, c): R.apply(vectors[a], vectors[b], vectors[c]) for a, b, c in triples
     }
@@ -468,7 +488,10 @@ def gauss_codazzi_residuals(
         (a, b, c): frame.normal(conn.nabla(vectors[a], sigma[b][c]))
         - _combine(nb[a][b], sigma[c])
         - _combine(nb[a][c], sigma[b])
-        for a, b, c in triples
+        for a in range(n)
+        for b in range(n)
+        if a != b
+        for c in range(n)
     }
 
     def gauss_residuals():
@@ -484,9 +507,10 @@ def gauss_codazzi_residuals(
 
     def codazzi_residuals():
         for a, b, c in triples:
-            yield (a, b, c), frame.normal(ambient[a, b, c]) - (
-                nabla_sigma[a, b, c] - nabla_sigma[b, a, c]
-            )
+            normal = frame.normal(ambient[a, b, c])
+            if a != b:
+                normal = normal - (nabla_sigma[a, b, c] - nabla_sigma[b, a, c])
+            yield (a, b, c), normal
 
     return [scan("gauss", gauss_residuals()), scan("codazzi", codazzi_residuals())]
 
@@ -533,8 +557,11 @@ def leaf_curvature_records(
         return lowered_bar(a, b, b, a) / denom
 
     def space_form_residuals(K):
+        # antisymmetric in (a, b) when Rbar is; then a < b alone finds the
+        # same first failure (see is_antisymmetric)
+        half = is_antisymmetric(geom.rbar)
         for a in range(n):
-            for b in range(n):
+            for b in range(a + 1 if half else 0, n):
                 for cdx in range(n):
                     for ddx in range(n):
                         expected = K * (

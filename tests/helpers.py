@@ -21,3 +21,10 @@ def analysis(n, alpha, beta):
 
 def grid_points():
     return [(n, a, b) for (a, b) in GRID_AB for n in GRID_N]
+
+
+def bump(table, index, delta):
+    """The nested tuple ``table`` with ``delta`` added at ``index``."""
+    head, *rest = index
+    entry = table[head] + delta if not rest else bump(table[head], rest, delta)
+    return table[:head] + (entry,) + table[head + 1:]

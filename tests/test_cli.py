@@ -81,6 +81,7 @@ def test_descriptor_parses_rational_strings():
         {"n": 3, "alpha": "1", "beta": "3", "submanifolds": [{"kind": "diag", "c": "1"}]},
         {"n": 3, "alpha": "1", "beta": "3", "submanifolds": [{"k": 1}]},
         {"n": 3, "alpha": "1", "beta": "3", "submanifolds": [{"kind": ["x"]}]},
+        {"n": 3, "alpha": "1", "beta": "3", "submanifolds": [{"kind": "mixed", "k": 1.0}]},
     ],
 )
 def test_descriptor_rejects_bad_grammar(payload):
@@ -102,6 +103,23 @@ def test_malformed_leaf_descriptor_is_a_parse_error(tmp_path):
     error = json.loads(done.stderr)["error"]
     assert error["stage"] == "parse"
     assert "k must be an integer" in error["message"]
+
+
+@pytest.mark.parametrize("leaf,message", [
+    ({"kind": "mixed", "k": "2"}, "submanifolds[0].k must be an integer, got '2'"),
+    ({"kind": "mixed", "k": 1.0},
+     "floating-point literal 1.0 in descriptor.submanifolds[0].k; use exact 'p/q' strings"),
+    ({"kind": "mixed", "k": True}, "submanifolds[0].k must be an integer, got True"),
+    ({"kind": "mixed", "z_choices": 5},
+     "submanifolds[0].z_choices must be a list of strings, got 5"),
+])
+def test_mistyped_mixed_keys_are_parse_errors(tmp_path, capsys, leaf, message):
+    path = write_descriptor(tmp_path, {
+        "n": 3, "alpha": "1", "beta": "3", "submanifolds": [leaf],
+    })
+    code, out, err = run_cli(capsys, ["verify", path])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"stage": "parse", "message": message}}
 
 
 @pytest.mark.parametrize("argv,leaves", [

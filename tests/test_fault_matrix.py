@@ -17,17 +17,10 @@ import pytest
 from kmu import pipeline, submanifold
 from kmu.linalg import Mat, Vec
 
-from helpers import analysis, model
+from helpers import analysis, bump, model
 
 N, ALPHA, BETA = 3, 1, 3
 DIM = 2 * N + 1
-
-
-def _bump(table, index, delta):
-    """The nested tuple ``table`` with ``delta`` added at ``index``."""
-    head, *rest = index
-    entry = table[head] + delta if not rest else _bump(table[head], rest, delta)
-    return table[:head] + (entry,) + table[head + 1:]
 
 
 def _bump_mat(M, row, col):
@@ -37,7 +30,12 @@ def _bump_mat(M, row, col):
 
 def _gamma_plus(i, j, k):
     """Gamma[i][j] + e_k on a connection table."""
-    return lambda conn: replace(conn, gamma=_bump(conn.gamma, (i, j), Vec.basis(DIM, k)))
+    return lambda conn: replace(conn, gamma=bump(conn.gamma, (i, j), Vec.basis(DIM, k)))
+
+
+def _riemann_plus(i, j, k, e):
+    """R(e_i, e_j) e_k + e_e on a curvature table, leaving R(e_j, e_i) e_k."""
+    return lambda R: replace(R, table=bump(R.table, (i, j, k), Vec.basis(DIM, e)))
 
 
 def _invariant_plus(field, delta):
@@ -48,7 +46,7 @@ def _geom_plus(field, index, delta):
     """A leaf table entry plus ``delta``; ``delta`` may read the geometry."""
     def corrupt(geom):
         step = delta(geom) if callable(delta) else delta
-        return replace(geom, **{field: _bump(getattr(geom, field), index, step)})
+        return replace(geom, **{field: bump(getattr(geom, field), index, step)})
     return corrupt
 
 
@@ -183,6 +181,31 @@ ROWS = [
             "leaf_curvature_mixed_planes": ((0, 1), 1),
         },
         id="mixed-rbar[0][1][1]+e0",
+    ),
+    # mirror-only rows: the entry with i > j is corrupted and its partner
+    # is not, so the half scans must fall back to full index order
+    pytest.param(
+        None, "riemann", {"output": _riemann_plus(2, 1, 3, 1)},
+        {
+            "curvature_symmetries": ((1, 2, 3), 1),
+            "curvature_closed_form": ((2, 1, 3), 1),
+        },
+        id="riemann-R213+e1",
+    ),
+    pytest.param(
+        MIXED, "second_fundamental_form",
+        {"output": _geom_plus("rbar", (1, 0, 1), Vec.basis(N, 0))},
+        {"gauss": ((1, 0, 1, 0), -1)},
+        id="mixed-rbar[1][0][1]+e0",
+    ),
+    pytest.param(
+        {"kind": "x"}, "second_fundamental_form",
+        {"output": _geom_plus("rbar", (1, 0, 1), Vec.basis(N, 0))},
+        {
+            "gauss": ((1, 0, 1, 0), -1),
+            "leaf_space_form": ((1, 0, 1, 0), 1),
+        },
+        id="x-rbar[1][0][1]+e0",
     ),
     pytest.param(
         {"kind": "x"}, "leaf_curvature_records",

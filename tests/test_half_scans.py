@@ -1,0 +1,276 @@
+"""Half scans over antisymmetric index pairs, against full-order references.
+
+The closed-form, Gauss, Codazzi and leaf space-form scans visit only
+i < j (a < b) when the tables they read are antisymmetric in that pair,
+and every index tuple otherwise.  These tests count the work each scan
+does and compare its records with the full-order loops kept here, on
+clean tables, on corruptions that keep the antisymmetry (the half path
+must still find the first failing tuple) and on mirror-only corruptions
+(the full path must run).
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from kmu import contact, submanifold
+from kmu.connection import CurvatureTable, antisymmetry_residuals, is_antisymmetric
+from kmu.contact import closed_form_curvature, verify_identities
+from kmu.linalg import Vec, inner
+from kmu.report import scan
+from kmu.submanifold import (
+    analyze_submanifold,
+    build_distribution,
+    eigen_split,
+    gauss_codazzi_residuals,
+    leaf_curvature_records,
+    second_fundamental_form,
+)
+
+from helpers import analysis, bump, grid_points
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that appends each call's args."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _antisymmetric_bump(table, i, j, k, delta):
+    """``table`` with delta added at (i, j, k) and subtracted at (j, i, k)."""
+    return bump(bump(table, (i, j, k), delta), (j, i, k), -delta)
+
+
+def _leaves(n):
+    """(kind, keys) of every leaf preset on a model of rank n."""
+    return (
+        [("x", {}), ("y", {})]
+        + [("mixed", {"k": k}) for k in range(1, n)]
+        + [("diagonal", {"c": 2, "d": 1})]
+    )
+
+
+def _by_id(records):
+    return {r.identity_id: r for r in records}
+
+
+# ---------------------------------------------------------------------------
+# full-order references: the scans as they read before the halving
+# ---------------------------------------------------------------------------
+
+
+def _reference_closed_form(an, R):
+    dim = R.dim
+    return scan("curvature_closed_form", (
+        ((i, j, k), R.table[i][j][k] - closed_form_curvature(an.invariants, an.cs, i, j, k))
+        for i in range(dim)
+        for j in range(dim)
+        for k in range(dim)
+    ))
+
+
+def _reference_gauss_codazzi(R, conn, geom):
+    frame, sigma, nb = geom.frame, geom.sigma, geom.nb
+    vectors, n, G = frame.vectors, len(frame.vectors), conn.metric
+    triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    ambient = {t: R.apply(*(vectors[x] for x in t)) for t in triples}
+    nabla_sigma = {
+        (a, b, c): frame.normal(conn.nabla(vectors[a], sigma[b][c]))
+        - submanifold._combine(nb[a][b], sigma[c])
+        - submanifold._combine(nb[a][c], sigma[b])
+        for a, b, c in triples
+    }
+    gauss = (
+        ((a, b, c, d), inner(ambient[a, b, c], vectors[d], G) - (
+            geom.lowered_bar(a, b, c, d)
+            - inner(sigma[a][d], sigma[b][c], G)
+            + inner(sigma[a][c], sigma[b][d], G)
+        ))
+        for a, b, c in triples
+        for d in range(n)
+    )
+    codazzi = (
+        ((a, b, c), frame.normal(ambient[a, b, c])
+         - (nabla_sigma[a, b, c] - nabla_sigma[b, a, c]))
+        for a, b, c in triples
+    )
+    return [scan("gauss", gauss), scan("codazzi", codazzi)]
+
+
+def _reference_space_form(geom, K):
+    gram, n = geom.frame.gram, len(geom.frame.gram)
+    return scan("leaf_space_form", (
+        ((a, b, c, d), geom.lowered_bar(a, b, c, d)
+         - K * (gram[a][d] * gram[b][c] - gram[a][c] * gram[b][d]))
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+        for d in range(n)
+    ))
+
+
+# ---------------------------------------------------------------------------
+# how much each scan visits
+# ---------------------------------------------------------------------------
+
+
+def test_antisymmetry_guard_reads_every_pair_and_the_diagonal():
+    R = analysis(2, 1, 3).curvature
+    dim = R.dim
+    residuals = list(antisymmetry_residuals(R.table))
+    assert [w for w, _ in residuals] == [
+        (i, j, k) for i in range(dim) for j in range(i, dim) for k in range(dim)
+    ]
+    assert all(anti.is_zero() for _, anti in residuals) and R.antisymmetric
+    for index in [(1, 1, 0), (2, 1, 3), (1, 2, 3)]:
+        bad = replace(R, table=bump(R.table, index, Vec.basis(dim, 1)))
+        assert not bad.antisymmetric, index
+        assert not is_antisymmetric(bad.table), index
+
+
+def _consume_every_residual(monkeypatch):
+    # scan stops at the first failure; reading every residual first
+    # makes the call counts independent of where that is
+    monkeypatch.setattr(contact, "scan", lambda identity_id, residuals: scan(
+        identity_id, list(residuals)
+    ))
+
+
+def test_closed_form_visits_i_below_j_on_an_antisymmetric_table(monkeypatch):
+    an = analysis(3, 1, 3)
+    dim = an.model.dim
+    _consume_every_residual(monkeypatch)
+    calls = _count_calls(monkeypatch, contact, "closed_form_curvature")
+    records = verify_identities(an.model, an.cs, an.curvature, an.invariants, an.conn)
+    assert _by_id(records)["curvature_closed_form"].passed
+    assert len(calls) == dim * dim * (dim - 1) // 2
+    assert all(i < j for _, _, i, j, _ in calls)
+
+
+def test_closed_form_visits_every_triple_on_a_mirror_corrupted_table(monkeypatch):
+    an = analysis(3, 1, 3)
+    dim = an.model.dim
+    R = replace(an.curvature, table=bump(an.curvature.table, (2, 1, 3), Vec.basis(dim, 1)))
+    _consume_every_residual(monkeypatch)
+    calls = _count_calls(monkeypatch, contact, "closed_form_curvature")
+    records = verify_identities(an.model, an.cs, R, an.invariants, an.conn)
+    record = _by_id(records)["curvature_closed_form"]
+    assert (record.witness_indices, record.residual) == ((2, 1, 3), 1)
+    assert len(calls) == dim ** 3
+
+
+def test_closed_form_reads_every_triple_when_g_phi_has_a_diagonal_entry():
+    # g(phi X_1, X_1) = 1 breaks the antisymmetry only at i = j, where the
+    # full scan fails first and a half scan would report (1, 2, 1)
+    an = analysis(3, 1, 3)
+    cs = replace(an.cs)
+    cs.tables.g_phi = bump(cs.tables.g_phi, (1, 1), 1)
+    an = replace(an, cs=cs)
+    record = _by_id(
+        verify_identities(an.model, cs, an.curvature, an.invariants, an.conn)
+    )["curvature_closed_form"]
+    assert record == _reference_closed_form(an, an.curvature)
+    assert (record.witness_indices, record.residual) == ((1, 1, 1), 7)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gauss_codazzi_applies_R_on_a_below_b_only(monkeypatch, n):
+    an = analysis(n, 1, 3)
+    geoms = [
+        second_fundamental_form(an.model, an.conn, build_distribution(an.model, kind, **keys))
+        for kind, keys in _leaves(n)
+    ]
+    calls = _count_calls(monkeypatch, CurvatureTable, "apply")
+    for geom in geoms:
+        del calls[:]
+        records = gauss_codazzi_residuals(an.curvature, an.conn, geom)
+        assert all(r.passed for r in records)
+        assert len(calls) == n * n * (n - 1) // 2
+        vectors = geom.frame.vectors
+        assert all(vectors.index(u) < vectors.index(v) for _, u, v, _ in calls)
+
+
+# ---------------------------------------------------------------------------
+# every record against the full-order reference
+# ---------------------------------------------------------------------------
+
+
+def _curvature_cases(dim, n):
+    """Clean, antisymmetrically corrupted and mirror-corrupted R tables."""
+    e = lambda t: Vec.basis(dim, t)  # noqa: E731
+    x1, x2, y1, y2 = 1, 2, n + 1, n + 2
+    return {
+        "clean": lambda table: table,
+        # corrupt R(X_1, X_2) X_1 and R(Y_1, Y_2) Y_1 with their mirrors
+        "antisymmetric": lambda table: _antisymmetric_bump(
+            _antisymmetric_bump(table, x1, x2, x1, e(x2)), y1, y2, y1, e(y2)
+        ),
+        "mirror_only": lambda table: bump(table, (x2, x1, x1), e(x2)),
+    }
+
+
+def _leaf_cases(n):
+    """Clean, antisymmetrically corrupted and mirror-corrupted Rbar tables."""
+    e0 = Vec.basis(n, 0)
+    return {
+        "clean": lambda rbar: rbar,
+        "antisymmetric": lambda rbar: _antisymmetric_bump(rbar, 0, 1, 1, e0),
+        "mirror_only": lambda rbar: bump(rbar, (1, 0, 1), e0),
+    }
+
+
+@pytest.mark.parametrize("n,alpha,beta", [p for p in grid_points() if p[0] <= 4])
+def test_half_scans_match_full_order_references(n, alpha, beta):
+    an = analysis(n, alpha, beta)
+    dim = an.model.dim
+    failing = set()
+
+    for name, corrupt in _curvature_cases(dim, n).items():
+        R = replace(an.curvature, table=corrupt(an.curvature.table))
+        got = _by_id(verify_identities(an.model, an.cs, R, an.invariants, an.conn))
+        want = _reference_closed_form(an, R)
+        assert got["curvature_closed_form"] == want, name
+        failing.add(("closed_form", name, want.passed))
+
+        for kind, keys in _leaves(n):
+            spec = build_distribution(an.model, kind, **keys)
+            geom = second_fundamental_form(an.model, an.conn, spec)
+            want = _reference_gauss_codazzi(R, an.conn, geom)
+            assert gauss_codazzi_residuals(R, an.conn, geom) == want, (name, kind, keys)
+            failing.add(("gauss", name, want[0].passed))
+
+    for kind, keys in _leaves(n):
+        spec = build_distribution(an.model, kind, **keys)
+        geom, _, summary = analyze_submanifold(
+            an.model, an.conn, an.curvature, an.cs, an.invariants, spec
+        )
+        split = eigen_split(an.cs, spec)
+        for name, corrupt in _leaf_cases(n).items():
+            bad = replace(geom, rbar=corrupt(geom.rbar))
+            want = _reference_gauss_codazzi(an.curvature, an.conn, bad)
+            assert gauss_codazzi_residuals(an.curvature, an.conn, bad) == want, (
+                name, kind, keys,
+            )
+            failing.add(("gauss", "leaf " + name, want[0].passed))
+            records = _by_id(leaf_curvature_records(bad, an.cs, an.invariants, split)[0])
+            if summary["leaf_curvature"] is not None:
+                want = _reference_space_form(bad, Fraction(summary["leaf_curvature"]))
+                assert records["leaf_space_form"] == want, (name, kind, keys)
+                failing.add(("space_form", name, want.passed))
+            else:
+                assert "leaf_space_form" not in records
+
+    # every corrupted case fails somewhere, so witnesses were compared
+    for scan_name in ("closed_form", "gauss", "space_form"):
+        for name in ("antisymmetric", "mirror_only"):
+            if scan_name == "gauss":
+                assert (scan_name, "leaf " + name, False) in failing
+            assert (scan_name, name, False) in failing, (scan_name, name)

@@ -8,13 +8,30 @@ import kmu
 SOURCE = Path(kmu.__file__).resolve().parent
 
 
+def _nodes():
+    """(module file name, AST node) for every node of the package."""
+    paths = sorted(SOURCE.glob("*.py"))
+    assert paths, "no package sources found"
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
 def test_package_holds_no_assert_statement():
     # `python -O` strips assert statements, so no check may rely on one
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
-    ]
-    assert sorted(SOURCE.glob("*.py")), "no package sources found"
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_identity_records_are_made_only_by_report():
+    # report.scan alone decides pass or fail, so no other module may
+    # build a record, for instance from a scan over a subset of tuples
+    def constructs_record(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name == "IdentityRecord"
+
+    made = [f"{name}:{node.lineno}" for name, node in _nodes() if constructs_record(node)]
+    assert made and all(site.startswith("report.py:") for site in made), made

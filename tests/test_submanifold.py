@@ -164,6 +164,11 @@ def test_presets_span_the_hand_built_basis_vectors(n):
         {"kind": "diagonal", "c": 1, "d": 1, "k": 1},
         {"kind": None},
         {"kind": ["x"]},
+        {"kind": "mixed", "k": "2"},
+        {"kind": "mixed", "k": 1.0},
+        {"kind": "mixed", "k": True},
+        {"kind": "mixed", "z_choices": 5},
+        {"kind": "mixed", "z_choices": ("x", 1)},
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
