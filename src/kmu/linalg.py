@@ -8,9 +8,13 @@ model builder.  Rational literals in files and on the command line are
 strings "p/q" or "p"; floats are rejected everywhere.
 
 The model tables are a few percent dense, so every kernel here visits
-only nonzero coefficients: vectors cache their nonzero entries and
-matrices their row supports.  Skipping a zero term never changes an
-exact sum, so results equal those of dense loops entry for entry.
+only nonzero coefficients.  A vector carries its support, the (index,
+entry) pairs of its nonzero entries, from birth: each kernel writes the
+support of its result from the entries it computed, tests only those
+for cancellation, and stores every zero entry as the one shared
+``_ZERO``.  A matrix keeps its rows, and on first use its columns, as
+such vectors.  Skipping a zero term never changes an exact sum, so
+results equal those of dense loops entry for entry.
 """
 
 from __future__ import annotations
@@ -55,73 +59,75 @@ def rat_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-# Shared exact constants: zero entries of every table are this one object,
-# so kernels and equality tests meet them without arithmetic.
+# Shared exact constants: every zero entry of every vector and matrix is
+# this one object, so a dense read tells a zero by identity, with no call
+# to Fraction.__bool__.
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+    """An exact entry: a Fraction, or an int that is not a bool."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ParameterError(f"entry {x!r} rejected: use an int or a Fraction")
 
 
-def _add(xs: tuple, ys: tuple) -> tuple:
-    """Entrywise xs + ys; a zero operand contributes no arithmetic."""
-    return tuple((x + y if x else y) if y else x for x, y in zip(xs, ys))
+def _scalar(s) -> Fraction | None:
+    """A scalar factor as a Fraction, or None for an operand of another type."""
+    if isinstance(s, bool):
+        raise ParameterError(f"bool scalar {s!r} rejected")
+    if isinstance(s, int):
+        return Fraction(s)
+    return s if isinstance(s, Fraction) else None
 
 
-def _sub(xs: tuple, ys: tuple) -> tuple:
-    return tuple((x - y if x else -y) if y else x for x, y in zip(xs, ys))
+def _dense(nz: tuple, dim: int) -> tuple:
+    """The entries of the vector with support nz; every other entry is _ZERO."""
+    c = [_ZERO] * dim
+    for i, x in nz:
+        c[i] = x
+    return tuple(c)
 
 
-def _neg(xs: tuple) -> tuple:
-    return tuple(-x if x else x for x in xs)
-
-
-def _scale(xs: tuple, s: Fraction) -> tuple:
-    if not s:
-        return (_ZERO,) * len(xs)
-    return tuple(x * s if x else x for x in xs)
-
-
-def _dot(pairs, c: tuple) -> Fraction:
-    """sum x * c[k] over (k, x) in pairs, skipping zero entries of c."""
-    total = None
-    for k, x in pairs:
-        y = c[k]
-        if y:
-            total = x * y if total is None else total + x * y
-    return _ZERO if total is None else total
+def _collect(acc: dict, dim: int) -> "Vec":
+    """The vector of an accumulator {index: entry}; cancelled entries drop out."""
+    return Vec._raw(tuple((i, x) for i, x in sorted(acc.items()) if x), dim)
 
 
 class Vec:
     """Immutable vector with Fraction coefficients.
 
-    ``nonzero_entries()`` is computed once and cached, so every kernel
-    below iterates over a vector's support instead of its full range.
+    ``nonzero_entries()`` is the support the vector was made with, so
+    every kernel below iterates over supports instead of full ranges.
     """
 
     __slots__ = ("_c", "_nz")
 
     def __init__(self, coeffs):
-        self._c = tuple(_frac(c) for c in coeffs)
-        self._nz = None
+        c = [_frac(x) for x in coeffs]
+        self._nz = tuple((i, x) for i, x in enumerate(c) if x)
+        self._c = _dense(self._nz, len(c))
 
     @classmethod
-    def _raw(cls, coeffs: tuple) -> "Vec":
-        # internal fast path: entries are known to be Fractions already
+    def _raw(cls, nz: tuple, dim: int) -> "Vec":
+        # nz must be the support: nonzero Fractions in index order
         v = object.__new__(cls)
-        v._c = coeffs
-        v._nz = None
+        v._c = _dense(nz, dim)
+        v._nz = nz
         return v
 
     @staticmethod
     def zero(dim: int) -> "Vec":
-        return Vec._raw((_ZERO,) * dim)
+        return Vec._raw((), dim)
 
     @staticmethod
     def basis(dim: int, k: int) -> "Vec":
-        return Vec._raw(tuple(_ONE if i == k else _ZERO for i in range(dim)))
+        if not 0 <= k < dim:
+            raise DimensionMismatchError(f"basis index {k} out of range for dim {dim}")
+        return Vec._raw(((k, _ONE),), dim)
 
     def __len__(self):
         return len(self._c)
@@ -142,63 +148,86 @@ class Vec:
         return "Vec(%s)" % ", ".join(rat_str(c) for c in self._c)
 
     def _check_dim(self, other: "Vec"):
-        if len(self) != len(other):
+        if len(self._c) != len(other._c):
             raise DimensionMismatchError(
-                f"vector dimensions differ: {len(self)} vs {len(other)}"
+                f"vector dimensions differ: {len(self._c)} vs {len(other._c)}"
             )
+
+    def _merge(self, pairs) -> "Vec":
+        # self plus the vector with support pairs; an entry both write is
+        # tested for cancellation, an entry only one writes is kept as is
+        acc = dict(self._nz)
+        for j, y in pairs:
+            x = acc.get(j)
+            if x is None:
+                acc[j] = y
+            else:
+                s = x + y
+                if s:
+                    acc[j] = s
+                else:
+                    del acc[j]
+        return Vec._raw(tuple(sorted(acc.items())), len(self._c))
 
     def __add__(self, other):
         if not isinstance(other, Vec):
             return NotImplemented
         self._check_dim(other)
-        return Vec._raw(_add(self._c, other._c))
+        if not other._nz:
+            return self
+        if not self._nz:
+            return other
+        return self._merge(other._nz)
 
     def __sub__(self, other):
         if not isinstance(other, Vec):
             return NotImplemented
         self._check_dim(other)
-        return Vec._raw(_sub(self._c, other._c))
+        if not other._nz:
+            return self
+        if not self._nz:
+            return -other
+        return self._merge((j, -y) for j, y in other._nz)
 
     def __neg__(self):
-        return Vec._raw(_neg(self._c))
+        return Vec._raw(tuple((i, -x) for i, x in self._nz), len(self._c))
 
     def __mul__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
-        if isinstance(scalar, Fraction):
-            return Vec._raw(_scale(self._c, scalar))
-        return NotImplemented
+        s = _scalar(scalar)
+        if s is None:
+            return NotImplemented
+        if not s:
+            return Vec.zero(len(self._c))
+        # a product of nonzero rationals is nonzero: nothing to test
+        return Vec._raw(tuple((i, x * s) for i, x in self._nz), len(self._c))
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not any(self._c)
+        return not self._nz
 
     def nonzero_entries(self) -> tuple:
-        """(index, entry) for every nonzero entry, in index order; cached."""
-        if self._nz is None:
-            self._nz = tuple((i, x) for i, x in enumerate(self._c) if x)
+        """(index, entry) for every nonzero entry, in index order."""
         return self._nz
-
-
-def _settle(acc: list) -> tuple:
-    """Entries of an accumulator list; None marks an entry never written."""
-    return tuple(_ZERO if a is None else a for a in acc)
 
 
 def combine(terms, dim: int) -> Vec:
     """sum coeff * v over the (coeff, v) pairs of terms, over supports.
 
-    Pairs with a zero coefficient cost nothing; the sum accumulates in
-    place instead of allocating a vector per term.
+    The sum accumulates over the union of the supports, and each entry
+    written is tested for cancellation once, at the end.  A coefficient
+    that is the shared zero, as every zero entry of a Vec or Mat is, is
+    skipped without a call; any other zero coefficient only writes zeros
+    that this test drops.
     """
-    acc = [None] * dim
+    acc = {}
+    get = acc.get
     for coeff, v in terms:
-        if coeff:
-            for t, x in v.nonzero_entries():
-                a = acc[t]
+        if coeff is not _ZERO:
+            for t, x in v._nz:
+                a = get(t)
                 acc[t] = coeff * x if a is None else a + coeff * x
-    return Vec._raw(_settle(acc))
+    return _collect(acc, dim)
 
 
 class Mat:
@@ -206,65 +235,69 @@ class Mat:
 
     ``m @ v`` applies the matrix to a vector (columns act on coefficients),
     ``m @ m2`` composes.  ``m[i, j]`` reads the entry in row i, column j.
-    The row supports, (column, entry) pairs per row, are computed once
-    and cached; products iterate over them.
+    The rows are vectors with their supports; the columns are built as
+    vectors on first use and cached, and products sum them over supports.
     """
 
-    __slots__ = ("_rows", "_sup")
+    __slots__ = ("_rows", "_vecs", "_cols")
 
     def __init__(self, rows):
-        self._rows = tuple(tuple(_frac(x) for x in row) for row in rows)
-        self._sup = None
-        if self._rows:
-            width = len(self._rows[0])
-            if any(len(r) != width for r in self._rows):
-                raise DimensionMismatchError("ragged rows in matrix literal")
+        vecs = tuple(Vec(row) for row in rows)
+        if vecs and any(len(v) != len(vecs[0]) for v in vecs):
+            raise DimensionMismatchError("ragged rows in matrix literal")
+        self._rows = tuple(v._c for v in vecs)
+        self._vecs = vecs
+        self._cols = None
 
     @classmethod
-    def _raw(cls, rows: tuple) -> "Mat":
+    def _raw(cls, vecs: tuple) -> "Mat":
+        # rows given as vectors of one length
         m = object.__new__(cls)
-        m._rows = rows
-        m._sup = None
+        m._rows = tuple(v._c for v in vecs)
+        m._vecs = vecs
+        m._cols = None
         return m
 
     def _row_supports(self) -> tuple:
-        if self._sup is None:
-            self._sup = tuple(
-                tuple((j, x) for j, x in enumerate(row) if x) for row in self._rows
-            )
-        return self._sup
+        return tuple(v._nz for v in self._vecs)
+
+    def _columns(self) -> tuple:
+        if self._cols is None:
+            nrows, ncols = self.shape
+            sups = [[] for _ in range(ncols)]
+            for i, v in enumerate(self._vecs):
+                for j, x in v._nz:
+                    sups[j].append((i, x))
+            self._cols = tuple(Vec._raw(tuple(s), nrows) for s in sups)
+        return self._cols
 
     @staticmethod
     def identity(dim: int) -> "Mat":
-        return Mat.diagonal([_ONE] * dim)
+        return Mat._raw(tuple(Vec.basis(dim, i) for i in range(dim)))
 
     @staticmethod
     def zeros(nrows: int, ncols: int | None = None) -> "Mat":
         ncols = nrows if ncols is None else ncols
-        return Mat._raw(((_ZERO,) * ncols,) * nrows)
+        return Mat._raw((Vec.zero(ncols),) * nrows)
 
     @staticmethod
     def diagonal(entries) -> "Mat":
         entries = [_frac(e) for e in entries]
         dim = len(entries)
         return Mat._raw(
-            tuple(
-                tuple(entries[i] if i == j else _ZERO for j in range(dim))
-                for i in range(dim)
-            )
+            tuple(Vec._raw(((i, e),) if e else (), dim) for i, e in enumerate(entries))
         )
 
     @staticmethod
     def from_columns(cols) -> "Mat":
-        cols = [list(c) for c in cols]
-        return Mat([[col[i] for col in cols] for i in range(len(cols[0]))])
+        return Mat(cols).transpose()
 
     @property
     def shape(self):
         return (len(self._rows), len(self._rows[0]) if self._rows else 0)
 
     def col(self, j: int) -> Vec:
-        return Vec._raw(tuple(r[j] for r in self._rows))
+        return self._columns()[j]
 
     def __getitem__(self, key):
         i, j = key
@@ -289,9 +322,7 @@ class Mat:
             raise DimensionMismatchError(
                 f"matrix shapes differ: {self.shape} vs {other.shape}"
             )
-        return Mat._raw(
-            tuple(_add(r1, r2) for r1, r2 in zip(self._rows, other._rows))
-        )
+        return Mat._raw(tuple(u + v for u, v in zip(self._vecs, other._vecs)))
 
     def __sub__(self, other):
         if not isinstance(other, Mat):
@@ -299,47 +330,43 @@ class Mat:
         return self + (-other)
 
     def __neg__(self):
-        return Mat._raw(tuple(_neg(row) for row in self._rows))
+        return Mat._raw(tuple(-v for v in self._vecs))
 
     def __mul__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
-        if isinstance(scalar, Fraction):
-            return Mat._raw(tuple(_scale(row, scalar) for row in self._rows))
-        return NotImplemented
+        s = _scalar(scalar)
+        if s is None:
+            return NotImplemented
+        return Mat._raw(tuple(v * s for v in self._vecs))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         nrows, ncols = self.shape
         if isinstance(other, Vec):
-            if len(other) != ncols:
+            if len(other._c) != ncols:
                 raise DimensionMismatchError(
                     f"matrix is {self.shape} but vector has length {len(other)}"
                 )
-            oc = other._c
-            return Vec._raw(tuple(_dot(sup, oc) for sup in self._row_supports()))
+            cols = self._columns()
+            return combine([(x, cols[k]) for k, x in other._nz], nrows)
         if isinstance(other, Mat):
             orows, ocols = other.shape
             if ncols != orows:
                 raise DimensionMismatchError(
                     f"cannot compose {self.shape} with {other.shape}"
                 )
-            osup = other._row_supports()
-            rows = []
-            for sup in self._row_supports():
-                # row i of the product is sum_k a_ik (row k of other)
-                acc = [None] * ocols
-                for k, a in sup:
-                    for j, b in osup[k]:
-                        c = acc[j]
-                        acc[j] = a * b if c is None else c + a * b
-                rows.append(_settle(acc))
-            return Mat._raw(tuple(rows))
+            # row i of the product is sum_k a_ik (row k of other)
+            ovecs = other._vecs
+            return Mat._raw(
+                tuple(
+                    combine([(a, ovecs[k]) for k, a in v._nz], ocols)
+                    for v in self._vecs
+                )
+            )
         return NotImplemented
 
     def transpose(self) -> "Mat":
-        return Mat._raw(tuple(zip(*self._rows)))
+        return Mat._raw(self._columns())
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -365,24 +392,30 @@ def dot(u: Vec, v: Vec) -> Fraction:
     A covector stored as coefficients (such as eta) acts on vectors this
     way, with no metric involved.
     """
-    if len(u) != len(v):
+    if len(u._c) != len(v._c):
         raise DimensionMismatchError(f"dot product dims: u={len(u)}, v={len(v)}")
-    return _dot(u.nonzero_entries(), v._c)
+    vc = v._c
+    total = None
+    for k, x in u._nz:
+        y = vc[k]
+        if y is not _ZERO:
+            total = x * y if total is None else total + x * y
+    return _ZERO if total is None else total
 
 
 def inner(u: Vec, v: Vec, G: Mat) -> Fraction:
     """Metric pairing u^T G v, exact, over the supports of u, G and v."""
-    dim = len(u)
-    if len(v) != dim or G.shape != (dim, dim):
+    dim = len(u._c)
+    if len(v._c) != dim or G.shape != (dim, dim):
         raise DimensionMismatchError(
             f"inner product dims: u={len(u)}, v={len(v)}, G={G.shape}"
         )
-    rows, vc = G._row_supports(), v._c
+    rows, vc = G._vecs, v._c
     total = None
-    for i, x in u.nonzero_entries():
-        for j, g in rows[i]:
+    for i, x in u._nz:
+        for j, g in rows[i]._nz:
             y = vc[j]
-            if y:
+            if y is not _ZERO:
                 term = x * g * y
                 total = term if total is None else total + term
     return _ZERO if total is None else total
@@ -398,12 +431,12 @@ def solve_diagonal_metric(G: Mat, rhs: Vec) -> Vec:
     for i in range(dim):
         if G[i, i] == 0:
             raise SingularMetricError(f"zero diagonal entry at index {i}")
-    return Vec._raw(tuple(x / G[i, i] if x else x for i, x in enumerate(rhs)))
+    return Vec._raw(tuple((i, x / G[i, i]) for i, x in rhs._nz), dim)
 
 
 def outer(u: Vec, w: Vec) -> Mat:
     """Rank-one matrix u w^T; as an operator it maps v to w(v) * u."""
-    return Mat([u[i] * w[j] for j in range(len(w))] for i in range(len(u)))
+    return Mat._raw(tuple(w * x for x in u))
 
 
 def rank(M: Mat) -> int:

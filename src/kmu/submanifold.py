@@ -180,19 +180,24 @@ class _Frame:
 
     def __init__(self, vectors, metric: Mat):
         self.vectors = tuple(vectors)
-        self.G = metric
         self.gram = tuple(
             tuple(inner(u, v, metric) for v in self.vectors) for u in self.vectors
         )
         self.norms = tuple(self.gram[a][a] for a in range(len(self.vectors)))
+        # row a is g(., v_a) / g(v_a, v_a), so coordinates = pairing @ w
+        # (a zero vector pairs to zero); span has the frame vectors as columns
+        self.pairing = Mat(
+            (metric @ v) * (1 / nv) if nv else metric @ v
+            for v, nv in zip(self.vectors, self.norms)
+        )
+        self.span = Mat.from_columns(self.vectors)
 
     def project(self, w: Vec) -> tuple[Vec, Vec]:
         """Frame coordinates of the tangential part of w, and the normal part."""
-        pairings = (inner(w, v, self.G) for v in self.vectors)
-        coeffs = Vec._raw(
-            tuple(p / nv if p else p for p, nv in zip(pairings, self.norms))
-        )
-        return coeffs, w - _combine(coeffs, self.vectors)
+        if w.is_zero():
+            return Vec.zero(len(self.vectors)), w
+        coeffs = self.pairing @ w
+        return coeffs, w - self.span @ coeffs
 
     def normal(self, w: Vec) -> Vec:
         return self.project(w)[1]
@@ -437,13 +442,18 @@ def verify_prop32(
                 ) * cs.xi
                 yield (a, b), lhs - rhs
 
+    # frame coordinates of phi sigma(v_a, v_b), shared by both scans below
+    phi_sigma = {}
+
     def nabla_op_residuals(M, sign, other):
         # (nablabar_X M) Y vs sign * (phi sigma(X, other Y) + other phi sigma(X, Y))
         for a in range(n):
             for b in range(n):
                 lhs = _combine(M.col(b), nb[a]) - M @ nb[a][b]
                 term1 = frame.coords(phi @ _combine(other.col(b), sigma[a]))
-                term2 = other @ frame.coords(phi @ sigma[a][b])
+                if (a, b) not in phi_sigma:
+                    phi_sigma[a, b] = frame.coords(phi @ sigma[a][b])
+                term2 = other @ phi_sigma[a, b]
                 yield (a, b), lhs - sign * (term1 + term2)
 
     return [
@@ -480,19 +490,22 @@ def gauss_codazzi_residuals(
     ]
     # R(v_a, v_b) v_c and (nabla_{v_a} sigma)(v_b, v_c), each built once;
     # sigma is symmetric, so row c of sigma is sigma(., v_c).  Codazzi
-    # reads nabla sigma only as a difference, which is zero at a = b.
+    # reads nabla sigma only as a difference, which is zero at a = b, and
+    # everywhere when sigma vanishes (a totally geodesic leaf).
     ambient = {
         (a, b, c): R.apply(vectors[a], vectors[b], vectors[c]) for a, b, c in triples
     }
-    nabla_sigma = {
-        (a, b, c): frame.normal(conn.nabla(vectors[a], sigma[b][c]))
-        - _combine(nb[a][b], sigma[c])
-        - _combine(nb[a][c], sigma[b])
-        for a in range(n)
-        for b in range(n)
-        if a != b
-        for c in range(n)
-    }
+    nabla_sigma = {}
+    if not all(entry.is_zero() for row in sigma for entry in row):
+        nabla_sigma = {
+            (a, b, c): frame.normal(conn.nabla(vectors[a], sigma[b][c]))
+            - _combine(nb[a][b], sigma[c])
+            - _combine(nb[a][c], sigma[b])
+            for a in range(n)
+            for b in range(n)
+            if a != b
+            for c in range(n)
+        }
 
     def gauss_residuals():
         for a, b, c in triples:
@@ -508,7 +521,7 @@ def gauss_codazzi_residuals(
     def codazzi_residuals():
         for a, b, c in triples:
             normal = frame.normal(ambient[a, b, c])
-            if a != b:
+            if nabla_sigma and a != b:
                 normal = normal - (nabla_sigma[a, b, c] - nabla_sigma[b, a, c])
             yield (a, b, c), normal
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from kmu import d_homothetic
 from kmu.connection import ConnectionTable, CurvatureTable, levi_civita, riemann
-from kmu.linalg import Mat, Vec, inner
+from kmu.linalg import _ZERO, Mat, Vec, combine, inner, outer, solve_diagonal_metric
 
 from helpers import analysis, grid_points, model
 from test_linalg import rationals
@@ -198,6 +198,91 @@ def test_inner_matches_dense(us, vs, g_rows):
     diagonal = Mat.diagonal([g_rows[i][i] for i in range(5)])
     assert inner(u, v, diagonal) == dense_inner(us, vs, [list(r) for r in diagonal._rows])
     assert inner(u, -u, Mat.identity(5)) + inner(u, u, Mat.identity(5)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the support every kernel writes: exact, even where its sums cancel
+# ---------------------------------------------------------------------------
+#
+# A vector's support is written by the kernel that makes it, never
+# recomputed.  A support that leaves out a nonzero entry would turn a
+# failing residual into a silent pass, and one that keeps a cancelled
+# entry would make a passing residual read as a failure.
+
+
+def assert_support(v):
+    """v's support is exactly its nonzero entries; its zeros are the shared one."""
+    assert v.nonzero_entries() == tuple((i, x) for i, x in enumerate(v) if x)
+    assert v.is_zero() == (not any(v))
+    assert all(x is _ZERO for x in v if not x)
+
+
+def assert_mat_support(M):
+    for row in M._vecs:
+        assert_support(row)
+    for j in range(M.shape[1]):
+        assert_support(M.col(j))
+
+
+@settings(max_examples=60)
+@given(sparse_lists(6), sparse_lists(6), rationals, rationals)
+def test_vector_kernels_write_exact_supports(us, noise, s, t):
+    u, w = Vec(us), Vec(noise)
+    outputs = [
+        u, Vec.zero(6), Vec.basis(6, 2), -u, s * u, u * 0, u * 1,
+        u + (-u), (-u) + u, u - u, u + Vec.zero(6), Vec.zero(6) - u,
+        # partial cancellation: the u part cancels, the noise stays
+        u + (w - u), (u + w) - u, (s * u + w) - s * u,
+    ]
+    for v in outputs:
+        assert_support(v)
+    assert (u + (-u)).is_zero() and (u - u).is_zero()
+    assert (u + (w - u)) == w and ((s * u + w) - s * u) == w
+
+
+@settings(max_examples=60)
+@given(sparse_lists(6), sparse_lists(6), sparse_lists(6), rationals, rationals)
+def test_combine_writes_exact_supports_when_terms_cancel(us, vs, noise, s, t):
+    u, v, w = Vec(us), Vec(vs), Vec(noise)
+    cancelling = [
+        combine([(s, u), (-s, u)], 6),
+        combine([(s, u), (t, v), (-s, u), (-t, v)], 6),
+        combine([(1, u), (1, v), (1, -(u + v))], 6),
+        combine([(Fraction(0), u), (s - s, v)], 6),  # zero coefficients, not shared
+    ]
+    for out in cancelling:
+        assert_support(out)
+        assert out.is_zero()
+    partial = combine([(s, u), (1, w), (-s, u), (t, v), (-t, v)], 6)
+    assert_support(partial)
+    assert partial == w
+
+
+@settings(max_examples=60)
+@given(sparse_rows(4, 5), sparse_lists(5), sparse_lists(5), rationals)
+def test_matrix_kernels_write_exact_supports_over_cancelling_columns(rows, vs, noise, s):
+    M = Mat(rows)
+    # columns j and 5 + j of C are opposite, so C @ (v, v) cancels exactly
+    C = Mat([row + [-x for x in row] for row in rows])
+    v, w = Vec(vs), Vec(noise)
+    doubled = Vec(vs + vs)
+    assert_support(C @ doubled)
+    assert (C @ doubled).is_zero()
+    # (v, v + noise) leaves exactly M @ noise after the cancellation
+    assert_support(C @ Vec(vs + [a + b for a, b in zip(vs, noise)]))
+    assert C @ Vec(vs + [a + b for a, b in zip(vs, noise)]) == -(M @ w)
+    for out in (M @ v, M @ Vec.zero(5), M @ Vec.basis(5, 4)):
+        assert_support(out)
+    for P in (
+        M, C, M.transpose(), M + (-M), M - M, s * M, M * 0,
+        C @ Mat(2 * [list(r) for r in M.transpose()._rows]),
+        outer(v, w), Mat.identity(5), Mat.zeros(4, 5), Mat.diagonal(vs),
+    ):
+        assert_mat_support(P)
+    assert (M - M).is_zero() and (M + (-M)).is_zero()
+    assert (C @ Mat(2 * [list(r) for r in M.transpose()._rows])).is_zero()
+    diagonal = Mat.diagonal([x if x else Fraction(1) for x in noise])
+    assert_support(solve_diagonal_metric(diagonal, v))
 
 
 # ---------------------------------------------------------------------------

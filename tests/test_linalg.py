@@ -45,6 +45,42 @@ def test_canonical_form_idempotent(q):
     assert rat(rat_str(q)) == q
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, 1.0, "1/2", None, True, False])
+def test_vec_and_mat_reject_inexact_entries(bad):
+    # Vec([0.1, 1]) would otherwise hold 3602879701896397/36028797018963968
+    for build in (
+        lambda: Vec([bad, 1]),
+        lambda: Mat([[bad]]),
+        lambda: Mat([[1, 0], [0, bad]]),
+        lambda: Mat.diagonal([1, bad]),
+    ):
+        with pytest.raises(ParameterError):
+            build()
+
+
+def test_vec_and_mat_take_int_and_fraction_entries():
+    assert list(Vec([Fraction(1, 3), -2, 0])) == [Fraction(1, 3), Fraction(-2), 0]
+    assert Mat([[Fraction(1, 2), 3]])[0, 1] == 3
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_scalars_rejected(flag):
+    for product in (
+        lambda: Vec([1, 2]) * flag,
+        lambda: flag * Vec([1, 2]),
+        lambda: Mat([[1, 2]]) * flag,
+        lambda: flag * Mat([[1, 2]]),
+    ):
+        with pytest.raises(ParameterError):
+            product()
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_basis_index_out_of_range(k):
+    with pytest.raises(DimensionMismatchError):
+        Vec.basis(3, k)
+
+
 # ---------------------------------------------------------------------------
 # inner product
 # ---------------------------------------------------------------------------

@@ -35,3 +35,21 @@ def test_identity_records_are_made_only_by_report():
 
     made = [f"{name}:{node.lineno}" for name, node in _nodes() if constructs_record(node)]
     assert made and all(site.startswith("report.py:") for site in made), made
+
+
+def test_only_linalg_writes_vector_supports():
+    # a vector's support is written once, by the kernel that makes it; a
+    # stale support would hide a nonzero residual, so one module owns it
+    def writes_support(node):
+        if isinstance(node, ast.Attribute):
+            if node.attr == "_nz" and not isinstance(node.ctx, ast.Load):
+                return True
+            return (
+                node.attr == "_raw"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "Vec"
+            )
+        return False
+
+    sites = [f"{name}:{node.lineno}" for name, node in _nodes() if writes_support(node)]
+    assert sites and all(site.startswith("linalg.py:") for site in sites), sites

@@ -16,7 +16,7 @@ from kmu import (
     second_fundamental_form,
     split_h,
 )
-from kmu.errors import NonInvolutiveError, ParameterError
+from kmu.errors import NonInvolutiveError, ParameterError, StructureError
 from kmu.linalg import Mat, rat_str
 from kmu.report import all_passed
 from kmu.submanifold import (
@@ -427,6 +427,18 @@ def test_totally_geodesic_leaves_have_parallel_h1():
     # nablabar maps the frame into itself
     records = verify_prop32(an.conn, an.cs, geom)
     assert all_passed(records)
+
+
+def test_prop32_refuses_phi_sigma_off_the_leaf():
+    # sigma(v_0, v_0) gains the tangent v_0, so phi sigma(v_0, v_0) is
+    # normal and has no frame coordinates for the nabla_h scans to share
+    an = analysis(3, 1, 3)
+    geom = leaf_geometry(an, build_distribution(an.model, "x"))
+    sigma = [list(row) for row in geom.sigma]
+    sigma[0][0] = sigma[0][0] + geom.frame.vectors[0]
+    bad = replace(geom, sigma=tuple(tuple(row) for row in sigma))
+    with pytest.raises(StructureError, match="not tangent to the distribution"):
+        verify_prop32(an.conn, an.cs, bad)
 
 
 # ---------------------------------------------------------------------------
