@@ -225,8 +225,8 @@ def assert_mat_support(M):
 
 
 @settings(max_examples=60)
-@given(sparse_lists(6), sparse_lists(6), rationals, rationals)
-def test_vector_kernels_write_exact_supports(us, noise, s, t):
+@given(sparse_lists(6), sparse_lists(6), rationals)
+def test_vector_kernels_write_exact_supports(us, noise, s):
     u, w = Vec(us), Vec(noise)
     outputs = [
         u, Vec.zero(6), Vec.basis(6, 2), -u, s * u, u * 0, u * 1,
