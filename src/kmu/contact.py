@@ -296,7 +296,9 @@ def closed_form_curvature(
 
     The formula is written in terms of g, h, phi, eta and the constants
     (kappa, mu) only, so it is an expansion fully independent of the
-    connection-derived table it is compared against.
+    connection-derived table it is compared against.  Every term carries
+    a metric factor or an eta product, so a triple on which all of them
+    vanish, as most do, gives the zero vector with no arithmetic.
     """
     t = cs.tables
     one_minus_half_mu, coef_h, coef_phih, half_mu, mu, c1, c2 = inv.closed_form_constants
@@ -310,6 +312,11 @@ def closed_form_curvature(
     gphiXY = t.g_phi[i][j]
     gphihYZ, gphihXZ = t.g_phih[j][k], t.g_phih[i][k]
     eX, eY, eZ = t.eta[i], t.eta[j], t.eta[k]
+    if not (
+        gYZ or gXZ or ghXZ or ghYZ or gphiYZ or gphiXZ or gphiXY or gphihYZ
+        or gphihXZ or ((eX or eY) and eZ)
+    ):
+        return Vec.zero(t.dim)
 
     eXZ, eYZ = -eX * eZ, eY * eZ
     # (metric factor, constant, vector): a term costs nothing when its

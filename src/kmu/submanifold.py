@@ -158,16 +158,7 @@ def _check_legendrian(model: LieAlgebraModel, spec: DistributionSpec):
                 raise StructureError(
                     f"anti-invariance fails: g(v_{a}, phi v_{b}) != 0"
                 )
-    # pairwise orthogonal with nonzero norms: the frame assumption every
-    # projection below relies on
-    for a, u in enumerate(spec.vectors):
-        if inner(u, u, G) == 0:
-            raise StructureError(f"spanning vector {a} has zero length")
-        for b in range(a + 1, len(spec.vectors)):
-            if inner(u, spec.vectors[b], G) != 0:
-                raise StructureError(
-                    f"spanning vectors {a}, {b} are not orthogonal"
-                )
+    _orthogonal_gram(spec.vectors, G)
 
 
 def _combine(coeffs, vectors) -> Vec:
@@ -175,20 +166,41 @@ def _combine(coeffs, vectors) -> Vec:
     return combine(zip(coeffs, vectors), len(vectors[0]))
 
 
+def _orthogonal_gram(vectors, metric: Mat) -> tuple:
+    """The Gram table of a frame that is orthogonal with nonzero norms.
+
+    Raises StructureError naming the first zero-length vector or
+    non-orthogonal pair: every frame table is read as orthogonal.
+    """
+    gram = tuple(tuple(inner(u, v, metric) for v in vectors) for u in vectors)
+    for a, row in enumerate(gram):
+        if not row[a]:
+            raise StructureError(f"spanning vector {a} has zero length")
+        for b in range(a + 1, len(row)):
+            if row[b]:
+                raise StructureError(f"spanning vectors {a}, {b} are not orthogonal")
+    return gram
+
+
 class _Frame:
-    """Projection onto the span of an orthogonal frame, and its Gram matrix."""
+    """An orthogonal frame: projection onto its span, and its Gram matrix.
+
+    The frame is refused unless it is orthogonal with nonzero norms, so
+    g(w, v_d) = norms[d] * coords[d] for the frame coordinates of the
+    tangential part of any w.  Every leaf scan therefore reads rows in
+    frame coordinates, lowered by ``induced`` = diag(norms), instead of
+    pairing ambient vectors entry by entry.
+    """
 
     def __init__(self, vectors, metric: Mat):
         self.vectors = tuple(vectors)
-        self.gram = tuple(
-            tuple(inner(u, v, metric) for v in self.vectors) for u in self.vectors
-        )
+        self.gram = _orthogonal_gram(self.vectors, metric)
         self.norms = tuple(self.gram[a][a] for a in range(len(self.vectors)))
-        # row a is g(., v_a) / g(v_a, v_a), so coordinates = pairing @ w
-        # (a zero vector pairs to zero); span has the frame vectors as columns
+        self.induced = Mat.diagonal(self.norms)
+        # row a is g(., v_a) / g(v_a, v_a), so coordinates = pairing @ w;
+        # span has the frame vectors as columns
         self.pairing = Mat(
-            (metric @ v) * (1 / nv) if nv else metric @ v
-            for v, nv in zip(self.vectors, self.norms)
+            (metric @ v) * (1 / nv) for v, nv in zip(self.vectors, self.norms)
         )
         self.span = Mat.from_columns(self.vectors)
 
@@ -360,10 +372,13 @@ def split_h(cs: ContactStructure, geom: SubmanifoldGeometry) -> tuple[Mat, Mat]:
 
 def _operator_symmetry_residuals(frame: _Frame, M: Mat):
     """g(M v_a, v_b) - g(v_a, M v_b) over the frame."""
+    # lowered[a, b] = g(v_a, M v_b), so the residual is its skew part
+    lowered = frame.induced @ M
+    skew = lowered.transpose() - lowered
     n = len(frame.vectors)
     for a in range(n):
         for b in range(n):
-            yield (a, b), M[b, a] * frame.norms[b] - M[a, b] * frame.norms[a]
+            yield (a, b), skew[a, b]
 
 
 def verify_split_identities(
@@ -421,15 +436,14 @@ def verify_prop32(
     G, phi = cs.metric, cs.phi
 
     def shape_operator_residuals():
+        inverse = Mat.diagonal([1 / nv for nv in frame.norms])
         for a in range(n):
             for b in range(n):
                 # A_{phi v_b} v_a assembled from sigma through the
-                # shape-operator pairing
+                # shape-operator pairing g(A v_a, v_c) = g(sigma(v_a, v_c), phi v_b)
                 phi_vb = phi @ vectors[b]
-                shape = _combine(
-                    [inner(sigma[a][c], phi_vb, G) / frame.norms[c] for c in range(n)],
-                    vectors,
-                )
+                pairings = Vec(inner(sigma[a][c], phi_vb, G) for c in range(n))
+                shape = frame.span @ (inverse @ pairings)
                 yield (a, b), shape + phi @ sigma[a][b]
 
     def normal_connection_residuals():
@@ -474,6 +488,13 @@ def gauss_codazzi_residuals(
     Codazzi: (R(X,Y)Z)^perp = (nabla_X sigma)(Y,Z) - (nabla_Y sigma)(X,Z)
     with (nabla_X sigma)(Y,Z) = nabla^perp_X(sigma(Y,Z))
          - sigma(nablabar_X Y, Z) - sigma(Y, nablabar_X Z).
+
+    R(v_a, v_b) v_c is projected once per visited triple: Codazzi reads
+    its normal part, and Gauss its frame coordinates.  The frame is
+    orthogonal, so R(v_a, v_b, v_c, v_d) = norms[d] coords[d], and the
+    Gauss residuals of all d at once are the row
+    diag(norms) (coords - Rbar[a][b][c]) plus the sigma pairings, which
+    are added only on a leaf with sigma != 0.
     """
     frame, sigma, nb = geom.frame, geom.sigma, geom.nb
     vectors = frame.vectors
@@ -488,14 +509,16 @@ def gauss_codazzi_residuals(
         for b in range(a + 1 if half else 0, n)
         for c in range(n)
     ]
-    # R(v_a, v_b) v_c and (nabla_{v_a} sigma)(v_b, v_c), each built once;
-    # sigma is symmetric, so row c of sigma is sigma(., v_c).  Codazzi
-    # reads nabla sigma only as a difference, which is zero at a = b, and
-    # everywhere when sigma vanishes (a totally geodesic leaf).
-    ambient = {
-        (a, b, c): R.apply(vectors[a], vectors[b], vectors[c]) for a, b, c in triples
+    # R(v_a, v_b) v_c projected onto the frame, and (nabla_{v_a} sigma)(v_b,
+    # v_c), each built once; sigma is symmetric, so row c of sigma is
+    # sigma(., v_c).  Codazzi reads nabla sigma only as a difference, which
+    # is zero at a = b, and everywhere when sigma vanishes (a totally
+    # geodesic leaf).
+    projected = {
+        (a, b, c): frame.project(R.apply(vectors[a], vectors[b], vectors[c]))
+        for a, b, c in triples
     }
-    nabla_sigma = {}
+    nabla_sigma, sigma_pairs = {}, {}
     if not all(entry.is_zero() for row in sigma for entry in row):
         nabla_sigma = {
             (a, b, c): frame.normal(conn.nabla(vectors[a], sigma[b][c]))
@@ -506,21 +529,28 @@ def gauss_codazzi_residuals(
             if a != b
             for c in range(n)
         }
+        # sigma_pairs[b, c, a][d] = g(sigma(v_a, v_d), sigma(v_b, v_c)): the
+        # rows of sigma(v_a, .) against sigma(v_b, v_c) lowered by the metric
+        rows = [Mat(sigma[a]) for a in range(n)]
+        lowered = [[G @ entry for entry in row] for row in sigma]
+        sigma_pairs = {
+            (b, c, a): rows[a] @ lowered[b][c]
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+        }
 
     def gauss_residuals():
         for a, b, c in triples:
+            row = frame.induced @ (projected[a, b, c][0] - geom.rbar[a][b][c])
+            if sigma_pairs:
+                row = row + sigma_pairs[b, c, a] - sigma_pairs[a, c, b]
             for d in range(n):
-                lhs = inner(ambient[a, b, c], vectors[d], G)
-                rhs = (
-                    geom.lowered_bar(a, b, c, d)
-                    - inner(sigma[a][d], sigma[b][c], G)
-                    + inner(sigma[a][c], sigma[b][d], G)
-                )
-                yield (a, b, c, d), lhs - rhs
+                yield (a, b, c, d), row[d]
 
     def codazzi_residuals():
         for a, b, c in triples:
-            normal = frame.normal(ambient[a, b, c])
+            normal = projected[a, b, c][1]
             if nabla_sigma and a != b:
                 normal = normal - (nabla_sigma[a, b, c] - nabla_sigma[b, a, c])
             yield (a, b, c), normal
@@ -560,27 +590,37 @@ def leaf_curvature_records(
     first frame vector v.  ``split`` is the frame's ``eigen_split``.
     Returns the records plus a summary dict with the constants found.
     """
-    gram, lowered_bar = geom.frame.gram, geom.lowered_bar
-    n = len(gram)
+    frame, rbar = geom.frame, geom.rbar
+    norms = frame.norms
+    n = len(norms)
     records = []
     summary: dict = {}
 
     def sectional_bar(a, b):
-        denom = gram[a][a] * gram[b][b] - gram[a][b] ** 2
-        return lowered_bar(a, b, b, a) / denom
+        # Rbar(v_a, v_b, v_b, v_a) / (g(v_a, v_a) g(v_b, v_b)) on an
+        # orthogonal frame
+        return rbar[a][b][b][a] / norms[b]
 
     def space_form_residuals(K):
-        # antisymmetric in (a, b) when Rbar is; then a < b alone finds the
-        # same first failure (see is_antisymmetric)
-        half = is_antisymmetric(geom.rbar)
+        # Rbar(v_a, v_b, v_c, v_d) - K (g_ad g_bc - g_ac g_bd), all d at
+        # once: the row diag(norms) Rbar[a][b][c], less the K-term, which
+        # on an orthogonal frame lives only at d = a when c = b and at
+        # d = b when c = a (a != b).  Antisymmetric in (a, b) when Rbar
+        # is; then a < b alone finds the same first failure (see
+        # is_antisymmetric)
+        half = is_antisymmetric(rbar)
         for a in range(n):
             for b in range(a + 1 if half else 0, n):
-                for cdx in range(n):
-                    for ddx in range(n):
-                        expected = K * (
-                            gram[a][ddx] * gram[b][cdx] - gram[a][cdx] * gram[b][ddx]
-                        )
-                        yield (a, b, cdx, ddx), lowered_bar(a, b, cdx, ddx) - expected
+                k_term = {}
+                if a != b:
+                    k_ab = K * norms[a] * norms[b]
+                    k_term = {b: k_ab * Vec.basis(n, a), a: -k_ab * Vec.basis(n, b)}
+                for c in range(n):
+                    row = frame.induced @ rbar[a][b][c]
+                    if c in k_term:
+                        row = row - k_term[c]
+                    for d in range(n):
+                        yield (a, b, c, d), row[d]
 
     if geom.classification == "totally_geodesic":
         if split is None:

@@ -225,6 +225,21 @@ ROWS = [
         },
         id="y-I+1",
     ),
+    # the umbilical diagonal leaf, corrupted where the frame-coordinate
+    # rows carry their extra terms: the space-form K-term sits at
+    # (0, 1, 1, 0), and the Gauss row at (0, 1, 2) meets nonzero sigma
+    pytest.param(
+        DIAG, "leaf_curvature_records",
+        {"inputs": {"geom": _geom_plus("rbar", (0, 1, 1), Vec.basis(N, 0))}},
+        {"leaf_space_form": ((0, 1, 1, 0), 5)},
+        id="diag-space_form-rbar[0][1][1]+e0",
+    ),
+    pytest.param(
+        DIAG, "gauss_codazzi_residuals",
+        {"inputs": {"geom": _geom_plus("rbar", (0, 1, 2), Vec.basis(N, 0))}},
+        {"gauss": ((0, 1, 2, 0), -5)},
+        id="diag-gauss-rbar[0][1][2]+e0",
+    ),
 ]
 
 

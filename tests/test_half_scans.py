@@ -9,6 +9,7 @@ must still find the first failing tuple) and on mirror-only corruptions
 (the full path must run).
 """
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,8 +17,13 @@ import pytest
 
 from kmu import contact, submanifold
 from kmu.connection import CurvatureTable, antisymmetry_residuals, is_antisymmetric
-from kmu.contact import closed_form_curvature, verify_identities
-from kmu.linalg import Vec, inner
+from kmu.contact import (
+    ContactStructure,
+    ModelInvariants,
+    closed_form_curvature,
+    verify_identities,
+)
+from kmu.linalg import Mat, Vec, inner
 from kmu.report import scan
 from kmu.submanifold import (
     analyze_submanifold,
@@ -115,6 +121,49 @@ def _reference_space_form(geom, K):
         for c in range(n)
         for d in range(n)
     ))
+
+
+def _reference_closed_form_curvature(inv, cs, i, j, k):
+    """R(e_i, e_j) e_k by the full expansion of the class, every term summed.
+
+    Reads g, h, phi and eta of the structure directly, and the constants
+    from kappa and mu, so nothing is shared with closed_form_curvature.
+    """
+    dim = len(cs.xi)
+    G, h, phi = cs.metric, cs.h, cs.phi
+    X, Y, Z = (Vec.basis(dim, t) for t in (i, j, k))
+    hX, hY = h @ X, h @ Y
+    phiX, phiY, phiZ = phi @ X, phi @ Y, phi @ Z
+    phihX, phihY = phi @ hX, phi @ hY
+    eX, eY, eZ = (cs.eta_of(v) for v in (X, Y, Z))
+    kappa, mu = inv.kappa, inv.mu
+    c_h = (1 - mu / 2) / (1 - kappa)
+    c_phih = (kappa - mu / 2) / (1 - kappa)
+    c1, c2 = kappa - 1 + mu / 2, mu - 1
+    g = lambda u, v: inner(u, v, G)  # noqa: E731
+    terms = [
+        (1 - mu / 2) * g(Y, Z) * X,
+        -(1 - mu / 2) * g(X, Z) * Y,
+        g(Y, Z) * hX,
+        -g(X, Z) * hY,
+        -g(hX, Z) * Y,
+        g(hY, Z) * X,
+        c_h * g(hY, Z) * hX,
+        -c_h * g(hX, Z) * hY,
+        -(mu / 2) * g(phiY, Z) * phiX,
+        (mu / 2) * g(phiX, Z) * phiY,
+        mu * g(phiX, Y) * phiZ,
+        c_phih * g(phihY, Z) * phihX,
+        -c_phih * g(phihX, Z) * phihY,
+        c1 * (eY * eZ * X - eX * eZ * Y),
+        c2 * (eY * eZ * hX - eX * eZ * hY),
+        c1 * (eX * g(Y, Z) - eY * g(X, Z)) * cs.xi,
+        c2 * (eX * g(hY, Z) - eY * g(hX, Z)) * cs.xi,
+    ]
+    total = Vec.zero(dim)
+    for term in terms:
+        total = total + term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +323,57 @@ def test_half_scans_match_full_order_references(n, alpha, beta):
             if scan_name == "gauss":
                 assert (scan_name, "leaf " + name, False) in failing
             assert (scan_name, name, False) in failing, (scan_name, name)
+
+
+@pytest.mark.parametrize("n,alpha,beta", [p for p in grid_points() if p[0] <= 4])
+def test_closed_form_curvature_matches_the_full_expansion(n, alpha, beta):
+    # the closed form returns zero at once on triples whose metric factors
+    # and eta products all vanish; a factor missing from that test would
+    # drop a nonzero term, here or under the shifted mu
+    an = analysis(n, alpha, beta)
+    dim = an.model.dim
+    for inv in (an.invariants, replace(an.invariants, mu=an.invariants.mu + 1)):
+        for i in range(dim):
+            for j in range(dim):
+                for k in range(dim):
+                    assert closed_form_curvature(inv, an.cs, i, j, k) == (
+                        _reference_closed_form_curvature(inv, an.cs, i, j, k)
+                    ), (inv.mu, i, j, k)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_closed_form_curvature_matches_the_full_expansion_on_sparse_tensors(seed):
+    # on the models' bases the factors come in correlated sets (g(Y, Z) !=
+    # 0 brings g(hY, Z) or an eta product along), so a factor left out of
+    # the vanishing-triple test could hide there; over these seeds, sparse
+    # random g, h, phi and eta make each factor the only nonzero one on
+    # some triple
+    rng = random.Random(seed)
+    dim = 5
+
+    def sparse():
+        return [
+            rng.choice([1, -1, 2, Fraction(1, 3)]) if rng.random() < 0.2 else 0
+            for _ in range(dim)
+        ]
+
+    eta = Vec(sparse())
+    cs = ContactStructure(
+        phi=Mat([sparse() for _ in range(dim)]),
+        xi=Vec.basis(dim, 0),
+        eta=eta,
+        metric=Mat([sparse() for _ in range(dim)]),
+        h=Mat([sparse() for _ in range(dim)]),
+    )
+    inv = ModelInvariants(
+        kappa=Fraction(-3, 4),
+        mu=Fraction(5, 7),
+        lam=Fraction(7, 4),
+        boeckx_invariant=Fraction(1),
+    )
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                assert closed_form_curvature(inv, cs, i, j, k) == (
+                    _reference_closed_form_curvature(inv, cs, i, j, k)
+                ), (i, j, k)

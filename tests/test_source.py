@@ -53,3 +53,24 @@ def test_only_linalg_writes_vector_supports():
 
     sites = [f"{name}:{node.lineno}" for name, node in _nodes() if writes_support(node)]
     assert sites and all(site.startswith("linalg.py:") for site in sites), sites
+
+
+def test_only_linalg_names_the_shared_constants():
+    # a zero is skipped inside the kernels, which tell the shared zero by
+    # identity; a check elsewhere that compared against _ZERO or _ONE
+    # would be a per-site identity test the kernels already make
+    def names_constant(node):
+        if isinstance(node, ast.Name):
+            return node.id in ("_ZERO", "_ONE")
+        if isinstance(node, ast.Attribute):
+            return node.attr in ("_ZERO", "_ONE")
+        if isinstance(node, ast.alias):
+            return node.name in ("_ZERO", "_ONE")
+        return False
+
+    sites = [
+        f"{name}:{getattr(node, 'lineno', '?')}"
+        for name, node in _nodes()
+        if names_constant(node)
+    ]
+    assert sites and all(site.startswith("linalg.py:") for site in sites), sites

@@ -227,6 +227,33 @@ def test_second_fundamental_form_refuses_non_involutive():
         second_fundamental_form(m, conn, spec)
 
 
+@pytest.mark.parametrize("n,alpha,beta", [(2, 0, 2), (2, 1, 3), (3, 1, 3)])
+def test_non_orthogonal_frame_refused(n, alpha, beta):
+    # X_1 and X_1 + X_2 span the x-leaf's plane at n = 2, but every frame
+    # table is read as orthogonal, so the frame is refused by name
+    an = analysis(n, alpha, beta)
+    m = an.model
+    x = [m.basis_vector(m.x(i)) for i in range(1, n + 1)]
+    spec = DistributionSpec(kind="x", vectors=(x[0], x[0] + x[1], *x[2:]))
+    for check in (
+        lambda: second_fundamental_form(m, an.conn, spec),
+        lambda: check_involutive(m, spec),
+        lambda: analyze_submanifold(
+            m, an.conn, an.curvature, an.cs, an.invariants, spec
+        ),
+    ):
+        with pytest.raises(StructureError, match="vectors 0, 1 are not orthogonal"):
+            check()
+
+
+def test_zero_length_frame_vector_refused():
+    an = analysis(2, 1, 3)
+    m = an.model
+    spec = DistributionSpec(kind="x", vectors=(m.basis_vector(m.x(1)), Vec.zero(m.dim)))
+    with pytest.raises(StructureError, match="vector 1 has zero length"):
+        check_involutive(m, spec)
+
+
 # ---------------------------------------------------------------------------
 # second fundamental form and classification
 # ---------------------------------------------------------------------------
