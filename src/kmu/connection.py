@@ -10,6 +10,14 @@ convention is R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
 nabla_[X,Y] Z with lowered tensor R(X,Y,Z,W) = g(R(X,Y)Z, W); this is
 the unique choice the verification suite validates against the defining
 curvature condition of the class.
+
+The connection is read as its operators, ops[i] = nabla_{e_i} as a
+matrix, so curvature is matrix algebra: R(e_i, e_j) = [nabla_i, nabla_j]
+- sum_m c_ij^m nabla_m.  ``curvature_from`` computes it for the model
+and, in frame coordinates, for every leaf; it builds i < j and fills the
+rest by antisymmetry, which needs an antisymmetric bracket table.  The
+covariant derivative of a left-invariant (1,1)-tensor T is the
+commutator nabla_X T = [nabla_X, T].
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DegeneratePlaneError, DimensionMismatchError
-from .liealg import LieAlgebraModel, bracket
+from .liealg import LieAlgebraModel
 from .linalg import Mat, Vec, combine, inner, solve_diagonal_metric
 
 
@@ -30,6 +38,11 @@ class ConnectionTable:
     dim: int
     metric: Mat
     gamma: tuple
+
+    @cached_property
+    def ops(self) -> tuple:
+        """ops[i] is nabla_{e_i} as a matrix: its column j is gamma[i][j]."""
+        return tuple(Mat.from_columns(row) for row in self.gamma)
 
     def nabla_basis(self, i: int, j: int) -> Vec:
         return self.gamma[i][j]
@@ -128,47 +141,44 @@ def metric_compatibility_residuals(conn: ConnectionTable):
     """g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k), nonzero entries only.
 
     The metric has constant coefficients in a left-invariant frame, so
-    compatibility is exactly this antisymmetry in (j, k).
+    compatibility is exactly this antisymmetry in (j, k): the residuals
+    are the entries k >= j of the symmetric part of G^T ops[i], whose
+    entry (k, j) is g(nabla_i e_j, e_k).
     """
     out = []
     gt = conn.metric.transpose()
-    # low[i][j][k] = g(nabla_i e_j, e_k)
-    low = [[(gt @ entry)._c for entry in row] for row in conn.gamma]
-    for i in range(conn.dim):
-        for j in range(conn.dim):
-            for k in range(j, conn.dim):
-                res = low[i][j][k] + low[i][k][j]
-                if res != 0:
-                    out.append(((i, j, k), res))
+    for i, op in enumerate(conn.ops):
+        low = gt @ op
+        for (j, k), res in (low + low.transpose()).nonzero_entries():
+            if k >= j:
+                out.append(((i, j, k), res))
     return out
 
 
+def curvature_from(ops, brackets) -> tuple:
+    """table[i][j][k] = R(e_i, e_j) e_k for the operators ops[i] = nabla_{e_i}.
+
+    With c_ij^m the coefficients brackets[i][j] of [e_i, e_j], the entries
+    k are the columns of R_ij = [ops[i], ops[j]] - sum_m c_ij^m ops[m] for
+    i < j, negated for j < i.  That fill needs an antisymmetric bracket
+    table, as the structure constants and a leaf's frame brackets are.
+    """
+    dim = len(ops)
+    table = [[(Vec.zero(dim),) * dim] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            terms = (x * ops[m] for m, x in brackets[i][j].nonzero_entries())
+            bracket_op = sum(terms, Mat.zeros(dim))
+            R_ij = ops[i] @ ops[j] - ops[j] @ ops[i] - bracket_op
+            cols = tuple(R_ij.col(k) for k in range(dim))
+            table[i][j] = cols
+            table[j][i] = tuple(-col for col in cols)
+    return tuple(tuple(plane) for plane in table)
+
+
 def riemann(model: LieAlgebraModel, conn: ConnectionTable) -> CurvatureTable:
-    """Assemble R(e_i, e_j) e_k from the connection and bracket tables."""
-    dim = model.dim
-    table = []
-    for i in range(dim):
-        plane = []
-        for j in range(dim):
-            row = []
-            for k in range(dim):
-                if j <= i:
-                    # fill from antisymmetry once the (j, i) entry exists
-                    row.append(None)
-                    continue
-                first = conn.nabla(Vec.basis(dim, i), conn.gamma[j][k])
-                second = conn.nabla(Vec.basis(dim, j), conn.gamma[i][k])
-                third = conn.nabla(model.structure[i][j], Vec.basis(dim, k))
-                row.append(first - second - third)
-            plane.append(row)
-        table.append(plane)
-    zero = Vec.zero(dim)
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                if table[i][j][k] is None:
-                    table[i][j][k] = zero if i == j else -table[j][i][k]
-    table = tuple(tuple(tuple(row) for row in plane) for plane in table)
+    """R(e_i, e_j) e_k from the connection operators and the bracket table."""
+    table = curvature_from(conn.ops, model.structure)
     # g(R(e_i, e_j) e_k, e_l) = sum_m R^m_ijk g_ml: the transposed metric
     # applied to each entry, over the entry's and the metric's supports
     gt = conn.metric.transpose()
@@ -177,7 +187,7 @@ def riemann(model: LieAlgebraModel, conn: ConnectionTable) -> CurvatureTable:
         for plane in table
     )
     return CurvatureTable(
-        dim=dim, metric=conn.metric, table=table, lowered_table=lowered
+        dim=model.dim, metric=conn.metric, table=table, lowered_table=lowered
     )
 
 
@@ -240,19 +250,17 @@ def curvature_symmetry_residuals(R: CurvatureTable):
 def covariant_derivative_11(conn: ConnectionTable, T: Mat, X: Vec) -> Mat:
     """Matrix of (nabla_X T) for a left-invariant (1,1)-tensor T.
 
-    (nabla_X T)(e_j) = nabla_X(T e_j) - T(nabla_X e_j); both terms are
-    finite sums because T has constant coefficients in the frame.
+    (nabla_X T)(e_j) = nabla_X(T e_j) - T(nabla_X e_j), so nabla_X T is
+    the commutator [nabla_X, T] with nabla_X = sum_i X^i ops[i]: T has
+    constant coefficients in the frame.
     """
     dim = conn.dim
     if T.shape != (dim, dim) or len(X) != dim:
         raise DimensionMismatchError(
             f"tensor {T.shape} / direction {len(X)} on dim {dim}"
         )
-    cols = []
-    for j in range(dim):
-        col = conn.nabla(X, T.col(j)) - T @ conn.nabla(X, Vec.basis(dim, j))
-        cols.append(col)
-    return Mat.from_columns(cols)
+    nabla_X = sum((x * conn.ops[i] for i, x in X.nonzero_entries()), Mat.zeros(dim))
+    return nabla_X @ T - T @ nabla_X
 
 
 def sectional_curvature(R: CurvatureTable, G: Mat, u: Vec, v: Vec) -> Fraction:

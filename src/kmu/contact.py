@@ -268,19 +268,14 @@ def verify_structure(
             yield from (((k, s), x) for k, x in col.nonzero_entries())
 
     def kappa_mu_residuals():
-        eta, basis, hcol = t.eta, t.basis, t.hcol
+        # column j of rhs is eta(e_j) K e_i - eta(e_i) K e_j, K = kappa Id + mu h
+        K = kappa * Mat.identity(dim) + mu * h
         for i in range(dim):
+            rhs = outer(K.col(i), cs.eta)
+            if t.eta[i]:
+                rhs = rhs - t.eta[i] * K
             for j in range(dim):
-                rhs = combine(
-                    (
-                        (kappa * eta[j], basis[i]),
-                        (-kappa * eta[i], basis[j]),
-                        (mu * eta[j], hcol[i]),
-                        (-mu * eta[i], hcol[j]),
-                    ),
-                    dim,
-                )
-                yield (i, j), R.apply(basis[i], basis[j], cs.xi) - rhs
+                yield (i, j), R.apply(t.basis[i], t.basis[j], cs.xi) - rhs.col(j)
 
     return [
         scan("h_structure", h_residuals()),
@@ -318,7 +313,10 @@ def closed_form_curvature(
     ):
         return Vec.zero(t.dim)
 
-    eXZ, eYZ = -eX * eZ, eY * eZ
+    # an eta product is formed only when both factors are nonzero, so no
+    # Fraction operation here takes a zero operand
+    eXZ = -eX * eZ if eX and eZ else 0
+    eYZ = eY * eZ if eY and eZ else 0
     # (metric factor, constant, vector): a term costs nothing when its
     # metric factor vanishes, which it does for most index triples
     terms = (
@@ -369,26 +367,29 @@ def verify_identities(
     kappa, mu = invariants.kappa, invariants.mu
     h_square = h @ h - (kappa - 1) * (phi @ phi)
 
+    # Each right-hand side is one matrix whose column j is the identity at
+    # Y = e_j; column i of phi_w and h_w is its xi coefficient at X = e_i.
+    one_minus_kappa = 1 - kappa
+    phi_w = Mat(t.g_id).transpose() + Mat(t.g_h)
+    h_w = one_minus_kappa * Mat(t.g_phi) - Mat(t.g_phih)
+
     def nabla_phi_residuals():
         for i in range(dim):
-            D = covariant_derivative_11(conn, phi, t.basis[i])
-            for j in range(dim):
-                # g(X, Y + h Y) xi - eta(Y) (X + h X)
-                rhs = (t.g_id[i][j] + t.g_h[j][i]) * xi - t.eta[j] * (
-                    t.basis[i] + t.hcol[i]
-                )
-                yield (i, j), D.col(j) - rhs
+            # g(X, Y + h Y) xi - eta(Y) (X + h X)
+            rhs = outer(xi, phi_w.col(i)) - outer(t.basis[i] + t.hcol[i], cs.eta)
+            D = covariant_derivative_11(conn, phi, t.basis[i]) - rhs
+            yield from (((i, j), D.col(j)) for j in range(dim))
 
     def nabla_h_residuals():
         for i in range(dim):
-            D = covariant_derivative_11(conn, h, t.basis[i])
-            for j in range(dim):
-                rhs = (
-                    ((1 - kappa) * t.g_phi[j][i] - t.g_phih[j][i]) * xi
-                    - t.eta[j] * ((1 - kappa) * t.phicol[i] + t.phihcol[i])
-                    - (mu * t.eta[i]) * t.phihcol[j]
-                )
-                yield (i, j), D.col(j) - rhs
+            # g((1 - kappa) phi Y - phi h Y, X) xi
+            # - eta(Y) ((1 - kappa) phi X + phi h X) - mu eta(X) phi h Y
+            eta_factor = one_minus_kappa * t.phicol[i] + t.phihcol[i]
+            rhs = outer(xi, h_w.col(i)) - outer(eta_factor, cs.eta)
+            if t.eta[i]:
+                rhs = rhs - (mu * t.eta[i]) * Mat.from_columns(t.phihcol)
+            D = covariant_derivative_11(conn, h, t.basis[i]) - rhs
+            yield from (((i, j), D.col(j)) for j in range(dim))
 
     def closed_form_residuals():
         # antisymmetric in (i, j) when R and g(phi ., .) are; then i < j

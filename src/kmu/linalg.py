@@ -242,7 +242,7 @@ class Mat:
     __slots__ = ("_rows", "_vecs", "_cols")
 
     def __init__(self, rows):
-        vecs = tuple(Vec(row) for row in rows)
+        vecs = tuple(row if isinstance(row, Vec) else Vec(row) for row in rows)
         if vecs and any(len(v) != len(vecs[0]) for v in vecs):
             raise DimensionMismatchError("ragged rows in matrix literal")
         self._rows = tuple(v._c for v in vecs)
@@ -435,8 +435,11 @@ def solve_diagonal_metric(G: Mat, rhs: Vec) -> Vec:
 
 
 def outer(u: Vec, w: Vec) -> Mat:
-    """Rank-one matrix u w^T; as an operator it maps v to w(v) * u."""
-    return Mat._raw(tuple(w * x for x in u))
+    """Rank-one matrix u w^T, built over the support of u; it maps v to w(v) * u."""
+    rows = [Vec.zero(len(w._c))] * len(u._c)
+    for i, x in u._nz:
+        rows[i] = w * x
+    return Mat._raw(tuple(rows))
 
 
 def rank(M: Mat) -> int:

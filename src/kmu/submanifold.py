@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .connection import ConnectionTable, CurvatureTable, is_antisymmetric
+from .connection import ConnectionTable, CurvatureTable, curvature_from, is_antisymmetric
 from .contact import ContactStructure, ModelInvariants, standard_phi
 from .errors import NonInvolutiveError, ParameterError, StructureError
 from .liealg import LieAlgebraModel, bracket
@@ -159,11 +159,6 @@ def _check_legendrian(model: LieAlgebraModel, spec: DistributionSpec):
                     f"anti-invariance fails: g(v_{a}, phi v_{b}) != 0"
                 )
     _orthogonal_gram(spec.vectors, G)
-
-
-def _combine(coeffs, vectors) -> Vec:
-    """sum_i coeffs[i] vectors[i], skipping zero coefficients."""
-    return combine(zip(coeffs, vectors), len(vectors[0]))
 
 
 def _orthogonal_gram(vectors, metric: Mat) -> tuple:
@@ -329,23 +324,11 @@ def second_fundamental_form(
 def intrinsic_curvature(nb: tuple, br: tuple) -> tuple:
     """Leaf curvature Rbar(v_a, v_b) v_c in frame coordinates.
 
-    Rbar(X, Y) Z = nablabar_X nablabar_Y Z - nablabar_Y nablabar_X Z
-    - nablabar_[X, Y] Z, read off the frame tables of nablabar and the
-    bracket.
+    The curvature of the connection nablabar, whose operator
+    nablabar_{v_a} has the columns nb[a], with the frame brackets br;
+    br is antisymmetric because the ambient bracket is.
     """
-    n = len(nb)
-    return tuple(
-        tuple(
-            tuple(
-                _combine(nb[b][c], nb[a])
-                - _combine(nb[a][c], nb[b])
-                - _combine(br[a][b], [nb[e][c] for e in range(n)])
-                for c in range(n)
-            )
-            for b in range(n)
-        )
-        for a in range(n)
-    )
+    return curvature_from(tuple(Mat.from_columns(row) for row in nb), br)
 
 
 def split_h(cs: ContactStructure, geom: SubmanifoldGeometry) -> tuple[Mat, Mat]:
@@ -396,11 +379,11 @@ def verify_split_identities(
 
     def split_residuals():
         for a in range(n):
-            recon = _combine(h1.col(a), vectors) + cs.phi @ _combine(h2.col(a), vectors)
+            recon = frame.span @ h1.col(a) + cs.phi @ (frame.span @ h2.col(a))
             yield (a,), cs.h @ vectors[a] - recon
 
     def sigma_xi_residuals():
-        h2v = [_combine(h2.col(b), vectors) for b in range(n)]
+        h2v = [frame.span @ h2.col(b) for b in range(n)]
         for a in range(n):
             for b in range(n):
                 yield (a, b), inner(sigma[a][b], cs.xi, cs.metric) + inner(
@@ -450,25 +433,23 @@ def verify_prop32(
         for a in range(n):
             for b in range(n):
                 lhs = frame.normal(conn.nabla(vectors[a], phi @ vectors[b]))
-                h1vb = _combine(h1.col(b), vectors)
-                rhs = phi @ _combine(nb[a][b], vectors) + inner(
+                h1vb = frame.span @ h1.col(b)
+                rhs = phi @ (frame.span @ nb[a][b]) + inner(
                     vectors[a], vectors[b] + h1vb, G
                 ) * cs.xi
                 yield (a, b), lhs - rhs
 
-    # frame coordinates of phi sigma(v_a, v_b), shared by both scans below
-    phi_sigma = {}
+    # nablabar_{v_a} and phi sigma(v_a, .) as operators on frame coordinates
+    nb_ops = [Mat.from_columns(row) for row in nb]
+    phi_sigma = [Mat.from_columns(frame.coords(phi @ s) for s in row) for row in sigma]
 
     def nabla_op_residuals(M, sign, other):
-        # (nablabar_X M) Y vs sign * (phi sigma(X, other Y) + other phi sigma(X, Y))
+        # (nablabar_X M) Y = [nablabar_X, M] Y vs sign * (phi sigma(X, other Y)
+        # + other phi sigma(X, Y)), an anticommutator with phi sigma(X, .)
         for a in range(n):
-            for b in range(n):
-                lhs = _combine(M.col(b), nb[a]) - M @ nb[a][b]
-                term1 = frame.coords(phi @ _combine(other.col(b), sigma[a]))
-                if (a, b) not in phi_sigma:
-                    phi_sigma[a, b] = frame.coords(phi @ sigma[a][b])
-                term2 = other @ phi_sigma[a, b]
-                yield (a, b), lhs - sign * (term1 + term2)
+            C = phi_sigma[a]
+            res = nb_ops[a] @ M - M @ nb_ops[a] - sign * (C @ other + other @ C)
+            yield from (((a, b), res.col(b)) for b in range(n))
 
     return [
         scan("shape_operator_phi", shape_operator_residuals()),
@@ -520,10 +501,11 @@ def gauss_codazzi_residuals(
     }
     nabla_sigma, sigma_pairs = {}, {}
     if not all(entry.is_zero() for row in sigma for entry in row):
+        sigma_ops = [Mat.from_columns(row) for row in sigma]
         nabla_sigma = {
             (a, b, c): frame.normal(conn.nabla(vectors[a], sigma[b][c]))
-            - _combine(nb[a][b], sigma[c])
-            - _combine(nb[a][c], sigma[b])
+            - sigma_ops[c] @ nb[a][b]
+            - sigma_ops[b] @ nb[a][c]
             for a in range(n)
             for b in range(n)
             if a != b

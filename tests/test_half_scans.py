@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from kmu import contact, submanifold
+from kmu import contact
 from kmu.connection import CurvatureTable, antisymmetry_residuals, is_antisymmetric
 from kmu.contact import (
     ContactStructure,
@@ -23,7 +23,7 @@ from kmu.contact import (
     closed_form_curvature,
     verify_identities,
 )
-from kmu.linalg import Mat, Vec, inner
+from kmu.linalg import Mat, Vec, combine, inner
 from kmu.report import scan
 from kmu.submanifold import (
     analyze_submanifold,
@@ -90,8 +90,8 @@ def _reference_gauss_codazzi(R, conn, geom):
     ambient = {t: R.apply(*(vectors[x] for x in t)) for t in triples}
     nabla_sigma = {
         (a, b, c): frame.normal(conn.nabla(vectors[a], sigma[b][c]))
-        - submanifold._combine(nb[a][b], sigma[c])
-        - submanifold._combine(nb[a][c], sigma[b])
+        - combine(zip(nb[a][b], sigma[c]), conn.dim)
+        - combine(zip(nb[a][c], sigma[b]), conn.dim)
         for a, b, c in triples
     }
     gauss = (

@@ -1,6 +1,7 @@
 """Source-level guards on the package itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import kmu
@@ -74,3 +75,23 @@ def test_only_linalg_names_the_shared_constants():
         if names_constant(node)
     ]
     assert sites and all(site.startswith("linalg.py:") for site in sites), sites
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies, so the package imports the
+    # standard library and its own modules only, even where numpy or
+    # sympy happen to be installed
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            return [node.module]
+        return []
+
+    modules = [(name, node.lineno, m) for name, node in _nodes() for m in imported(node)]
+    outside = [
+        f"{name}:{line} {m}"
+        for name, line, m in modules
+        if m.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert modules and outside == [], outside
