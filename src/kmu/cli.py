@@ -18,7 +18,7 @@ from fractions import Fraction
 from .deformation import d_homothetic, predicted_invariants
 from .errors import DescriptorError, KmuError, ParameterError
 from .liealg import build_boeckx_model
-from .linalg import rat, rat_str
+from .linalg import Vec, rat, rat_str
 from .pipeline import analyze_structure
 from .report import LAMBDA_NOTE, all_passed
 from .submanifold import PRESETS, analyze_submanifold, build_distribution, leaf_preset
@@ -250,7 +250,7 @@ def sweep_report(n: int, alphas, betas) -> dict:
     rows = [_sweep_point(n, alpha, beta) for alpha, beta in points]
 
     invariants = [Fraction(row["invariants"]["boeckx_invariant"]) for row in rows]
-    report = {
+    return {
         "n": n,
         "grid": rows + rejected,
         "summary": {
@@ -262,28 +262,24 @@ def sweep_report(n: int, alphas, betas) -> dict:
         "pass": all(row["pass"] for row in rows),
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
-    return report
+
+
+def _nonzero_entries(table, prefix=()):
+    """(index tuple, entry) for every nonzero entry of nested tuples of Vecs."""
+    if isinstance(table, Vec):
+        for k, x in table.nonzero_entries():
+            yield prefix + (k,), x
+    else:
+        for i, entry in enumerate(table):
+            yield from _nonzero_entries(entry, prefix + (i,))
 
 
 def dump_tables_report(desc: ModelDescriptor, which: str) -> dict:
-    model = build_boeckx_model(desc.n, desc.alpha, desc.beta)
-    analysis = analyze_structure(model)
-    entries = {}
-    if which == "connection":
-        for i in range(model.dim):
-            for j in range(model.dim):
-                vec = analysis.conn.gamma[i][j]
-                for k in range(model.dim):
-                    if vec[k] != 0:
-                        entries[f"{i},{j},{k}"] = rat_str(vec[k])
-    else:
-        for i in range(model.dim):
-            for j in range(model.dim):
-                for k in range(model.dim):
-                    vec = analysis.curvature.table[i][j][k]
-                    for l in range(model.dim):
-                        if vec[l] != 0:
-                            entries[f"{i},{j},{k},{l}"] = rat_str(vec[l])
+    analysis = analyze_structure(build_boeckx_model(desc.n, desc.alpha, desc.beta))
+    table = analysis.conn.gamma if which == "connection" else analysis.curvature.table
+    entries = {
+        ",".join(map(str, index)): rat_str(x) for index, x in _nonzero_entries(table)
+    }
     return _report(
         desc, {"table": which, "entries": dict(sorted(entries.items()))}, True, []
     )

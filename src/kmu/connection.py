@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .errors import DegeneratePlaneError, DimensionMismatchError
 from .liealg import LieAlgebraModel
-from .linalg import Mat, Vec, combine, inner, solve_diagonal_metric
+from .linalg import Mat, Vec, combine, inner, matsum, solve_diagonal_metric
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def levi_civita(model: LieAlgebraModel, metric: Mat | None = None) -> Connection
     dim = model.dim
     # low[i][j][k] = g([e_i, e_j], e_k), lowered once per bracket
     gt = G.transpose()
-    low = [[(gt @ c_ij)._c for c_ij in row] for row in model.structure]
+    low = [[tuple(gt @ c_ij) for c_ij in row] for row in model.structure]
     zero = Fraction(0)
     gamma = []
     for i in range(dim):
@@ -142,14 +142,14 @@ def metric_compatibility_residuals(conn: ConnectionTable):
 
     The metric has constant coefficients in a left-invariant frame, so
     compatibility is exactly this antisymmetry in (j, k): the residuals
-    are the entries k >= j of the symmetric part of G^T ops[i], whose
-    entry (k, j) is g(nabla_i e_j, e_k).
+    are the entries k >= j of L + L^T = G^T ops[i] + ops[i]^T G, where
+    L = G^T ops[i] has entry (k, j) = g(nabla_i e_j, e_k).
     """
     out = []
-    gt = conn.metric.transpose()
+    G, gt = conn.metric, conn.metric.transpose()
     for i, op in enumerate(conn.ops):
-        low = gt @ op
-        for (j, k), res in (low + low.transpose()).nonzero_entries():
+        sym = matsum(((1, gt, op), (1, op.transpose(), G)), conn.dim, conn.dim)
+        for (j, k), res in sym.nonzero_entries():
             if k >= j:
                 out.append(((i, j, k), res))
     return out
@@ -167,9 +167,9 @@ def curvature_from(ops, brackets) -> tuple:
     table = [[(Vec.zero(dim),) * dim] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            terms = (x * ops[m] for m, x in brackets[i][j].nonzero_entries())
-            bracket_op = sum(terms, Mat.zeros(dim))
-            R_ij = ops[i] @ ops[j] - ops[j] @ ops[i] - bracket_op
+            terms = [(1, ops[i], ops[j]), (-1, ops[j], ops[i])]
+            terms += [(-x, ops[m]) for m, x in brackets[i][j].nonzero_entries()]
+            R_ij = matsum(terms, dim, dim)
             cols = tuple(R_ij.col(k) for k in range(dim))
             table[i][j] = cols
             table[j][i] = tuple(-col for col in cols)
@@ -183,7 +183,7 @@ def riemann(model: LieAlgebraModel, conn: ConnectionTable) -> CurvatureTable:
     # applied to each entry, over the entry's and the metric's supports
     gt = conn.metric.transpose()
     lowered = tuple(
-        tuple(tuple((gt @ entry)._c for entry in row) for row in plane)
+        tuple(tuple(tuple(gt @ entry) for entry in row) for row in plane)
         for plane in table
     )
     return CurvatureTable(
@@ -252,15 +252,18 @@ def covariant_derivative_11(conn: ConnectionTable, T: Mat, X: Vec) -> Mat:
 
     (nabla_X T)(e_j) = nabla_X(T e_j) - T(nabla_X e_j), so nabla_X T is
     the commutator [nabla_X, T] with nabla_X = sum_i X^i ops[i]: T has
-    constant coefficients in the frame.
+    constant coefficients in the frame.  It is summed as
+    sum_i X^i (ops[i] T - T ops[i]), one kernel call.
     """
     dim = conn.dim
     if T.shape != (dim, dim) or len(X) != dim:
         raise DimensionMismatchError(
             f"tensor {T.shape} / direction {len(X)} on dim {dim}"
         )
-    nabla_X = sum((x * conn.ops[i] for i, x in X.nonzero_entries()), Mat.zeros(dim))
-    return nabla_X @ T - T @ nabla_X
+    ops, terms = conn.ops, []
+    for i, x in X.nonzero_entries():
+        terms += [(x, ops[i], T), (-x, T, ops[i])]
+    return matsum(terms, dim, dim)
 
 
 def sectional_curvature(R: CurvatureTable, G: Mat, u: Vec, v: Vec) -> Fraction:

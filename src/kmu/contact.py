@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .connection import ConnectionTable, CurvatureTable, covariant_derivative_11
+from .connection import ConnectionTable, CurvatureTable
 from .errors import NotKappaMuError, StructureError
 from .liealg import LieAlgebraModel, bracket
-from .linalg import Mat, Vec, combine, dot, inner, outer, rank, rat_str
+from .linalg import Mat, Vec, combine, dot, inner, matsum, outer, rank, rat_str
 from .report import IdentityRecord, scan
 
 
@@ -67,11 +67,11 @@ class StructureTables:
         self.hcol = tuple(cs.h.col(t) for t in range(dim))
         self.phicol = tuple(cs.phi.col(t) for t in range(dim))
         self.phihcol = tuple(cs.phi @ col for col in self.hcol)
-        self.eta = cs.eta._c
+        self.eta = tuple(cs.eta)
         # g(u, e_b) for every b is the transposed metric applied to u
         gt = cs.metric.transpose()
         self.g_id, self.g_h, self.g_phi, self.g_phih = (
-            tuple((gt @ u)._c for u in cols)
+            tuple(tuple(gt @ u) for u in cols)
             for cols in (self.basis, self.hcol, self.phicol, self.phihcol)
         )
 
@@ -183,16 +183,14 @@ def build_contact_structure(model: LieAlgebraModel) -> ContactStructure:
 def compute_h(model: LieAlgebraModel, cs: ContactStructure) -> tuple[Mat, Fraction]:
     """h = (Lie derivative of phi along xi) / 2, plus its eigenvalue.
 
-    On left-invariant fields h(u) = ([xi, phi u] - phi [xi, u]) / 2, and
-    lambda is read off h X_1.  Raises only if lambda is not positive;
-    the structure of h is checked by ``verify_structure``.
+    On left-invariant fields h(u) = ([xi, phi u] - phi [xi, u]) / 2, so
+    h = [ad_xi, phi] / 2 with ad_xi = [xi, .], and lambda is read off
+    h X_1.  Raises only if lambda is not positive; the structure of h is
+    checked by ``verify_structure``.
     """
-    dim = model.dim
-    h = Mat.from_columns(
-        (bracket(model, cs.xi, cs.phi.col(j))
-         - cs.phi @ bracket(model, cs.xi, Vec.basis(dim, j))) * Fraction(1, 2)
-        for j in range(dim)
-    )
+    dim, half = model.dim, Fraction(1, 2)
+    ad_xi = Mat.from_columns(bracket(model, cs.xi, Vec.basis(dim, j)) for j in range(dim))
+    h = matsum(((half, ad_xi, cs.phi), (-half, cs.phi, ad_xi)), dim, dim)
     lam = h[1, 1]
     if lam <= 0:
         raise StructureError(f"computed h eigenvalue {rat_str(lam)} is not positive")
@@ -262,18 +260,16 @@ def verify_structure(
                 # g(e_a, h e_b) - g(h e_a, e_b)
                 yield (a, b), t.g_h[b][a] - t.g_h[a][b]
         yield from (((k,), x) for k, x in (h @ cs.xi).nonzero_entries())
-        yield from (h @ cs.phi + cs.phi @ h).nonzero_entries()
+        yield from matsum(((1, h, cs.phi), (1, cs.phi, h)), dim, dim).nonzero_entries()
         for s in range(1, dim):
             col = t.hcol[s] - (lam if s <= n else -lam) * t.basis[s]
             yield from (((k, s), x) for k, x in col.nonzero_entries())
 
     def kappa_mu_residuals():
         # column j of rhs is eta(e_j) K e_i - eta(e_i) K e_j, K = kappa Id + mu h
-        K = kappa * Mat.identity(dim) + mu * h
+        K = matsum(((kappa, Mat.identity(dim)), (mu, h)), dim, dim)
         for i in range(dim):
-            rhs = outer(K.col(i), cs.eta)
-            if t.eta[i]:
-                rhs = rhs - t.eta[i] * K
+            rhs = matsum(((1, outer(K.col(i), cs.eta)), (-t.eta[i], K)), dim, dim)
             for j in range(dim):
                 yield (i, j), R.apply(t.basis[i], t.basis[j], cs.xi) - rhs.col(j)
 
@@ -282,6 +278,11 @@ def verify_structure(
         scan("kappa_mu_condition", kappa_mu_residuals()),
         scan("lambda_kappa_identity", [(None, lam * lam - (1 - kappa))]),
     ]
+
+
+def _times(a, b):
+    """a * b, formed only when both factors are nonzero; else the int 0."""
+    return a * b if a and b else 0
 
 
 def closed_form_curvature(
@@ -313,12 +314,12 @@ def closed_form_curvature(
     ):
         return Vec.zero(t.dim)
 
-    # an eta product is formed only when both factors are nonzero, so no
-    # Fraction operation here takes a zero operand
-    eXZ = -eX * eZ if eX and eZ else 0
-    eYZ = eY * eZ if eY and eZ else 0
-    # (metric factor, constant, vector): a term costs nothing when its
-    # metric factor vanishes, which it does for most index triples
+    # every product is formed only from nonzero factors, so no Fraction
+    # operation here takes a zero operand
+    eXZ, eYZ = -_times(eX, eZ), _times(eY, eZ)
+    c1X, c2X, c1Y, c2Y = (_times(c, e) for e in (eX, -eY) for c in (c1, c2))
+    # (factor, constant, vector): a term costs nothing when its factor or
+    # its constant vanishes; the metric factor does for most index triples
     terms = (
         (gYZ, one_minus_half_mu, X),
         (-gXZ, one_minus_half_mu, Y),
@@ -339,12 +340,13 @@ def closed_form_curvature(
         (eXZ, c2, hY),
         (eYZ, c1, X),
         (eYZ, c2, hX),
+        # its xi part, (eta(X) (c1 g(Y, Z) + c2 g(hY, Z)) - (X <-> Y)) xi
+        (gYZ, c1X, cs.xi),
+        (ghYZ, c2X, cs.xi),
+        (gXZ, c1Y, cs.xi),
+        (ghXZ, c2Y, cs.xi),
     )
-    out = combine(((g * c, v) for g, c, v in terms if g), t.dim)
-    if eX or eY:
-        tail = eX * (c1 * gYZ + c2 * ghYZ) - eY * (c1 * gXZ + c2 * ghXZ)
-        out = out + tail * cs.xi
-    return out
+    return combine(((g * c, v) for g, c, v in terms if g and c), t.dim)
 
 
 def verify_identities(
@@ -365,31 +367,40 @@ def verify_identities(
     dim = model.dim
     phi, h, xi = cs.phi, cs.h, cs.xi
     kappa, mu = invariants.kappa, invariants.mu
-    h_square = h @ h - (kappa - 1) * (phi @ phi)
+    h_square = matsum(((1, h, h), (1 - kappa, phi, phi)), dim, dim)
 
     # Each right-hand side is one matrix whose column j is the identity at
     # Y = e_j; column i of phi_w and h_w is its xi coefficient at X = e_i.
     one_minus_kappa = 1 - kappa
     phi_w = Mat(t.g_id).transpose() + Mat(t.g_h)
-    h_w = one_minus_kappa * Mat(t.g_phi) - Mat(t.g_phih)
+    h_w = matsum(((one_minus_kappa, Mat(t.g_phi)), (-1, Mat(t.g_phih))), dim, dim)
+
+    phih = Mat.from_columns(t.phihcol)
+
+    # (nabla_{e_i} T) - rhs = [ops[i], T] - rhs, as one kernel call
+    def residual_columns(i, T, rhs_terms):
+        op = conn.ops[i]
+        D = matsum(((1, op, T), (-1, T, op), *rhs_terms), dim, dim)
+        return (((i, j), D.col(j)) for j in range(dim))
 
     def nabla_phi_residuals():
         for i in range(dim):
             # g(X, Y + h Y) xi - eta(Y) (X + h X)
-            rhs = outer(xi, phi_w.col(i)) - outer(t.basis[i] + t.hcol[i], cs.eta)
-            D = covariant_derivative_11(conn, phi, t.basis[i]) - rhs
-            yield from (((i, j), D.col(j)) for j in range(dim))
+            yield from residual_columns(i, phi, (
+                (-1, outer(xi, phi_w.col(i))),
+                (1, outer(t.basis[i] + t.hcol[i], cs.eta)),
+            ))
 
     def nabla_h_residuals():
         for i in range(dim):
             # g((1 - kappa) phi Y - phi h Y, X) xi
             # - eta(Y) ((1 - kappa) phi X + phi h X) - mu eta(X) phi h Y
             eta_factor = one_minus_kappa * t.phicol[i] + t.phihcol[i]
-            rhs = outer(xi, h_w.col(i)) - outer(eta_factor, cs.eta)
-            if t.eta[i]:
-                rhs = rhs - (mu * t.eta[i]) * Mat.from_columns(t.phihcol)
-            D = covariant_derivative_11(conn, h, t.basis[i]) - rhs
-            yield from (((i, j), D.col(j)) for j in range(dim))
+            yield from residual_columns(i, h, (
+                (-1, outer(xi, h_w.col(i))),
+                (1, outer(eta_factor, cs.eta)),
+                (mu * t.eta[i] if t.eta[i] else 0, phih),
+            ))
 
     def closed_form_residuals():
         # antisymmetric in (i, j) when R and g(phi ., .) are; then i < j

@@ -100,10 +100,7 @@ def build_boeckx_model(n: int, alpha, beta) -> LieAlgebraModel:
         return n + i
 
     def vec(*terms) -> Vec:
-        coeffs = [Fraction(0)] * dim
-        for coeff, index in terms:
-            coeffs[index] += coeff
-        return Vec(coeffs)
+        return combine(((c, Vec.basis(dim, index)) for c, index in terms), dim)
 
     table = {}
 

@@ -8,13 +8,16 @@ model builder.  Rational literals in files and on the command line are
 strings "p/q" or "p"; floats are rejected everywhere.
 
 The model tables are a few percent dense, so every kernel here visits
-only nonzero coefficients.  A vector carries its support, the (index,
-entry) pairs of its nonzero entries, from birth: each kernel writes the
-support of its result from the entries it computed, tests only those
-for cancellation, and stores every zero entry as the one shared
+only nonzero coefficients.  A vector is its length and its support, the
+(index, entry) pairs of its nonzero entries; its dense tuple is built
+on the first index, iteration or hash, with every zero the one shared
 ``_ZERO``.  A matrix keeps its rows, and on first use its columns, as
-such vectors.  Skipping a zero term never changes an exact sum, so
-results equal those of dense loops entry for entry.
+such vectors.  ``combine`` sums scaled vectors and ``matsum`` sums
+matrix products c A B, one dict per output row; every operator between
+matrices is one ``matsum`` call, the one row-accumulation path.  Each
+kernel writes the support of its result and tests each entry it wrote
+for cancellation once.  Skipping a zero term never changes an exact
+sum, so results equal those of dense loops entry for entry.
 """
 
 from __future__ import annotations
@@ -33,21 +36,16 @@ def rat(value) -> Fraction:
     Floats are rejected: they would silently break the zero-residual
     guarantees of every verification.
     """
-    if isinstance(value, bool):
-        raise ParameterError(f"not a rational literal: {value!r}")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
         raise ParameterError(
             f"floating-point value {value!r} rejected; use an exact 'p/q' string"
         )
-    if isinstance(value, str):
-        text = value.strip()
-        if _RATIONAL_RE.match(text):
-            return Fraction(text)
-        raise ParameterError(f"not a rational literal: {value!r}")
+    if isinstance(value, str) and _RATIONAL_RE.match(value.strip()):
+        return Fraction(value.strip())
     raise ParameterError(f"not a rational literal: {value!r}")
 
 
@@ -84,14 +82,6 @@ def _scalar(s) -> Fraction | None:
     return s if isinstance(s, Fraction) else None
 
 
-def _dense(nz: tuple, dim: int) -> tuple:
-    """The entries of the vector with support nz; every other entry is _ZERO."""
-    c = [_ZERO] * dim
-    for i, x in nz:
-        c[i] = x
-    return tuple(c)
-
-
 def _collect(acc: dict, dim: int) -> "Vec":
     """The vector of an accumulator {index: entry}; cancelled entries drop out."""
     return Vec._raw(tuple((i, x) for i, x in sorted(acc.items()) if x), dim)
@@ -100,24 +90,37 @@ def _collect(acc: dict, dim: int) -> "Vec":
 class Vec:
     """Immutable vector with Fraction coefficients.
 
-    ``nonzero_entries()`` is the support the vector was made with, so
+    A vector is its length and its support, ``nonzero_entries()``, so
     every kernel below iterates over supports instead of full ranges.
+    The dense entries are built on the first index, iteration or hash.
     """
 
-    __slots__ = ("_c", "_nz")
+    __slots__ = ("_nz", "_len", "_d")
 
     def __init__(self, coeffs):
         c = [_frac(x) for x in coeffs]
         self._nz = tuple((i, x) for i, x in enumerate(c) if x)
-        self._c = _dense(self._nz, len(c))
+        self._len = len(c)
+        self._d = None
 
     @classmethod
     def _raw(cls, nz: tuple, dim: int) -> "Vec":
         # nz must be the support: nonzero Fractions in index order
         v = object.__new__(cls)
-        v._c = _dense(nz, dim)
         v._nz = nz
+        v._len = dim
+        v._d = None
         return v
+
+    @property
+    def _c(self) -> tuple:
+        """The dense entries, built once on first read; every zero is _ZERO."""
+        if self._d is None:
+            c = [_ZERO] * self._len
+            for i, x in self._nz:
+                c[i] = x
+            self._d = tuple(c)
+        return self._d
 
     @staticmethod
     def zero(dim: int) -> "Vec":
@@ -130,7 +133,7 @@ class Vec:
         return Vec._raw(((k, _ONE),), dim)
 
     def __len__(self):
-        return len(self._c)
+        return self._len
 
     def __getitem__(self, i):
         return self._c[i]
@@ -139,7 +142,9 @@ class Vec:
         return iter(self._c)
 
     def __eq__(self, other):
-        return isinstance(other, Vec) and self._c == other._c
+        return (
+            isinstance(other, Vec) and self._len == other._len and self._nz == other._nz
+        )
 
     def __hash__(self):
         return hash(self._c)
@@ -147,18 +152,22 @@ class Vec:
     def __repr__(self):
         return "Vec(%s)" % ", ".join(rat_str(c) for c in self._c)
 
-    def _check_dim(self, other: "Vec"):
-        if len(self._c) != len(other._c):
+    def _merge(self, other: "Vec", negate: bool) -> "Vec":
+        # self plus (or minus) other; an entry both write is tested for
+        # cancellation, an entry only one writes is kept as is
+        if self._len != other._len:
             raise DimensionMismatchError(
-                f"vector dimensions differ: {len(self._c)} vs {len(other._c)}"
+                f"vector dimensions differ: {self._len} vs {other._len}"
             )
-
-    def _merge(self, pairs) -> "Vec":
-        # self plus the vector with support pairs; an entry both write is
-        # tested for cancellation, an entry only one writes is kept as is
+        if not other._nz:
+            return self
+        if not self._nz:
+            return -other if negate else other
         acc = dict(self._nz)
-        for j, y in pairs:
+        for j, y in other._nz:
             x = acc.get(j)
+            if negate:
+                y = -y
             if x is None:
                 acc[j] = y
             else:
@@ -167,39 +176,25 @@ class Vec:
                     acc[j] = s
                 else:
                     del acc[j]
-        return Vec._raw(tuple(sorted(acc.items())), len(self._c))
+        return Vec._raw(tuple(sorted(acc.items())), self._len)
 
     def __add__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        self._check_dim(other)
-        if not other._nz:
-            return self
-        if not self._nz:
-            return other
-        return self._merge(other._nz)
+        return self._merge(other, False) if isinstance(other, Vec) else NotImplemented
 
     def __sub__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        self._check_dim(other)
-        if not other._nz:
-            return self
-        if not self._nz:
-            return -other
-        return self._merge((j, -y) for j, y in other._nz)
+        return self._merge(other, True) if isinstance(other, Vec) else NotImplemented
 
     def __neg__(self):
-        return Vec._raw(tuple((i, -x) for i, x in self._nz), len(self._c))
+        return Vec._raw(tuple((i, -x) for i, x in self._nz), self._len)
 
     def __mul__(self, scalar):
         s = _scalar(scalar)
         if s is None:
             return NotImplemented
         if not s:
-            return Vec.zero(len(self._c))
+            return Vec.zero(self._len)
         # a product of nonzero rationals is nonzero: nothing to test
-        return Vec._raw(tuple((i, x * s) for i, x in self._nz), len(self._c))
+        return Vec._raw(tuple((i, x * s) for i, x in self._nz), self._len)
 
     __rmul__ = __mul__
 
@@ -230,22 +225,62 @@ def combine(terms, dim: int) -> Vec:
     return _collect(acc, dim)
 
 
+def matsum(terms, nrows: int, ncols: int) -> "Mat":
+    """The nrows x ncols matrix sum_t c_t A_t B_t, built with no intermediate.
+
+    Each term is (c, A, B) for c A B, or (c, A) for c A; c is an int or
+    a Fraction, and a term with c = 0 is skipped.  Row r accumulates in
+    one dict: each nonzero A[r, k] is scaled by c once, with no multiply
+    for c = 1 or -1, then written at column k or multiplied into row k
+    of B.  Each entry written is tested for cancellation once, at the end.
+    """
+    plan = []
+    for c, A, *B in terms:
+        B = B[0] if B else None
+        s = _scalar(c)
+        if s is None:
+            raise ParameterError(f"coefficient {c!r} rejected: use an int or a Fraction")
+        inner_dim = ncols if B is None else B.shape[0]
+        if A.shape != (nrows, inner_dim) or (B is not None and B.shape[1] != ncols):
+            shapes = A.shape if B is None else f"{A.shape} @ {B.shape}"
+            raise DimensionMismatchError(f"term {shapes} in a {(nrows, ncols)} sum")
+        if s:
+            sign = 1 if s == 1 else -1 if s == -1 else 0
+            plan.append((sign, s, A._vecs, None if B is None else B._vecs))
+    rows = []
+    for r in range(nrows):
+        acc = {}
+        get = acc.get
+        for sign, s, arows, brows in plan:
+            for k, x in arows[r]._nz:
+                a = x if sign == 1 else -x if sign == -1 else s * x
+                if brows is None:
+                    v = get(k)
+                    acc[k] = a if v is None else v + a
+                    continue
+                for j, y in brows[k]._nz:
+                    v = get(j)
+                    acc[j] = a * y if v is None else v + a * y
+        rows.append(_collect(acc, ncols))
+    return Mat._raw(tuple(rows))
+
+
 class Mat:
     """Immutable square or rectangular matrix of Fractions, row-major.
 
     ``m @ v`` applies the matrix to a vector (columns act on coefficients),
     ``m @ m2`` composes.  ``m[i, j]`` reads the entry in row i, column j.
     The rows are vectors with their supports; the columns are built as
-    vectors on first use and cached, and products sum them over supports.
+    vectors on first use and cached.  Every operator between matrices is
+    one ``matsum`` call.
     """
 
-    __slots__ = ("_rows", "_vecs", "_cols")
+    __slots__ = ("_vecs", "_cols")
 
     def __init__(self, rows):
         vecs = tuple(row if isinstance(row, Vec) else Vec(row) for row in rows)
-        if vecs and any(len(v) != len(vecs[0]) for v in vecs):
+        if vecs and any(v._len != vecs[0]._len for v in vecs):
             raise DimensionMismatchError("ragged rows in matrix literal")
-        self._rows = tuple(v._c for v in vecs)
         self._vecs = vecs
         self._cols = None
 
@@ -253,13 +288,9 @@ class Mat:
     def _raw(cls, vecs: tuple) -> "Mat":
         # rows given as vectors of one length
         m = object.__new__(cls)
-        m._rows = tuple(v._c for v in vecs)
         m._vecs = vecs
         m._cols = None
         return m
-
-    def _row_supports(self) -> tuple:
-        return tuple(v._nz for v in self._vecs)
 
     def _columns(self) -> tuple:
         if self._cols is None:
@@ -294,95 +325,69 @@ class Mat:
 
     @property
     def shape(self):
-        return (len(self._rows), len(self._rows[0]) if self._rows else 0)
+        vecs = self._vecs
+        return (len(vecs), vecs[0]._len if vecs else 0)
 
     def col(self, j: int) -> Vec:
         return self._columns()[j]
 
     def __getitem__(self, key):
         i, j = key
-        return self._rows[i][j]
+        return self._vecs[i][j]
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self._rows == other._rows
+        return isinstance(other, Mat) and self._vecs == other._vecs
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash(self._vecs)
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(rat_str(x) for x in row) for row in self._rows
-        )
+        body = "; ".join(" ".join(rat_str(x) for x in row) for row in self._vecs)
         return f"Mat[{body}]"
 
     def __add__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.shape != other.shape:
-            raise DimensionMismatchError(
-                f"matrix shapes differ: {self.shape} vs {other.shape}"
-            )
-        return Mat._raw(tuple(u + v for u, v in zip(self._vecs, other._vecs)))
+        return matsum(((1, self), (1, other)), *self.shape)
 
     def __sub__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self + (-other)
+        return matsum(((1, self), (-1, other)), *self.shape)
 
     def __neg__(self):
-        return Mat._raw(tuple(-v for v in self._vecs))
+        return matsum(((-1, self),), *self.shape)
 
     def __mul__(self, scalar):
-        s = _scalar(scalar)
-        if s is None:
-            return NotImplemented
-        return Mat._raw(tuple(v * s for v in self._vecs))
+        return matsum(((scalar, self),), *self.shape)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         nrows, ncols = self.shape
         if isinstance(other, Vec):
-            if len(other._c) != ncols:
+            if other._len != ncols:
                 raise DimensionMismatchError(
-                    f"matrix is {self.shape} but vector has length {len(other)}"
+                    f"matrix is {self.shape} but vector has length {other._len}"
                 )
             cols = self._columns()
             return combine([(x, cols[k]) for k, x in other._nz], nrows)
         if isinstance(other, Mat):
-            orows, ocols = other.shape
-            if ncols != orows:
-                raise DimensionMismatchError(
-                    f"cannot compose {self.shape} with {other.shape}"
-                )
-            # row i of the product is sum_k a_ik (row k of other)
-            ovecs = other._vecs
-            return Mat._raw(
-                tuple(
-                    combine([(a, ovecs[k]) for k, a in v._nz], ocols)
-                    for v in self._vecs
-                )
-            )
+            return matsum(((1, self, other),), nrows, other.shape[1])
         return NotImplemented
 
     def transpose(self) -> "Mat":
-        return Mat._raw(self._columns())
-
-    def is_symmetric(self) -> bool:
-        return self == self.transpose()
-
-    def is_diagonal(self) -> bool:
-        return all(
-            all(j == i for j, _ in sup) for i, sup in enumerate(self._row_supports())
-        )
+        t = Mat._raw(self._columns())
+        t._cols = self._vecs
+        return t
 
     def is_zero(self) -> bool:
-        return not any(self._row_supports())
+        return not any(v._nz for v in self._vecs)
 
     def nonzero_entries(self):
         """((i, j), entry) for every nonzero entry, row by row."""
-        for i, sup in enumerate(self._row_supports()):
-            for j, x in sup:
+        for i, v in enumerate(self._vecs):
+            for j, x in v._nz:
                 yield (i, j), x
 
 
@@ -392,8 +397,8 @@ def dot(u: Vec, v: Vec) -> Fraction:
     A covector stored as coefficients (such as eta) acts on vectors this
     way, with no metric involved.
     """
-    if len(u._c) != len(v._c):
-        raise DimensionMismatchError(f"dot product dims: u={len(u)}, v={len(v)}")
+    if u._len != v._len:
+        raise DimensionMismatchError(f"dot product dims: u={u._len}, v={v._len}")
     vc = v._c
     total = None
     for k, x in u._nz:
@@ -405,8 +410,8 @@ def dot(u: Vec, v: Vec) -> Fraction:
 
 def inner(u: Vec, v: Vec, G: Mat) -> Fraction:
     """Metric pairing u^T G v, exact, over the supports of u, G and v."""
-    dim = len(u._c)
-    if len(v._c) != dim or G.shape != (dim, dim):
+    dim = u._len
+    if v._len != dim or G.shape != (dim, dim):
         raise DimensionMismatchError(
             f"inner product dims: u={len(u)}, v={len(v)}, G={G.shape}"
         )
@@ -426,7 +431,7 @@ def solve_diagonal_metric(G: Mat, rhs: Vec) -> Vec:
     dim = len(rhs)
     if G.shape != (dim, dim):
         raise DimensionMismatchError(f"metric is {G.shape}, rhs has length {dim}")
-    if not G.is_diagonal():
+    if any(j != i for i, v in enumerate(G._vecs) for j, _ in v._nz):
         raise SingularMetricError("metric is not diagonal")
     for i in range(dim):
         if G[i, i] == 0:
@@ -436,27 +441,21 @@ def solve_diagonal_metric(G: Mat, rhs: Vec) -> Vec:
 
 def outer(u: Vec, w: Vec) -> Mat:
     """Rank-one matrix u w^T, built over the support of u; it maps v to w(v) * u."""
-    rows = [Vec.zero(len(w._c))] * len(u._c)
+    rows = [Vec.zero(w._len)] * u._len
     for i, x in u._nz:
         rows[i] = w * x
     return Mat._raw(tuple(rows))
 
 
 def rank(M: Mat) -> int:
-    """Exact rank by fraction-free Gaussian elimination."""
-    rows = [list(r) for r in M._rows]
-    nrows, ncols = M.shape
-    r = 0
-    for j in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][j] != 0), None)
+    """Exact rank by Gaussian elimination to row echelon form, over supports."""
+    rows, r = list(M._vecs), 0
+    for j in range(M.shape[1]):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][j]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][j] != 0:
-                factor = rows[i][j] / rows[r][j]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        p = rows[r]
+        rows[r + 1:] = [row - p * (row[j] / p[j]) if row[j] else row for row in rows[r + 1:]]
         r += 1
-        if r == nrows:
-            break
     return r

@@ -25,7 +25,7 @@ from .connection import ConnectionTable, CurvatureTable, curvature_from, is_anti
 from .contact import ContactStructure, ModelInvariants, standard_phi
 from .errors import NonInvolutiveError, ParameterError, StructureError
 from .liealg import LieAlgebraModel, bracket
-from .linalg import Mat, Vec, combine, inner, rat, rat_str
+from .linalg import Mat, Vec, combine, dot, inner, matsum, rat, rat_str
 from .report import IdentityRecord, scan
 
 @dataclass(frozen=True)
@@ -289,24 +289,15 @@ def second_fundamental_form(
                 raise StructureError(f"sigma is not symmetric at ({a}, {b})")
     nb, br, sigma = (tuple(tuple(row) for row in t) for t in (nb, br, sigma))
 
-    mean = Vec.zero(model.dim)
-    for a in range(n):
-        mean = mean + (Fraction(1) / frame.norms[a]) * sigma[a][a]
-    mean = Fraction(1, n) * mean
+    mean = combine(((1 / (n * frame.norms[a]), sigma[a][a]) for a in range(n)), model.dim)
 
+    umbilical = None
     if all(sigma[a][b].is_zero() for a in range(n) for b in range(n)):
         classification = "totally_geodesic"
-        umbilical = None
+    elif all(sigma[a][b] == mean * frame.gram[a][b] for a in range(n) for b in range(n)):
+        classification, umbilical = "totally_umbilical", mean
     else:
-        umbilical = mean
-        is_umbilical = all(
-            sigma[a][b] == frame.gram[a][b] * mean
-            for a in range(n)
-            for b in range(n)
-        )
-        classification = "totally_umbilical" if is_umbilical else "generic"
-        if not is_umbilical:
-            umbilical = None
+        classification = "generic"
 
     return SubmanifoldGeometry(
         spec=spec,
@@ -355,10 +346,10 @@ def split_h(cs: ContactStructure, geom: SubmanifoldGeometry) -> tuple[Mat, Mat]:
 
 def _operator_symmetry_residuals(frame: _Frame, M: Mat):
     """g(M v_a, v_b) - g(v_a, M v_b) over the frame."""
-    # lowered[a, b] = g(v_a, M v_b), so the residual is its skew part
-    lowered = frame.induced @ M
-    skew = lowered.transpose() - lowered
+    # lowered = diag(norms) M has lowered[a, b] = g(v_a, M v_b), so the
+    # residual is its skew part, M^T diag(norms) - diag(norms) M
     n = len(frame.vectors)
+    skew = matsum(((1, M.transpose(), frame.induced), (-1, frame.induced, M)), n, n)
     for a in range(n):
         for b in range(n):
             yield (a, b), skew[a, b]
@@ -383,20 +374,24 @@ def verify_split_identities(
             yield (a,), cs.h @ vectors[a] - recon
 
     def sigma_xi_residuals():
-        h2v = [frame.span @ h2.col(b) for b in range(n)]
+        # in frame coordinates g(v_a, h2 v_b) = norms[a] h2[a, b], so the
+        # residuals are the entries of S + diag(norms) h2, S[a, b] the
+        # pairing g(sigma(v_a, v_b), xi) with the covector G xi
+        g_xi = cs.metric @ cs.xi
+        S = Mat([dot(entry, g_xi) for entry in row] for row in sigma)
+        res = matsum(((1, S), (1, frame.induced, h2)), n, n)
         for a in range(n):
             for b in range(n):
-                yield (a, b), inner(sigma[a][b], cs.xi, cs.metric) + inner(
-                    vectors[a], h2v[b], cs.metric
-                )
+                yield (a, b), res[a, b]
 
-    square_sum = h1 @ h1 + h2 @ h2 - (1 - kappa) * Mat.identity(n)
+    square_sum = matsum(((1, h1, h1), (1, h2, h2), (kappa - 1, Mat.identity(n))), n, n)
+    commutator = matsum(((1, h1, h2), (-1, h2, h1)), n, n)
     return [
         scan("h_split", split_residuals()),
         scan("h1_symmetric", _operator_symmetry_residuals(frame, h1)),
         scan("h2_symmetric", _operator_symmetry_residuals(frame, h2)),
         scan("h1_sq_plus_h2_sq", square_sum.nonzero_entries()),
-        scan("h1_h2_commute", (h1 @ h2 - h2 @ h1).nonzero_entries()),
+        scan("h1_h2_commute", commutator.nonzero_entries()),
         scan("sigma_xi_h2", sigma_xi_residuals()),
     ]
 
@@ -430,13 +425,12 @@ def verify_prop32(
                 yield (a, b), shape + phi @ sigma[a][b]
 
     def normal_connection_residuals():
+        # in frame coordinates g(v_a, v_b + h1 v_b) = norms[a] (Id + h1)[a, b]
+        P = matsum(((1, frame.induced), (1, frame.induced, h1)), n, n)
         for a in range(n):
             for b in range(n):
                 lhs = frame.normal(conn.nabla(vectors[a], phi @ vectors[b]))
-                h1vb = frame.span @ h1.col(b)
-                rhs = phi @ (frame.span @ nb[a][b]) + inner(
-                    vectors[a], vectors[b] + h1vb, G
-                ) * cs.xi
+                rhs = phi @ (frame.span @ nb[a][b]) + cs.xi * P[a, b]
                 yield (a, b), lhs - rhs
 
     # nablabar_{v_a} and phi sigma(v_a, .) as operators on frame coordinates
@@ -447,8 +441,9 @@ def verify_prop32(
         # (nablabar_X M) Y = [nablabar_X, M] Y vs sign * (phi sigma(X, other Y)
         # + other phi sigma(X, Y)), an anticommutator with phi sigma(X, .)
         for a in range(n):
-            C = phi_sigma[a]
-            res = nb_ops[a] @ M - M @ nb_ops[a] - sign * (C @ other + other @ C)
+            C, op = phi_sigma[a], nb_ops[a]
+            terms = ((1, op, M), (-1, M, op), (-sign, C, other), (-sign, other, C))
+            res = matsum(terms, n, n)
             yield from (((a, b), res.col(b)) for b in range(n))
 
     return [
@@ -690,11 +685,7 @@ def analyze_submanifold(
 
     def scalar_multiple_of_identity(M):
         s = M[0, 0]
-        for a in range(n):
-            for b in range(n):
-                if M[a, b] != (s if a == b else 0):
-                    return None
-        return s
+        return s if M == s * Mat.identity(n) else None
 
     s1 = scalar_multiple_of_identity(h1)
     s2 = scalar_multiple_of_identity(h2)

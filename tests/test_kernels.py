@@ -137,6 +137,12 @@ def as_lists(table):
     return table
 
 
+def dense_rows(M):
+    """The entries of M as a list of row lists, read one index at a time."""
+    nrows, ncols = M.shape
+    return [[M[i, j] for j in range(ncols)] for i in range(nrows)]
+
+
 def exact_vec(v, expected):
     assert all(type(x) is Fraction for x in v)
     assert list(v) == expected
@@ -180,7 +186,7 @@ def test_matvec_matches_dense(rows, vs, noise):
 @given(sparse_rows(3, 4), sparse_rows(4, 5), sparse_rows(4, 5))
 def test_matmat_matches_dense(a_rows, b_rows, c_rows):
     A, B = Mat(a_rows), Mat(b_rows)
-    assert [list(r) for r in (A @ B)._rows] == dense_matmat(a_rows, b_rows)
+    assert dense_rows(A @ B) == dense_matmat(a_rows, b_rows)
     # A (B - C) + A C = A B, with the partial sums cancelling
     C = Mat(c_rows)
     assert A @ (B - C) + A @ C == A @ B
@@ -196,7 +202,7 @@ def test_inner_matches_dense(us, vs, g_rows):
     G = Mat(g_rows)
     assert inner(u, v, G) == dense_inner(us, vs, g_rows)
     diagonal = Mat.diagonal([g_rows[i][i] for i in range(5)])
-    assert inner(u, v, diagonal) == dense_inner(us, vs, [list(r) for r in diagonal._rows])
+    assert inner(u, v, diagonal) == dense_inner(us, vs, dense_rows(diagonal))
     assert inner(u, -u, Mat.identity(5)) + inner(u, u, Mat.identity(5)) == 0
 
 
@@ -218,8 +224,9 @@ def assert_support(v):
 
 
 def assert_mat_support(M):
-    for row in M._vecs:
-        assert_support(row)
+    rows = M.transpose()
+    for i in range(M.shape[0]):
+        assert_support(rows.col(i))
     for j in range(M.shape[1]):
         assert_support(M.col(j))
 
@@ -275,12 +282,12 @@ def test_matrix_kernels_write_exact_supports_over_cancelling_columns(rows, vs, n
         assert_support(out)
     for P in (
         M, C, M.transpose(), M + (-M), M - M, s * M, M * 0,
-        C @ Mat(2 * [list(r) for r in M.transpose()._rows]),
+        C @ Mat(2 * dense_rows(M.transpose())),
         outer(v, w), Mat.identity(5), Mat.zeros(4, 5), Mat.diagonal(vs),
     ):
         assert_mat_support(P)
     assert (M - M).is_zero() and (M + (-M)).is_zero()
-    assert (C @ Mat(2 * [list(r) for r in M.transpose()._rows])).is_zero()
+    assert (C @ Mat(2 * dense_rows(M.transpose()))).is_zero()
     diagonal = Mat.diagonal([x if x else Fraction(1) for x in noise])
     assert_support(solve_diagonal_metric(diagonal, v))
 
@@ -330,7 +337,7 @@ def test_curvature_apply_matches_dense(table, us, vs, ws):
 
 
 def assert_tables_match_dense(m, conn, R):
-    gamma, curvature, lowered = dense_tables(m.structure, as_lists(conn.metric._rows))
+    gamma, curvature, lowered = dense_tables(m.structure, dense_rows(conn.metric))
     assert as_lists(conn.gamma) == gamma
     assert as_lists(R.table) == curvature
     assert as_lists(R.lowered_table) == lowered

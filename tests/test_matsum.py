@@ -1,0 +1,173 @@
+"""The matrix kernel ``matsum`` against a dense list-of-lists definition.
+
+``matsum(terms, nrows, ncols)`` evaluates sum_t c_t A_t B_t (or c_t A_t)
+one output row at a time.  The reference below multiplies and adds
+every entry with no zero test, so a kernel that loses a sign, keeps a
+cancelled entry or reads B the wrong way round disagrees with it.
+Inputs are sparse rationals of random rectangular shapes, and every
+example also carries terms that cancel exactly.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kmu.errors import DimensionMismatchError, KmuError, ParameterError
+from kmu.linalg import Mat, Vec, matsum
+
+from test_kernels import assert_support, dense_matmat, dense_rows, sparse_rows
+from test_linalg import rationals
+
+ZERO = Fraction(0)
+
+# 0 and +-1 take their own paths through the kernel, as ints or Fractions
+coefficients = st.one_of(
+    st.sampled_from([0, 1, -1, ZERO, Fraction(1), Fraction(-1)]),
+    st.integers(-3, 3),
+    rationals,
+)
+sizes = st.integers(1, 4)
+
+
+@st.composite
+def sums(draw):
+    """(nrows, ncols, terms) with dense list-of-lists factors.
+
+    Up to two of the terms come back with the opposite coefficient, so
+    parts of the sum cancel to exactly zero.
+    """
+    nrows, ncols = draw(sizes), draw(sizes)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(coefficients)
+        if draw(st.booleans()):
+            k = draw(sizes)
+            terms.append((c, draw(sparse_rows(nrows, k)), draw(sparse_rows(k, ncols))))
+        else:
+            terms.append((c, draw(sparse_rows(nrows, ncols))))
+    for c, *factors in draw(st.lists(st.sampled_from(terms), max_size=2)):
+        terms.append((-c, *factors))
+    return nrows, ncols, draw(st.permutations(terms))
+
+
+def dense_sum(terms, nrows, ncols):
+    out = [[ZERO] * ncols for _ in range(nrows)]
+    for c, *factors in terms:
+        M = factors[0] if len(factors) == 1 else dense_matmat(*factors)
+        for i in range(nrows):
+            for j in range(ncols):
+                out[i][j] += c * M[i][j]
+    return out
+
+
+def kernel_terms(terms):
+    return [(c, *(Mat(f) for f in factors)) for c, *factors in terms]
+
+
+def assert_exact_matrix(M, expected):
+    """M has the expected entries, and every row and column its exact support."""
+    assert dense_rows(M) == expected
+    rows, (nrows, ncols) = M.transpose(), M.shape
+    for i in range(nrows):
+        assert_support(rows.col(i))
+    for j in range(ncols):
+        assert_support(M.col(j))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sums())
+def test_matsum_matches_the_dense_definition(example):
+    nrows, ncols, terms = example
+    M = matsum(kernel_terms(terms), nrows, ncols)
+    assert M.shape == (nrows, ncols)
+    assert_exact_matrix(M, dense_sum(terms, nrows, ncols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes, sizes, sizes, st.data())
+def test_matrix_operators_match_the_dense_definition(nrows, k, ncols, data):
+    a, b = data.draw(sparse_rows(nrows, k)), data.draw(sparse_rows(nrows, k))
+    c = data.draw(sparse_rows(k, ncols))
+    s = data.draw(coefficients)
+    A, B, C = Mat(a), Mat(b), Mat(c)
+    assert_exact_matrix(A + B, dense_sum([(1, a), (1, b)], nrows, k))
+    assert_exact_matrix(A - B, dense_sum([(1, a), (-1, b)], nrows, k))
+    assert_exact_matrix(-A, dense_sum([(-1, a)], nrows, k))
+    assert_exact_matrix(s * A, dense_sum([(s, a)], nrows, k))
+    assert_exact_matrix(A @ C, dense_sum([(1, a, c)], nrows, ncols))
+    # the same sums cancelled exactly
+    for zero in (A - A, A + (-A), (A + B) - B - A, s * A - A * s, A @ C - A @ C):
+        assert_exact_matrix(zero, [[ZERO] * zero.shape[1]] * nrows)
+        assert zero.is_zero()
+
+
+def test_unit_coefficients_cost_no_multiply(monkeypatch):
+    A = Mat([[Fraction(1, 2), 0, Fraction(-3)], [0, Fraction(5, 7), 0]])
+    B = Mat([[Fraction(2, 3), 1, 0], [0, 0, Fraction(4)]])
+    expected = dense_sum([(1, dense_rows(A)), (-1, dense_rows(B))], 2, 3)
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        method = getattr(Fraction, name)
+        monkeypatch.setattr(
+            Fraction, name, lambda x, y, method=method: calls.append(name) or method(x, y)
+        )
+    M = matsum([(1, A), (-1, B), (Fraction(-1), B), (Fraction(1), B)], 2, 3)
+    monkeypatch.undo()
+    assert calls == []
+    assert dense_rows(M) == expected
+    # with c = 1 the entries of A are written as they are
+    assert all(M[i, j] is A[i, j] for (i, j), _ in A.nonzero_entries() if not B[i, j])
+
+
+def test_kernel_refuses_bad_shapes_with_a_typed_error():
+    A = Mat([[1, 2, 0]])  # 1 x 3
+    B = Mat([[1], [0], [3]])  # 3 x 1
+    bad_sums = [
+        ([(1, A, B)], 1, 2),  # product is 1 x 1
+        ([(1, A, A)], 1, 3),  # inner sizes differ
+        ([(1, A)], 2, 3),  # too few rows
+        ([(1, A), (1, B)], 1, 3),  # second term of another shape
+        ([(0, A)], 2, 3),  # a zero coefficient still has a shape
+    ]
+    for terms, nrows, ncols in bad_sums:
+        with pytest.raises(DimensionMismatchError):
+            matsum(terms, nrows, ncols)
+    for expression in (lambda: A + B, lambda: A - B, lambda: A @ A):
+        with pytest.raises(DimensionMismatchError):
+            expression()
+    assert issubclass(DimensionMismatchError, KmuError)
+
+
+@pytest.mark.parametrize("coefficient", [True, False, 0.5, "1", None])
+def test_kernel_refuses_non_rational_coefficients(coefficient):
+    A = Mat([[1, 0], [0, 2]])
+    with pytest.raises(ParameterError):
+        matsum([(coefficient, A)], 2, 2)
+    with pytest.raises(ParameterError):
+        matsum([(coefficient, A, A)], 2, 2)
+    if isinstance(coefficient, bool):
+        with pytest.raises(ParameterError):
+            A * coefficient
+
+
+@settings(max_examples=60, deadline=None)
+@given(sums())
+def test_lazy_vectors_agree_with_their_dense_form(example):
+    nrows, ncols, terms = example
+    M = matsum(kernel_terms(terms), nrows, ncols)
+    expected = dense_sum(terms, nrows, ncols)
+    rows = M.transpose()
+    for i in range(nrows):
+        row = rows.col(i)
+        assert row._d is None  # a kernel's output holds no dense tuple
+        dense = Vec(expected[i])
+        assert row == dense and dense == row
+        assert hash(row) == hash(dense)
+        assert len(row) == ncols
+        assert [row[j] for j in range(ncols)] == expected[i]
+        assert list(row) == expected[i] and tuple(row) == tuple(dense)
+        # the same support at another length is another vector
+        assert row != Vec(expected[i] + [ZERO])
+    assert M == Mat(expected) and hash(M) == hash(Mat(expected))

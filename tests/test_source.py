@@ -56,6 +56,19 @@ def test_only_linalg_writes_vector_supports():
     assert sites and all(site.startswith("linalg.py:") for site in sites), sites
 
 
+def test_only_linalg_reads_vector_and_matrix_storage():
+    # vectors and matrices are read through their public methods everywhere
+    # else, so how linalg stores them (supports, lengths, the lazy dense
+    # tuple, rows and cached columns) can change in one module
+    storage = {"_c", "_cols", "_d", "_len", "_nz", "_rows", "_vecs"}
+    sites = [
+        f"{name}:{node.lineno} .{node.attr}"
+        for name, node in _nodes()
+        if isinstance(node, ast.Attribute) and node.attr in storage
+    ]
+    assert sites and all(site.startswith("linalg.py:") for site in sites), sites
+
+
 def test_only_linalg_names_the_shared_constants():
     # a zero is skipped inside the kernels, which tell the shared zero by
     # identity; a check elsewhere that compared against _ZERO or _ONE
