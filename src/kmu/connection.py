@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .errors import DegeneratePlaneError, DimensionMismatchError
 from .liealg import LieAlgebraModel
-from .linalg import Mat, Vec, combine, inner, matsum, solve_diagonal_metric
+from .linalg import Mat, Vec, combine, inner, matsum, metric_diagonal
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,14 @@ class ConnectionTable:
 class CurvatureTable:
     """Curvature components: table[i][j][k] = R(e_i, e_j) e_k as a Vec.
 
-    ``lowered_table[i][j][k][l]`` caches g(R(e_i, e_j) e_k, e_l).
+    ``table`` is the one stored copy of R; the lowering and the
+    antisymmetry residuals are views derived from it on first read, so a
+    table rebuilt with ``replace(R, table=...)`` derives its own.
     """
 
     dim: int
     metric: Mat
     table: tuple
-    lowered_table: tuple
 
     def apply(self, u: Vec, v: Vec, w: Vec) -> Vec:
         """Multilinear extension of the basis table, over the supports."""
@@ -89,9 +90,25 @@ class CurvatureTable:
         return combine(terms(), self.dim)
 
     @cached_property
+    def lowered_table(self) -> tuple:
+        """lowered_table[i][j][k][l] = g(R(e_i, e_j) e_k, e_l), a Vec per (i, j, k)."""
+        gt = self.metric.transpose()
+        return tuple(
+            tuple(tuple(v if v.is_zero() else gt @ v for v in row) for row in plane)
+            for plane in self.table
+        )
+
+    @cached_property
+    def antisymmetry_failures(self) -> tuple:
+        """The nonzero ``antisymmetry_residuals`` of ``table``, in scan order."""
+        return tuple(
+            (w, anti) for w, anti in antisymmetry_residuals(self.table) if not anti.is_zero()
+        )
+
+    @property
     def antisymmetric(self) -> bool:
-        """``is_antisymmetric(table)``, checked once per table."""
-        return is_antisymmetric(self.table)
+        """``is_antisymmetric(table)``, read off ``antisymmetry_failures``."""
+        return not self.antisymmetry_failures
 
     def lowered_basis(self, i: int, j: int, k: int, l: int) -> Fraction:
         return self.lowered_table[i][j][k][l]
@@ -105,25 +122,33 @@ def levi_civita(model: LieAlgebraModel, metric: Mat | None = None) -> Connection
 
     ``metric`` defaults to the model's own metric; passing a different
     (diagonal) one computes the connection of that metric on the same
-    group, which is how deformed structures reuse this code.
+    group, which is how deformed structures reuse this code.  Each nonzero
+    g([e_p, e_q], e_r) feeds 2 g(nabla_i e_j, e_k) at (i, j, k) = (p, q, r),
+    negated at (r, p, q) and again at (q, r, p); every other slot is zero.
     """
     G = model.metric if metric is None else metric
     dim = model.dim
-    # low[i][j][k] = g([e_i, e_j], e_k), lowered once per bracket
-    gt = G.transpose()
-    low = [[tuple(gt @ c_ij) for c_ij in row] for row in model.structure]
-    zero = Fraction(0)
-    gamma = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            rhs = []
-            for k in range(dim):
-                a, b, c = low[i][j][k], low[j][k][i], low[k][i][j]
-                rhs.append((a - b + c) / 2 if a or b or c else zero)
-            row.append(solve_diagonal_metric(G, Vec(rhs)))
-        gamma.append(tuple(row))
-    return ConnectionTable(dim=dim, metric=G, gamma=tuple(gamma))
+    if G.shape != (dim, dim):
+        raise DimensionMismatchError(f"metric is {G.shape} on a dim-{dim} model")
+    diagonal = metric_diagonal(G)
+    twice = [2 * d for d in diagonal]
+    # koszul[i][j][k] = 2 g(nabla_i e_j, e_k), over the brackets' supports
+    koszul = [[{} for _ in range(dim)] for _ in range(dim)]
+    for p, row in enumerate(model.structure):
+        for q, c_pq in enumerate(row):
+            for r, x in c_pq.nonzero_entries():
+                low = x * diagonal[r]
+                for i, j, k, y in ((p, q, r, low), (r, p, q, -low), (q, r, p, low)):
+                    acc = koszul[i][j]
+                    acc[k] = acc[k] + y if k in acc else y
+    gamma = tuple(
+        tuple(
+            Vec.from_dict({k: x / twice[k] for k, x in acc.items() if x}, dim)
+            for acc in row
+        )
+        for row in koszul
+    )
+    return ConnectionTable(dim=dim, metric=G, gamma=gamma)
 
 
 def torsion_residuals(model: LieAlgebraModel, conn: ConnectionTable):
@@ -179,16 +204,7 @@ def curvature_from(ops, brackets) -> tuple:
 def riemann(model: LieAlgebraModel, conn: ConnectionTable) -> CurvatureTable:
     """R(e_i, e_j) e_k from the connection operators and the bracket table."""
     table = curvature_from(conn.ops, model.structure)
-    # g(R(e_i, e_j) e_k, e_l) = sum_m R^m_ijk g_ml: the transposed metric
-    # applied to each entry, over the entry's and the metric's supports
-    gt = conn.metric.transpose()
-    lowered = tuple(
-        tuple(tuple(tuple(gt @ entry) for entry in row) for row in plane)
-        for plane in table
-    )
-    return CurvatureTable(
-        dim=model.dim, metric=conn.metric, table=table, lowered_table=lowered
-    )
+    return CurvatureTable(dim=model.dim, metric=conn.metric, table=table)
 
 
 def antisymmetry_residuals(table):
@@ -222,28 +238,33 @@ def curvature_symmetry_residuals(R: CurvatureTable):
     antisymmetry and Bianchi residuals are ``Vec``s.  Scans the
     generating index ranges; the remaining tuples follow from the
     symmetries already established (diagonal antisymmetry cases and
-    permuted Bianchi sums are linear consequences).
+    permuted Bianchi sums are linear consequences).  Pair symmetry checks
+    (i, j, k, l) with i < j, k <= l and k = l or (k, l) >= (i, j); it
+    visits only the tuples where a lowered entry it reads is nonzero.
     """
-    dim = R.dim
-    low = R.lowered_table
-    out = [(w, anti) for w, anti in antisymmetry_residuals(R.table) if not anti.is_zero()]
+    dim, table, low = R.dim, R.table, R.lowered_table
+    out = list(R.antisymmetry_failures)
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                bianchi = R.table[i][j][k] + R.table[j][k][i] + R.table[k][i][j]
+                bianchi = table[i][j][k] + table[j][k][i] + table[k][i][j]
                 if not bianchi.is_zero():
                     out.append(((i, j, k), bianchi))
+    tuples = set()  # each nonzero lowered entry at its own tuple or its mirror
     for i in range(dim):
         for j in range(i + 1, dim):
-            for k in range(dim):
-                # second-slot-pair diagonal must vanish by pair symmetry
-                if low[i][j][k][k] != 0:
-                    out.append(((i, j, k, k), low[i][j][k][k]))
-                for l in range(k + 1, dim):
-                    if (k, l) < (i, j):
-                        continue
-                    if low[i][j][k][l] != low[k][l][i][j]:
-                        out.append(((i, j, k, l), low[i][j][k][l] - low[k][l][i][j]))
+            for k, entry in enumerate(low[i][j]):
+                for l, _ in entry.nonzero_entries():
+                    if l == k or (l > k and (k, l) >= (i, j)):
+                        tuples.add((i, j, k, l))
+                    elif l > k:
+                        tuples.add((k, l, i, j))
+    for i, j, k, l in sorted(tuples):
+        if k == l:
+            # second-slot-pair diagonal must vanish by pair symmetry
+            out.append(((i, j, k, k), low[i][j][k][k]))
+        elif low[i][j][k][l] != low[k][l][i][j]:
+            out.append(((i, j, k, l), low[i][j][k][l] - low[k][l][i][j]))
     return out
 
 
@@ -266,9 +287,15 @@ def covariant_derivative_11(conn: ConnectionTable, T: Mat, X: Vec) -> Mat:
     return matsum(terms, dim, dim)
 
 
+def gram_determinant(uu: Fraction, vv: Fraction, uv: Fraction) -> Fraction:
+    """|u|^2 |v|^2 - g(u, v)^2 from the pairings; no square when g(u, v) = 0."""
+    return uu * vv - uv ** 2 if uv else uu * vv
+
+
 def sectional_curvature(R: CurvatureTable, G: Mat, u: Vec, v: Vec) -> Fraction:
     """K(u, v) = R(u,v,v,u) / (|u|^2 |v|^2 - g(u,v)^2), basis-invariant."""
-    denom = inner(u, u, G) * inner(v, v, G) - inner(u, v, G) ** 2
+    denom = gram_determinant(inner(u, u, G), inner(v, v, G), inner(u, v, G))
     if denom == 0:
         raise DegeneratePlaneError("u and v do not span a plane")
-    return R.lowered(u, v, v, u) / denom
+    numerator = R.lowered(u, v, v, u)
+    return numerator / denom if numerator else numerator

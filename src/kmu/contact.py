@@ -19,7 +19,7 @@ from functools import cached_property
 from .connection import ConnectionTable, CurvatureTable
 from .errors import NotKappaMuError, StructureError
 from .liealg import LieAlgebraModel, bracket
-from .linalg import Mat, Vec, combine, dot, inner, matsum, outer, rank, rat_str
+from .linalg import Mat, Vec, combine, dot, matsum, outer, rank, rat_str
 from .report import IdentityRecord, scan
 
 
@@ -146,12 +146,11 @@ def check_contact_axioms(
     compat = phi.transpose() @ G @ phi - G + outer(eta, eta)
     verdict("metric_phi_compatibility", compat.nonzero_entries())
 
-    verdict("contact_condition", (
-        ((i, j), inner(Vec.basis(dim, i), phi @ Vec.basis(dim, j), G)
-         - d_eta(model, eta, Vec.basis(dim, i), Vec.basis(dim, j)))
-        for i in range(dim)
-        for j in range(dim)
-    ))
+    # g(e_i, phi e_j) - d eta(e_i, e_j) = (G phi)[i, j] + eta([e_i, e_j]) / 2,
+    # with eta of each bracket read off the structure constants
+    eta_brackets = Mat([[dot(c_ij, eta) for c_ij in row] for row in model.structure])
+    contact = matsum(((1, G, phi), (Fraction(1, 2), eta_brackets)), dim, dim)
+    verdict("contact_condition", contact.nonzero_entries())
 
     return records
 
@@ -268,10 +267,14 @@ def verify_structure(
     def kappa_mu_residuals():
         # column j of rhs is eta(e_j) K e_i - eta(e_i) K e_j, K = kappa Id + mu h
         K = matsum(((kappa, Mat.identity(dim)), (mu, h)), dim, dim)
+        xi = cs.xi.nonzero_entries()
         for i in range(dim):
             rhs = matsum(((1, outer(K.col(i), cs.eta)), (-t.eta[i], K)), dim, dim)
+            plane = R.table[i]
             for j in range(dim):
-                yield (i, j), R.apply(t.basis[i], t.basis[j], cs.xi) - rhs.col(j)
+                # R(e_i, e_j) xi over the support of xi
+                R_xi = combine(((x, plane[j][k]) for k, x in xi), dim)
+                yield (i, j), R_xi - rhs.col(j)
 
     return [
         scan("h_structure", h_residuals()),

@@ -123,6 +123,16 @@ class Vec:
         return self._d
 
     @staticmethod
+    def from_dict(entries: dict, dim: int) -> "Vec":
+        """The vector with entries[i] at each index i given, zero elsewhere."""
+        items = sorted(entries.items())
+        if items and not (0 <= items[0][0] and items[-1][0] < dim):
+            raise DimensionMismatchError(
+                f"indices {items[0][0]}..{items[-1][0]} out of range for dim {dim}"
+            )
+        return Vec._raw(tuple((i, _frac(x)) for i, x in items if x), dim)
+
+    @staticmethod
     def zero(dim: int) -> "Vec":
         return Vec._raw((), dim)
 
@@ -212,13 +222,18 @@ def combine(terms, dim: int) -> Vec:
     The sum accumulates over the union of the supports, and each entry
     written is tested for cancellation once, at the end.  A coefficient
     that is the shared zero, as every zero entry of a Vec or Mat is, is
-    skipped without a call; any other zero coefficient only writes zeros
-    that this test drops.
+    skipped without a call, and one that is the shared one, as every unit
+    entry of a basis vector or the identity is, writes v with no multiply;
+    any other zero coefficient only writes zeros that this test drops.
     """
     acc = {}
     get = acc.get
     for coeff, v in terms:
-        if coeff is not _ZERO:
+        if coeff is _ONE:
+            for t, x in v._nz:
+                a = get(t)
+                acc[t] = x if a is None else a + x
+        elif coeff is not _ZERO:
             for t, x in v._nz:
                 a = get(t)
                 acc[t] = coeff * x if a is None else a + coeff * x
@@ -371,6 +386,13 @@ class Mat:
                     f"matrix is {self.shape} but vector has length {other._len}"
                 )
             cols = self._columns()
+            if len(other._nz) == 1:
+                # one column scaled by a nonzero entry: nothing can cancel
+                (k, x), = other._nz
+                col = cols[k]
+                if x is _ONE:
+                    return col
+                return Vec._raw(tuple((i, x * y) for i, y in col._nz), nrows)
             return combine([(x, cols[k]) for k, x in other._nz], nrows)
         if isinstance(other, Mat):
             return matsum(((1, self, other),), nrows, other.shape[1])
@@ -426,17 +448,24 @@ def inner(u: Vec, v: Vec, G: Mat) -> Fraction:
     return _ZERO if total is None else total
 
 
+def metric_diagonal(G: Mat) -> tuple:
+    """The diagonal of a diagonal metric with no zero on it; else SingularMetricError."""
+    rows = G._vecs
+    if any(j != i for i, v in enumerate(rows) for j, _ in v._nz):
+        raise SingularMetricError("metric is not diagonal")
+    for i, v in enumerate(rows):
+        if not v._nz:
+            raise SingularMetricError(f"zero diagonal entry at index {i}")
+    return tuple(v._nz[0][1] for v in rows)
+
+
 def solve_diagonal_metric(G: Mat, rhs: Vec) -> Vec:
     """Solve G w = rhs for a diagonal metric, componentwise and exactly."""
     dim = len(rhs)
     if G.shape != (dim, dim):
         raise DimensionMismatchError(f"metric is {G.shape}, rhs has length {dim}")
-    if any(j != i for i, v in enumerate(G._vecs) for j, _ in v._nz):
-        raise SingularMetricError("metric is not diagonal")
-    for i in range(dim):
-        if G[i, i] == 0:
-            raise SingularMetricError(f"zero diagonal entry at index {i}")
-    return Vec._raw(tuple((i, x / G[i, i]) for i, x in rhs._nz), dim)
+    diagonal = metric_diagonal(G)
+    return Vec._raw(tuple((i, x / diagonal[i]) for i, x in rhs._nz), dim)
 
 
 def outer(u: Vec, w: Vec) -> Mat:

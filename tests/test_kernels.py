@@ -324,7 +324,6 @@ def test_curvature_apply_matches_dense(table, us, vs, ws):
         dim=3,
         metric=Mat.identity(3),
         table=tuple(tuple(tuple(Vec(e) for e in row) for row in plane) for plane in table),
-        lowered_table=(),
     )
     u, v, w = Vec(us), Vec(vs), Vec(ws)
     exact_vec(R.apply(u, v, w), dense_apply(table, us, vs, ws))

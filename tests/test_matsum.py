@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmu.errors import DimensionMismatchError, KmuError, ParameterError
-from kmu.linalg import Mat, Vec, matsum
+from kmu.linalg import _ONE, _ZERO, Mat, Vec, combine, matsum
 
-from test_kernels import assert_support, dense_matmat, dense_rows, sparse_rows
+from test_kernels import assert_support, dense_matmat, dense_rows, sparse_lists, sparse_rows
 from test_linalg import rationals
 
 ZERO = Fraction(0)
@@ -171,3 +171,51 @@ def test_lazy_vectors_agree_with_their_dense_form(example):
         # the same support at another length is another vector
         assert row != Vec(expected[i] + [ZERO])
     assert M == Mat(expected) and hash(M) == hash(Mat(expected))
+
+
+# the shared zero and one, as basis vectors and the identity hold them, and
+# equal values that are other objects
+vector_coefficients = st.one_of(
+    st.sampled_from([_ZERO, _ONE, ZERO, Fraction(1), Fraction(-1)]), rationals
+)
+
+
+@st.composite
+def vector_sums(draw):
+    """(dim, terms) for combine; some terms come back negated, to cancel."""
+    dim = draw(st.integers(1, 5))
+    terms = draw(st.lists(st.tuples(vector_coefficients, sparse_lists(dim)), max_size=5))
+    for c, v in draw(st.lists(st.sampled_from(terms), max_size=2)) if terms else ():
+        terms.append((-c, v))
+    return dim, draw(st.permutations(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_sums())
+def test_combine_matches_the_dense_definition(example):
+    dim, terms = example
+    v = combine([(c, Vec(entries)) for c, entries in terms], dim)
+    expected = [sum((c * entries[t] for c, entries in terms), ZERO) for t in range(dim)]
+    assert list(v) == expected
+    assert_support(v)
+
+
+def test_shared_unit_coefficients_cost_no_multiply(monkeypatch):
+    vectors = [Vec([Fraction(1, 2), 0, -3]), Vec([0, Fraction(5, 7), 3]), Vec.basis(3, 1)]
+    M = Mat([[Fraction(2, 3), 0, 1], [0, 0, Fraction(-4)], [5, 1, 0]])
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        method = getattr(Fraction, name)
+        monkeypatch.setattr(
+            Fraction, name,
+            lambda x, y, method=method, name=name: calls.append(name) or method(x, y),
+        )
+    v = combine([(_ONE, u) for u in vectors], 3)
+    cancelled = combine([(_ONE, vectors[0]), (Fraction(-1), vectors[0])], 3)
+    columns = [M @ Vec.basis(3, k) for k in range(3)]
+    monkeypatch.undo()
+    assert calls == ["__mul__"] * 2  # the -1 coefficient only
+    assert list(v) == [Fraction(1, 2), Fraction(12, 7), ZERO] and v[0] is vectors[0][0]
+    assert cancelled.is_zero()
+    assert columns == [M.col(k) for k in range(3)]
+    assert_support(v)

@@ -108,3 +108,14 @@ def test_package_imports_only_the_standard_library():
         if m.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert modules and outside == [], outside
+
+
+def test_curvature_table_stores_only_its_table():
+    # the lowering and the antisymmetry residuals are derived from table on
+    # first read, so a table rebuilt under a fault row cannot meet a stale
+    # second copy of R
+    from dataclasses import fields
+
+    from kmu.connection import CurvatureTable
+
+    assert [f.name for f in fields(CurvatureTable)] == ["dim", "metric", "table"]
