@@ -67,9 +67,9 @@ class ConnectionTable:
 class CurvatureTable:
     """Curvature components: table[i][j][k] = R(e_i, e_j) e_k as a Vec.
 
-    ``table`` is the one stored copy of R; the lowering and the
-    antisymmetry residuals are views derived from it on first read, so a
-    table rebuilt with ``replace(R, table=...)`` derives its own.
+    ``table`` is the one stored copy of R; the lowering (plane by plane)
+    and the antisymmetry residuals are views derived from it on first
+    read, so a table rebuilt with ``replace(R, table=...)`` derives its own.
     """
 
     dim: int
@@ -90,13 +90,25 @@ class CurvatureTable:
         return combine(terms(), self.dim)
 
     @cached_property
+    def _lowered_planes(self) -> dict:
+        """The planes ``lowered_plane`` has lowered so far, by (i, j)."""
+        return {}
+
+    def lowered_plane(self, i: int, j: int) -> tuple:
+        """g(R(e_i, e_j) e_k, .) as a Vec for each k, lowered on first read."""
+        planes = self._lowered_planes
+        plane = planes.get((i, j))
+        if plane is None:
+            gt = self.metric.transpose()
+            plane = tuple(v if v.is_zero() else gt @ v for v in self.table[i][j])
+            planes[i, j] = plane
+        return plane
+
+    @property
     def lowered_table(self) -> tuple:
-        """lowered_table[i][j][k][l] = g(R(e_i, e_j) e_k, e_l), a Vec per (i, j, k)."""
-        gt = self.metric.transpose()
-        return tuple(
-            tuple(tuple(v if v.is_zero() else gt @ v for v in row) for row in plane)
-            for plane in self.table
-        )
+        """lowered_table[i][j][k][l] = g(R(e_i, e_j) e_k, e_l), every plane lowered."""
+        dim = self.dim
+        return tuple(tuple(self.lowered_plane(i, j) for j in range(dim)) for i in range(dim))
 
     @cached_property
     def antisymmetry_failures(self) -> tuple:
@@ -111,7 +123,7 @@ class CurvatureTable:
         return not self.antisymmetry_failures
 
     def lowered_basis(self, i: int, j: int, k: int, l: int) -> Fraction:
-        return self.lowered_table[i][j][k][l]
+        return self.lowered_plane(i, j)[k][l]
 
     def lowered(self, u: Vec, v: Vec, w: Vec, z: Vec) -> Fraction:
         return inner(self.apply(u, v, w), z, self.metric)
@@ -240,9 +252,10 @@ def curvature_symmetry_residuals(R: CurvatureTable):
     symmetries already established (diagonal antisymmetry cases and
     permuted Bianchi sums are linear consequences).  Pair symmetry checks
     (i, j, k, l) with i < j, k <= l and k = l or (k, l) >= (i, j); it
-    visits only the tuples where a lowered entry it reads is nonzero.
+    visits only the tuples where a lowered entry it reads is nonzero, and
+    lowers only the i < j planes it reads.
     """
-    dim, table, low = R.dim, R.table, R.lowered_table
+    dim, table, low = R.dim, R.table, R.lowered_plane
     out = list(R.antisymmetry_failures)
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -253,7 +266,7 @@ def curvature_symmetry_residuals(R: CurvatureTable):
     tuples = set()  # each nonzero lowered entry at its own tuple or its mirror
     for i in range(dim):
         for j in range(i + 1, dim):
-            for k, entry in enumerate(low[i][j]):
+            for k, entry in enumerate(low(i, j)):
                 for l, _ in entry.nonzero_entries():
                     if l == k or (l > k and (k, l) >= (i, j)):
                         tuples.add((i, j, k, l))
@@ -262,9 +275,11 @@ def curvature_symmetry_residuals(R: CurvatureTable):
     for i, j, k, l in sorted(tuples):
         if k == l:
             # second-slot-pair diagonal must vanish by pair symmetry
-            out.append(((i, j, k, k), low[i][j][k][k]))
-        elif low[i][j][k][l] != low[k][l][i][j]:
-            out.append(((i, j, k, l), low[i][j][k][l] - low[k][l][i][j]))
+            out.append(((i, j, k, k), low(i, j)[k][k]))
+        else:
+            ijkl, klij = low(i, j)[k][l], low(k, l)[i][j]
+            if ijkl != klij:
+                out.append(((i, j, k, l), ijkl - klij))
     return out
 
 

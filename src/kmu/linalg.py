@@ -125,12 +125,11 @@ class Vec:
     @staticmethod
     def from_dict(entries: dict, dim: int) -> "Vec":
         """The vector with entries[i] at each index i given, zero elsewhere."""
-        items = sorted(entries.items())
-        if items and not (0 <= items[0][0] and items[-1][0] < dim):
+        if entries and not (0 <= min(entries) and max(entries) < dim):
             raise DimensionMismatchError(
-                f"indices {items[0][0]}..{items[-1][0]} out of range for dim {dim}"
+                f"indices {min(entries)}..{max(entries)} out of range for dim {dim}"
             )
-        return Vec._raw(tuple((i, _frac(x)) for i, x in items if x), dim)
+        return _collect({i: _frac(x) for i, x in entries.items()}, dim)
 
     @staticmethod
     def zero(dim: int) -> "Vec":
@@ -386,13 +385,6 @@ class Mat:
                     f"matrix is {self.shape} but vector has length {other._len}"
                 )
             cols = self._columns()
-            if len(other._nz) == 1:
-                # one column scaled by a nonzero entry: nothing can cancel
-                (k, x), = other._nz
-                col = cols[k]
-                if x is _ONE:
-                    return col
-                return Vec._raw(tuple((i, x * y) for i, y in col._nz), nrows)
             return combine([(x, cols[k]) for k, x in other._nz], nrows)
         if isinstance(other, Mat):
             return matsum(((1, self, other),), nrows, other.shape[1])

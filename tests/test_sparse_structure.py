@@ -255,6 +255,15 @@ def test_symmetry_scan_matches_the_dense_loop(n, alpha, beta):
             assert want, index  # so the two lists were compared on a failure
 
 
+def test_pair_symmetry_lowers_only_the_planes_it_reads():
+    m = model(3, 1, 3)
+    R = riemann(m, levi_civita(m, metric=deformed_metric(3, 1, 3, 2)))
+    assert curvature_symmetry_residuals(R) == []
+    dim = R.dim
+    assert set(R._lowered_planes) <= {(i, j) for i in range(dim) for j in range(i + 1, dim)}
+    assert R.lowered_basis(2, 1, 3, 4) == -R.lowered_basis(1, 2, 3, 4)
+
+
 def test_pair_symmetry_failure_is_reported_at_the_canonical_tuple():
     # R(Y_1, Y_3, X_1, X_2) bumped with its antisymmetric mirror, where
     # R(X_1, X_2, Y_1, Y_3) is zero: the pair (X_1, X_2) is the lower one,
