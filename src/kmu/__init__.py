@@ -9,7 +9,6 @@ classifications as zero-residual assertions.
 from .connection import (
     ConnectionTable,
     CurvatureTable,
-    covariant_derivative_11,
     levi_civita,
     riemann,
     sectional_curvature,
@@ -22,7 +21,6 @@ from .contact import (
     closed_form_curvature,
     compute_h,
     extract_kappa_mu,
-    nijenhuis,
     verify_identities,
 )
 from .deformation import d_homothetic, predicted_invariants
@@ -35,7 +33,6 @@ from .submanifold import (
     SubmanifoldGeometry,
     analyze_submanifold,
     build_distribution,
-    check_involutive,
     second_fundamental_form,
     split_h,
 )
@@ -61,16 +58,13 @@ __all__ = [
     "build_boeckx_model",
     "build_contact_structure",
     "build_distribution",
-    "check_involutive",
     "check_jacobi",
     "closed_form_curvature",
     "compute_h",
-    "covariant_derivative_11",
     "d_homothetic",
     "extract_kappa_mu",
     "inner",
     "levi_civita",
-    "nijenhuis",
     "predicted_invariants",
     "rat",
     "rat_str",

@@ -15,9 +15,7 @@ The connection is read as its operators, ops[i] = nabla_{e_i} as a
 matrix, so curvature is matrix algebra: R(e_i, e_j) = [nabla_i, nabla_j]
 - sum_m c_ij^m nabla_m.  ``curvature_from`` computes it for the model
 and, in frame coordinates, for every leaf; it builds i < j and fills the
-rest by antisymmetry, which needs an antisymmetric bracket table.  The
-covariant derivative of a left-invariant (1,1)-tensor T is the
-commutator nabla_X T = [nabla_X, T].
+rest by antisymmetry, which needs an antisymmetric bracket table.
 """
 
 from __future__ import annotations
@@ -43,9 +41,6 @@ class ConnectionTable:
     def ops(self) -> tuple:
         """ops[i] is nabla_{e_i} as a matrix: its column j is gamma[i][j]."""
         return tuple(Mat.from_columns(row) for row in self.gamma)
-
-    def nabla_basis(self, i: int, j: int) -> Vec:
-        return self.gamma[i][j]
 
     def nabla(self, u: Vec, v: Vec) -> Vec:
         """Bilinear extension over constant coefficients."""
@@ -104,12 +99,6 @@ class CurvatureTable:
             planes[i, j] = plane
         return plane
 
-    @property
-    def lowered_table(self) -> tuple:
-        """lowered_table[i][j][k][l] = g(R(e_i, e_j) e_k, e_l), every plane lowered."""
-        dim = self.dim
-        return tuple(tuple(self.lowered_plane(i, j) for j in range(dim)) for i in range(dim))
-
     @cached_property
     def antisymmetry_failures(self) -> tuple:
         """The nonzero ``antisymmetry_residuals`` of ``table``, in scan order."""
@@ -121,9 +110,6 @@ class CurvatureTable:
     def antisymmetric(self) -> bool:
         """``is_antisymmetric(table)``, read off ``antisymmetry_failures``."""
         return not self.antisymmetry_failures
-
-    def lowered_basis(self, i: int, j: int, k: int, l: int) -> Fraction:
-        return self.lowered_plane(i, j)[k][l]
 
     def lowered(self, u: Vec, v: Vec, w: Vec, z: Vec) -> Fraction:
         return inner(self.apply(u, v, w), z, self.metric)
@@ -281,25 +267,6 @@ def curvature_symmetry_residuals(R: CurvatureTable):
             if ijkl != klij:
                 out.append(((i, j, k, l), ijkl - klij))
     return out
-
-
-def covariant_derivative_11(conn: ConnectionTable, T: Mat, X: Vec) -> Mat:
-    """Matrix of (nabla_X T) for a left-invariant (1,1)-tensor T.
-
-    (nabla_X T)(e_j) = nabla_X(T e_j) - T(nabla_X e_j), so nabla_X T is
-    the commutator [nabla_X, T] with nabla_X = sum_i X^i ops[i]: T has
-    constant coefficients in the frame.  It is summed as
-    sum_i X^i (ops[i] T - T ops[i]), one kernel call.
-    """
-    dim = conn.dim
-    if T.shape != (dim, dim) or len(X) != dim:
-        raise DimensionMismatchError(
-            f"tensor {T.shape} / direction {len(X)} on dim {dim}"
-        )
-    ops, terms = conn.ops, []
-    for i, x in X.nonzero_entries():
-        terms += [(x, ops[i], T), (-x, T, ops[i])]
-    return matsum(terms, dim, dim)
 
 
 def gram_determinant(uu: Fraction, vv: Fraction, uv: Fraction) -> Fraction:

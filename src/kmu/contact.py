@@ -40,9 +40,6 @@ class ContactStructure:
     lam: Fraction | None = None
     axioms: tuple = ()
 
-    def eta_of(self, u: Vec) -> Fraction:
-        return dot(self.eta, u)
-
     @cached_property
     def tables(self) -> StructureTables:
         """The structure's columns and pairings, built on first read."""
@@ -105,12 +102,6 @@ class ModelInvariants:
             kappa - 1 + half_mu,
             mu - 1,
         )
-
-
-def d_eta(model: LieAlgebraModel, eta: Vec, u: Vec, v: Vec) -> Fraction:
-    """d eta on left-invariant fields: -eta([u, v]) / 2."""
-    br = bracket(model, u, v)
-    return -dot(eta, br) / 2
 
 
 def check_contact_axioms(
@@ -429,32 +420,3 @@ def verify_identities(
         scan("curvature_closed_form", closed_form_residuals()),
         scan("nabla_xi", nabla_xi_residuals()),
     ]
-
-
-def nijenhuis(model: LieAlgebraModel, cs: ContactStructure):
-    """Torsion of phi plus the d eta twist, on all basis pairs.
-
-    N(u, v) = phi^2 [u,v] + [phi u, phi v] - phi [phi u, v]
-              - phi [u, phi v] + 2 d eta(u, v) xi.
-
-    Nonzero somewhere exactly when the structure is not normal; every
-    model here with kappa < 1 is non-normal.
-    """
-    dim = model.dim
-    phi, xi = cs.phi, cs.xi
-    table = []
-    for i in range(dim):
-        row = []
-        u = Vec.basis(dim, i)
-        for j in range(dim):
-            v = Vec.basis(dim, j)
-            val = (
-                phi @ (phi @ bracket(model, u, v))
-                + bracket(model, phi @ u, phi @ v)
-                - phi @ bracket(model, phi @ u, v)
-                - phi @ bracket(model, u, phi @ v)
-                + (2 * d_eta(model, cs.eta, u, v)) * xi
-            )
-            row.append(val)
-        table.append(tuple(row))
-    return tuple(table)

@@ -45,9 +45,6 @@ class LieAlgebraModel:
         """Basis index of Y_i (1-based)."""
         return self.n + i
 
-    def basis_vector(self, k: int) -> Vec:
-        return Vec.basis(self.dim, k)
-
     @cached_property
     def jacobi(self) -> JacobiReport:
         """The Jacobi sweep of this bracket table, run once per model.
@@ -64,10 +61,6 @@ class JacobiReport:
 
     max_residual: Fraction
     violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def build_boeckx_model(n: int, alpha, beta) -> LieAlgebraModel:
@@ -165,22 +158,6 @@ def build_boeckx_model(n: int, alpha, beta) -> LieAlgebraModel:
         dim=dim,
         structure=structure,
         metric=Mat.identity(dim),
-    )
-
-
-def model_with_structure(model: LieAlgebraModel, structure) -> LieAlgebraModel:
-    """Internal constructor swapping in an arbitrary structure table.
-
-    Exists for fault-injection tests only; no validation is performed.
-    """
-    structure = tuple(tuple(row) for row in structure)
-    return LieAlgebraModel(
-        n=model.n,
-        alpha=model.alpha,
-        beta=model.beta,
-        dim=model.dim,
-        structure=structure,
-        metric=model.metric,
     )
 
 

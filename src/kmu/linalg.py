@@ -321,11 +321,6 @@ class Mat:
         return Mat._raw(tuple(Vec.basis(dim, i) for i in range(dim)))
 
     @staticmethod
-    def zeros(nrows: int, ncols: int | None = None) -> "Mat":
-        ncols = nrows if ncols is None else ncols
-        return Mat._raw((Vec.zero(ncols),) * nrows)
-
-    @staticmethod
     def diagonal(entries) -> "Mat":
         entries = [_frac(e) for e in entries]
         dim = len(entries)
@@ -384,6 +379,8 @@ class Mat:
                 raise DimensionMismatchError(
                     f"matrix is {self.shape} but vector has length {other._len}"
                 )
+            if not other._nz:
+                return Vec.zero(nrows)
             cols = self._columns()
             return combine([(x, cols[k]) for k, x in other._nz], nrows)
         if isinstance(other, Mat):

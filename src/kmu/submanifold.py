@@ -43,13 +43,6 @@ class DistributionSpec:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
-class InvolutivityVerdict:
-    ok: bool
-    witness_pair: tuple | None = None
-    offending: Vec | None = None
-
-
 # per-block (c_i, d_i) of X_i and of Y_i
 _X, _Y = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
 
@@ -238,24 +231,6 @@ class SubmanifoldGeometry:
     umbilical_vector: Vec | None
     h1: Mat | None = None
     h2: Mat | None = None
-
-    def lowered_bar(self, a: int, b: int, c: int, d: int) -> Fraction:
-        """Rbar(v_a, v_b, v_c, v_d), lowered with the induced metric.
-
-        The frame is orthogonal, so only the v_d coordinate pairs with v_d.
-        """
-        return self.rbar[a][b][c][d] * self.frame.norms[d]
-
-
-def check_involutive(model: LieAlgebraModel, spec: DistributionSpec) -> InvolutivityVerdict:
-    """True iff every bracket of spanning vectors stays in the span."""
-    frame = _Frame(spec.vectors, model.metric)
-    for a in range(spec.rank):
-        for b in range(a + 1, spec.rank):
-            off = frame.normal(bracket(model, spec.vectors[a], spec.vectors[b]))
-            if not off.is_zero():
-                return InvolutivityVerdict(ok=False, witness_pair=(a, b), offending=off)
-    return InvolutivityVerdict(ok=True)
 
 
 def second_fundamental_form(

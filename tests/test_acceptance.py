@@ -6,7 +6,9 @@ line.  The parameter grid is {(alpha, beta)} = {(0,1), (0,2), (1,2),
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 from kmu import (
     Vec,
@@ -15,7 +17,6 @@ from kmu import (
     build_boeckx_model,
     build_contact_structure,
     build_distribution,
-    check_involutive,
     check_jacobi,
     d_homothetic,
     levi_civita,
@@ -25,10 +26,10 @@ from kmu import (
 )
 from kmu.connection import metric_compatibility_residuals, torsion_residuals
 from kmu.contact import ModelInvariants, closed_form_curvature
-from kmu.liealg import model_with_structure
+from kmu.errors import NonInvolutiveError
 from kmu.linalg import rat_str
 from kmu.report import LAMBDA_NOTE, all_passed
-from kmu.submanifold import DistributionSpec, eigen_split
+from kmu.submanifold import DistributionSpec, eigen_split, second_fundamental_form
 from kmu.cli import build_report, parse_descriptor, sweep_report
 
 from helpers import GRID_AB, analysis, grid_points, model
@@ -84,7 +85,7 @@ def test_criterion_1_model_validity():
     ok = True
     for n, alpha, beta in grid_points():
         m = build_boeckx_model(n, alpha, beta)
-        ok = ok and check_jacobi(m).ok
+        ok = ok and not check_jacobi(m).violations
         conn = levi_civita(m)
         ok = ok and torsion_residuals(m, conn) == []
         ok = ok and metric_compatibility_residuals(conn) == []
@@ -124,7 +125,7 @@ def expected_x_block(m):
     a = m.alpha
     n = m.n
     z = Vec.zero(m.dim)
-    e = m.basis_vector
+    e = partial(Vec.basis, m.dim)
     table = {
         (m.x(1), m.x(1)): z,
         (m.x(1), m.x(2)): z,
@@ -144,7 +145,7 @@ def expected_y_block(m):
     b = m.beta
     n = m.n
     z = Vec.zero(m.dim)
-    e = m.basis_vector
+    e = partial(Vec.basis, m.dim)
     table = {
         (m.y(1), m.y(1)): b * e(m.y(2)),
         (m.y(1), m.y(2)): -b * e(m.y(1)),
@@ -181,7 +182,7 @@ def expected_cross_block(m):
 def expected_diagonal_table(m, lam, c, d):
     """The umbilical family's connection rows, with the computed lambda."""
     n = m.n
-    e = m.basis_vector
+    e = partial(Vec.basis, m.dim)
     a, b = m.alpha, m.beta
 
     def v(i):
@@ -219,13 +220,13 @@ def test_criterion_3_lambda_and_connection_tables():
         ok = ok and inv.lam * inv.lam == 1 - inv.kappa
         for table in (expected_x_block(m), expected_y_block(m), expected_cross_block(m)):
             for (i, j), expected in table.items():
-                ok = ok and an.conn.nabla_basis(i, j) == expected
+                ok = ok and an.conn.gamma[i][j] == expected
         for c, d in DIAGONAL_CD:
             c, d = Fraction(c), Fraction(d)
             diag = expected_diagonal_table(m, inv.lam, c, d)
             for (i, j), expected in diag.items():
-                vi = c * m.basis_vector(m.x(i)) + d * m.basis_vector(m.y(i))
-                vj = c * m.basis_vector(m.x(j)) + d * m.basis_vector(m.y(j))
+                vi = c * Vec.basis(m.dim, m.x(i)) + d * Vec.basis(m.dim, m.y(i))
+                vj = c * Vec.basis(m.dim, m.x(j)) + d * Vec.basis(m.dim, m.y(j))
                 ok = ok and an.conn.nabla(vi, vj) == expected
     # the eigenvalue note is part of every report
     report = build_report(parse_descriptor({"n": 2, "alpha": "0", "beta": "2"}))
@@ -381,7 +382,7 @@ def test_criterion_9_classification():
             if kind == "diagonal":
                 ok = ok and geom.classification == "totally_umbilical"
                 c, d = Fraction(keys["c"]), Fraction(keys["d"])
-                expected_v = (2 * c * d * lam / (c * c + d * d)) * m.basis_vector(0)
+                expected_v = (2 * c * d * lam / (c * c + d * d)) * Vec.basis(m.dim, 0)
                 ok = ok and geom.umbilical_vector == expected_v
                 ok = ok and not expected_v.is_zero()
                 ok = ok and eigen_split(an.cs, spec) is None
@@ -454,16 +455,18 @@ def test_criterion_11_negative_controls():
     bad[0] += 1
     structure[1][3] = Vec(bad)
     structure[3][1] = -Vec(bad)
-    report = check_jacobi(model_with_structure(m, structure))
-    ok = ok and not report.ok and len(report.violations) > 0
+    report = check_jacobi(replace(m, structure=tuple(tuple(row) for row in structure)))
+    ok = ok and len(report.violations) > 0
 
     # the X_1, Y_1 plane is not involutive, witness named
     spec = DistributionSpec(
-        kind="x", vectors=(m.basis_vector(m.x(1)), m.basis_vector(m.y(1)))
+        kind="x", vectors=(Vec.basis(m.dim, m.x(1)), Vec.basis(m.dim, m.y(1)))
     )
-    verdict = check_involutive(m, spec)
-    ok = ok and not verdict.ok and verdict.witness_pair == (0, 1)
-    ok = ok and verdict.offending is not None and not verdict.offending.is_zero()
+    try:
+        second_fundamental_form(m, analysis(2, 1, 3).conn, spec)
+        ok = False
+    except NonInvolutiveError as err:
+        ok = ok and "[v_0, v_1]" in str(err)
 
     # a perturbed mu breaks the closed-form curvature comparison
     an = analysis(2, 1, 3)

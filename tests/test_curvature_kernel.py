@@ -2,9 +2,8 @@
 
 ``connection.curvature_from`` builds R(e_i, e_j) = [nabla_i, nabla_j] -
 sum_m c_ij^m nabla_m from operator matrices for i < j only and fills the
-rest by antisymmetry; ``covariant_derivative_11`` is the commutator
-[nabla_X, T]; ``metric_compatibility_residuals`` reads the symmetric part
-of G^T nabla_i.  The references here walk every index, so a kernel that
+rest by antisymmetry; ``metric_compatibility_residuals`` reads the
+symmetric part of G^T nabla_i.  The references here walk every index, so a kernel that
 drops a term, flips a sign, reads an operator transposed or fills the
 half it skips wrongly disagrees with them.
 """
@@ -16,18 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmu.connection import (
-    ConnectionTable,
-    covariant_derivative_11,
-    curvature_from,
-    metric_compatibility_residuals,
-)
+from kmu.connection import curvature_from, metric_compatibility_residuals
 from kmu.linalg import Mat, Vec, combine
 from kmu.submanifold import build_distribution, second_fundamental_form
 
 from helpers import analysis, bump, grid_points
 from test_kernels import sparse_lists, sparse_rows
-from test_linalg import rationals
 
 ZERO = Fraction(0)
 
@@ -133,37 +126,6 @@ def test_curvature_from_matches_the_dense_definition(data):
     )
     dense = _dense_curvature(ops, brackets)
     assert [[[list(entry) for entry in row] for row in plane] for plane in table] == dense
-
-
-# ---------------------------------------------------------------------------
-# the commutator derivative along a direction that is not a basis vector
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def connection_tensor_direction(draw):
-    dim = draw(st.integers(min_value=2, max_value=4))
-    gamma = tuple(
-        tuple(Vec(draw(sparse_lists(dim))) for _ in range(dim)) for _ in range(dim)
-    )
-    conn = ConnectionTable(dim=dim, metric=Mat.identity(dim), gamma=gamma)
-    T = Mat(draw(sparse_rows(dim, dim)))
-    # X has at least two nonzero coefficients, so it is no basis vector
-    support = draw(st.sets(st.integers(0, dim - 1), min_size=2))
-    X = Vec(draw(rationals.filter(bool)) if k in support else 0 for k in range(dim))
-    return conn, T, X
-
-
-@settings(max_examples=60, deadline=None)
-@given(connection_tensor_direction())
-def test_covariant_derivative_matches_the_per_column_definition(data):
-    conn, T, X = data
-    dim = conn.dim
-    # (nabla_X T) e_j = nabla_X (T e_j) - T (nabla_X e_j), through nabla on gamma
-    expected = Mat.from_columns(
-        conn.nabla(X, T.col(j)) - T @ conn.nabla(X, Vec.basis(dim, j)) for j in range(dim)
-    )
-    assert covariant_derivative_11(conn, T, X) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from kmu import analyze_structure, d_homothetic, predicted_invariants
 from kmu.errors import ParameterError
-from kmu.linalg import Mat, inner, outer
+from kmu.linalg import Mat, dot, inner, outer
 
 from helpers import analysis, model
 
@@ -38,7 +38,7 @@ def test_deformed_tensors_satisfy_the_transform():
     assert cs_t.xi == Fraction(1, a) * an.cs.xi
     assert cs_t.phi == an.cs.phi
     # axioms on the deformed tensors
-    assert cs_t.eta_of(cs_t.xi) == 1
+    assert dot(cs_t.eta, cs_t.xi) == 1
     assert inner(cs_t.xi, cs_t.xi, G_t) == 1
     assert cs_t.phi @ cs_t.phi == -Mat.identity(m.dim) + outer(cs_t.xi, cs_t.eta)
 

@@ -23,7 +23,7 @@ from kmu.contact import (
     closed_form_curvature,
     verify_identities,
 )
-from kmu.linalg import Mat, Vec, combine, inner
+from kmu.linalg import Mat, Vec, combine, dot, inner
 from kmu.report import scan
 from kmu.submanifold import (
     analyze_submanifold,
@@ -96,7 +96,7 @@ def _reference_gauss_codazzi(R, conn, geom):
     }
     gauss = (
         ((a, b, c, d), inner(ambient[a, b, c], vectors[d], G) - (
-            geom.lowered_bar(a, b, c, d)
+            geom.rbar[a][b][c][d] * frame.norms[d]
             - inner(sigma[a][d], sigma[b][c], G)
             + inner(sigma[a][c], sigma[b][d], G)
         ))
@@ -114,7 +114,7 @@ def _reference_gauss_codazzi(R, conn, geom):
 def _reference_space_form(geom, K):
     gram, n = geom.frame.gram, len(geom.frame.gram)
     return scan("leaf_space_form", (
-        ((a, b, c, d), geom.lowered_bar(a, b, c, d)
+        ((a, b, c, d), geom.rbar[a][b][c][d] * geom.frame.norms[d]
          - K * (gram[a][d] * gram[b][c] - gram[a][c] * gram[b][d]))
         for a in range(n)
         for b in range(n)
@@ -135,7 +135,7 @@ def _reference_closed_form_curvature(inv, cs, i, j, k):
     hX, hY = h @ X, h @ Y
     phiX, phiY, phiZ = phi @ X, phi @ Y, phi @ Z
     phihX, phihY = phi @ hX, phi @ hY
-    eX, eY, eZ = (cs.eta_of(v) for v in (X, Y, Z))
+    eX, eY, eZ = (dot(cs.eta, v) for v in (X, Y, Z))
     kappa, mu = inv.kappa, inv.mu
     c_h = (1 - mu / 2) / (1 - kappa)
     c_phih = (kappa - mu / 2) / (1 - kappa)

@@ -175,6 +175,8 @@ def test_vec_arithmetic_matches_dense(us, vs, noise, s):
 def test_matvec_matches_dense(rows, vs, noise):
     M, v = Mat(rows), Vec(vs)
     exact_vec(M @ v, dense_matvec(rows, vs))
+    # the zero vector, drawn on every example: its product has no support
+    exact_vec(M @ Vec([ZERO] * 5), [ZERO] * 4)
     # rows doubled against (v, -v + noise): each dot product cancels
     # exactly on the v part
     doubled = Mat([row + row for row in rows])
@@ -283,7 +285,7 @@ def test_matrix_kernels_write_exact_supports_over_cancelling_columns(rows, vs, n
     for P in (
         M, C, M.transpose(), M + (-M), M - M, s * M, M * 0,
         C @ Mat(2 * dense_rows(M.transpose())),
-        outer(v, w), Mat.identity(5), Mat.zeros(4, 5), Mat.diagonal(vs),
+        outer(v, w), Mat.identity(5), Mat([[0] * 5] * 4), Mat.diagonal(vs),
     ):
         assert_mat_support(P)
     assert (M - M).is_zero() and (M + (-M)).is_zero()
@@ -339,7 +341,8 @@ def assert_tables_match_dense(m, conn, R):
     gamma, curvature, lowered = dense_tables(m.structure, dense_rows(conn.metric))
     assert as_lists(conn.gamma) == gamma
     assert as_lists(R.table) == curvature
-    assert as_lists(R.lowered_table) == lowered
+    dim = R.dim
+    assert [[as_lists(R.lowered_plane(i, j)) for j in range(dim)] for i in range(dim)] == lowered
 
 
 @pytest.mark.parametrize("n,alpha,beta", [p for p in grid_points() if p[0] <= 4])

@@ -119,3 +119,39 @@ def test_curvature_table_stores_only_its_table():
     from kmu.connection import CurvatureTable
 
     assert [f.name for f in fields(CurvatureTable)] == ["dim", "metric", "table"]
+
+
+def test_every_definition_is_used_or_exported():
+    # the certifier runs one path and no report reads anything else, so a
+    # definition that nothing in the package reads is dead code; a method
+    # counts as read only through an attribute, so a local variable of
+    # the same name does not keep it alive
+    definitions, names, attributes = [], set(), set()
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                method = isinstance(node, ast.ClassDef)
+                definitions.append((module, ".".join((*scope, child.name)), method))
+                visit(module, child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Name):
+                names.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                attributes.add(child.attr)
+            visit(module, child, scope)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(path.name, ast.parse(path.read_text(encoding="utf-8")), ())
+    assert definitions, "no package definitions found"
+
+    def used(qualified, method):
+        name = qualified.rpartition(".")[2]
+        if name.startswith("__") and name.endswith("__"):
+            return True  # called by Python itself
+        if method:
+            return name in attributes
+        return name in names or name in attributes or qualified in kmu.__all__
+
+    unused = [f"{module}:{q}" for module, q, method in definitions if not used(q, method)]
+    assert unused == [], unused

@@ -25,7 +25,7 @@ from kmu.errors import (
     SingularMetricError,
     StructureError,
 )
-from kmu.liealg import LieAlgebraModel, bracket, model_with_structure
+from kmu.liealg import LieAlgebraModel, bracket
 from kmu.linalg import Mat, Vec, dot, inner
 from kmu.report import scan
 
@@ -98,7 +98,7 @@ def structures(draw):
 
     About one bracket in three is nonzero, each sparse; the optional
     bump changes one bracket without its mirror, as a corrupted table
-    made with ``model_with_structure`` does.
+    made with ``replace(m, structure=...)`` does.
     """
     dim = draw(st.integers(2, 5))
     zero = Vec.zero(dim)
@@ -236,6 +236,12 @@ def _corrupted(R, index, delta, antisymmetric):
     return replace(R, table=table)
 
 
+def lowered_table(R):
+    """Every plane of R lowered: [i][j][k][l] = g(R(e_i, e_j) e_k, e_l)."""
+    dim = R.dim
+    return [[[list(v) for v in R.lowered_plane(i, j)] for j in range(dim)] for i in range(dim)]
+
+
 @pytest.mark.parametrize("n,alpha,beta", [p for p in SMALL_GRID if p[0] <= 3])
 def test_symmetry_scan_matches_the_dense_loop(n, alpha, beta):
     m = model(n, alpha, beta)
@@ -244,13 +250,12 @@ def test_symmetry_scan_matches_the_dense_loop(n, alpha, beta):
         R = riemann(m, levi_civita(m, metric=G))
         want, _ = dense_symmetry_residuals(R)
         assert want == [] and curvature_symmetry_residuals(R) == []
-        assert R.lowered_table  # fill the cache: replace() must not carry it over
+        assert lowered_table(R)  # fill the cache: replace() must not carry it over
         for index, delta, antisymmetric in _bumps(n):
             bad = _corrupted(R, index, delta, antisymmetric)
             want, low = dense_symmetry_residuals(bad)
             assert curvature_symmetry_residuals(bad) == want, (index, antisymmetric)
-            lowered = [[[list(v) for v in row] for row in p] for p in bad.lowered_table]
-            assert lowered == low
+            assert lowered_table(bad) == low
             assert bad.antisymmetric == antisymmetric
             assert want, index  # so the two lists were compared on a failure
 
@@ -261,7 +266,7 @@ def test_pair_symmetry_lowers_only_the_planes_it_reads():
     assert curvature_symmetry_residuals(R) == []
     dim = R.dim
     assert set(R._lowered_planes) <= {(i, j) for i in range(dim) for j in range(i + 1, dim)}
-    assert R.lowered_basis(2, 1, 3, 4) == -R.lowered_basis(1, 2, 3, 4)
+    assert R.lowered_plane(2, 1)[3][4] == -R.lowered_plane(1, 2)[3][4]
 
 
 def test_pair_symmetry_failure_is_reported_at_the_canonical_tuple():
@@ -270,7 +275,7 @@ def test_pair_symmetry_failure_is_reported_at_the_canonical_tuple():
     # so the failure is found from the bumped entry's mirror tuple alone
     n = 3
     R = analysis(n, 1, 3).curvature
-    assert R.lowered_basis(1, 2, n + 1, n + 3) == 0
+    assert R.lowered_plane(1, 2)[n + 1][n + 3] == 0
     bad = _corrupted(R, (n + 1, n + 3, 1), Vec.basis(2 * n + 1, 2), True)
     pair = [(w, r) for w, r in curvature_symmetry_residuals(bad) if len(w) == 4]
     assert pair == [((1, 2, n + 1, n + 3), -1)]
@@ -327,8 +332,8 @@ def _fault_inputs():
     return [
         ("clean", m, phi, xi, eta, G),
         ("deformed", m, deformed.phi, deformed.xi, deformed.eta, deformed.metric),
-        ("bracket", model_with_structure(m, structure), phi, xi, eta, G),
-        ("bracket one-sided", model_with_structure(m, one_sided), phi, xi, eta, G),
+        ("bracket", replace(m, structure=structure), phi, xi, eta, G),
+        ("bracket one-sided", replace(m, structure=one_sided), phi, xi, eta, G),
         ("metric X_1", m, phi, xi, eta, G + _entry(dim, X1, X1, 1)),
         ("metric X_1 and Y_1", m, phi, xi, eta, both),
         ("minus phi", m, -phi, xi, eta, G),

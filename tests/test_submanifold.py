@@ -3,6 +3,7 @@
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -11,13 +12,12 @@ from kmu import (
     analyze_submanifold,
     bracket,
     build_distribution,
-    check_involutive,
     inner,
     second_fundamental_form,
     split_h,
 )
 from kmu.errors import NonInvolutiveError, ParameterError, StructureError
-from kmu.linalg import Mat, rat_str
+from kmu.linalg import Mat, dot, rat_str
 from kmu.report import all_passed
 from kmu.submanifold import (
     DistributionSpec,
@@ -35,6 +35,11 @@ def leaf_geometry(an, spec):
     geom = second_fundamental_form(an.model, an.conn, spec)
     h1, h2 = split_h(an.cs, geom)
     return replace(geom, h1=h1, h2=h2)
+
+
+def lowered_bar(geom, a, b, c, d):
+    """Rbar(v_a, v_b, v_c, v_d); on the orthogonal frame only v_d pairs with v_d."""
+    return geom.rbar[a][b][c][d] * geom.frame.norms[d]
 
 
 def closed_form_theta(c, d):
@@ -67,17 +72,17 @@ def spanned_indices(spec):
 def test_x_family_spans_x_block():
     m = model(3, 1, 3)
     spec = build_distribution(m, "x")
-    assert spec.vectors == tuple(m.basis_vector(m.x(i)) for i in range(1, 4))
+    assert spec.vectors == tuple(Vec.basis(m.dim, m.x(i)) for i in range(1, 4))
 
 
 def test_mixed_spans_choice_of_blocks():
     m = model(4, 1, 3)
     spec = build_distribution(m, "mixed", z_choices=("x", "y"))
     assert spec.vectors == (
-        m.basis_vector(m.x(1)),
-        m.basis_vector(m.y(2)),
-        m.basis_vector(m.x(3)),
-        m.basis_vector(m.y(4)),
+        Vec.basis(m.dim, m.x(1)),
+        Vec.basis(m.dim, m.y(2)),
+        Vec.basis(m.dim, m.x(3)),
+        Vec.basis(m.dim, m.y(4)),
     )
 
 
@@ -90,7 +95,7 @@ def test_diagonal_family_is_phi_isotropic():
     for u in spec.vectors:
         for v in spec.vectors:
             assert inner(u, cs.phi @ v, m.metric) == 0
-            assert cs.eta_of(u) == 0
+            assert dot(cs.eta, u) == 0
 
 
 def test_mixed_by_k_counts_x_choices():
@@ -185,11 +190,14 @@ def test_invalid_parameters_rejected(kwargs):
 @pytest.mark.parametrize("n,alpha,beta", [(2, 0, 2), (3, 1, 3), (4, 2, 3)])
 def test_example_families_involutive(n, alpha, beta):
     m = model(n, alpha, beta)
+    conn = analysis(n, alpha, beta).conn
     specs = [build_distribution(m, "x"), build_distribution(m, "y")]
     specs += [build_distribution(m, "mixed", k=k) for k in range(1, n)]
     specs.append(build_distribution(m, "diagonal", c=1, d=1))
     for spec in specs:
-        assert check_involutive(m, spec).ok, spec.kind
+        # raises NonInvolutiveError on a bracket that leaves the span
+        geom = second_fundamental_form(m, conn, spec)
+        assert len(geom.br) == n, spec.kind
 
 
 def test_x_family_brackets_stay_in_span_oracle():
@@ -198,30 +206,32 @@ def test_x_family_brackets_stay_in_span_oracle():
     spec = build_distribution(m, "x")
     for i in range(2, 4):
         assert bracket(
-            m, m.basis_vector(m.x(1)), m.basis_vector(m.x(i))
-        ) == 2 * m.basis_vector(m.x(i))
-    assert bracket(m, m.basis_vector(m.x(2)), m.basis_vector(m.x(3))).is_zero()
+            m, Vec.basis(m.dim, m.x(1)), Vec.basis(m.dim, m.x(i))
+        ) == 2 * Vec.basis(m.dim, m.x(i))
+    assert bracket(m, Vec.basis(m.dim, m.x(2)), Vec.basis(m.dim, m.x(3))).is_zero()
 
 
 def test_x1_y1_plane_not_involutive():
     # negative control: not one of the example families
     m = model(2, 0, 2)
+    conn = analysis(2, 0, 2).conn
     spec = DistributionSpec(
-        kind="x", vectors=(m.basis_vector(m.x(1)), m.basis_vector(m.y(1)))
+        kind="x", vectors=(Vec.basis(m.dim, m.x(1)), Vec.basis(m.dim, m.y(1)))
     )
-    verdict = check_involutive(m, spec)
-    assert not verdict.ok
-    assert verdict.witness_pair == (0, 1)
+    with pytest.raises(NonInvolutiveError, match=r"\[v_0, v_1\] leaves the span"):
+        second_fundamental_form(m, conn, spec)
     # the offending component is the full bracket -beta X_2 + 2 xi,
     # which is entirely normal to the plane
-    assert verdict.offending == -2 * m.basis_vector(m.x(2)) + 2 * m.basis_vector(0)
+    br = bracket(m, *spec.vectors)
+    assert br == -2 * Vec.basis(m.dim, m.x(2)) + 2 * Vec.basis(m.dim, 0)
+    assert all(inner(br, v, m.metric) == 0 for v in spec.vectors)
 
 
 def test_second_fundamental_form_refuses_non_involutive():
     m = model(2, 0, 2)
     conn = analysis(2, 0, 2).conn
     spec = DistributionSpec(
-        kind="x", vectors=(m.basis_vector(m.x(1)), m.basis_vector(m.y(1)))
+        kind="x", vectors=(Vec.basis(m.dim, m.x(1)), Vec.basis(m.dim, m.y(1)))
     )
     with pytest.raises(NonInvolutiveError):
         second_fundamental_form(m, conn, spec)
@@ -233,11 +243,10 @@ def test_non_orthogonal_frame_refused(n, alpha, beta):
     # table is read as orthogonal, so the frame is refused by name
     an = analysis(n, alpha, beta)
     m = an.model
-    x = [m.basis_vector(m.x(i)) for i in range(1, n + 1)]
+    x = [Vec.basis(m.dim, m.x(i)) for i in range(1, n + 1)]
     spec = DistributionSpec(kind="x", vectors=(x[0], x[0] + x[1], *x[2:]))
     for check in (
         lambda: second_fundamental_form(m, an.conn, spec),
-        lambda: check_involutive(m, spec),
         lambda: analyze_submanifold(
             m, an.conn, an.curvature, an.cs, an.invariants, spec
         ),
@@ -249,9 +258,9 @@ def test_non_orthogonal_frame_refused(n, alpha, beta):
 def test_zero_length_frame_vector_refused():
     an = analysis(2, 1, 3)
     m = an.model
-    spec = DistributionSpec(kind="x", vectors=(m.basis_vector(m.x(1)), Vec.zero(m.dim)))
+    spec = DistributionSpec(kind="x", vectors=(Vec.basis(m.dim, m.x(1)), Vec.zero(m.dim)))
     with pytest.raises(StructureError, match="vector 1 has zero length"):
-        check_involutive(m, spec)
+        second_fundamental_form(m, an.conn, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +289,16 @@ def test_diagonal_sigma_by_koszul_sum_oracle():
     an = analysis(2, 0, 2)
     conn = an.conn
     pieces = (
-        conn.nabla_basis(m.x(1), m.x(1))
-        + conn.nabla_basis(m.x(1), m.y(1))
-        + conn.nabla_basis(m.y(1), m.x(1))
-        + conn.nabla_basis(m.y(1), m.y(1))
+        conn.gamma[m.x(1)][m.x(1)]
+        + conn.gamma[m.x(1)][m.y(1)]
+        + conn.gamma[m.y(1)][m.x(1)]
+        + conn.gamma[m.y(1)][m.y(1)]
     )
-    assert pieces == 2 * m.basis_vector(0) + 2 * m.basis_vector(
-        m.x(2)
-    ) + 2 * m.basis_vector(m.y(2))
+    e = partial(Vec.basis, m.dim)
+    assert pieces == 2 * e(0) + 2 * e(m.x(2)) + 2 * e(m.y(2))
     spec = build_distribution(m, "diagonal", c=1, d=1)
     geom = second_fundamental_form(m, conn, spec)
-    assert geom.sigma[0][0] == 2 * m.basis_vector(0)
+    assert geom.sigma[0][0] == 2 * Vec.basis(m.dim, 0)
 
 
 @pytest.mark.parametrize("c,d", [(1, 1), (2, 1), (1, 3)])
@@ -302,7 +310,7 @@ def test_diagonal_sigma_closed_form_and_umbilical(c, d, n, alpha, beta):
     c, d = Fraction(c), Fraction(d)
     spec = build_distribution(m, "diagonal", c=c, d=d)
     geom = second_fundamental_form(m, an.conn, spec)
-    xi = m.basis_vector(0)
+    xi = Vec.basis(m.dim, 0)
     for a in range(n):
         for b in range(n):
             expected = (2 * c * d * lam) * xi if a == b else Vec.zero(m.dim)
@@ -346,9 +354,9 @@ def test_split_on_diagonal_1_1_detailed_oracle():
     m = model(2, 0, 2)
     an = analysis(2, 0, 2)
     cs = an.cs
-    v = m.basis_vector(m.x(1)) + m.basis_vector(m.y(1))
+    v = Vec.basis(m.dim, m.x(1)) + Vec.basis(m.dim, m.y(1))
     hv = cs.h @ v
-    assert hv == m.basis_vector(m.x(1)) - m.basis_vector(m.y(1))
+    assert hv == Vec.basis(m.dim, m.x(1)) - Vec.basis(m.dim, m.y(1))
     assert inner(hv, v, m.metric) == 0
     assert -(cs.phi @ hv) == -v
     spec = build_distribution(m, "diagonal", c=1, d=1)
@@ -497,13 +505,13 @@ def test_x_leaf_curvature_equals_ambient():
     an = analysis(3, 1, 3)
     inv = an.invariants
     spec = build_distribution(m, "x")
-    lowered = second_fundamental_form(m, an.conn, spec).lowered_bar
+    geom = second_fundamental_form(m, an.conn, spec)
     expected = 2 * (1 + inv.lam) - inv.mu
     assert expected == 2 * inv.lam * (inv.boeckx_invariant + 1)
     for a in range(3):
         for b in range(3):
             if a != b:
-                assert lowered(a, b, b, a) == expected
+                assert lowered_bar(geom, a, b, b, a) == expected
 
 
 def test_y_leaf_curvature_negative():
@@ -511,11 +519,11 @@ def test_y_leaf_curvature_negative():
     an = analysis(3, 1, 3)
     inv = an.invariants
     spec = build_distribution(m, "y")
-    lowered = second_fundamental_form(m, an.conn, spec).lowered_bar
+    geom = second_fundamental_form(m, an.conn, spec)
     expected = 2 * (1 - inv.lam) - inv.mu
     assert expected == 2 * inv.lam * (inv.boeckx_invariant - 1)
     assert expected < 0
-    assert lowered(0, 1, 1, 0) == expected
+    assert lowered_bar(geom, 0, 1, 1, 0) == expected
 
 
 def test_diagonal_leaf_space_form_cross_checked_by_gauss():
@@ -526,18 +534,17 @@ def test_diagonal_leaf_space_form_cross_checked_by_gauss():
     inv = an.invariants
     spec = build_distribution(m, "diagonal", c=1, d=1)
     geom = second_fundamental_form(m, an.conn, spec)
-    lowered = geom.lowered_bar
     v0, v1 = spec.vectors[0], spec.vectors[1]
     ambient = an.curvature.lowered(v0, v1, v1, v0)
     gauss_rhs = ambient + inner(
         geom.sigma[0][0], geom.sigma[1][1], m.metric
     ) - inner(geom.sigma[0][1], geom.sigma[1][0], m.metric)
-    assert lowered(0, 1, 1, 0) == gauss_rhs
+    assert lowered_bar(geom, 0, 1, 1, 0) == gauss_rhs
     # space form constant 2(1 - mu/2 + lambda sin theta) with sin = 0
     expected = 2 * (1 - inv.mu / 2)
     assert expected == -2
     norm_sq = inner(v0, v0, m.metric) * inner(v1, v1, m.metric)
-    assert lowered(0, 1, 1, 0) / norm_sq == expected
+    assert lowered_bar(geom, 0, 1, 1, 0) / norm_sq == expected
 
 
 def test_eigen_split_dimensions():
