@@ -14,11 +14,12 @@ from .connection import (
     sectional_curvature,
 )
 from .contact import (
+    ClosedFormRows,
     ContactStructure,
     ModelInvariants,
     attach_h,
     build_contact_structure,
-    closed_form_curvature,
+    closed_form_plane,
     compute_h,
     extract_kappa_mu,
     verify_identities,
@@ -40,6 +41,7 @@ from .submanifold import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ClosedFormRows",
     "ConnectionTable",
     "ContactStructure",
     "CurvatureTable",
@@ -59,7 +61,7 @@ __all__ = [
     "build_contact_structure",
     "build_distribution",
     "check_jacobi",
-    "closed_form_curvature",
+    "closed_form_plane",
     "compute_h",
     "d_homothetic",
     "extract_kappa_mu",

@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .errors import DegeneratePlaneError, DimensionMismatchError
 from .liealg import LieAlgebraModel
-from .linalg import Mat, Vec, combine, inner, matsum, metric_diagonal
+from .linalg import Mat, Vec, cancels, combine, inner, matsum, metric_diagonal
 
 
 @dataclass(frozen=True)
@@ -209,14 +209,18 @@ def antisymmetry_residuals(table):
     """((i, j, k), table[i][j][k] + table[j][i][k]) for every i <= j.
 
     ``table`` is indexed like ``CurvatureTable.table`` with ``Vec``
-    entries.  Every residual is zero exactly when the table is
-    antisymmetric in its first two indices, its (i, i) entries included.
+    entries of length ``len(table)``.  Every residual is zero exactly
+    when the table is antisymmetric in its first two indices, its (i, i)
+    entries included.  A pair that cancels, as ``linalg.cancels`` decides
+    from the two supports, yields one shared zero vector and no sum.
     """
     dim = len(table)
+    zero = Vec.zero(dim)
     for i in range(dim):
         for j in range(i, dim):
             for k in range(len(table[i][j])):
-                yield (i, j, k), table[i][j][k] + table[j][i][k]
+                u, v = table[i][j][k], table[j][i][k]
+                yield (i, j, k), zero if cancels(u, v) else u + v
 
 
 def is_antisymmetric(table) -> bool:

@@ -5,6 +5,12 @@ derivative of phi along xi, extracts (kappa, mu) from two curvature
 probes and re-verifies the defining condition globally, and checks the
 full set of structural identities of the class with zero residual.
 
+The closed-form curvature of the class is checked one plane R(e_i, e_j)
+at a time: ``ClosedFormRows`` reads a few covector rows off the
+structure's pairings once, and ``closed_form_plane`` sums them as
+rank-one terms, row by row over their supports, into the matrix whose
+column k is R(e_i, e_j) e_k.
+
 The exterior derivative convention is d eta(X, Y) = -eta([X, Y])/2 on
 left-invariant fields: the factor 1/2 is the unique one under which the
 fundamental 2-form equals d eta on these models.
@@ -19,7 +25,7 @@ from functools import cached_property
 from .connection import ConnectionTable, CurvatureTable
 from .errors import NotKappaMuError, StructureError
 from .liealg import LieAlgebraModel, bracket
-from .linalg import Mat, Vec, combine, dot, matsum, outer, rank, rat_str
+from .linalg import Mat, Vec, cancels, combine, dot, matsum, outer, rank, rat_str
 from .report import IdentityRecord, scan
 
 
@@ -90,7 +96,7 @@ class ModelInvariants:
 
     @cached_property
     def closed_form_constants(self) -> tuple:
-        """The constants ``closed_form_curvature`` reads, computed once."""
+        """The constants ``ClosedFormRows`` reads, computed once."""
         kappa, mu = self.kappa, self.mu
         half_mu = mu / 2
         return (
@@ -274,73 +280,100 @@ def verify_structure(
     ]
 
 
-def _times(a, b):
-    """a * b, formed only when both factors are nonzero; else the int 0."""
-    return a * b if a and b else 0
+class ClosedFormRows:
+    """The covector rows of the closed-form curvature of the class.
 
+    With the constants of ``ModelInvariants.closed_form_constants``, the
+    closed form of R(e_i, e_j) e_k, grouped by the vector each term
+    carries, is
 
-def closed_form_curvature(
-    inv: ModelInvariants, cs: ContactStructure, i: int, j: int, k: int
-) -> Vec:
-    """R(e_i, e_j) e_k from the closed-form curvature of the class.
+        W1[j][k] e_i - W1[i][k] e_j + W2[j][k] h e_i - W2[i][k] h e_j
+        - P[j][k] phi e_i + P[i][k] phi e_j + mu g(phi e_i, e_j) phi e_k
+        + Q[j][k] phi h e_i - Q[i][k] phi h e_j
+        + (eta(e_i) T[j][k] - eta(e_j) T[i][k]) xi
 
-    The formula is written in terms of g, h, phi, eta and the constants
-    (kappa, mu) only, so it is an expansion fully independent of the
-    connection-derived table it is compared against.  Every term carries
-    a metric factor or an eta product, so a triple on which all of them
-    vanish, as most do, gives the zero vector with no arithmetic.
+    over the rows, each a covector with a few nonzero entries,
+
+        W1[a] = (1 - mu/2) g(e_a, .) + g(h e_a, .) + c1 eta(e_a) eta
+        W2[a] = g(e_a, .) + coef_h g(h e_a, .) + c2 eta(e_a) eta
+        P[a] = (mu/2) g(phi e_a, .)
+        Q[a] = coef_phih g(phi h e_a, .)
+        T[a] = c1 g(e_a, .) + c2 g(h e_a, .),
+
+    with coef_h = (1 - mu/2) / (1 - kappa), coef_phih = (kappa - mu/2) /
+    (1 - kappa), c1 = kappa - 1 + mu/2 and c2 = mu - 1.  The eta(e_a) eta
+    parts of W1 and W2 and the xi term form the eta tail: the unique
+    completion antisymmetric in (e_i, e_j) that restricts to the defining
+    curvature condition at e_k = xi.  The rows are read off the
+    structure's tables once; ``closed_form_plane`` sums them into one
+    plane at a time.
     """
-    t = cs.tables
-    one_minus_half_mu, coef_h, coef_phih, half_mu, mu, c1, c2 = inv.closed_form_constants
-    X, Y, Z = t.basis[i], t.basis[j], t.basis[k]
-    hX, hY = t.hcol[i], t.hcol[j]
-    phiX, phiY, phiZ = t.phicol[i], t.phicol[j], t.phicol[k]
-    phihX, phihY = t.phihcol[i], t.phihcol[j]
-    gYZ, gXZ = t.g_id[j][k], t.g_id[i][k]
-    ghXZ, ghYZ = t.g_h[i][k], t.g_h[j][k]
-    gphiYZ, gphiXZ = t.g_phi[j][k], t.g_phi[i][k]
-    gphiXY = t.g_phi[i][j]
-    gphihYZ, gphihXZ = t.g_phih[j][k], t.g_phih[i][k]
-    eX, eY, eZ = t.eta[i], t.eta[j], t.eta[k]
-    if not (
-        gYZ or gXZ or ghXZ or ghYZ or gphiYZ or gphiXZ or gphiXY or gphihYZ
-        or gphihXZ or ((eX or eY) and eZ)
-    ):
-        return Vec.zero(t.dim)
 
-    # every product is formed only from nonzero factors, so no Fraction
-    # operation here takes a zero operand
-    eXZ, eYZ = -_times(eX, eZ), _times(eY, eZ)
-    c1X, c2X, c1Y, c2Y = (_times(c, e) for e in (eX, -eY) for c in (c1, c2))
-    # (factor, constant, vector): a term costs nothing when its factor or
-    # its constant vanishes; the metric factor does for most index triples
-    terms = (
-        (gYZ, one_minus_half_mu, X),
-        (-gXZ, one_minus_half_mu, Y),
-        (gYZ, 1, hX),
-        (-gXZ, 1, hY),
-        (-ghXZ, 1, Y),
-        (ghYZ, 1, X),
-        (ghYZ, coef_h, hX),
-        (-ghXZ, coef_h, hY),
-        (-gphiYZ, half_mu, phiX),
-        (gphiXZ, half_mu, phiY),
-        (gphiXY, mu, phiZ),
-        (gphihYZ, coef_phih, phihX),
-        (-gphihXZ, coef_phih, phihY),
-        # eta-tail: the unique completion antisymmetric in (X, Y) that
-        # restricts to the defining curvature condition at Z = xi.
-        (eXZ, c1, Y),
-        (eXZ, c2, hY),
-        (eYZ, c1, X),
-        (eYZ, c2, hX),
-        # its xi part, (eta(X) (c1 g(Y, Z) + c2 g(hY, Z)) - (X <-> Y)) xi
-        (gYZ, c1X, cs.xi),
-        (ghYZ, c2X, cs.xi),
-        (gXZ, c1Y, cs.xi),
-        (ghXZ, c2Y, cs.xi),
-    )
-    return combine(((g * c, v) for g, c, v in terms if g and c), t.dim)
+    def __init__(self, inv: ModelInvariants, cs: ContactStructure):
+        t = cs.tables
+        dim = self.dim = t.dim
+        one_minus_half_mu, coef_h, coef_phih, half_mu, mu, c1, c2 = inv.closed_form_constants
+        g_id, g_h, g_phi = Mat(t.g_id), Mat(t.g_h), Mat(t.g_phi)
+        eta = Vec(t.eta)
+        eta_eta = outer(eta, eta)
+
+        def rows(*terms):
+            # row a of the sum, as the columns of its transpose
+            sums = matsum(terms, dim, dim).transpose()
+            return tuple(sums.col(a) for a in range(dim))
+
+        def negated(ws):
+            return tuple(-w for w in ws)
+
+        W1 = rows((one_minus_half_mu, g_id), (1, g_h), (c1, eta_eta))
+        W2 = rows((1, g_id), (coef_h, g_h), (c2, eta_eta))
+        P = rows((half_mu, g_phi))
+        Q = rows((coef_phih, Mat(t.g_phih)))
+        T = rows((c1, g_id), (c2, g_h))
+        # (U, W, -W) per vector family: the plane (i, j) sums the rank-one
+        # terms U[i] W[j]^T and U[j] (-W[i])^T of every family
+        self.families = (
+            (t.basis, W1, negated(W1)),
+            (t.hcol, W2, negated(W2)),
+            (t.phicol, negated(P), P),
+            (t.phihcol, Q, negated(Q)),
+            (tuple(cs.xi * e for e in t.eta), T, negated(T)),
+        )
+        self.mu, self.g_phi = mu, t.g_phi
+        phi_t = Mat(t.phicol)  # row k is phi e_k, so column r is row r of phi
+        self.phi_rows = tuple(
+            (r, w) for r, w in enumerate(map(phi_t.col, range(dim))) if not w.is_zero()
+        )
+        self.zero = Vec.zero(dim)
+        # every term but mu g(phi e_i, e_j) phi e_k is antisymmetric in
+        # (i, j) by construction, so the planes are when g(phi ., .) is
+        g_phi_t = g_phi.transpose()
+        self.antisymmetric = all(cancels(g_phi.col(a), g_phi_t.col(a)) for a in range(dim))
+
+
+def closed_form_plane(rows: ClosedFormRows, i: int, j: int) -> Mat:
+    """R(e_i, e_j) by the closed-form curvature: column k is R(e_i, e_j) e_k.
+
+    The expansion (see ``ClosedFormRows``) reads g, h, phi, eta and the
+    constants (kappa, mu) only, so it is fully independent of the
+    connection-derived table it is compared against.  Row r of the plane
+    accumulates u[r] w over the rank-one terms u w^T whose vector u is
+    nonzero at r, as Gustavson's row-wise product does; a unit entry of
+    u, as every entry of a basis vector is, scales w with no multiply.
+    """
+    terms = {}
+    for U, W, negated_W in rows.families:
+        for u, w in ((U[i], W[j]), (U[j], negated_W[i])):
+            if not w.is_zero():
+                for r, x in u.nonzero_entries():
+                    terms.setdefault(r, []).append((x, w))
+    g = rows.g_phi[i][j]
+    if g and rows.mu:
+        c = rows.mu * g
+        for r, w in rows.phi_rows:
+            terms.setdefault(r, []).append((c, w))
+    dim, zero = rows.dim, rows.zero
+    return Mat([combine(terms[r], dim) if r in terms else zero for r in range(dim)])
 
 
 def verify_identities(
@@ -397,17 +430,21 @@ def verify_identities(
             ))
 
     def closed_form_residuals():
-        # antisymmetric in (i, j) when R and g(phi ., .) are; then i < j
-        # alone finds the same first failure (see is_antisymmetric)
-        half = R.antisymmetric and all(
-            t.g_phi[j][i] == -t.g_phi[i][j] for i in range(dim) for j in range(i, dim)
-        )
+        rows = ClosedFormRows(invariants, cs)
+        # antisymmetric in (i, j) when R and the closed-form planes are;
+        # then i < j alone finds the same first failure (see
+        # is_antisymmetric).  Column k is visited where either side is
+        # nonzero; elsewhere the residual is zero.  Equal sides, as on a
+        # certified table, give the zero vector with no subtraction.
+        half = R.antisymmetric and rows.antisymmetric
+        zero = rows.zero
         for i in range(dim):
             for j in range(i + 1 if half else 0, dim):
-                for k in range(dim):
-                    yield (i, j, k), (
-                        R.table[i][j][k] - closed_form_curvature(invariants, cs, i, j, k)
-                    )
+                plane = closed_form_plane(rows, i, j)
+                for k, lhs in enumerate(R.table[i][j]):
+                    rhs = plane.col(k)
+                    if not (lhs.is_zero() and rhs.is_zero()):
+                        yield (i, j, k), zero if lhs == rhs else lhs - rhs
 
     def nabla_xi_residuals():
         for i in range(dim):

@@ -38,6 +38,14 @@ def _riemann_plus(i, j, k, e):
     return lambda R: replace(R, table=bump(R.table, (i, j, k), Vec.basis(DIM, e)))
 
 
+def _structure_plus(p, q, r):
+    """[e_p, e_q] + e_r on a model, with its mirror [e_q, e_p] - e_r."""
+    def corrupt(m):
+        e = Vec.basis(DIM, r)
+        return replace(m, structure=bump(bump(m.structure, (p, q), e), (q, p), -e))
+    return corrupt
+
+
 def _invariant_plus(field, delta):
     return lambda inv: replace(inv, **{field: getattr(inv, field) + delta})
 
@@ -112,6 +120,35 @@ ROWS = [
             "curvature_closed_form": ((0, 1, 1), Fraction(3, 2)),
         },
         id="levi_civita-gamma12+e3",
+    ),
+    # model-input rows: one structure constant with no xi part, bumped
+    # with its mirror, survives the contact axioms and the kappa-mu
+    # extraction and fails the records downstream
+    pytest.param(
+        None, "analyze_structure", {"inputs": {"model": _structure_plus(2, 6, 1)}},
+        {
+            "jacobi": ((0, 1, 6), Fraction(9, 2)),
+            "curvature_symmetries": ((0, 1, 6), Fraction(3, 2)),
+            "kappa_mu_condition": ((1, 3), Fraction(3, 2)),
+            "nabla_phi": ((1, 2), Fraction(1, 2)),
+            "nabla_h": ((1, 2), 2),
+            "curvature_closed_form": ((0, 1, 1), Fraction(3, 2)),
+            "sectional_curvature": ((1, 2), Fraction(1, 4)),
+        },
+        id="structure-[X2,Y3]+X1",
+    ),
+    pytest.param(
+        None, "analyze_structure", {"inputs": {"model": _structure_plus(1, 2, 4)}},
+        {
+            "jacobi": ((0, 1, 2), Fraction(9, 2)),
+            "curvature_symmetries": ((0, 1, 2), Fraction(9, 2)),
+            "kappa_mu_condition": ((1, 2), Fraction(5, 2)),
+            "nabla_phi": ((1, 1), Fraction(1, 2)),
+            "nabla_h": ((1, 2), 2),
+            "curvature_closed_form": ((0, 1, 1), 2),
+            "sectional_curvature": ((1, 2), Fraction(9, 4)),
+        },
+        id="structure-[X1,X2]+Y1",
     ),
     pytest.param(
         DIAG, "split_h", {"output": _split_plus(1, 0, 1)},

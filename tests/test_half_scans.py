@@ -18,9 +18,10 @@ import pytest
 from kmu import contact
 from kmu.connection import CurvatureTable, antisymmetry_residuals, is_antisymmetric
 from kmu.contact import (
+    ClosedFormRows,
     ContactStructure,
     ModelInvariants,
-    closed_form_curvature,
+    closed_form_plane,
     verify_identities,
 )
 from kmu.linalg import Mat, Vec, combine, dot, inner
@@ -75,8 +76,10 @@ def _by_id(records):
 
 def _reference_closed_form(an, R):
     dim = R.dim
+    rows = ClosedFormRows(an.invariants, an.cs)
+    planes = {(i, j): closed_form_plane(rows, i, j) for i in range(dim) for j in range(dim)}
     return scan("curvature_closed_form", (
-        ((i, j, k), R.table[i][j][k] - closed_form_curvature(an.invariants, an.cs, i, j, k))
+        ((i, j, k), R.table[i][j][k] - planes[i, j].col(k))
         for i in range(dim)
         for j in range(dim)
         for k in range(dim)
@@ -127,7 +130,7 @@ def _reference_closed_form_curvature(inv, cs, i, j, k):
     """R(e_i, e_j) e_k by the full expansion of the class, every term summed.
 
     Reads g, h, phi and eta of the structure directly, and the constants
-    from kappa and mu, so nothing is shared with closed_form_curvature.
+    from kappa and mu, so nothing is shared with closed_form_plane.
     """
     dim = len(cs.xi)
     G, h, phi = cs.metric, cs.h, cs.phi
@@ -197,11 +200,11 @@ def test_closed_form_visits_i_below_j_on_an_antisymmetric_table(monkeypatch):
     an = analysis(3, 1, 3)
     dim = an.model.dim
     _consume_every_residual(monkeypatch)
-    calls = _count_calls(monkeypatch, contact, "closed_form_curvature")
+    calls = _count_calls(monkeypatch, contact, "closed_form_plane")
     records = verify_identities(an.model, an.cs, an.curvature, an.invariants, an.conn)
     assert _by_id(records)["curvature_closed_form"].passed
-    assert len(calls) == dim * dim * (dim - 1) // 2
-    assert all(i < j for _, _, i, j, _ in calls)
+    assert len(calls) == dim * (dim - 1) // 2
+    assert all(i < j for _, i, j in calls)
 
 
 def test_closed_form_visits_every_triple_on_a_mirror_corrupted_table(monkeypatch):
@@ -209,11 +212,11 @@ def test_closed_form_visits_every_triple_on_a_mirror_corrupted_table(monkeypatch
     dim = an.model.dim
     R = replace(an.curvature, table=bump(an.curvature.table, (2, 1, 3), Vec.basis(dim, 1)))
     _consume_every_residual(monkeypatch)
-    calls = _count_calls(monkeypatch, contact, "closed_form_curvature")
+    calls = _count_calls(monkeypatch, contact, "closed_form_plane")
     records = verify_identities(an.model, an.cs, R, an.invariants, an.conn)
     record = _by_id(records)["curvature_closed_form"]
     assert (record.witness_indices, record.residual) == ((2, 1, 3), 1)
-    assert len(calls) == dim ** 3
+    assert len(calls) == dim ** 2
 
 
 def test_closed_form_reads_every_triple_when_g_phi_has_a_diagonal_entry():
@@ -327,16 +330,18 @@ def test_half_scans_match_full_order_references(n, alpha, beta):
 
 @pytest.mark.parametrize("n,alpha,beta", [p for p in grid_points() if p[0] <= 4])
 def test_closed_form_curvature_matches_the_full_expansion(n, alpha, beta):
-    # the closed form returns zero at once on triples whose metric factors
-    # and eta products all vanish; a factor missing from that test would
-    # drop a nonzero term, here or under the shifted mu
+    # each plane sums only the nonzero entries of its rows; a row term or
+    # a support missing from that sum would drop a nonzero term, here or
+    # under the shifted mu
     an = analysis(n, alpha, beta)
     dim = an.model.dim
     for inv in (an.invariants, replace(an.invariants, mu=an.invariants.mu + 1)):
+        rows = ClosedFormRows(inv, an.cs)
         for i in range(dim):
             for j in range(dim):
+                plane = closed_form_plane(rows, i, j)
                 for k in range(dim):
-                    assert closed_form_curvature(inv, an.cs, i, j, k) == (
+                    assert plane.col(k) == (
                         _reference_closed_form_curvature(inv, an.cs, i, j, k)
                     ), (inv.mu, i, j, k)
 
@@ -344,10 +349,9 @@ def test_closed_form_curvature_matches_the_full_expansion(n, alpha, beta):
 @pytest.mark.parametrize("seed", range(12))
 def test_closed_form_curvature_matches_the_full_expansion_on_sparse_tensors(seed):
     # on the models' bases the factors come in correlated sets (g(Y, Z) !=
-    # 0 brings g(hY, Z) or an eta product along), so a factor left out of
-    # the vanishing-triple test could hide there; over these seeds, sparse
-    # random g, h, phi and eta make each factor the only nonzero one on
-    # some triple
+    # 0 brings g(hY, Z) or an eta product along), so a row term left out
+    # of the planes could hide there; over these seeds, sparse random g,
+    # h, phi and eta make each factor the only nonzero one on some triple
     rng = random.Random(seed)
     dim = 5
 
@@ -371,9 +375,11 @@ def test_closed_form_curvature_matches_the_full_expansion_on_sparse_tensors(seed
         lam=Fraction(7, 4),
         boeckx_invariant=Fraction(1),
     )
+    rows = ClosedFormRows(inv, cs)
     for i in range(dim):
         for j in range(dim):
+            plane = closed_form_plane(rows, i, j)
             for k in range(dim):
-                assert closed_form_curvature(inv, cs, i, j, k) == (
+                assert plane.col(k) == (
                     _reference_closed_form_curvature(inv, cs, i, j, k)
                 ), (i, j, k)
