@@ -58,9 +58,10 @@ class StructureTables:
     """Columns and metric pairings of one structure with h, built once.
 
     hcol[t], phicol[t] and phihcol[t] are h e_t, phi e_t and phi h e_t;
-    eta[t] is eta(e_t).  g_id[a][b], g_h[a][b], g_phi[a][b] and
-    g_phih[a][b] are g(e_a, e_b), g(h e_a, e_b), g(phi e_a, e_b) and
-    g(phi h e_a, e_b).  Every structure identity reads these tables.
+    eta[t] is eta(e_t).  The pairings are matrices: g_id[a, b], g_h[a, b],
+    g_phi[a, b] and g_phih[a, b] are g(e_a, e_b), g(h e_a, e_b),
+    g(phi e_a, e_b) and g(phi h e_a, e_b), so row a is the covector
+    g(u, .) of one vector u.  Every structure identity reads these tables.
     """
 
     def __init__(self, cs: ContactStructure):
@@ -74,7 +75,7 @@ class StructureTables:
         # g(u, e_b) for every b is the transposed metric applied to u
         gt = cs.metric.transpose()
         self.g_id, self.g_h, self.g_phi, self.g_phih = (
-            tuple(tuple(gt @ u) for u in cols)
+            Mat([gt @ u for u in cols])
             for cols in (self.basis, self.hcol, self.phicol, self.phihcol)
         )
 
@@ -254,7 +255,7 @@ def verify_structure(
         for a in range(dim):
             for b in range(a + 1, dim):
                 # g(e_a, h e_b) - g(h e_a, e_b)
-                yield (a, b), t.g_h[b][a] - t.g_h[a][b]
+                yield (a, b), t.g_h[b, a] - t.g_h[a, b]
         yield from (((k,), x) for k, x in (h @ cs.xi).nonzero_entries())
         yield from matsum(((1, h, cs.phi), (1, cs.phi, h)), dim, dim).nonzero_entries()
         for s in range(1, dim):
@@ -313,7 +314,7 @@ class ClosedFormRows:
         t = cs.tables
         dim = self.dim = t.dim
         one_minus_half_mu, coef_h, coef_phih, half_mu, mu, c1, c2 = inv.closed_form_constants
-        g_id, g_h, g_phi = Mat(t.g_id), Mat(t.g_h), Mat(t.g_phi)
+        g_id, g_h, g_phi = t.g_id, t.g_h, t.g_phi
         eta = Vec(t.eta)
         eta_eta = outer(eta, eta)
 
@@ -328,7 +329,7 @@ class ClosedFormRows:
         W1 = rows((one_minus_half_mu, g_id), (1, g_h), (c1, eta_eta))
         W2 = rows((1, g_id), (coef_h, g_h), (c2, eta_eta))
         P = rows((half_mu, g_phi))
-        Q = rows((coef_phih, Mat(t.g_phih)))
+        Q = rows((coef_phih, t.g_phih))
         T = rows((c1, g_id), (c2, g_h))
         # (U, W, -W) per vector family: the plane (i, j) sums the rank-one
         # terms U[i] W[j]^T and U[j] (-W[i])^T of every family
@@ -339,7 +340,7 @@ class ClosedFormRows:
             (t.phihcol, Q, negated(Q)),
             (tuple(cs.xi * e for e in t.eta), T, negated(T)),
         )
-        self.mu, self.g_phi = mu, t.g_phi
+        self.mu, self.g_phi = mu, g_phi
         phi_t = Mat(t.phicol)  # row k is phi e_k, so column r is row r of phi
         self.phi_rows = tuple(
             (r, w) for r, w in enumerate(map(phi_t.col, range(dim))) if not w.is_zero()
@@ -367,7 +368,7 @@ def closed_form_plane(rows: ClosedFormRows, i: int, j: int) -> Mat:
             if not w.is_zero():
                 for r, x in u.nonzero_entries():
                     terms.setdefault(r, []).append((x, w))
-    g = rows.g_phi[i][j]
+    g = rows.g_phi[i, j]
     if g and rows.mu:
         c = rows.mu * g
         for r, w in rows.phi_rows:
@@ -399,8 +400,8 @@ def verify_identities(
     # Each right-hand side is one matrix whose column j is the identity at
     # Y = e_j; column i of phi_w and h_w is its xi coefficient at X = e_i.
     one_minus_kappa = 1 - kappa
-    phi_w = Mat(t.g_id).transpose() + Mat(t.g_h)
-    h_w = matsum(((one_minus_kappa, Mat(t.g_phi)), (-1, Mat(t.g_phih))), dim, dim)
+    phi_w = t.g_id.transpose() + t.g_h
+    h_w = matsum(((one_minus_kappa, t.g_phi), (-1, t.g_phih)), dim, dim)
 
     phih = Mat.from_columns(t.phihcol)
 

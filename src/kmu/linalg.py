@@ -18,6 +18,16 @@ matrices is one ``matsum`` call, the one row-accumulation path.  Each
 kernel writes the support of its result and tests each entry it wrote
 for cancellation once.  Skipping a zero term never changes an exact
 sum, so results equal those of dense loops entry for entry.
+
+The kernels accumulate with no Fraction arithmetic (delayed
+normalisation, Knuth TAOCP vol. 2, 4.5.1): each entry written is a pair
+of ints, a numerator over a denominator.  A term adds its numerator
+directly when the denominators are equal and cross-multiplies
+otherwise, so no term computes a gcd or builds a Fraction.  Each entry
+becomes one Fraction at the end, normalised once, where a cancelled
+entry drops out; an entry that one unit-coefficient term alone wrote
+keeps its Fraction.  ``dot``, ``inner`` and the vector ``+``, ``-`` and
+scalar ``*`` work on numerators and denominators the same way.
 """
 
 from __future__ import annotations
@@ -83,8 +93,32 @@ def _scalar(s) -> Fraction | None:
 
 
 def _collect(acc: dict, dim: int) -> "Vec":
-    """The vector of an accumulator {index: entry}; cancelled entries drop out."""
-    return Vec._raw(tuple((i, x) for i, x in sorted(acc.items()) if x), dim)
+    """The vector of an integer accumulator; cancelled entries drop out.
+
+    ``acc`` maps an index to the one Fraction a unit term wrote there, or
+    to a list [numerator, denominator] of ints; each list becomes one
+    Fraction, normalised once.
+    """
+    nz = []
+    for t in sorted(acc):
+        e = acc[t]
+        if type(e) is not list:
+            nz.append((t, e))
+        elif e[0]:
+            nz.append((t, Fraction(e[0], e[1])))
+    return Vec._raw(tuple(nz), dim)
+
+
+def _add(acc: dict, t: int, e, p: int, q: int) -> None:
+    """Add p/q to the entry e that the accumulator holds at index t."""
+    if type(e) is not list:
+        e = acc[t] = [e.numerator, e.denominator]
+    d = e[1]
+    if d == q:
+        e[0] += p
+    else:
+        e[0] = e[0] * q + p * d
+        e[1] = d * q
 
 
 class Vec:
@@ -129,7 +163,8 @@ class Vec:
             raise DimensionMismatchError(
                 f"indices {min(entries)}..{max(entries)} out of range for dim {dim}"
             )
-        return _collect({i: _frac(x) for i, x in entries.items()}, dim)
+        nz = sorted((i, _frac(x)) for i, x in entries.items())
+        return Vec._raw(tuple((i, x) for i, x in nz if x), dim)
 
     @staticmethod
     def zero(dim: int) -> "Vec":
@@ -162,8 +197,9 @@ class Vec:
         return "Vec(%s)" % ", ".join(rat_str(c) for c in self._c)
 
     def _merge(self, other: "Vec", negate: bool) -> "Vec":
-        # self plus (or minus) other; an entry both write is tested for
-        # cancellation, an entry only one writes is kept as is
+        # self plus (or minus) other; an entry both write is summed on its
+        # numerators and denominators and tested for cancellation, an
+        # entry only one writes is kept as is
         if self._len != other._len:
             raise DimensionMismatchError(
                 f"vector dimensions differ: {self._len} vs {other._len}"
@@ -175,16 +211,16 @@ class Vec:
         acc = dict(self._nz)
         for j, y in other._nz:
             x = acc.get(j)
-            if negate:
-                y = -y
             if x is None:
-                acc[j] = y
+                acc[j] = -y if negate else y
+                continue
+            n, d = x.numerator, x.denominator
+            p, q = -y.numerator if negate else y.numerator, y.denominator
+            n, d = (n + p, d) if d == q else (n * q + p * d, d * q)
+            if n:
+                acc[j] = Fraction(n, d)
             else:
-                s = x + y
-                if s:
-                    acc[j] = s
-                else:
-                    del acc[j]
+                del acc[j]
         return Vec._raw(tuple(sorted(acc.items())), self._len)
 
     def __add__(self, other):
@@ -203,7 +239,11 @@ class Vec:
         if not s:
             return Vec.zero(self._len)
         # a product of nonzero rationals is nonzero: nothing to test
-        return Vec._raw(tuple((i, x * s) for i, x in self._nz), self._len)
+        a, b = s.numerator, s.denominator
+        return Vec._raw(
+            tuple((i, Fraction(x.numerator * a, x.denominator * b)) for i, x in self._nz),
+            self._len,
+        )
 
     __rmul__ = __mul__
 
@@ -237,24 +277,28 @@ def cancels(u: Vec, v: Vec) -> bool:
 def combine(terms, dim: int) -> Vec:
     """sum coeff * v over the (coeff, v) pairs of terms, over supports.
 
-    The sum accumulates over the union of the supports, and each entry
-    written is tested for cancellation once, at the end.  A coefficient
-    that is the shared zero, as every zero entry of a Vec or Mat is, is
-    skipped without a call, and one that is the shared one, as every unit
-    entry of a basis vector or the identity is, writes v with no multiply;
-    any other zero coefficient only writes zeros that this test drops.
+    Each entry written accumulates as an integer numerator over an
+    integer denominator, and becomes one Fraction at the end, where a
+    cancelled entry drops out.  A coefficient that is the shared zero, as
+    every zero entry of a Vec or Mat is, is skipped without a call; one
+    that is the shared one, as every unit entry of a basis vector or the
+    identity is, writes v as it is, so an entry that term alone writes
+    keeps its Fraction.  Any other zero coefficient only writes zeros
+    that the end drops.
     """
     acc = {}
     get = acc.get
     for coeff, v in terms:
-        if coeff is _ONE:
-            for t, x in v._nz:
-                a = get(t)
-                acc[t] = x if a is None else a + x
-        elif coeff is not _ZERO:
-            for t, x in v._nz:
-                a = get(t)
-                acc[t] = coeff * x if a is None else a + coeff * x
+        if coeff is _ZERO:
+            continue
+        unit = coeff is _ONE
+        a, b = coeff.numerator, coeff.denominator
+        for t, x in v._nz:
+            e = get(t)
+            if e is None:
+                acc[t] = x if unit else [a * x.numerator, b * x.denominator]
+            else:
+                _add(acc, t, e, a * x.numerator, b * x.denominator)
     return _collect(acc, dim)
 
 
@@ -263,9 +307,10 @@ def matsum(terms, nrows: int, ncols: int) -> "Mat":
 
     Each term is (c, A, B) for c A B, or (c, A) for c A; c is an int or
     a Fraction, and a term with c = 0 is skipped.  Row r accumulates in
-    one dict: each nonzero A[r, k] is scaled by c once, with no multiply
-    for c = 1 or -1, then written at column k or multiplied into row k
-    of B.  Each entry written is tested for cancellation once, at the end.
+    one dict of integer numerators and denominators, as in ``combine``:
+    each nonzero A[r, k] is scaled by c once, then written at column k or
+    multiplied into row k of B.  A term (1, A) writes A's entries as they
+    are, so an entry that term alone writes keeps its Fraction.
     """
     plan = []
     for c, A, *B in terms:
@@ -278,22 +323,29 @@ def matsum(terms, nrows: int, ncols: int) -> "Mat":
             shapes = A.shape if B is None else f"{A.shape} @ {B.shape}"
             raise DimensionMismatchError(f"term {shapes} in a {(nrows, ncols)} sum")
         if s:
-            sign = 1 if s == 1 else -1 if s == -1 else 0
-            plan.append((sign, s, A._vecs, None if B is None else B._vecs))
+            a, b = s.numerator, s.denominator
+            plan.append((a, b, a == b, A._vecs, None if B is None else B._vecs))
     rows = []
     for r in range(nrows):
         acc = {}
         get = acc.get
-        for sign, s, arows, brows in plan:
+        for a, b, unit, arows, brows in plan:
             for k, x in arows[r]._nz:
-                a = x if sign == 1 else -x if sign == -1 else s * x
+                xp, xq = a * x.numerator, b * x.denominator
                 if brows is None:
-                    v = get(k)
-                    acc[k] = a if v is None else v + a
+                    e = get(k)
+                    if e is None:
+                        acc[k] = x if unit else [xp, xq]
+                    else:
+                        _add(acc, k, e, xp, xq)
                     continue
                 for j, y in brows[k]._nz:
-                    v = get(j)
-                    acc[j] = a * y if v is None else v + a * y
+                    p, q = xp * y.numerator, xq * y.denominator
+                    e = get(j)
+                    if e is None:
+                        acc[j] = [p, q]
+                    else:
+                        _add(acc, j, e, p, q)
         rows.append(_collect(acc, ncols))
     return Mat._raw(tuple(rows))
 
@@ -430,12 +482,16 @@ def dot(u: Vec, v: Vec) -> Fraction:
     if u._len != v._len:
         raise DimensionMismatchError(f"dot product dims: u={u._len}, v={v._len}")
     vc = v._c
-    total = None
+    n, d = 0, 1
     for k, x in u._nz:
         y = vc[k]
         if y is not _ZERO:
-            total = x * y if total is None else total + x * y
-    return _ZERO if total is None else total
+            p, q = x.numerator * y.numerator, x.denominator * y.denominator
+            if d == q:
+                n += p
+            else:
+                n, d = n * q + p * d, d * q
+    return Fraction(n, d) if n else _ZERO
 
 
 def inner(u: Vec, v: Vec, G: Mat) -> Fraction:
@@ -446,14 +502,19 @@ def inner(u: Vec, v: Vec, G: Mat) -> Fraction:
             f"inner product dims: u={len(u)}, v={len(v)}, G={G.shape}"
         )
     rows, vc = G._vecs, v._c
-    total = None
+    n, d = 0, 1
     for i, x in u._nz:
+        xp, xq = x.numerator, x.denominator
         for j, g in rows[i]._nz:
             y = vc[j]
             if y is not _ZERO:
-                term = x * g * y
-                total = term if total is None else total + term
-    return _ZERO if total is None else total
+                p = xp * g.numerator * y.numerator
+                q = xq * g.denominator * y.denominator
+                if d == q:
+                    n += p
+                else:
+                    n, d = n * q + p * d, d * q
+    return Fraction(n, d) if n else _ZERO
 
 
 def metric_diagonal(G: Mat) -> tuple:

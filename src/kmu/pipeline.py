@@ -76,13 +76,13 @@ def sectional_records(
         for i in range(1, n + 1):
             for j in range(n + 1, dim):
                 K = sectional_curvature(R, G, t.basis[i], t.basis[j])
-                g_i_phi_j = t.g_phi[j][i]  # g(e_i, phi e_j)
+                g_i_phi_j = t.g_phi[j, i]  # g(e_i, phi e_j)
                 if not g_i_phi_j:
                     yield (i, j), K
                     continue
                 # the closed form is stated for unit vectors; normalize by
                 # the Gram determinant so non-unit frames are handled too
-                gram = gram_determinant(t.g_id[i][i], t.g_id[j][j], t.g_id[i][j])
+                gram = gram_determinant(t.g_id[i, i], t.g_id[j, j], t.g_id[i, j])
                 expected = -(inv.kappa + inv.mu) * g_i_phi_j ** 2 / gram
                 yield (i, j), K - expected
 

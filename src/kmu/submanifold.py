@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .connection import ConnectionTable, CurvatureTable, curvature_from, is_antisymmetric
 from .contact import ContactStructure, ModelInvariants, standard_phi
@@ -231,6 +232,14 @@ class SubmanifoldGeometry:
     umbilical_vector: Vec | None
     h1: Mat | None = None
     h2: Mat | None = None
+
+    @cached_property
+    def rbar_antisymmetric(self) -> bool:
+        """``is_antisymmetric(rbar)``, decided once for every scan that reads it.
+
+        A leaf rebuilt with ``replace(geom, rbar=...)`` decides its own.
+        """
+        return is_antisymmetric(self.rbar)
 
 
 def second_fundamental_form(
@@ -453,7 +462,7 @@ def gauss_codazzi_residuals(
     G = conn.metric
     # both equations are antisymmetric in (a, b) when R and Rbar are; then
     # a < b alone finds the same first failures (see is_antisymmetric)
-    half = R.antisymmetric and is_antisymmetric(geom.rbar)
+    half = R.antisymmetric and geom.rbar_antisymmetric
     triples = [
         (a, b, c)
         for a in range(n)
@@ -560,7 +569,7 @@ def leaf_curvature_records(
         # d = b when c = a (a != b).  Antisymmetric in (a, b) when Rbar
         # is; then a < b alone finds the same first failure (see
         # is_antisymmetric)
-        half = is_antisymmetric(rbar)
+        half = geom.rbar_antisymmetric
         for a in range(n):
             for b in range(a + 1 if half else 0, n):
                 k_term = {}

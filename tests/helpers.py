@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 
-from kmu import analyze_structure, build_boeckx_model
+from kmu import Mat, analyze_structure, build_boeckx_model
 
 GRID_AB = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 GRID_N = [2, 3, 4]
@@ -24,7 +24,10 @@ def grid_points():
 
 
 def bump(table, index, delta):
-    """The nested tuple ``table`` with ``delta`` added at ``index``."""
+    """The nested tuple or ``Mat`` ``table`` with ``delta`` added at ``index``."""
+    if isinstance(table, Mat):
+        rows = table.transpose()
+        return Mat(bump(tuple(tuple(rows.col(i)) for i in range(table.shape[0])), index, delta))
     head, *rest = index
     entry = table[head] + delta if not rest else bump(table[head], rest, delta)
     return table[:head] + (entry,) + table[head + 1:]

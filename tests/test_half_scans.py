@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from kmu import contact
+from kmu import contact, submanifold
 from kmu.connection import CurvatureTable, antisymmetry_residuals, is_antisymmetric
 from kmu.contact import (
     ClosedFormRows,
@@ -248,6 +248,24 @@ def test_gauss_codazzi_applies_R_on_a_below_b_only(monkeypatch, n):
         assert len(calls) == n * n * (n - 1) // 2
         vectors = geom.frame.vectors
         assert all(vectors.index(u) < vectors.index(v) for _, u, v, _ in calls)
+
+
+def test_leaf_antisymmetry_is_decided_once_per_leaf(monkeypatch):
+    # gauss and the space form both halve their scans on an antisymmetric
+    # Rbar; the leaf decides that once, and both scans read the answer
+    an = analysis(5, 0, 2)
+    leaves = _leaves(5) + [("mixed", {"z_choices": ("x", "y", "y")})]
+    calls = _count_calls(monkeypatch, submanifold, "is_antisymmetric")
+    space_forms = 0
+    for kind, keys in leaves:
+        spec = build_distribution(an.model, kind, **keys)
+        _, records, _ = analyze_submanifold(
+            an.model, an.conn, an.curvature, an.cs, an.invariants, spec
+        )
+        assert all(r.passed for r in records), (kind, keys)
+        space_forms += "leaf_space_form" in _by_id(records)
+    assert len(calls) == len(leaves)
+    assert space_forms >= 2  # so leaves with both readers were counted
 
 
 # ---------------------------------------------------------------------------

@@ -200,24 +200,39 @@ def test_combine_matches_the_dense_definition(example):
     assert_support(v)
 
 
+# every arithmetic operator of Fraction, reflected forms included
+FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+    "__rmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+)
+
+
 def test_shared_unit_coefficients_cost_no_multiply(monkeypatch):
     vectors = [Vec([Fraction(1, 2), 0, -3]), Vec([0, Fraction(5, 7), 3]), Vec.basis(3, 1)]
     M = Mat([[Fraction(2, 3), 0, 1], [0, 0, Fraction(-4)], [5, 1, 0]])
     calls = []
-    for name in ("__mul__", "__rmul__"):
+    for name in FRACTION_OPERATORS:
         method = getattr(Fraction, name)
         monkeypatch.setattr(
             Fraction, name,
-            lambda x, y, method=method, name=name: calls.append(name) or method(x, y),
+            lambda *args, method=method, name=name: calls.append(name) or method(*args),
         )
     v = combine([(_ONE, u) for u in vectors], 3)
     cancelled = combine([(_ONE, vectors[0]), (Fraction(-1), vectors[0])], 3)
     columns = [M @ Vec.basis(3, k) for k in range(3)]
+    # any coefficient, shared or not, and products, through both kernels
+    scaled = combine([(Fraction(2, 3), vectors[0]), (Fraction(-5, 7), vectors[1])], 3)
+    product = matsum([(Fraction(3, 4), M, M), (-2, M), (1, M)], 3, 3)
     monkeypatch.undo()
-    assert calls == ["__mul__"] * 2  # the -1 coefficient only
+    assert calls == []  # integer accumulation: no Fraction operator at all
     assert list(v) == [Fraction(1, 2), Fraction(12, 7), ZERO] and v[0] is vectors[0][0]
     assert cancelled.is_zero()
     assert columns == [M.col(k) for k in range(3)]
+    assert list(scaled) == [Fraction(1, 3), Fraction(-25, 49), Fraction(-29, 7)]
+    assert dense_rows(product) == dense_sum(
+        [(Fraction(3, 4), dense_rows(M), dense_rows(M)), (-1, dense_rows(M))], 3, 3
+    )
     assert_support(v)
 
 

@@ -269,6 +269,27 @@ def test_pair_symmetry_lowers_only_the_planes_it_reads():
     assert R.lowered_plane(2, 1)[3][4] == -R.lowered_plane(1, 2)[3][4]
 
 
+@pytest.mark.parametrize("rotation", [0, 1, 2])
+def test_bianchi_visits_a_triple_from_any_one_of_its_entries(rotation):
+    # a triple whose three entries are zero on the clean table, bumped at
+    # one rotation only: Bianchi must find it from that entry alone
+    R = analysis(3, 1, 3).curvature
+    dim, table = R.dim, R.table
+    i, j, k = next(
+        (i, j, k)
+        for i in range(dim)
+        for j in range(i + 1, dim)
+        for k in range(j + 1, dim)
+        if all(table[a][b][c].is_zero() for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+    )
+    index = ((i, j, k), (j, k, i), (k, i, j))[rotation]
+    bad = _corrupted(R, index, Vec.basis(dim, 0), False)
+    want, _ = dense_symmetry_residuals(bad)
+    got = curvature_symmetry_residuals(bad)
+    assert got == want
+    assert ((i, j, k), Vec.basis(dim, 0)) in got
+
+
 def test_pair_symmetry_failure_is_reported_at_the_canonical_tuple():
     # R(Y_1, Y_3, X_1, X_2) bumped with its antisymmetric mirror, where
     # R(X_1, X_2, Y_1, Y_3) is zero: the pair (X_1, X_2) is the lower one,
