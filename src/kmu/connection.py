@@ -242,10 +242,9 @@ def curvature_symmetry_residuals(R: CurvatureTable):
     symmetries already established (diagonal antisymmetry cases and
     permuted Bianchi sums are linear consequences).  Bianchi visits only
     the triples i < j < k where an entry it sums is nonzero, in index
-    order.  Pair symmetry checks
-    (i, j, k, l) with i < j, k <= l and k = l or (k, l) >= (i, j); it
-    visits only the tuples where a lowered entry it reads is nonzero, and
-    lowers only the i < j planes it reads.
+    order.  Pair symmetry checks (i, j, k, l) with i < j, k <= l and
+    k = l or (k, l) >= (i, j); it visits only the tuples where a lowered
+    entry it reads is nonzero, and lowers only the i < j planes it reads.
     """
     dim, table, low = R.dim, R.table, R.lowered_plane
     out = list(R.antisymmetry_failures)

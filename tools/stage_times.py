@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 tools/stage_times.py [--repeats 5] [--sizes 2,3,4,6,8]
+    python3 tools/stage_times.py [--repeats 10] [--sizes 2,3,4,6,8]
 
 ``kmu`` is imported from ``src/`` of the same checkout, so the script can
 be copied into another checkout and run there to compare two trees.  It
@@ -17,9 +17,11 @@ uses the standard library only.
   ``kmu.cli.main`` as the command line would, with the report discarded:
   ``deform3x0`` (a ``deform`` at n = 3 with alpha, beta and a of height
   about 10^3) and ``leaves0`` (a ``verify`` at n = 5 with nine leaves).
-  For each, the best-of time in milliseconds and the number of calls to
-  Fraction's arithmetic operators (+ - * / ** with their reflected
-  forms, unary - and +, abs) during one request.
+  For each, the number of calls to Fraction's arithmetic operators
+  (+ - * / ** with their reflected forms, unary - and +, abs) during one
+  request, after one warm-up request.  Counts repeat exactly; request
+  times are left to ``perfbench/run.py``, which calibrates them against
+  the machine's speed.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def catalogue_entries() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=10)
     parser.add_argument("--sizes", default="2,3,4,6,8", help="comma-separated n")
     args = parser.parse_args(argv)
     sizes = [int(n) for n in args.sizes.split(",")]
@@ -166,10 +168,7 @@ def main(argv=None) -> int:
         for key, entry in catalogue_entries().items():
             request = request_argv(entry, workdir)
             run_quietly(request)  # warm-up
-            requests[key] = {
-                "ms": best_ms(lambda: run_quietly(request), args.repeats),
-                "fraction_operations": fraction_operations(request),
-            }
+            requests[key] = {"fraction_operations": fraction_operations(request)}
     out = {
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
