@@ -240,31 +240,23 @@ def curvature_symmetry_residuals(R: CurvatureTable):
     antisymmetry and Bianchi residuals are ``Vec``s.  Scans the
     generating index ranges; the remaining tuples follow from the
     symmetries already established (diagonal antisymmetry cases and
-    permuted Bianchi sums are linear consequences).  Bianchi visits only
-    the triples i < j < k where an entry it sums is nonzero, in index
-    order.  Pair symmetry checks (i, j, k, l) with i < j, k <= l and
+    permuted Bianchi sums are linear consequences).  Bianchi adds its
+    three entries only at the triples i < j < k where one is nonzero.
+    Pair symmetry checks (i, j, k, l) with i < j, k <= l and
     k = l or (k, l) >= (i, j); it visits only the tuples where a lowered
     entry it reads is nonzero, and lowers only the i < j planes it reads.
     """
     dim, table, low = R.dim, R.table, R.lowered_plane
     out = list(R.antisymmetry_failures)
-    # Bianchi at i < j < k sums the entries at the rotations (i, j, k),
-    # (j, k, i) and (k, i, j), so a nonzero entry (a, b, c) is read only
-    # at the rotation of itself that increases, if it has one; every other
-    # triple sums three zero vectors
-    triples = set()
-    for a in range(dim):
-        for b in range(dim):
-            plane = table[a][b]
-            if a < b:
-                triples.update((a, b, c) for c in range(b + 1, dim) if not plane[c].is_zero())
-                triples.update((c, a, b) for c in range(a) if not plane[c].is_zero())
-            elif b < a:
-                triples.update((b, c, a) for c in range(b + 1, a) if not plane[c].is_zero())
-    for i, j, k in sorted(triples):
-        bianchi = table[i][j][k] + table[j][k][i] + table[k][i][j]
-        if not bianchi.is_zero():
-            out.append(((i, j, k), bianchi))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                x, y, z = table[i][j][k], table[j][k][i], table[k][i][j]
+                if x.is_zero() and y.is_zero() and z.is_zero():
+                    continue
+                bianchi = x + y + z
+                if not bianchi.is_zero():
+                    out.append(((i, j, k), bianchi))
     tuples = set()  # each nonzero lowered entry at its own tuple or its mirror
     for i in range(dim):
         for j in range(i + 1, dim):

@@ -26,8 +26,8 @@ directly when the denominators are equal and cross-multiplies
 otherwise, so no term computes a gcd or builds a Fraction.  Each entry
 becomes one Fraction at the end, normalised once, where a cancelled
 entry drops out; an entry that one unit-coefficient term alone wrote
-keeps its Fraction.  ``dot``, ``inner`` and the vector ``+``, ``-`` and
-scalar ``*`` work on numerators and denominators the same way.
+keeps its Fraction.  ``dot``, ``inner`` and the vector ``+`` and ``-``
+work on numerators and denominators the same way.
 """
 
 from __future__ import annotations
@@ -239,11 +239,7 @@ class Vec:
         if not s:
             return Vec.zero(self._len)
         # a product of nonzero rationals is nonzero: nothing to test
-        a, b = s.numerator, s.denominator
-        return Vec._raw(
-            tuple((i, Fraction(x.numerator * a, x.denominator * b)) for i, x in self._nz),
-            self._len,
-        )
+        return Vec._raw(tuple((i, x * s) for i, x in self._nz), self._len)
 
     __rmul__ = __mul__
 

@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 tools/stage_times.py [--repeats 10] [--sizes 2,3,4,6,8]
+    python3 tools/stage_times.py
 
 ``kmu`` is imported from ``src/`` of the same checkout, so the script can
 be copied into another checkout and run there to compare two trees.  It
@@ -10,9 +10,9 @@ uses the standard library only.
 
 * ``stages``: ``analyze_structure`` on a freshly built Boeckx model
   (alpha = 1, beta = 3) and ``verify_identities`` on that model's
-  analysis, each timed with ``time.perf_counter`` around one call, best
-  of ``--repeats``, in milliseconds; and the least-squares slope of
-  log(time) against log(dim) over the sizes.
+  analysis at n in ``SIZES``, each timed with ``time.perf_counter``
+  around one call, best of ``REPEATS``, in milliseconds; and the
+  least-squares slope of log(time) against log(dim) over the sizes.
 * ``requests``: two requests of ``perfbench/catalogue.json``, run through
   ``kmu.cli.main`` as the command line would, with the report discarded:
   ``deform3x0`` (a ``deform`` at n = 3 with alpha, beta and a of height
@@ -26,7 +26,6 @@ uses the standard library only.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -45,6 +44,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from kmu import analyze_structure, build_boeckx_model, verify_identities  # noqa: E402
 from kmu.cli import main as kmu_main  # noqa: E402
 
+SIZES = (2, 3, 4, 6, 8)
+REPEATS = 10
 REQUESTS = ("deform3x0", "leaves0")
 OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -53,10 +54,10 @@ OPERATORS = (
 )
 
 
-def best_ms(run, repeats: int) -> float:
-    """The fastest of ``repeats`` timed calls of ``run()``, in ms."""
+def best_ms(run) -> float:
+    """The fastest of ``REPEATS`` timed calls of ``run()``, in ms."""
     best = math.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         run()
         best = min(best, time.perf_counter() - start)
@@ -74,18 +75,16 @@ def loglog_slope(points) -> float | None:
     return round(num / sum((x - mx) ** 2 for x in xs), 3)
 
 
-def stage_times(sizes, repeats: int) -> dict:
+def stage_times() -> dict:
     analyze, identities = {}, {}
-    for n in sizes:
+    for n in SIZES:
         dim = 2 * n + 1
         analyze[dim] = best_ms(
-            lambda: analyze_structure(build_boeckx_model(n, Fraction(1), Fraction(3))),
-            repeats,
+            lambda: analyze_structure(build_boeckx_model(n, Fraction(1), Fraction(3)))
         )
         an = analyze_structure(build_boeckx_model(n, Fraction(1), Fraction(3)))
         identities[dim] = best_ms(
-            lambda: verify_identities(an.model, an.cs, an.curvature, an.invariants, an.conn),
-            repeats,
+            lambda: verify_identities(an.model, an.cs, an.curvature, an.invariants, an.conn)
         )
     return {
         name: {
@@ -156,13 +155,7 @@ def catalogue_entries() -> dict:
     return found
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=10)
-    parser.add_argument("--sizes", default="2,3,4,6,8", help="comma-separated n")
-    args = parser.parse_args(argv)
-    sizes = [int(n) for n in args.sizes.split(",")]
-
+def main() -> int:
     requests = {}
     with tempfile.TemporaryDirectory() as workdir:
         for key, entry in catalogue_entries().items():
@@ -172,9 +165,9 @@ def main(argv=None) -> int:
     out = {
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "model": "build_boeckx_model(n, 1, 3), native structure",
-        "stages": stage_times(sizes, args.repeats),
+        "stages": stage_times(),
         "requests": requests,
     }
     print(json.dumps(out, indent=1, sort_keys=True))
