@@ -13,9 +13,11 @@ curvature condition of the class.
 
 The connection is read as its operators, ops[i] = nabla_{e_i} as a
 matrix, so curvature is matrix algebra: R(e_i, e_j) = [nabla_i, nabla_j]
-- sum_m c_ij^m nabla_m.  ``curvature_from`` computes it for the model
-and, in frame coordinates, for every leaf; it builds i < j and fills the
-rest by antisymmetry, which needs an antisymmetric bracket table.
+- sum_m c_ij^m nabla_m.  ``curvature_from`` computes that plane for each
+pair i < j only, for the model and, in frame coordinates, for every
+leaf.  ``CurvatureTable`` stores those planes and nothing else: R(e_j,
+e_i) is read as -R(e_i, e_j) and R(e_i, e_i) as zero, so every table is
+antisymmetric in its first two slots by construction.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cached_property
 
 from .errors import DegeneratePlaneError, DimensionMismatchError
 from .liealg import LieAlgebraModel
-from .linalg import Mat, Vec, cancels, combine, inner, matsum, metric_diagonal
+from .linalg import Mat, Vec, combine, inner, matsum, metric_diagonal
 
 
 @dataclass(frozen=True)
@@ -60,29 +62,53 @@ class ConnectionTable:
 
 @dataclass(frozen=True)
 class CurvatureTable:
-    """Curvature components: table[i][j][k] = R(e_i, e_j) e_k as a Vec.
+    """Curvature stored once, as one plane per index pair i < j.
 
-    ``table`` is the one stored copy of R; the lowering (plane by plane)
-    and the antisymmetry residuals are views derived from it on first
-    read, so a table rebuilt with ``replace(R, table=...)`` derives its own.
+    planes[i, j] is the matrix whose column k is R(e_i, e_j) e_k, and
+    ``column`` reads R(e_i, e_j) e_k for any i and j.  The lowering (plane
+    by plane) and the nested ``table`` are views derived on first read,
+    so a table rebuilt with ``replace(R, planes=...)`` derives its own.
     """
 
     dim: int
     metric: Mat
-    table: tuple
+    planes: dict
+
+    def column(self, i: int, j: int, k: int) -> Vec:
+        """R(e_i, e_j) e_k: negated for j < i, zero for i = j."""
+        if i < j:
+            return self.planes[i, j].col(k)
+        if j < i:
+            return -self.planes[j, i].col(k)
+        return Vec.zero(self.dim)
+
+    @cached_property
+    def table(self) -> tuple:
+        """table[i][j][k] = R(e_i, e_j) e_k as a Vec, for export."""
+        dim = self.dim
+        return tuple(
+            tuple(tuple(self.column(i, j, k) for k in range(dim)) for j in range(dim))
+            for i in range(dim)
+        )
 
     def apply(self, u: Vec, v: Vec, w: Vec) -> Vec:
-        """Multilinear extension of the basis table, over the supports."""
-        def terms():
-            for i, x in u.nonzero_entries():
-                plane = self.table[i]
-                for j, y in v.nonzero_entries():
-                    row, xy = plane[j], x * y
-                    for k, z in w.nonzero_entries():
-                        if row[k].nonzero_entries():
-                            yield xy * z, row[k]
+        """R(u, v) w = sum over i < j of (u_i v_j - u_j v_i) R(e_i, e_j) w.
 
-        return combine(terms(), self.dim)
+        The coefficients are summed over the supports of u and v, and each
+        plane with a nonzero one is applied to w once.
+        """
+        coeffs = {}
+        for i, x in u.nonzero_entries():
+            for j, y in v.nonzero_entries():
+                if i < j:
+                    pair, xy = (i, j), x * y
+                elif j < i:
+                    pair, xy = (j, i), -(x * y)
+                else:
+                    continue
+                coeffs[pair] = coeffs[pair] + xy if pair in coeffs else xy
+        planes = self.planes
+        return combine(((c, planes[p] @ w) for p, c in coeffs.items() if c), self.dim)
 
     @cached_property
     def _lowered_planes(self) -> dict:
@@ -95,21 +121,10 @@ class CurvatureTable:
         plane = planes.get((i, j))
         if plane is None:
             gt = self.metric.transpose()
-            plane = tuple(v if v.is_zero() else gt @ v for v in self.table[i][j])
+            columns = (self.column(i, j, k) for k in range(self.dim))
+            plane = tuple(v if v.is_zero() else gt @ v for v in columns)
             planes[i, j] = plane
         return plane
-
-    @cached_property
-    def antisymmetry_failures(self) -> tuple:
-        """The nonzero ``antisymmetry_residuals`` of ``table``, in scan order."""
-        return tuple(
-            (w, anti) for w, anti in antisymmetry_residuals(self.table) if not anti.is_zero()
-        )
-
-    @property
-    def antisymmetric(self) -> bool:
-        """``is_antisymmetric(table)``, read off ``antisymmetry_failures``."""
-        return not self.antisymmetry_failures
 
     def lowered(self, u: Vec, v: Vec, w: Vec, z: Vec) -> Fraction:
         return inner(self.apply(u, v, w), z, self.metric)
@@ -149,114 +164,77 @@ def levi_civita(model: LieAlgebraModel, metric: Mat | None = None) -> Connection
     return ConnectionTable(dim=dim, metric=G, gamma=gamma)
 
 
-def torsion_residuals(model: LieAlgebraModel, conn: ConnectionTable):
-    """nabla_i e_j - nabla_j e_i - [e_i, e_j], nonzero entries only."""
-    out = []
-    for i in range(model.dim):
-        for j in range(i + 1, model.dim):
-            res = conn.gamma[i][j] - conn.gamma[j][i] - model.structure[i][j]
-            if not res.is_zero():
-                out.append(((i, j), res))
-    return out
+def torsion_residuals(model: LieAlgebraModel, conn: ConnectionTable) -> list:
+    """((i, j), nabla_i e_j - nabla_j e_i - [e_i, e_j]) for every i < j."""
+    return [
+        ((i, j), conn.gamma[i][j] - conn.gamma[j][i] - model.structure[i][j])
+        for i in range(model.dim)
+        for j in range(i + 1, model.dim)
+    ]
 
 
-def metric_compatibility_residuals(conn: ConnectionTable):
-    """g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k), nonzero entries only.
+def metric_compatibility_residuals(conn: ConnectionTable) -> list:
+    """((i, j, k), g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k)) for k >= j.
 
     The metric has constant coefficients in a left-invariant frame, so
     compatibility is exactly this antisymmetry in (j, k): the residuals
-    are the entries k >= j of L + L^T = G^T ops[i] + ops[i]^T G, where
-    L = G^T ops[i] has entry (k, j) = g(nabla_i e_j, e_k).
+    are the entries k >= j of L + L^T, where L = G^T ops[i] has entry
+    (k, j) = g(nabla_i e_j, e_k).  A tuple is visited where L or L^T is
+    nonzero, in index order; elsewhere both terms are zero.
     """
     out = []
-    G, gt = conn.metric, conn.metric.transpose()
+    gt = conn.metric.transpose()
     for i, op in enumerate(conn.ops):
-        sym = matsum(((1, gt, op), (1, op.transpose(), G)), conn.dim, conn.dim)
-        for (j, k), res in sym.nonzero_entries():
-            if k >= j:
-                out.append(((i, j, k), res))
+        low = gt @ op
+        sym = low + low.transpose()
+        pairs = sorted({(min(j, k), max(j, k)) for (k, j), _ in low.nonzero_entries()})
+        out += (((i, j, k), sym[j, k]) for j, k in pairs)
     return out
 
 
-def curvature_from(ops, brackets) -> tuple:
-    """table[i][j][k] = R(e_i, e_j) e_k for the operators ops[i] = nabla_{e_i}.
+def curvature_from(ops, brackets, metric: Mat) -> CurvatureTable:
+    """The curvature of the operators ops[i] = nabla_{e_i}, plane by plane.
 
-    With c_ij^m the coefficients brackets[i][j] of [e_i, e_j], the entries
-    k are the columns of R_ij = [ops[i], ops[j]] - sum_m c_ij^m ops[m] for
-    i < j, negated for j < i.  That fill needs an antisymmetric bracket
-    table, as the structure constants and a leaf's frame brackets are.
+    With c_ij^m the coefficients brackets[i][j] of [e_i, e_j], the plane
+    (i, j) is R_ij = [ops[i], ops[j]] - sum_m c_ij^m ops[m], built for
+    i < j only; ``metric`` is the one the table lowers with.
     """
     dim = len(ops)
-    table = [[(Vec.zero(dim),) * dim] * dim for _ in range(dim)]
+    planes = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             terms = [(1, ops[i], ops[j]), (-1, ops[j], ops[i])]
             terms += [(-x, ops[m]) for m, x in brackets[i][j].nonzero_entries()]
-            R_ij = matsum(terms, dim, dim)
-            cols = tuple(R_ij.col(k) for k in range(dim))
-            table[i][j] = cols
-            table[j][i] = tuple(-col for col in cols)
-    return tuple(tuple(plane) for plane in table)
+            planes[i, j] = matsum(terms, dim, dim)
+    return CurvatureTable(dim=dim, metric=metric, planes=planes)
 
 
 def riemann(model: LieAlgebraModel, conn: ConnectionTable) -> CurvatureTable:
     """R(e_i, e_j) e_k from the connection operators and the bracket table."""
-    table = curvature_from(conn.ops, model.structure)
-    return CurvatureTable(dim=model.dim, metric=conn.metric, table=table)
+    return curvature_from(conn.ops, model.structure, conn.metric)
 
 
-def antisymmetry_residuals(table):
-    """((i, j, k), table[i][j][k] + table[j][i][k]) for every i <= j.
+def curvature_symmetry_residuals(R: CurvatureTable) -> list:
+    """First Bianchi and pair-symmetry residuals, as (witness, residual).
 
-    ``table`` is indexed like ``CurvatureTable.table`` with ``Vec``
-    entries of length ``len(table)``.  Every residual is zero exactly
-    when the table is antisymmetric in its first two indices, its (i, i)
-    entries included.  A pair that cancels, as ``linalg.cancels`` decides
-    from the two supports, yields one shared zero vector and no sum.
+    R is antisymmetric in its first two slots by construction, so these
+    two symmetries are what is left to check.  Bianchi yields the sum of
+    its three entries (a ``Vec``) at every triple i < j < k where one of
+    them is nonzero.  Pair symmetry yields g(R(e_i, e_j) e_k, e_l) -
+    g(R(e_k, e_l) e_i, e_j) at (i, j, k, l) with i < j, k < l and
+    (k, l) >= (i, j), and the entry itself at a diagonal k = l, where it
+    must vanish; it visits only the tuples where a lowered entry it reads
+    is nonzero, and lowers only the i < j planes it reads.
     """
-    dim = len(table)
-    zero = Vec.zero(dim)
-    for i in range(dim):
-        for j in range(i, dim):
-            for k in range(len(table[i][j])):
-                u, v = table[i][j][k], table[j][i][k]
-                yield (i, j, k), zero if cancels(u, v) else u + v
-
-
-def is_antisymmetric(table) -> bool:
-    """True when every ``antisymmetry_residuals`` entry of ``table`` is zero.
-
-    A scan whose residual inherits this antisymmetry may visit i < j
-    only: its failing tuples then come in swapped pairs and none has
-    i = j, so the first failing tuple in full index order has i < j.
-    """
-    return all(anti.is_zero() for _, anti in antisymmetry_residuals(table))
-
-
-def curvature_symmetry_residuals(R: CurvatureTable):
-    """Antisymmetry, first Bianchi and pair-symmetry residual scan.
-
-    Returns (witness index tuple, nonzero residual) pairs; the
-    antisymmetry and Bianchi residuals are ``Vec``s.  Scans the
-    generating index ranges; the remaining tuples follow from the
-    symmetries already established (diagonal antisymmetry cases and
-    permuted Bianchi sums are linear consequences).  Bianchi adds its
-    three entries only at the triples i < j < k where one is nonzero.
-    Pair symmetry checks (i, j, k, l) with i < j, k <= l and
-    k = l or (k, l) >= (i, j); it visits only the tuples where a lowered
-    entry it reads is nonzero, and lowers only the i < j planes it reads.
-    """
-    dim, table, low = R.dim, R.table, R.lowered_plane
-    out = list(R.antisymmetry_failures)
+    dim, planes, low = R.dim, R.planes, R.lowered_plane
+    out = []
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                x, y, z = table[i][j][k], table[j][k][i], table[k][i][j]
-                if x.is_zero() and y.is_zero() and z.is_zero():
-                    continue
-                bianchi = x + y + z
-                if not bianchi.is_zero():
-                    out.append(((i, j, k), bianchi))
+                # R(e_k, e_i) e_j is minus the stored R(e_i, e_k) e_j
+                x, y, z = planes[i, j].col(k), planes[j, k].col(i), planes[i, k].col(j)
+                if not (x.is_zero() and y.is_zero() and z.is_zero()):
+                    out.append(((i, j, k), x + y - z))
     tuples = set()  # each nonzero lowered entry at its own tuple or its mirror
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -266,14 +244,14 @@ def curvature_symmetry_residuals(R: CurvatureTable):
                         tuples.add((i, j, k, l))
                     elif l > k:
                         tuples.add((k, l, i, j))
+    zero = Fraction(0)
     for i, j, k, l in sorted(tuples):
+        ijkl = low(i, j)[k][l]
         if k == l:
-            # second-slot-pair diagonal must vanish by pair symmetry
-            out.append(((i, j, k, k), low(i, j)[k][k]))
+            out.append(((i, j, k, k), ijkl))
         else:
-            ijkl, klij = low(i, j)[k][l], low(k, l)[i][j]
-            if ijkl != klij:
-                out.append(((i, j, k, l), ijkl - klij))
+            klij = low(k, l)[i][j]
+            out.append(((i, j, k, l), zero if ijkl == klij else ijkl - klij))
     return out
 
 

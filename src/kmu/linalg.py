@@ -251,25 +251,6 @@ class Vec:
         return self._nz
 
 
-def cancels(u: Vec, v: Vec) -> bool:
-    """True when u + v is the zero vector, decided on the two supports.
-
-    The supports must hold the same indices, and each pair of entries
-    must have opposite numerators over one denominator: entries are
-    Fractions in lowest terms, so that is x = -y, found with integer
-    compares and no sum formed.
-    """
-    if u._len != v._len:
-        raise DimensionMismatchError(f"vector dimensions differ: {u._len} vs {v._len}")
-    a, b = u._nz, v._nz
-    if len(a) != len(b):
-        return False
-    for (i, x), (j, y) in zip(a, b):
-        if i != j or x.numerator != -y.numerator or x.denominator != y.denominator:
-            return False
-    return True
-
-
 def combine(terms, dim: int) -> Vec:
     """sum coeff * v over the (coeff, v) pairs of terms, over supports.
 

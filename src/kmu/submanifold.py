@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 
-from .connection import ConnectionTable, CurvatureTable, curvature_from, is_antisymmetric
+from .connection import ConnectionTable, CurvatureTable, curvature_from
 from .contact import ContactStructure, ModelInvariants, standard_phi
 from .errors import NonInvolutiveError, ParameterError, StructureError
 from .liealg import LieAlgebraModel, bracket
@@ -216,9 +215,9 @@ class SubmanifoldGeometry:
     """One leaf's tables, each built once, and its classification verdict.
 
     In frame coordinates nb[a][b] is nablabar_{v_a} v_b, br[a][b] is
-    [v_a, v_b] and rbar[a][b][c] is Rbar(v_a, v_b) v_c; sigma[a][b] is
-    sigma(v_a, v_b) in the ambient basis.  Every check on the leaf reads
-    these tables instead of rebuilding them.
+    [v_a, v_b] and rbar.column(a, b, c) is Rbar(v_a, v_b) v_c; sigma[a][b]
+    is sigma(v_a, v_b) in the ambient basis.  Every check on the leaf
+    reads these tables instead of rebuilding them.
     """
 
     spec: DistributionSpec
@@ -226,20 +225,12 @@ class SubmanifoldGeometry:
     nb: tuple
     br: tuple
     sigma: tuple
-    rbar: tuple
+    rbar: CurvatureTable
     mean_curvature_vector: Vec
     classification: str
     umbilical_vector: Vec | None
     h1: Mat | None = None
     h2: Mat | None = None
-
-    @cached_property
-    def rbar_antisymmetric(self) -> bool:
-        """``is_antisymmetric(rbar)``, decided once for every scan that reads it.
-
-        A leaf rebuilt with ``replace(geom, rbar=...)`` decides its own.
-        """
-        return is_antisymmetric(self.rbar)
 
 
 def second_fundamental_form(
@@ -289,21 +280,21 @@ def second_fundamental_form(
         nb=nb,
         br=br,
         sigma=sigma,
-        rbar=intrinsic_curvature(nb, br),
+        rbar=intrinsic_curvature(nb, br, frame.induced),
         mean_curvature_vector=mean,
         classification=classification,
         umbilical_vector=umbilical,
     )
 
 
-def intrinsic_curvature(nb: tuple, br: tuple) -> tuple:
+def intrinsic_curvature(nb: tuple, br: tuple, induced: Mat) -> CurvatureTable:
     """Leaf curvature Rbar(v_a, v_b) v_c in frame coordinates.
 
     The curvature of the connection nablabar, whose operator
-    nablabar_{v_a} has the columns nb[a], with the frame brackets br;
-    br is antisymmetric because the ambient bracket is.
+    nablabar_{v_a} has the columns nb[a], with the frame brackets br,
+    lowered by the induced metric ``induced``.
     """
-    return curvature_from(tuple(Mat.from_columns(row) for row in nb), br)
+    return curvature_from(tuple(Mat.from_columns(row) for row in nb), br, induced)
 
 
 def split_h(cs: ContactStructure, geom: SubmanifoldGeometry) -> tuple[Mat, Mat]:
@@ -460,20 +451,14 @@ def gauss_codazzi_residuals(
     vectors = frame.vectors
     n = len(vectors)
     G = conn.metric
-    # both equations are antisymmetric in (a, b) when R and Rbar are; then
-    # a < b alone finds the same first failures (see is_antisymmetric)
-    half = R.antisymmetric and geom.rbar_antisymmetric
-    triples = [
-        (a, b, c)
-        for a in range(n)
-        for b in range(a + 1 if half else 0, n)
-        for c in range(n)
-    ]
+    # both equations are antisymmetric in (a, b), as R and Rbar are by
+    # construction, so a < b alone finds the first failures of the full
+    # index order
+    triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(n)]
     # R(v_a, v_b) v_c projected onto the frame, and (nabla_{v_a} sigma)(v_b,
     # v_c), each built once; sigma is symmetric, so row c of sigma is
-    # sigma(., v_c).  Codazzi reads nabla sigma only as a difference, which
-    # is zero at a = b, and everywhere when sigma vanishes (a totally
-    # geodesic leaf).
+    # sigma(., v_c).  Codazzi reads nabla sigma only at a != b, and not at
+    # all when sigma vanishes (a totally geodesic leaf).
     projected = {
         (a, b, c): frame.project(R.apply(vectors[a], vectors[b], vectors[c]))
         for a, b, c in triples
@@ -503,7 +488,7 @@ def gauss_codazzi_residuals(
 
     def gauss_residuals():
         for a, b, c in triples:
-            row = frame.induced @ (projected[a, b, c][0] - geom.rbar[a][b][c])
+            row = frame.induced @ (projected[a, b, c][0] - geom.rbar.column(a, b, c))
             if sigma_pairs:
                 row = row + sigma_pairs[b, c, a] - sigma_pairs[a, c, b]
             for d in range(n):
@@ -512,7 +497,7 @@ def gauss_codazzi_residuals(
     def codazzi_residuals():
         for a, b, c in triples:
             normal = projected[a, b, c][1]
-            if nabla_sigma and a != b:
+            if nabla_sigma:
                 normal = normal - (nabla_sigma[a, b, c] - nabla_sigma[b, a, c])
             yield (a, b, c), normal
 
@@ -560,24 +545,20 @@ def leaf_curvature_records(
     def sectional_bar(a, b):
         # Rbar(v_a, v_b, v_b, v_a) / (g(v_a, v_a) g(v_b, v_b)) on an
         # orthogonal frame
-        return rbar[a][b][b][a] / norms[b]
+        return rbar.column(a, b, b)[a] / norms[b]
 
     def space_form_residuals(K):
         # Rbar(v_a, v_b, v_c, v_d) - K (g_ad g_bc - g_ac g_bd), all d at
-        # once: the row diag(norms) Rbar[a][b][c], less the K-term, which
-        # on an orthogonal frame lives only at d = a when c = b and at
-        # d = b when c = a (a != b).  Antisymmetric in (a, b) when Rbar
-        # is; then a < b alone finds the same first failure (see
-        # is_antisymmetric)
-        half = geom.rbar_antisymmetric
+        # once: the row diag(norms) Rbar(v_a, v_b) v_c, less the K-term,
+        # which on an orthogonal frame lives only at d = a when c = b and
+        # at d = b when c = a.  Both are antisymmetric in (a, b), so a < b
+        # alone finds the first failure of the full index order
         for a in range(n):
-            for b in range(a + 1 if half else 0, n):
-                k_term = {}
-                if a != b:
-                    k_ab = K * norms[a] * norms[b]
-                    k_term = {b: k_ab * Vec.basis(n, a), a: -k_ab * Vec.basis(n, b)}
+            for b in range(a + 1, n):
+                k_ab = K * norms[a] * norms[b]
+                k_term = {b: k_ab * Vec.basis(n, a), a: -k_ab * Vec.basis(n, b)}
                 for c in range(n):
-                    row = frame.induced @ rbar[a][b][c]
+                    row = frame.induced @ rbar.column(a, b, c)
                     if c in k_term:
                         row = row - k_term[c]
                     for d in range(n):

@@ -1,9 +1,10 @@
 """Shared model/analysis cache so test modules do not recompute stacks."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
-from kmu import Mat, analyze_structure, build_boeckx_model
+from kmu import CurvatureTable, Mat, Vec, analyze_structure, build_boeckx_model
 
 GRID_AB = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 GRID_N = [2, 3, 4]
@@ -24,10 +25,27 @@ def grid_points():
 
 
 def bump(table, index, delta):
-    """The nested tuple or ``Mat`` ``table`` with ``delta`` added at ``index``."""
+    """The nested tuple or ``Mat`` ``table`` with ``delta`` added at ``index``.
+
+    On a ``CurvatureTable`` the index (i, j, k) names R(e_i, e_j) e_k, and
+    the stored plane of {i, j} changes, so R(e_j, e_i) e_k moves by -delta.
+    """
+    if isinstance(table, CurvatureTable):
+        i, j, k = index
+        pair, step = ((i, j), delta) if i < j else ((j, i), -delta)
+        plane = table.planes[pair]
+        columns = [plane.col(t) + step if t == k else plane.col(t) for t in range(table.dim)]
+        return replace(table, planes={**table.planes, pair: Mat.from_columns(columns)})
     if isinstance(table, Mat):
         rows = table.transpose()
         return Mat(bump(tuple(tuple(rows.col(i)) for i in range(table.shape[0])), index, delta))
     head, *rest = index
     entry = table[head] + delta if not rest else bump(table[head], rest, delta)
     return table[:head] + (entry,) + table[head + 1:]
+
+
+def failures(residuals) -> list:
+    """The (witness, residual) pairs of ``residuals`` whose residual is nonzero."""
+    return [
+        (w, r) for w, r in residuals if (not r.is_zero() if isinstance(r, Vec) else r)
+    ]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -412,16 +413,54 @@ def test_build_report_direct():
     assert report["model"] == {"n": 2, "alpha": "0", "beta": "2"}
 
 
-def test_benchmark_stages_resolve_and_run(tmp_path, capsys, monkeypatch):
-    # perfbench/spans.py wraps these functions by module and name, and
-    # perfbench/run.py swaps cli.analyze_structure; a stage that is
-    # renamed or no longer called would drop out of a traced run unseen
+def _load_spans(monkeypatch):
+    """perfbench/spans.py, loaded by path without importing perfbench."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the file executes
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_reads_vec_tables(tmp_path, capsys, monkeypatch):
+    # perfbench/spans.py wraps the stage functions by module and name and
+    # counts the nonzero entries of levi_civita's gamma and riemann's
+    # table; dump-tables exports both tables.  Each entry must stay a Vec,
+    # and table must read R(e_j, e_i) = -R(e_i, e_j) with a zero diagonal
+    spans = _load_spans(monkeypatch)
+    for _, module_name, func_name in spans.STAGES:
+        assert callable(getattr(importlib.import_module(module_name), func_name)), func_name
+    m = kmu.build_boeckx_model(2, Fraction(1), Fraction(3))
+    conn = kmu.levi_civita(m)
+    table = kmu.riemann(m, conn).table
+    dim = m.dim
+    entries = {}
+    for i in range(dim):
+        for j in range(dim):
+            assert isinstance(conn.gamma[i][j], kmu.Vec)
+            for k in range(dim):
+                entry = table[i][j][k]
+                assert isinstance(entry, kmu.Vec) and len(entry) == dim
+                assert table[j][i][k] == -entry
+                if i == j:
+                    assert entry.is_zero()
+                entries.update(
+                    (f"{i},{j},{k},{t}", kmu.rat_str(x)) for t, x in entry.nonzero_entries()
+                )
+    assert any(key.startswith("1,0,") for key in entries)
+    path = write_descriptor(tmp_path, {"n": 2, "alpha": "1", "beta": "3"})
+    code, out, _ = run_cli(capsys, ["dump-tables", path, "--table", "curvature"])
+    assert code == 0
+    assert json.loads(out)["entries"] == entries
+
+
+def test_benchmark_stages_resolve_and_run(tmp_path, capsys, monkeypatch):
+    # perfbench/spans.py wraps these functions by module and name, and
+    # perfbench/run.py swaps cli.analyze_structure; a stage that is
+    # renamed or no longer called would drop out of a traced run unseen
+    spans = _load_spans(monkeypatch)
     for _, module_name, func_name in spans.STAGES:
         assert callable(getattr(importlib.import_module(module_name), func_name))
     assert callable(kmu.cli.analyze_structure)

@@ -1,7 +1,6 @@
 """Connection and curvature: Koszul oracle, tables, and invariances."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,7 @@ from kmu.connection import (
 from kmu.errors import DegeneratePlaneError
 from kmu.linalg import dot
 
-from helpers import analysis, model
+from helpers import analysis, bump, failures, model
 
 
 def koszul_oracle(m, i, j, G=None):
@@ -95,8 +94,8 @@ def test_connection_matches_koszul_everywhere(n, alpha, beta):
 def test_torsion_and_metric_compatibility(n, alpha, beta):
     m = model(n, alpha, beta)
     conn = analysis(n, alpha, beta).conn
-    assert torsion_residuals(m, conn) == []
-    assert metric_compatibility_residuals(conn) == []
+    assert failures(torsion_residuals(m, conn)) == []
+    assert failures(metric_compatibility_residuals(conn)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +113,67 @@ def test_curvature_symmetries_by_direct_loop():
                 assert (R.table[i][j][k] + R.table[j][i][k]).is_zero()
                 total = R.table[i][j][k] + R.table[j][k][i] + R.table[k][i][j]
                 assert total.is_zero()
-    assert curvature_symmetry_residuals(R) == []
+    assert failures(curvature_symmetry_residuals(R)) == []
+
+
+def test_structure_scans_yield_every_tuple_they_visit():
+    # report.scan alone decides what fails: each scan yields its residual
+    # at every tuple it visits, zero or not, so a clean model gives a
+    # fixed number of zero residuals
+    m, an = model(2, 1, 3), analysis(2, 1, 3)
+    conn, R, dim = an.conn, an.curvature, m.dim
+    torsion = torsion_residuals(m, conn)
+    assert [w for w, _ in torsion] == [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    # metric compatibility visits the tuples k >= j where g(nabla_i e_j, e_k)
+    # or g(nabla_i e_k, e_j) is nonzero
+    basis = [Vec.basis(dim, t) for t in range(dim)]
+    g_nabla = [
+        [[inner(conn.gamma[i][j], basis[k], conn.metric) for k in range(dim)] for j in range(dim)]
+        for i in range(dim)
+    ]
+    compat = metric_compatibility_residuals(conn)
+    assert [w for w, _ in compat] == [
+        (i, j, k)
+        for i in range(dim)
+        for j in range(dim)
+        for k in range(j, dim)
+        if g_nabla[i][j][k] or g_nabla[i][k][j]
+    ]
+    # Bianchi visits the triples with a nonzero entry; pair symmetry the
+    # tuples i < j, k <= l, (k, l) >= (i, j) or k = l where an entry it
+    # compares is nonzero
+    table = R.table
+    low = [[R.lowered_plane(i, j) for j in range(dim)] for i in range(dim)]
+    bianchi = [
+        (i, j, k)
+        for i in range(dim)
+        for j in range(i + 1, dim)
+        for k in range(j + 1, dim)
+        if any(not table[a][b][c].is_zero() for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+    ]
+    pair = [
+        (i, j, k, l)
+        for i in range(dim)
+        for j in range(i + 1, dim)
+        for k in range(dim)
+        for l in range(k, dim)
+        if (k == l and low[i][j][k][k]) or (
+            k < l and (k, l) >= (i, j) and (low[i][j][k][l] or low[k][l][i][j])
+        )
+    ]
+    symmetries = curvature_symmetry_residuals(R)
+    assert [w for w, _ in symmetries] == bianchi + pair
+    assert (len(torsion), len(compat), len(bianchi), len(pair)) == (10, 12, 4, 11)
+    for residuals in (torsion, compat, symmetries):
+        assert failures(residuals) == []
 
 
 def test_curvature_symmetries_record_fails_on_corrupted_entry(monkeypatch):
-    # R(X_1, X_2) X_3 gains an X_1 component, breaking antisymmetry there
+    # R(X_1, X_2) X_3 gains an X_1 component in its stored plane, breaking
+    # first Bianchi at (X_1, X_2, X_3)
     def corrupted_riemann(model_, conn):
         R = riemann(model_, conn)
-        table = [[list(row) for row in plane] for plane in R.table]
-        table[1][2][3] = table[1][2][3] + Vec.basis(R.dim, 1)
-        return replace(R, table=tuple(tuple(tuple(r) for r in p) for p in table))
+        return bump(R, (1, 2, 3), Vec.basis(R.dim, 1))
 
     monkeypatch.setattr(pipeline, "riemann", corrupted_riemann)
     analysis_ = pipeline.analyze_structure(model(3, 1, 3))

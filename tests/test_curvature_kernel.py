@@ -1,11 +1,12 @@
 """The connection operators, against definitions written out entry by entry.
 
-``connection.curvature_from`` builds R(e_i, e_j) = [nabla_i, nabla_j] -
-sum_m c_ij^m nabla_m from operator matrices for i < j only and fills the
-rest by antisymmetry; ``metric_compatibility_residuals`` reads the
-symmetric part of G^T nabla_i.  The references here walk every index, so a kernel that
-drops a term, flips a sign, reads an operator transposed or fills the
-half it skips wrongly disagrees with them.
+``connection.curvature_from`` builds the planes R(e_i, e_j) = [nabla_i,
+nabla_j] - sum_m c_ij^m nabla_m from operator matrices for i < j only,
+and ``CurvatureTable.column`` reads the rest by antisymmetry;
+``metric_compatibility_residuals`` reads the symmetric part of G^T
+nabla_i.  The references here walk every index, so a kernel that drops a
+term, flips a sign, reads an operator transposed or reads the half it
+does not store wrongly disagrees with them.
 """
 
 from dataclasses import replace
@@ -19,7 +20,7 @@ from kmu.connection import curvature_from, metric_compatibility_residuals
 from kmu.linalg import Mat, Vec, combine
 from kmu.submanifold import build_distribution, second_fundamental_form
 
-from helpers import analysis, bump, grid_points
+from helpers import analysis, bump, failures, grid_points
 from test_kernels import sparse_lists, sparse_rows
 
 ZERO = Fraction(0)
@@ -68,7 +69,8 @@ def test_leaf_curvature_matches_the_full_range_expansion(n, alpha, beta):
     for kind, keys in _leaves(n):
         spec = build_distribution(an.model, kind, **keys)
         geom = second_fundamental_form(an.model, an.conn, spec)
-        assert geom.rbar == _reference_rbar(geom.nb, geom.br), (kind, keys)
+        assert geom.rbar.table == _reference_rbar(geom.nb, geom.br), (kind, keys)
+        assert geom.rbar.metric == geom.frame.induced
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +122,13 @@ def _dense_curvature(ops, brackets):
 @given(operators_and_brackets())
 def test_curvature_from_matches_the_dense_definition(data):
     ops, brackets = data
-    table = curvature_from(
+    R = curvature_from(
         tuple(Mat(rows) for rows in ops),
         tuple(tuple(Vec(c) for c in row) for row in brackets),
+        Mat.identity(len(ops)),
     )
     dense = _dense_curvature(ops, brackets)
-    assert [[[list(entry) for entry in row] for row in plane] for plane in table] == dense
+    assert [[[list(entry) for entry in row] for row in plane] for plane in R.table] == dense
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +155,7 @@ def _reference_compatibility(conn):
 def test_metric_compatibility_matches_the_index_loop(index, entry):
     # a bump of gamma[i][j] along e_j breaks compatibility on the diagonal k = j
     conn = analysis(2, 1, 3).conn
-    assert metric_compatibility_residuals(conn) == [] == _reference_compatibility(conn)
+    assert failures(metric_compatibility_residuals(conn)) == [] == _reference_compatibility(conn)
     bumped = replace(conn, gamma=bump(conn.gamma, index, Vec.basis(conn.dim, entry)))
-    residuals = metric_compatibility_residuals(bumped)
+    residuals = failures(metric_compatibility_residuals(bumped))
     assert residuals and residuals == _reference_compatibility(bumped)

@@ -1,12 +1,14 @@
-"""Half scans over antisymmetric index pairs, against full-order references.
+"""Half scans over the index pairs i < j, against full-order references.
 
-The closed-form, Gauss, Codazzi and leaf space-form scans visit only
-i < j (a < b) when the tables they read are antisymmetric in that pair,
-and every index tuple otherwise.  These tests count the work each scan
-does and compare its records with the full-order loops kept here, on
-clean tables, on corruptions that keep the antisymmetry (the half path
-must still find the first failing tuple) and on mirror-only corruptions
-(the full path must run).
+The closed-form, kappa-mu, Gauss, Codazzi and leaf space-form scans
+visit only i < j (a < b) of their first two slots.  R and Rbar are
+antisymmetric in that pair by construction, as ``CurvatureTable`` stores
+one plane per pair, and the closed form is because the contact axioms
+that every structure passes make g(phi ., .) skew.  These tests count
+the work each scan does and compare its records with the full-order
+loops kept here, on clean tables and on tables with a corrupted stored
+plane, where the half scan must still find the first failing tuple of
+the full order.
 """
 
 import random
@@ -15,16 +17,20 @@ from fractions import Fraction
 
 import pytest
 
-from kmu import contact, submanifold
-from kmu.connection import CurvatureTable, antisymmetry_residuals, is_antisymmetric
+from kmu import contact
+from kmu.connection import CurvatureTable
 from kmu.contact import (
     ClosedFormRows,
     ContactStructure,
     ModelInvariants,
+    check_contact_axioms,
     closed_form_plane,
+    standard_phi,
     verify_identities,
+    verify_structure,
 )
-from kmu.linalg import Mat, Vec, combine, dot, inner
+from kmu.errors import StructureError
+from kmu.linalg import Mat, Vec, combine, dot, inner, matsum, outer
 from kmu.report import scan
 from kmu.submanifold import (
     analyze_submanifold,
@@ -35,7 +41,7 @@ from kmu.submanifold import (
     second_fundamental_form,
 )
 
-from helpers import analysis, bump, grid_points
+from helpers import analysis, bump, grid_points, model
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -49,11 +55,6 @@ def _count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
-
-
-def _antisymmetric_bump(table, i, j, k, delta):
-    """``table`` with delta added at (i, j, k) and subtracted at (j, i, k)."""
-    return bump(bump(table, (i, j, k), delta), (j, i, k), -delta)
 
 
 def _leaves(n):
@@ -79,10 +80,23 @@ def _reference_closed_form(an, R):
     rows = ClosedFormRows(an.invariants, an.cs)
     planes = {(i, j): closed_form_plane(rows, i, j) for i in range(dim) for j in range(dim)}
     return scan("curvature_closed_form", (
-        ((i, j, k), R.table[i][j][k] - planes[i, j].col(k))
+        ((i, j, k), R.column(i, j, k) - planes[i, j].col(k))
         for i in range(dim)
         for j in range(dim)
         for k in range(dim)
+    ))
+
+
+def _reference_kappa_mu(an, R):
+    cs, inv = an.cs, an.invariants
+    dim = R.dim
+    K = matsum(((inv.kappa, Mat.identity(dim)), (inv.mu, cs.h)), dim, dim)
+    eta = [dot(cs.eta, Vec.basis(dim, t)) for t in range(dim)]
+    return scan("kappa_mu_condition", (
+        ((i, j), combine(((x, R.column(i, j, k)) for k, x in cs.xi.nonzero_entries()), dim)
+         - (eta[j] * K.col(i) - eta[i] * K.col(j)))
+        for i in range(dim)
+        for j in range(dim)
     ))
 
 
@@ -99,7 +113,7 @@ def _reference_gauss_codazzi(R, conn, geom):
     }
     gauss = (
         ((a, b, c, d), inner(ambient[a, b, c], vectors[d], G) - (
-            geom.rbar[a][b][c][d] * frame.norms[d]
+            geom.rbar.column(a, b, c)[d] * frame.norms[d]
             - inner(sigma[a][d], sigma[b][c], G)
             + inner(sigma[a][c], sigma[b][d], G)
         ))
@@ -117,7 +131,7 @@ def _reference_gauss_codazzi(R, conn, geom):
 def _reference_space_form(geom, K):
     gram, n = geom.frame.gram, len(geom.frame.gram)
     return scan("leaf_space_form", (
-        ((a, b, c, d), geom.rbar[a][b][c][d] * geom.frame.norms[d]
+        ((a, b, c, d), geom.rbar.column(a, b, c)[d] * geom.frame.norms[d]
          - K * (gram[a][d] * gram[b][c] - gram[a][c] * gram[b][d]))
         for a in range(n)
         for b in range(n)
@@ -174,20 +188,6 @@ def _reference_closed_form_curvature(inv, cs, i, j, k):
 # ---------------------------------------------------------------------------
 
 
-def test_antisymmetry_guard_reads_every_pair_and_the_diagonal():
-    R = analysis(2, 1, 3).curvature
-    dim = R.dim
-    residuals = list(antisymmetry_residuals(R.table))
-    assert [w for w, _ in residuals] == [
-        (i, j, k) for i in range(dim) for j in range(i, dim) for k in range(dim)
-    ]
-    assert all(anti.is_zero() for _, anti in residuals) and R.antisymmetric
-    for index in [(1, 1, 0), (2, 1, 3), (1, 2, 3)]:
-        bad = replace(R, table=bump(R.table, index, Vec.basis(dim, 1)))
-        assert not bad.antisymmetric, index
-        assert not is_antisymmetric(bad.table), index
-
-
 def _consume_every_residual(monkeypatch):
     # scan stops at the first failure; reading every residual first
     # makes the call counts independent of where that is
@@ -207,30 +207,19 @@ def test_closed_form_visits_i_below_j_on_an_antisymmetric_table(monkeypatch):
     assert all(i < j for _, i, j in calls)
 
 
-def test_closed_form_visits_every_triple_on_a_mirror_corrupted_table(monkeypatch):
-    an = analysis(3, 1, 3)
-    dim = an.model.dim
-    R = replace(an.curvature, table=bump(an.curvature.table, (2, 1, 3), Vec.basis(dim, 1)))
-    _consume_every_residual(monkeypatch)
-    calls = _count_calls(monkeypatch, contact, "closed_form_plane")
-    records = verify_identities(an.model, an.cs, R, an.invariants, an.conn)
-    record = _by_id(records)["curvature_closed_form"]
-    assert (record.witness_indices, record.residual) == ((2, 1, 3), 1)
-    assert len(calls) == dim ** 2
-
-
-def test_closed_form_reads_every_triple_when_g_phi_has_a_diagonal_entry():
-    # g(phi X_1, X_1) = 1 breaks the antisymmetry only at i = j, where the
-    # full scan fails first and a half scan would report (1, 2, 1)
-    an = analysis(3, 1, 3)
-    cs = replace(an.cs)
-    cs.tables.g_phi = bump(cs.tables.g_phi, (1, 1), 1)
-    an = replace(an, cs=cs)
-    record = _by_id(
-        verify_identities(an.model, cs, an.curvature, an.invariants, an.conn)
-    )["curvature_closed_form"]
-    assert record == _reference_closed_form(an, an.curvature)
-    assert (record.witness_indices, record.residual) == ((1, 1, 1), 7)
+def test_contact_axioms_refuse_a_phi_with_g_phi_nonzero_on_the_diagonal():
+    # the closed-form scan visits i < j only because g(phi e_a, e_b) is
+    # skew on every structure that reaches it; a phi with g(phi e_1, e_1)
+    # != 0 is refused before analysis
+    m = model(2, 1, 3)
+    dim = m.dim
+    xi = Vec.basis(dim, 0)
+    eta = m.metric @ xi
+    phi = standard_phi(m) + outer(Vec.basis(dim, 1), Vec.basis(dim, 1))
+    assert inner(phi @ Vec.basis(dim, 1), Vec.basis(dim, 1), m.metric) != 0
+    with pytest.raises(StructureError) as err:
+        check_contact_axioms(m, phi, xi, eta, m.metric)
+    assert str(err.value) == "phi_square fails at (1, 1) with residual 1"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -250,50 +239,30 @@ def test_gauss_codazzi_applies_R_on_a_below_b_only(monkeypatch, n):
         assert all(vectors.index(u) < vectors.index(v) for _, u, v, _ in calls)
 
 
-def test_leaf_antisymmetry_is_decided_once_per_leaf(monkeypatch):
-    # gauss and the space form both halve their scans on an antisymmetric
-    # Rbar; the leaf decides that once, and both scans read the answer
-    an = analysis(5, 0, 2)
-    leaves = _leaves(5) + [("mixed", {"z_choices": ("x", "y", "y")})]
-    calls = _count_calls(monkeypatch, submanifold, "is_antisymmetric")
-    space_forms = 0
-    for kind, keys in leaves:
-        spec = build_distribution(an.model, kind, **keys)
-        _, records, _ = analyze_submanifold(
-            an.model, an.conn, an.curvature, an.cs, an.invariants, spec
-        )
-        assert all(r.passed for r in records), (kind, keys)
-        space_forms += "leaf_space_form" in _by_id(records)
-    assert len(calls) == len(leaves)
-    assert space_forms >= 2  # so leaves with both readers were counted
-
-
 # ---------------------------------------------------------------------------
 # every record against the full-order reference
 # ---------------------------------------------------------------------------
 
 
 def _curvature_cases(dim, n):
-    """Clean, antisymmetrically corrupted and mirror-corrupted R tables."""
+    """Clean and corrupted R tables, each corruption one stored plane entry."""
     e = lambda t: Vec.basis(dim, t)  # noqa: E731
     x1, x2, y1, y2 = 1, 2, n + 1, n + 2
     return {
-        "clean": lambda table: table,
-        # corrupt R(X_1, X_2) X_1 and R(Y_1, Y_2) Y_1 with their mirrors
-        "antisymmetric": lambda table: _antisymmetric_bump(
-            _antisymmetric_bump(table, x1, x2, x1, e(x2)), y1, y2, y1, e(y2)
+        "clean": lambda R: R,
+        # R(X_1, X_2) X_1, R(Y_1, Y_2) Y_1 and R(X_1, Y_2) xi
+        "corrupted": lambda R: bump(
+            bump(bump(R, (x1, x2, x1), e(x2)), (y1, y2, y1), e(y2)), (x1, y2, 0), e(y1)
         ),
-        "mirror_only": lambda table: bump(table, (x2, x1, x1), e(x2)),
     }
 
 
 def _leaf_cases(n):
-    """Clean, antisymmetrically corrupted and mirror-corrupted Rbar tables."""
+    """Clean and corrupted Rbar tables."""
     e0 = Vec.basis(n, 0)
     return {
         "clean": lambda rbar: rbar,
-        "antisymmetric": lambda rbar: _antisymmetric_bump(rbar, 0, 1, 1, e0),
-        "mirror_only": lambda rbar: bump(rbar, (1, 0, 1), e0),
+        "corrupted": lambda rbar: bump(rbar, (0, 1, 1), e0),
     }
 
 
@@ -304,11 +273,15 @@ def test_half_scans_match_full_order_references(n, alpha, beta):
     failing = set()
 
     for name, corrupt in _curvature_cases(dim, n).items():
-        R = replace(an.curvature, table=corrupt(an.curvature.table))
+        R = corrupt(an.curvature)
         got = _by_id(verify_identities(an.model, an.cs, R, an.invariants, an.conn))
         want = _reference_closed_form(an, R)
         assert got["curvature_closed_form"] == want, name
         failing.add(("closed_form", name, want.passed))
+        got = _by_id(verify_structure(an.cs, R, an.invariants))
+        want = _reference_kappa_mu(an, R)
+        assert got["kappa_mu_condition"] == want, name
+        failing.add(("kappa_mu", name, want.passed))
 
         for kind, keys in _leaves(n):
             spec = build_distribution(an.model, kind, **keys)
@@ -339,11 +312,10 @@ def test_half_scans_match_full_order_references(n, alpha, beta):
                 assert "leaf_space_form" not in records
 
     # every corrupted case fails somewhere, so witnesses were compared
-    for scan_name in ("closed_form", "gauss", "space_form"):
-        for name in ("antisymmetric", "mirror_only"):
-            if scan_name == "gauss":
-                assert (scan_name, "leaf " + name, False) in failing
-            assert (scan_name, name, False) in failing, (scan_name, name)
+    for scan_name in ("closed_form", "kappa_mu", "gauss", "space_form"):
+        if scan_name == "gauss":
+            assert (scan_name, "leaf corrupted", False) in failing
+        assert (scan_name, "corrupted", False) in failing, scan_name
 
 
 @pytest.mark.parametrize("n,alpha,beta", [p for p in grid_points() if p[0] <= 4])

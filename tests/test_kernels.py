@@ -322,13 +322,28 @@ def test_nabla_matches_dense(gamma, us, vs):
 @settings(max_examples=30)
 @given(sparse_tables(3, 3), sparse_lists(3), sparse_lists(3), sparse_lists(3))
 def test_curvature_apply_matches_dense(table, us, vs, ws):
+    # the planes i < j are drawn; the dense table holds their negations at
+    # j < i and zero at i = j, as a curvature table reads them
+    dim = 3
     R = CurvatureTable(
-        dim=3,
-        metric=Mat.identity(3),
-        table=tuple(tuple(tuple(Vec(e) for e in row) for row in plane) for plane in table),
+        dim=dim,
+        metric=Mat.identity(dim),
+        planes={
+            (i, j): Mat.from_columns(Vec(e) for e in table[i][j])
+            for i in range(dim)
+            for j in range(i + 1, dim)
+        },
     )
+    dense = [
+        [
+            table[i][j] if i < j else [[-x for x in e] for e in table[j][i]] if j < i
+            else [[ZERO] * dim for _ in range(dim)]
+            for j in range(dim)
+        ]
+        for i in range(dim)
+    ]
     u, v, w = Vec(us), Vec(vs), Vec(ws)
-    exact_vec(R.apply(u, v, w), dense_apply(table, us, vs, ws))
+    exact_vec(R.apply(u, v, w), dense_apply(dense, us, vs, ws))
     assert (R.apply(u, v, w) + R.apply(u, v, -w)).is_zero()
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmu.errors import DimensionMismatchError, KmuError, ParameterError
-from kmu.linalg import _ONE, _ZERO, Mat, Vec, cancels, combine, matsum
+from kmu.linalg import _ONE, _ZERO, Mat, Vec, combine, matsum
 
 from test_kernels import assert_support, dense_matmat, dense_rows, sparse_lists, sparse_rows
 from test_linalg import rationals
@@ -234,51 +234,3 @@ def test_shared_unit_coefficients_cost_no_multiply(monkeypatch):
         [(Fraction(3, 4), dense_rows(M), dense_rows(M)), (-1, dense_rows(M))], 3, 3
     )
     assert_support(v)
-
-
-@st.composite
-def cancel_pairs(draw):
-    """(u, v) for cancels: exact negations and near misses of them.
-
-    The near misses keep everything but one part of a negation: the sign
-    (v = u), the denominators (equal numerators, each over a larger
-    one), the support (one index of -u set or cleared, or -u shifted by
-    one index, which keeps its size and entries), or the length.
-    """
-    dim = draw(st.integers(1, 5))
-    u = draw(sparse_lists(dim))
-    negated = [-x for x in u]
-    kind = draw(st.sampled_from(
-        ["negated", "same_sign", "other_denominator", "other_support", "shifted", "any",
-         "longer"]
-    ))
-    if kind == "negated":
-        v = negated
-    elif kind == "same_sign":
-        v = list(u)
-    elif kind == "other_denominator":
-        v = [Fraction(-x.numerator, x.denominator + 1) for x in u]
-    elif kind == "other_support":
-        v, t = negated, draw(st.integers(0, dim - 1))
-        v[t] = ZERO if v[t] else draw(rationals.filter(bool))
-    elif kind == "shifted":
-        v = negated[1:] + negated[:1]
-    elif kind == "any":
-        v = draw(sparse_lists(dim))
-    else:
-        v = draw(sparse_lists(dim + 1))
-    return Vec(u), Vec(v)
-
-
-@settings(max_examples=200, deadline=None)
-@given(cancel_pairs())
-def test_cancels_agrees_with_the_sum(pair):
-    u, v = pair
-    if len(u) != len(v):
-        with pytest.raises(DimensionMismatchError):
-            cancels(u, v)
-        with pytest.raises(DimensionMismatchError):
-            u + v
-    else:
-        assert cancels(u, v) == (u + v).is_zero()
-        assert cancels(u, v) == cancels(v, u)

@@ -111,14 +111,14 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_curvature_table_stores_only_its_table():
-    # the lowering and the antisymmetry residuals are derived from table on
-    # first read, so a table rebuilt under a fault row cannot meet a stale
-    # second copy of R
+    # R is stored once, as its i < j planes; the lowering and the nested
+    # export table are derived from them on first read, so a table rebuilt
+    # under a fault row cannot meet a stale second copy of R
     from dataclasses import fields
 
     from kmu.connection import CurvatureTable
 
-    assert [f.name for f in fields(CurvatureTable)] == ["dim", "metric", "table"]
+    assert [f.name for f in fields(CurvatureTable)] == ["dim", "metric", "planes"]
 
 
 def test_every_definition_is_used_or_exported():

@@ -39,7 +39,7 @@ def leaf_geometry(an, spec):
 
 def lowered_bar(geom, a, b, c, d):
     """Rbar(v_a, v_b, v_c, v_d); on the orthogonal frame only v_d pairs with v_d."""
-    return geom.rbar[a][b][c][d] * geom.frame.norms[d]
+    return geom.rbar.column(a, b, c)[d] * geom.frame.norms[d]
 
 
 def closed_form_theta(c, d):

@@ -9,10 +9,11 @@ be copied into another checkout and run there to compare two trees.  It
 uses the standard library only.
 
 * ``stages``: ``analyze_structure`` on a freshly built Boeckx model
-  (alpha = 1, beta = 3) and ``verify_identities`` on that model's
-  analysis at n in ``SIZES``, each timed with ``time.perf_counter``
-  around one call, best of ``REPEATS``, in milliseconds; and the
-  least-squares slope of log(time) against log(dim) over the sizes.
+  (alpha = 1, beta = 3), and ``riemann`` and ``verify_identities`` on
+  that model's analysis, at n in ``SIZES``, each timed with
+  ``time.perf_counter`` around one call, best of ``REPEATS``, in
+  milliseconds; and the least-squares slope of log(time) against
+  log(dim) over the sizes.
 * ``requests``: two requests of ``perfbench/catalogue.json``, run through
   ``kmu.cli.main`` as the command line would, with the report discarded:
   ``deform3x0`` (a ``deform`` at n = 3 with alpha, beta and a of height
@@ -41,10 +42,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from kmu import analyze_structure, build_boeckx_model, verify_identities  # noqa: E402
+from kmu import analyze_structure, build_boeckx_model, riemann, verify_identities  # noqa: E402
 from kmu.cli import main as kmu_main  # noqa: E402
 
-SIZES = (2, 3, 4, 6, 8)
+SIZES = (2, 3, 4, 6, 8, 16)
 REPEATS = 10
 REQUESTS = ("deform3x0", "leaves0")
 OPERATORS = (
@@ -76,13 +77,14 @@ def loglog_slope(points) -> float | None:
 
 
 def stage_times() -> dict:
-    analyze, identities = {}, {}
+    analyze, curvature, identities = {}, {}, {}
     for n in SIZES:
         dim = 2 * n + 1
         analyze[dim] = best_ms(
             lambda: analyze_structure(build_boeckx_model(n, Fraction(1), Fraction(3)))
         )
         an = analyze_structure(build_boeckx_model(n, Fraction(1), Fraction(3)))
+        curvature[dim] = best_ms(lambda: riemann(an.model, an.conn))
         identities[dim] = best_ms(
             lambda: verify_identities(an.model, an.cs, an.curvature, an.invariants, an.conn)
         )
@@ -91,7 +93,11 @@ def stage_times() -> dict:
             "ms_by_n": {str((dim - 1) // 2): ms for dim, ms in times.items()},
             "loglog_slope_vs_dim": loglog_slope(list(times.items())),
         }
-        for name, times in (("analyze_structure", analyze), ("verify_identities", identities))
+        for name, times in (
+            ("analyze_structure", analyze),
+            ("riemann", curvature),
+            ("verify_identities", identities),
+        )
     }
 
 
