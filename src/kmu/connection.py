@@ -11,12 +11,12 @@ nabla_[X,Y] Z with lowered tensor R(X,Y,Z,W) = g(R(X,Y)Z, W); this is
 the unique choice the verification suite validates against the defining
 curvature condition of the class.
 
-The connection is read as its operators, ops[i] = nabla_{e_i} as a
-matrix, so curvature is matrix algebra: R(e_i, e_j) = [nabla_i, nabla_j]
-- sum_m c_ij^m nabla_m.  ``curvature_from`` computes that plane for each
-pair i < j only, for the model and, in frame coordinates, for every
-leaf.  ``CurvatureTable`` stores those planes and nothing else: R(e_j,
-e_i) is read as -R(e_i, e_j) and R(e_i, e_i) as zero, so every table is
+A connection, the model's or in frame coordinates a leaf's, is stored
+as its operators ops[i] = nabla_{e_i}, so curvature is matrix algebra:
+R(e_i, e_j) = [nabla_i, nabla_j] - sum_m c_ij^m nabla_m.
+``curvature_from`` computes that plane for each pair i < j only, and
+``CurvatureTable`` stores those planes and nothing else: R(e_j, e_i) is
+read as -R(e_i, e_j) and R(e_i, e_i) as zero, so every table is
 antisymmetric in its first two slots by construction.
 """
 
@@ -33,16 +33,19 @@ from .linalg import Mat, Vec, combine, inner, matsum, metric_diagonal
 
 @dataclass(frozen=True)
 class ConnectionTable:
-    """Connection coefficients: gamma[i][j] = nabla_{e_i} e_j as a Vec."""
+    """ops[i] is nabla_{e_i} as a Mat, whose column j is nabla_{e_i} e_j.
+
+    The nested ``gamma`` is an export view derived on first read.
+    """
 
     dim: int
     metric: Mat
-    gamma: tuple
+    ops: tuple
 
     @cached_property
-    def ops(self) -> tuple:
-        """ops[i] is nabla_{e_i} as a matrix: its column j is gamma[i][j]."""
-        return tuple(Mat.from_columns(row) for row in self.gamma)
+    def gamma(self) -> tuple:
+        """gamma[i][j] = nabla_{e_i} e_j as a Vec, for export."""
+        return tuple(tuple(op.col(j) for j in range(self.dim)) for op in self.ops)
 
     def nabla(self, u: Vec, v: Vec) -> Vec:
         """Bilinear extension over constant coefficients."""
@@ -52,10 +55,11 @@ class ConnectionTable:
             )
         def terms():
             for i, x in u.nonzero_entries():
-                row = self.gamma[i]
+                op = self.ops[i]
                 for j, y in v.nonzero_entries():
-                    if row[j].nonzero_entries():
-                        yield x * y, row[j]
+                    column = op.col(j)
+                    if column.nonzero_entries():
+                        yield x * y, column
 
         return combine(terms(), self.dim)
 
@@ -110,22 +114,6 @@ class CurvatureTable:
         planes = self.planes
         return combine(((c, planes[p] @ w) for p, c in coeffs.items() if c), self.dim)
 
-    @cached_property
-    def _lowered_planes(self) -> dict:
-        """The planes ``lowered_plane`` has lowered so far, by (i, j)."""
-        return {}
-
-    def lowered_plane(self, i: int, j: int) -> tuple:
-        """g(R(e_i, e_j) e_k, .) as a Vec for each k, lowered on first read."""
-        planes = self._lowered_planes
-        plane = planes.get((i, j))
-        if plane is None:
-            gt = self.metric.transpose()
-            columns = (self.column(i, j, k) for k in range(self.dim))
-            plane = tuple(v if v.is_zero() else gt @ v for v in columns)
-            planes[i, j] = plane
-        return plane
-
     def lowered(self, u: Vec, v: Vec, w: Vec, z: Vec) -> Fraction:
         return inner(self.apply(u, v, w), z, self.metric)
 
@@ -154,20 +142,21 @@ def levi_civita(model: LieAlgebraModel, metric: Mat | None = None) -> Connection
                 for i, j, k, y in ((p, q, r, low), (r, p, q, -low), (q, r, p, low)):
                     acc = koszul[i][j]
                     acc[k] = acc[k] + y if k in acc else y
-    gamma = tuple(
-        tuple(
+    ops = tuple(
+        Mat.from_columns(
             Vec.from_dict({k: x / twice[k] for k, x in acc.items() if x}, dim)
             for acc in row
         )
         for row in koszul
     )
-    return ConnectionTable(dim=dim, metric=G, gamma=gamma)
+    return ConnectionTable(dim=dim, metric=G, ops=ops)
 
 
 def torsion_residuals(model: LieAlgebraModel, conn: ConnectionTable) -> list:
     """((i, j), nabla_i e_j - nabla_j e_i - [e_i, e_j]) for every i < j."""
+    ops = conn.ops
     return [
-        ((i, j), conn.gamma[i][j] - conn.gamma[j][i] - model.structure[i][j])
+        ((i, j), ops[i].col(j) - ops[j].col(i) - model.structure[i][j])
         for i in range(model.dim)
         for j in range(i + 1, model.dim)
     ]
@@ -215,18 +204,18 @@ def riemann(model: LieAlgebraModel, conn: ConnectionTable) -> CurvatureTable:
 
 
 def curvature_symmetry_residuals(R: CurvatureTable) -> list:
-    """First Bianchi and pair-symmetry residuals, as (witness, residual).
+    """First Bianchi, pair and last-pair symmetry residuals, as (witness, residual).
 
     R is antisymmetric in its first two slots by construction, so these
-    two symmetries are what is left to check.  Bianchi yields the sum of
-    its three entries (a ``Vec``) at every triple i < j < k where one of
-    them is nonzero.  Pair symmetry yields g(R(e_i, e_j) e_k, e_l) -
-    g(R(e_k, e_l) e_i, e_j) at (i, j, k, l) with i < j, k < l and
-    (k, l) >= (i, j), and the entry itself at a diagonal k = l, where it
-    must vanish; it visits only the tuples where a lowered entry it reads
-    is nonzero, and lowers only the i < j planes it reads.
+    are what is left to check.  Bianchi yields the sum of its three
+    entries (a ``Vec``) at every triple i < j < k where one is nonzero.
+    With each stored plane lowered once, L[i, j][k][l] = g(R(e_i, e_j)
+    e_k, e_l), pair symmetry yields L[i, j][k][l] - L[k, l][i][j] at
+    i < j, k < l, (k, l) >= (i, j), and the entry itself at a diagonal
+    k = l; then L[i, j][k][l] + L[i, j][l][k] at i < j, k < l.  These two
+    visit only the tuples where an entry they read is nonzero.
     """
-    dim, planes, low = R.dim, R.planes, R.lowered_plane
+    dim, planes = R.dim, R.planes
     out = []
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -235,23 +224,31 @@ def curvature_symmetry_residuals(R: CurvatureTable) -> list:
                 x, y, z = planes[i, j].col(k), planes[j, k].col(i), planes[i, k].col(j)
                 if not (x.is_zero() and y.is_zero() and z.is_zero()):
                     out.append(((i, j, k), x + y - z))
-    tuples = set()  # each nonzero lowered entry at its own tuple or its mirror
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k, entry in enumerate(low(i, j)):
-                for l, _ in entry.nonzero_entries():
-                    if l == k or (l > k and (k, l) >= (i, j)):
-                        tuples.add((i, j, k, l))
-                    elif l > k:
-                        tuples.add((k, l, i, j))
+    gt, low = R.metric.transpose(), {}
+    for pair, plane in planes.items():
+        low[pair] = tuple(v if v.is_zero() else gt @ v for v in map(plane.col, range(dim)))
+    # each nonzero lowered entry at its pair-symmetry tuple or that tuple's
+    # mirror, and at its last-pair tuple
+    tuples, last_pairs = set(), set()
+    for (i, j), plane in low.items():
+        for k, entry in enumerate(plane):
+            for l, _ in entry.nonzero_entries():
+                if l == k or (l > k and (k, l) >= (i, j)):
+                    tuples.add((i, j, k, l))
+                elif l > k:
+                    tuples.add((k, l, i, j))
+                if l != k:
+                    last_pairs.add((i, j, min(k, l), max(k, l)))
     zero = Fraction(0)
     for i, j, k, l in sorted(tuples):
-        ijkl = low(i, j)[k][l]
+        ijkl = low[i, j][k][l]
         if k == l:
             out.append(((i, j, k, k), ijkl))
         else:
-            klij = low(k, l)[i][j]
+            klij = low[k, l][i][j]
             out.append(((i, j, k, l), zero if ijkl == klij else ijkl - klij))
+    for i, j, k, l in sorted(last_pairs):
+        out.append(((i, j, k, l), low[i, j][k][l] + low[i, j][l][k]))
     return out
 
 

@@ -214,15 +214,15 @@ class _Frame:
 class SubmanifoldGeometry:
     """One leaf's tables, each built once, and its classification verdict.
 
-    In frame coordinates nb[a][b] is nablabar_{v_a} v_b, br[a][b] is
-    [v_a, v_b] and rbar.column(a, b, c) is Rbar(v_a, v_b) v_c; sigma[a][b]
-    is sigma(v_a, v_b) in the ambient basis.  Every check on the leaf
-    reads these tables instead of rebuilding them.
+    In frame coordinates nbar is the ``ConnectionTable`` of nablabar on
+    the induced metric, br[a][b] is [v_a, v_b] and rbar.column(a, b, c) is
+    Rbar(v_a, v_b) v_c; sigma[a][b] is sigma(v_a, v_b) in the ambient
+    basis.  Every check on the leaf reads these tables, never rebuilds them.
     """
 
     spec: DistributionSpec
     frame: _Frame
-    nb: tuple
+    nbar: ConnectionTable
     br: tuple
     sigma: tuple
     rbar: CurvatureTable
@@ -262,7 +262,8 @@ def second_fundamental_form(
         for b in range(a + 1, n):
             if sigma[a][b] != sigma[b][a]:
                 raise StructureError(f"sigma is not symmetric at ({a}, {b})")
-    nb, br, sigma = (tuple(tuple(row) for row in t) for t in (nb, br, sigma))
+    br, sigma = (tuple(tuple(row) for row in t) for t in (br, sigma))
+    nbar = ConnectionTable(n, frame.induced, tuple(map(Mat.from_columns, nb)))
 
     mean = combine(((1 / (n * frame.norms[a]), sigma[a][a]) for a in range(n)), model.dim)
 
@@ -277,24 +278,23 @@ def second_fundamental_form(
     return SubmanifoldGeometry(
         spec=spec,
         frame=frame,
-        nb=nb,
+        nbar=nbar,
         br=br,
         sigma=sigma,
-        rbar=intrinsic_curvature(nb, br, frame.induced),
+        rbar=intrinsic_curvature(nbar, br),
         mean_curvature_vector=mean,
         classification=classification,
         umbilical_vector=umbilical,
     )
 
 
-def intrinsic_curvature(nb: tuple, br: tuple, induced: Mat) -> CurvatureTable:
+def intrinsic_curvature(nbar: ConnectionTable, br: tuple) -> CurvatureTable:
     """Leaf curvature Rbar(v_a, v_b) v_c in frame coordinates.
 
-    The curvature of the connection nablabar, whose operator
-    nablabar_{v_a} has the columns nb[a], with the frame brackets br,
-    lowered by the induced metric ``induced``.
+    The curvature of nablabar with the frame brackets br, lowered by the
+    induced metric.
     """
-    return curvature_from(tuple(Mat.from_columns(row) for row in nb), br, induced)
+    return curvature_from(nbar.ops, br, nbar.metric)
 
 
 def split_h(cs: ContactStructure, geom: SubmanifoldGeometry) -> tuple[Mat, Mat]:
@@ -383,7 +383,7 @@ def verify_prop32(
         (nablabar_X h1) Y = -phi sigma(X, h2 Y) - h2 phi sigma(X, Y),
         (nablabar_X h2) Y =  phi sigma(X, h1 Y) + h1 phi sigma(X, Y).
     """
-    frame, sigma, nb, h1, h2 = geom.frame, geom.sigma, geom.nb, geom.h1, geom.h2
+    frame, sigma, nb_ops, h1, h2 = geom.frame, geom.sigma, geom.nbar.ops, geom.h1, geom.h2
     vectors = frame.vectors
     n = len(vectors)
     G, phi = cs.metric, cs.phi
@@ -405,11 +405,10 @@ def verify_prop32(
         for a in range(n):
             for b in range(n):
                 lhs = frame.normal(conn.nabla(vectors[a], phi @ vectors[b]))
-                rhs = phi @ (frame.span @ nb[a][b]) + cs.xi * P[a, b]
+                rhs = phi @ (frame.span @ nb_ops[a].col(b)) + cs.xi * P[a, b]
                 yield (a, b), lhs - rhs
 
-    # nablabar_{v_a} and phi sigma(v_a, .) as operators on frame coordinates
-    nb_ops = [Mat.from_columns(row) for row in nb]
+    # phi sigma(v_a, .) as operators on frame coordinates
     phi_sigma = [Mat.from_columns(frame.coords(phi @ s) for s in row) for row in sigma]
 
     def nabla_op_residuals(M, sign, other):
@@ -447,7 +446,7 @@ def gauss_codazzi_residuals(
     diag(norms) (coords - Rbar[a][b][c]) plus the sigma pairings, which
     are added only on a leaf with sigma != 0.
     """
-    frame, sigma, nb = geom.frame, geom.sigma, geom.nb
+    frame, sigma, nb_ops = geom.frame, geom.sigma, geom.nbar.ops
     vectors = frame.vectors
     n = len(vectors)
     G = conn.metric
@@ -468,8 +467,8 @@ def gauss_codazzi_residuals(
         sigma_ops = [Mat.from_columns(row) for row in sigma]
         nabla_sigma = {
             (a, b, c): frame.normal(conn.nabla(vectors[a], sigma[b][c]))
-            - sigma_ops[c] @ nb[a][b]
-            - sigma_ops[b] @ nb[a][c]
+            - sigma_ops[c] @ nb_ops[a].col(b)
+            - sigma_ops[b] @ nb_ops[a].col(c)
             for a in range(n)
             for b in range(n)
             if a != b

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
-from kmu import CurvatureTable, Mat, Vec, analyze_structure, build_boeckx_model
+from kmu import ConnectionTable, CurvatureTable, Mat, Vec, analyze_structure, build_boeckx_model
 
 GRID_AB = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 GRID_N = [2, 3, 4]
@@ -27,9 +27,17 @@ def grid_points():
 def bump(table, index, delta):
     """The nested tuple or ``Mat`` ``table`` with ``delta`` added at ``index``.
 
-    On a ``CurvatureTable`` the index (i, j, k) names R(e_i, e_j) e_k, and
-    the stored plane of {i, j} changes, so R(e_j, e_i) e_k moves by -delta.
+    On a ``ConnectionTable`` the index (i, j) names nabla_{e_i} e_j, column
+    j of the operator ops[i].  On a ``CurvatureTable`` the index (i, j, k)
+    names R(e_i, e_j) e_k, and the stored plane of {i, j} changes, so
+    R(e_j, e_i) e_k moves by -delta.
     """
+    if isinstance(table, ConnectionTable):
+        i, j = index
+        op = table.ops[i]
+        columns = [op.col(t) + delta if t == j else op.col(t) for t in range(table.dim)]
+        ops = table.ops[:i] + (Mat.from_columns(columns),) + table.ops[i + 1:]
+        return replace(table, ops=ops)
     if isinstance(table, CurvatureTable):
         i, j, k = index
         pair, step = ((i, j), delta) if i < j else ((j, i), -delta)
@@ -42,6 +50,12 @@ def bump(table, index, delta):
     head, *rest = index
     entry = table[head] + delta if not rest else bump(table[head], rest, delta)
     return table[:head] + (entry,) + table[head + 1:]
+
+
+def lowered_plane(R, i, j) -> tuple:
+    """g(R(e_i, e_j) e_k, .) as a Vec for each k, for any i and j."""
+    gt = R.metric.transpose()
+    return tuple(gt @ R.column(i, j, k) for k in range(R.dim))
 
 
 def failures(residuals) -> list:

@@ -22,7 +22,7 @@ from kmu.connection import (
 from kmu.errors import DegeneratePlaneError
 from kmu.linalg import dot
 
-from helpers import analysis, bump, failures, model
+from helpers import analysis, bump, failures, lowered_plane, model
 
 
 def koszul_oracle(m, i, j, G=None):
@@ -141,9 +141,10 @@ def test_structure_scans_yield_every_tuple_they_visit():
     ]
     # Bianchi visits the triples with a nonzero entry; pair symmetry the
     # tuples i < j, k <= l, (k, l) >= (i, j) or k = l where an entry it
-    # compares is nonzero
+    # compares is nonzero; antisymmetry in the last two slots the tuples
+    # i < j, k < l where either entry it adds is nonzero
     table = R.table
-    low = [[R.lowered_plane(i, j) for j in range(dim)] for i in range(dim)]
+    low = [[lowered_plane(R, i, j) for j in range(dim)] for i in range(dim)]
     bianchi = [
         (i, j, k)
         for i in range(dim)
@@ -161,9 +162,18 @@ def test_structure_scans_yield_every_tuple_they_visit():
             k < l and (k, l) >= (i, j) and (low[i][j][k][l] or low[k][l][i][j])
         )
     ]
+    last_pair = [
+        (i, j, k, l)
+        for i in range(dim)
+        for j in range(i + 1, dim)
+        for k in range(dim)
+        for l in range(k + 1, dim)
+        if low[i][j][k][l] or low[i][j][l][k]
+    ]
     symmetries = curvature_symmetry_residuals(R)
-    assert [w for w, _ in symmetries] == bianchi + pair
-    assert (len(torsion), len(compat), len(bianchi), len(pair)) == (10, 12, 4, 11)
+    assert [w for w, _ in symmetries] == bianchi + pair + last_pair
+    counts = (len(torsion), len(compat), len(bianchi), len(pair), len(last_pair))
+    assert counts == (10, 12, 4, 11, 14)
     for residuals in (torsion, compat, symmetries):
         assert failures(residuals) == []
 
@@ -190,7 +200,7 @@ def test_lowered_pair_symmetry_direct():
         for j in range(dim):
             for k in range(dim):
                 for l in range(dim):
-                    assert R.lowered_plane(i, j)[k][l] == R.lowered_plane(k, l)[i][j]
+                    assert lowered_plane(R, i, j)[k][l] == lowered_plane(R, k, l)[i][j]
 
 
 @pytest.mark.parametrize("n,alpha,beta", [(2, 0, 2), (2, 1, 3), (3, 1, 2)])

@@ -29,13 +29,13 @@ def _bump_mat(M, row, col):
 
 
 def _gamma_plus(i, j, k):
-    """Gamma[i][j] + e_k on a connection table."""
-    return lambda conn: replace(conn, gamma=bump(conn.gamma, (i, j), Vec.basis(DIM, k)))
+    """nabla_{e_i} e_j + e_k on a connection table: column j of ops[i] moves."""
+    return lambda conn: bump(conn, (i, j), Vec.basis(DIM, k))
 
 
-def _riemann_plus(i, j, k, e):
-    """R(e_i, e_j) e_k + e_e on a curvature table: one stored plane changes."""
-    return lambda R: bump(R, (i, j, k), Vec.basis(DIM, e))
+def _riemann_plus(i, j, k, e, scale=1):
+    """R(e_i, e_j) e_k + scale e_e on a curvature table: one stored plane changes."""
+    return lambda R: bump(R, (i, j, k), scale * Vec.basis(DIM, e))
 
 
 def _structure_plus(p, q, r):
@@ -203,7 +203,7 @@ ROWS = [
     ),
     pytest.param(
         MIXED, "second_fundamental_form",
-        {"output": _geom_plus("nb", (0, 1), Vec.basis(N, 2))},
+        {"output": _geom_plus("nbar", (0, 1), Vec.basis(N, 2))},
         {
             "normal_connection_phi": ((0, 1), 1),
             "nabla_h1": ((0, 1), 4),
@@ -237,6 +237,17 @@ ROWS = [
             "curvature_closed_form": ((1, 2, 1), 1),
         },
         id="riemann-pair-R121+e3",
+    ),
+    # R(X_1, Y_2) X_1 is in no Bianchi triple, and g(R(X_1, Y_2) X_1, xi)
+    # has l < k, where pair symmetry does not read it: only the last-pair
+    # check does
+    pytest.param(
+        None, "riemann", {"output": _riemann_plus(1, 5, 1, 0, -1)},
+        {
+            "curvature_symmetries": ((1, 5, 0, 1), -1),
+            "curvature_closed_form": ((1, 5, 1), 1),
+        },
+        id="riemann-last-pair-R151-e0",
     ),
     pytest.param(
         {"kind": "x"}, "leaf_curvature_records",

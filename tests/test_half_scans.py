@@ -101,7 +101,7 @@ def _reference_kappa_mu(an, R):
 
 
 def _reference_gauss_codazzi(R, conn, geom):
-    frame, sigma, nb = geom.frame, geom.sigma, geom.nb
+    frame, sigma, nb = geom.frame, geom.sigma, geom.nbar.gamma
     vectors, n, G = frame.vectors, len(frame.vectors), conn.metric
     triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
     ambient = {t: R.apply(*(vectors[x] for x in t)) for t in triples}

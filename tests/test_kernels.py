@@ -17,7 +17,7 @@ from kmu import d_homothetic
 from kmu.connection import ConnectionTable, CurvatureTable, levi_civita, riemann
 from kmu.linalg import _ZERO, Mat, Vec, combine, inner, outer, solve_diagonal_metric
 
-from helpers import analysis, grid_points, model
+from helpers import analysis, grid_points, lowered_plane, model
 from test_linalg import rationals
 
 ZERO = Fraction(0)
@@ -312,7 +312,7 @@ def test_nabla_matches_dense(gamma, us, vs):
     conn = ConnectionTable(
         dim=4,
         metric=Mat.identity(4),
-        gamma=tuple(tuple(Vec(e) for e in row) for row in gamma),
+        ops=tuple(Mat.from_columns(Vec(e) for e in row) for row in gamma),
     )
     exact_vec(conn.nabla(Vec(us), Vec(vs)), dense_nabla(gamma, us, vs))
     # nabla(u, v) + nabla(u, -v) cancels entry by entry
@@ -357,7 +357,7 @@ def assert_tables_match_dense(m, conn, R):
     assert as_lists(conn.gamma) == gamma
     assert as_lists(R.table) == curvature
     dim = R.dim
-    assert [[as_lists(R.lowered_plane(i, j)) for j in range(dim)] for i in range(dim)] == lowered
+    assert [[as_lists(lowered_plane(R, i, j)) for j in range(dim)] for i in range(dim)] == lowered
 
 
 @pytest.mark.parametrize("n,alpha,beta", [p for p in grid_points() if p[0] <= 4])

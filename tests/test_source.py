@@ -121,6 +121,34 @@ def test_curvature_table_stores_only_its_table():
     assert [f.name for f in fields(CurvatureTable)] == ["dim", "metric", "planes"]
 
 
+def test_connection_table_stores_only_its_operators():
+    # a connection is stored once, as its operators; gamma is an export
+    # view of their columns, and a leaf's nablabar is the same type, on
+    # the frame's induced metric
+    from dataclasses import fields, replace
+    from fractions import Fraction
+
+    from kmu.connection import ConnectionTable, levi_civita
+    from kmu.linalg import Mat, Vec
+    from kmu.submanifold import build_distribution, second_fundamental_form
+
+    assert [f.name for f in fields(ConnectionTable)] == ["dim", "metric", "ops"]
+    m = kmu.build_boeckx_model(2, Fraction(1), Fraction(3))
+    conn = levi_civita(m)
+    dim = conn.dim
+    for i in range(dim):
+        for j in range(dim):
+            assert conn.gamma[i][j] == conn.ops[i].col(j)
+    # a table rebuilt with other operators derives its own gamma
+    ops = (conn.ops[0] + Mat.identity(dim),) + conn.ops[1:]
+    rebuilt = replace(conn, ops=ops)
+    assert rebuilt.gamma[0][1] == conn.gamma[0][1] + Vec.basis(dim, 1)
+    assert rebuilt.gamma[1:] == conn.gamma[1:]
+    geom = second_fundamental_form(m, conn, build_distribution(m, "diagonal", c=2, d=1))
+    assert isinstance(geom.nbar, ConnectionTable)
+    assert geom.nbar.dim == m.n and geom.nbar.metric is geom.frame.induced
+
+
 def test_every_definition_is_used_or_exported():
     # the certifier runs one path and no report reads anything else, so a
     # definition that nothing in the package reads is dead code; a method

@@ -29,7 +29,7 @@ from kmu.liealg import LieAlgebraModel, bracket
 from kmu.linalg import Mat, Vec, dot, inner
 from kmu.report import scan
 
-from helpers import analysis, bump, failures, grid_points, model
+from helpers import analysis, bump, failures, grid_points, lowered_plane, model
 from test_kernels import assert_support, sparse_lists
 from test_linalg import rationals
 
@@ -203,6 +203,12 @@ def dense_symmetry_residuals(R):
                         continue
                     if low[i][j][k][l] != low[k][l][i][j]:
                         out.append(((i, j, k, l), low[i][j][k][l] - low[k][l][i][j]))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(dim):
+                for l in range(k + 1, dim):
+                    if low[i][j][k][l] + low[i][j][l][k] != 0:
+                        out.append(((i, j, k, l), low[i][j][k][l] + low[i][j][l][k]))
     return out, low
 
 
@@ -218,13 +224,14 @@ def _bumps(n):
         ((x2, y2, y1), e(x1)),  # k > l: no pair tuple reads it
         ((0, x1, 0), Fraction(3, 2) * e(x1) - e(y2)),
         ((y2, x1, x2), e(0)),  # i > j: the stored plane (x1, y2) moves by -e(0)
+        ((x1, y2, x1), -e(0)),  # no Bianchi triple, l < k: only the last-pair check
     ]
 
 
 def lowered_table(R):
     """Every plane of R lowered: [i][j][k][l] = g(R(e_i, e_j) e_k, e_l)."""
     dim = R.dim
-    return [[[list(v) for v in R.lowered_plane(i, j)] for j in range(dim)] for i in range(dim)]
+    return [[[list(v) for v in lowered_plane(R, i, j)] for j in range(dim)] for i in range(dim)]
 
 
 @pytest.mark.parametrize("n,alpha,beta", [p for p in SMALL_GRID if p[0] <= 3])
@@ -235,7 +242,6 @@ def test_symmetry_scan_matches_the_dense_loop(n, alpha, beta):
         R = riemann(m, levi_civita(m, metric=G))
         want, _ = dense_symmetry_residuals(R)
         assert want == [] and failures(curvature_symmetry_residuals(R)) == []
-        assert lowered_table(R)  # fill the cache: replace() must not carry it over
         for index, delta in _bumps(n):
             bad = bump(R, index, delta)
             want, low = dense_symmetry_residuals(bad)
@@ -246,13 +252,26 @@ def test_symmetry_scan_matches_the_dense_loop(n, alpha, beta):
             assert want, index  # so the two lists were compared on a failure
 
 
-def test_pair_symmetry_lowers_only_the_planes_it_reads():
+def test_symmetry_scan_lowers_each_stored_plane_once(monkeypatch):
+    # the scan lowers every nonzero column of every stored plane exactly
+    # once, into its own dict, and leaves nothing behind on R
     m = model(3, 1, 3)
     R = riemann(m, levi_civita(m, metric=deformed_metric(3, 1, 3, 2)))
-    assert failures(curvature_symmetry_residuals(R)) == []
-    dim = R.dim
-    assert set(R._lowered_planes) <= {(i, j) for i in range(dim) for j in range(i + 1, dim)}
-    assert R.lowered_plane(2, 1)[3][4] == -R.lowered_plane(1, 2)[3][4]
+    lowered = []
+    matmul = Mat.__matmul__
+
+    def counted(self, other):
+        if isinstance(other, Vec):
+            lowered.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    residuals = curvature_symmetry_residuals(R)
+    monkeypatch.undo()
+    assert failures(residuals) == []
+    columns = [plane.col(k) for plane in R.planes.values() for k in range(R.dim)]
+    assert lowered == [v for v in columns if not v.is_zero()]
+    assert sorted(vars(R)) == ["dim", "metric", "planes"]
 
 
 @pytest.mark.parametrize("rotation", [0, 1, 2])
@@ -274,18 +293,23 @@ def test_bianchi_visits_a_triple_from_any_one_of_its_entries(rotation):
     got = failures(curvature_symmetry_residuals(bad))
     assert got == want
     assert ((i, j, k), Vec.basis(dim, 0)) in got
+    # the bumped stored plane also fails in its own lowering: pair
+    # symmetry on its diagonal or antisymmetry in its last two slots
+    assert [w[:2] for w, _ in got if len(w) == 4] == [tuple(sorted(index[:2]))]
 
 
 def test_pair_symmetry_failure_is_reported_at_the_canonical_tuple():
     # R(Y_1, Y_3, X_1, X_2) bumped in its stored plane, where
     # R(X_1, X_2, Y_1, Y_3) is zero: the pair (X_1, X_2) is the lower one,
-    # so the failure is found from the bumped entry's mirror tuple alone
+    # so the pair-symmetry failure is found from the bumped entry's mirror
+    # tuple alone; the last-pair check then finds R(Y_1, Y_3, X_2, X_1) = 0
+    # against the bumped entry's 1 in the bumped plane itself
     n = 3
     R = analysis(n, 1, 3).curvature
-    assert R.lowered_plane(1, 2)[n + 1][n + 3] == 0
+    assert lowered_plane(R, 1, 2)[n + 1][n + 3] == 0
     bad = bump(R, (n + 1, n + 3, 1), Vec.basis(2 * n + 1, 2))
     pair = [(w, r) for w, r in failures(curvature_symmetry_residuals(bad)) if len(w) == 4]
-    assert pair == [((1, 2, n + 1, n + 3), -1)]
+    assert pair == [((1, 2, n + 1, n + 3), -1), ((n + 1, n + 3, 1, 2), 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ be copied into another checkout and run there to compare two trees.  It
 uses the standard library only.
 
 * ``stages``: ``analyze_structure`` on a freshly built Boeckx model
-  (alpha = 1, beta = 3), and ``riemann`` and ``verify_identities`` on
-  that model's analysis, at n in ``SIZES``, each timed with
+  (alpha = 1, beta = 3), and ``levi_civita``, ``riemann``,
+  ``curvature_symmetry_residuals`` and ``verify_identities`` on that
+  model's analysis, at n in ``SIZES``, each timed with
   ``time.perf_counter`` around one call, best of ``REPEATS``, in
   milliseconds; and the least-squares slope of log(time) against
-  log(dim) over the sizes.
+  log(dim) over the sizes.  The symmetry scan gets a fresh copy of the
+  curvature table on every call, so it reuses nothing a previous call
+  may have cached on the table.
 * ``requests``: two requests of ``perfbench/catalogue.json``, run through
   ``kmu.cli.main`` as the command line would, with the report discarded:
   ``deform3x0`` (a ``deform`` at n = 3 with alpha, beta and a of height
@@ -36,6 +39,7 @@ import platform
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from kmu import analyze_structure, build_boeckx_model, riemann, verify_identities  # noqa: E402
+from kmu.connection import curvature_symmetry_residuals, levi_civita  # noqa: E402
 from kmu.cli import main as kmu_main  # noqa: E402
 
 SIZES = (2, 3, 4, 6, 8, 16)
@@ -77,14 +82,16 @@ def loglog_slope(points) -> float | None:
 
 
 def stage_times() -> dict:
-    analyze, curvature, identities = {}, {}, {}
+    analyze, connection, curvature, symmetries, identities = {}, {}, {}, {}, {}
     for n in SIZES:
         dim = 2 * n + 1
         analyze[dim] = best_ms(
             lambda: analyze_structure(build_boeckx_model(n, Fraction(1), Fraction(3)))
         )
         an = analyze_structure(build_boeckx_model(n, Fraction(1), Fraction(3)))
+        connection[dim] = best_ms(lambda: levi_civita(an.model))
         curvature[dim] = best_ms(lambda: riemann(an.model, an.conn))
+        symmetries[dim] = best_ms(lambda: curvature_symmetry_residuals(replace(an.curvature)))
         identities[dim] = best_ms(
             lambda: verify_identities(an.model, an.cs, an.curvature, an.invariants, an.conn)
         )
@@ -95,7 +102,9 @@ def stage_times() -> dict:
         }
         for name, times in (
             ("analyze_structure", analyze),
+            ("levi_civita", connection),
             ("riemann", curvature),
+            ("curvature_symmetry_residuals", symmetries),
             ("verify_identities", identities),
         )
     }
