@@ -9,6 +9,7 @@ Rationals appear as "p/q" strings everywhere; floats are rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -298,6 +299,7 @@ def _parse_rational_list(text: str):
     return [rat(part) for part in text.split(",") if part.strip()]
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kmu",

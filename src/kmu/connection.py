@@ -95,11 +95,11 @@ class CurvatureTable:
             for i in range(dim)
         )
 
-    def apply(self, u: Vec, v: Vec, w: Vec) -> Vec:
-        """R(u, v) w = sum over i < j of (u_i v_j - u_j v_i) R(e_i, e_j) w.
+    def pair_coefficients(self, u: Vec, v: Vec) -> tuple:
+        """((i, j), u_i v_j - u_j v_i) for each plane i < j where it is nonzero.
 
-        The coefficients are summed over the supports of u and v, and each
-        plane with a nonzero one is applied to w once.
+        Summed over the supports of u and v: these are the coefficients of
+        R(u, v) in the planes, whatever vector it is then applied to.
         """
         coeffs = {}
         for i, x in u.nonzero_entries():
@@ -111,8 +111,22 @@ class CurvatureTable:
                 else:
                     continue
                 coeffs[pair] = coeffs[pair] + xy if pair in coeffs else xy
+        return tuple((pair, c) for pair, c in coeffs.items() if c)
+
+    def plane_sum(self, coeffs: tuple, w: Vec) -> Vec:
+        """sum of c R(e_i, e_j) w over the ((i, j), c) of ``pair_coefficients``."""
         planes = self.planes
-        return combine(((c, planes[p] @ w) for p, c in coeffs.items() if c), self.dim)
+        return combine(((c, planes[pair] @ w) for pair, c in coeffs), self.dim)
+
+    def apply(self, u: Vec, v: Vec, w: Vec) -> Vec:
+        """R(u, v) w = sum over i < j of (u_i v_j - u_j v_i) R(e_i, e_j) w.
+
+        The coefficients of the pair (u, v) come first, then each plane
+        with a nonzero one is applied to w once.  A caller that applies
+        R(u, v) to several vectors computes the coefficients once and
+        calls ``plane_sum`` for each.
+        """
+        return self.plane_sum(self.pair_coefficients(u, v), w)
 
     def lowered(self, u: Vec, v: Vec, w: Vec, z: Vec) -> Fraction:
         return inner(self.apply(u, v, w), z, self.metric)

@@ -14,9 +14,12 @@ on the first index, iteration or hash, with every zero the one shared
 ``_ZERO``.  A matrix keeps its rows, and on first use its columns, as
 such vectors.  ``combine`` sums scaled vectors and ``matsum`` sums
 matrix products c A B, one dict per output row; every operator between
-matrices is one ``matsum`` call, the one row-accumulation path.  Each
-kernel writes the support of its result and tests each entry it wrote
-for cancellation once.  Skipping a zero term never changes an exact
+matrices is one ``matsum`` call, the one row-accumulation path.
+``Mat @ Vec`` sums v_k times column k over the support of v in a loop of
+its own, with the accumulation of ``combine`` but no call to it and no
+term list; a zero vector costs it one length test.  Each kernel writes
+the support of its result and tests each entry it wrote for
+cancellation once.  Skipping a zero term never changes an exact
 sum, so results equal those of dense loops entry for entry.
 
 The kernels accumulate with no Fraction arithmetic (delayed
@@ -99,6 +102,8 @@ def _collect(acc: dict, dim: int) -> "Vec":
     to a list [numerator, denominator] of ints; each list becomes one
     Fraction, normalised once.
     """
+    if not acc:
+        return Vec._raw((), dim)
     nz = []
     for t in sorted(acc):
         e = acc[t]
@@ -421,18 +426,33 @@ class Mat:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        nrows, ncols = self.shape
         if isinstance(other, Vec):
-            if other._len != ncols:
+            # the sum over the support of other of other_k times column k,
+            # accumulated as in combine; a zero vector costs one length
+            # test and reads no column
+            vecs = self._vecs
+            nrows = len(vecs)
+            if other._len != (vecs[0]._len if vecs else 0):
                 raise DimensionMismatchError(
                     f"matrix is {self.shape} but vector has length {other._len}"
                 )
             if not other._nz:
-                return Vec.zero(nrows)
+                return Vec._raw((), nrows)
             cols = self._columns()
-            return combine([(x, cols[k]) for k, x in other._nz], nrows)
+            acc = {}
+            get = acc.get
+            for k, x in other._nz:
+                unit = x is _ONE
+                a, b = x.numerator, x.denominator
+                for t, y in cols[k]._nz:
+                    e = get(t)
+                    if e is None:
+                        acc[t] = y if unit else [a * y.numerator, b * y.denominator]
+                    else:
+                        _add(acc, t, e, a * y.numerator, b * y.denominator)
+            return _collect(acc, nrows)
         if isinstance(other, Mat):
-            return matsum(((1, self, other),), nrows, other.shape[1])
+            return matsum(((1, self, other),), self.shape[0], other.shape[1])
         return NotImplemented
 
     def transpose(self) -> "Mat":

@@ -26,7 +26,7 @@ from .contact import ContactStructure, ModelInvariants, standard_phi
 from .errors import NonInvolutiveError, ParameterError, StructureError
 from .liealg import LieAlgebraModel, bracket
 from .linalg import Mat, Vec, combine, dot, inner, matsum, rat, rat_str
-from .report import IdentityRecord, scan
+from .report import IdentityRecord, scan, scan_rows
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -145,9 +145,10 @@ def _check_legendrian(model: LieAlgebraModel, spec: DistributionSpec):
     for a, v in enumerate(spec.vectors):
         if inner(v, Vec.basis(model.dim, 0), G) != 0:
             raise StructureError(f"spanning vector {a} is not orthogonal to xi")
+    phi_vectors = [phi @ v for v in spec.vectors]
     for a, u in enumerate(spec.vectors):
-        for b, v in enumerate(spec.vectors):
-            if inner(u, phi @ v, G) != 0:
+        for b, phi_v in enumerate(phi_vectors):
+            if inner(u, phi_v, G) != 0:
                 raise StructureError(
                     f"anti-invariance fails: g(v_{a}, phi v_{b}) != 0"
                 )
@@ -387,35 +388,38 @@ def verify_prop32(
     vectors = frame.vectors
     n = len(vectors)
     G, phi = cs.metric, cs.phi
+    phi_vectors = [phi @ v for v in vectors]
+    # phi sigma(v_a, v_b), and as operators on frame coordinates
+    phi_sigma = [[phi @ s for s in row] for row in sigma]
+    phi_sigma_ops = [Mat.from_columns(map(frame.coords, row)) for row in phi_sigma]
 
     def shape_operator_residuals():
         inverse = Mat.diagonal([1 / nv for nv in frame.norms])
         for a in range(n):
+            # with sigma(v_a, .) = 0 every term at this a is zero
+            if all(s.is_zero() for s in sigma[a]):
+                continue
             for b in range(n):
                 # A_{phi v_b} v_a assembled from sigma through the
                 # shape-operator pairing g(A v_a, v_c) = g(sigma(v_a, v_c), phi v_b)
-                phi_vb = phi @ vectors[b]
-                pairings = Vec(inner(sigma[a][c], phi_vb, G) for c in range(n))
+                pairings = Vec(inner(s, phi_vectors[b], G) for s in sigma[a])
                 shape = frame.span @ (inverse @ pairings)
-                yield (a, b), shape + phi @ sigma[a][b]
+                yield (a, b), shape + phi_sigma[a][b]
 
     def normal_connection_residuals():
         # in frame coordinates g(v_a, v_b + h1 v_b) = norms[a] (Id + h1)[a, b]
         P = matsum(((1, frame.induced), (1, frame.induced, h1)), n, n)
         for a in range(n):
             for b in range(n):
-                lhs = frame.normal(conn.nabla(vectors[a], phi @ vectors[b]))
+                lhs = frame.normal(conn.nabla(vectors[a], phi_vectors[b]))
                 rhs = phi @ (frame.span @ nb_ops[a].col(b)) + cs.xi * P[a, b]
                 yield (a, b), lhs - rhs
-
-    # phi sigma(v_a, .) as operators on frame coordinates
-    phi_sigma = [Mat.from_columns(frame.coords(phi @ s) for s in row) for row in sigma]
 
     def nabla_op_residuals(M, sign, other):
         # (nablabar_X M) Y = [nablabar_X, M] Y vs sign * (phi sigma(X, other Y)
         # + other phi sigma(X, Y)), an anticommutator with phi sigma(X, .)
         for a in range(n):
-            C, op = phi_sigma[a], nb_ops[a]
+            C, op = phi_sigma_ops[a], nb_ops[a]
             terms = ((1, op, M), (-1, M, op), (-sign, C, other), (-sign, other, C))
             res = matsum(terms, n, n)
             yield from (((a, b), res.col(b)) for b in range(n))
@@ -439,12 +443,14 @@ def gauss_codazzi_residuals(
     with (nabla_X sigma)(Y,Z) = nabla^perp_X(sigma(Y,Z))
          - sigma(nablabar_X Y, Z) - sigma(Y, nablabar_X Z).
 
-    R(v_a, v_b) v_c is projected once per visited triple: Codazzi reads
-    its normal part, and Gauss its frame coordinates.  The frame is
-    orthogonal, so R(v_a, v_b, v_c, v_d) = norms[d] coords[d], and the
-    Gauss residuals of all d at once are the row
-    diag(norms) (coords - Rbar[a][b][c]) plus the sigma pairings, which
-    are added only on a leaf with sigma != 0.
+    The plane coefficients of R(v_a, v_b) are computed once per frame
+    pair a < b and applied to every v_c, and R(v_a, v_b) v_c is projected
+    once per visited triple: Codazzi reads its normal part, and Gauss its
+    frame coordinates.  The frame is orthogonal, so R(v_a, v_b, v_c, v_d)
+    = norms[d] coords[d], and the Gauss residuals of all d at once are the
+    row diag(norms) (coords - Rbar[a][b][c]) plus the sigma pairings,
+    which are added only on a leaf with sigma != 0; ``scan_rows`` reports
+    the first nonzero entry at its full witness (a, b, c, d).
     """
     frame, sigma, nb_ops = geom.frame, geom.sigma, geom.nbar.ops
     vectors = frame.vectors
@@ -458,10 +464,12 @@ def gauss_codazzi_residuals(
     # v_c), each built once; sigma is symmetric, so row c of sigma is
     # sigma(., v_c).  Codazzi reads nabla sigma only at a != b, and not at
     # all when sigma vanishes (a totally geodesic leaf).
-    projected = {
-        (a, b, c): frame.project(R.apply(vectors[a], vectors[b], vectors[c]))
-        for a, b, c in triples
-    }
+    projected = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            coeffs = R.pair_coefficients(vectors[a], vectors[b])
+            for c in range(n):
+                projected[a, b, c] = frame.project(R.plane_sum(coeffs, vectors[c]))
     nabla_sigma, sigma_pairs = {}, {}
     if not all(entry.is_zero() for row in sigma for entry in row):
         sigma_ops = [Mat.from_columns(row) for row in sigma]
@@ -485,13 +493,12 @@ def gauss_codazzi_residuals(
             for c in range(n)
         }
 
-    def gauss_residuals():
+    def gauss_rows():
         for a, b, c in triples:
             row = frame.induced @ (projected[a, b, c][0] - geom.rbar.column(a, b, c))
             if sigma_pairs:
                 row = row + sigma_pairs[b, c, a] - sigma_pairs[a, c, b]
-            for d in range(n):
-                yield (a, b, c, d), row[d]
+            yield (a, b, c), row
 
     def codazzi_residuals():
         for a, b, c in triples:
@@ -500,7 +507,7 @@ def gauss_codazzi_residuals(
                 normal = normal - (nabla_sigma[a, b, c] - nabla_sigma[b, a, c])
             yield (a, b, c), normal
 
-    return [scan("gauss", gauss_residuals()), scan("codazzi", codazzi_residuals())]
+    return [scan_rows("gauss", gauss_rows()), scan("codazzi", codazzi_residuals())]
 
 
 def eigen_split(cs: ContactStructure, spec: DistributionSpec):
@@ -546,7 +553,7 @@ def leaf_curvature_records(
         # orthogonal frame
         return rbar.column(a, b, b)[a] / norms[b]
 
-    def space_form_residuals(K):
+    def space_form_rows(K):
         # Rbar(v_a, v_b, v_c, v_d) - K (g_ad g_bc - g_ac g_bd), all d at
         # once: the row diag(norms) Rbar(v_a, v_b) v_c, less the K-term,
         # which on an orthogonal frame lives only at d = a when c = b and
@@ -560,8 +567,7 @@ def leaf_curvature_records(
                     row = frame.induced @ rbar.column(a, b, c)
                     if c in k_term:
                         row = row - k_term[c]
-                    for d in range(n):
-                        yield (a, b, c, d), row[d]
+                    yield (a, b, c), row
 
     if geom.classification == "totally_geodesic":
         if split is None:
@@ -594,14 +600,14 @@ def leaf_curvature_records(
         if not (plus_idx and minus_idx):
             # pure eigenleaf: a genuine space form
             K = K_plus if plus_idx else K_minus
-            records.append(scan("leaf_space_form", space_form_residuals(K)))
+            records.append(scan_rows("leaf_space_form", space_form_rows(K)))
             summary["leaf_curvature"] = rat_str(K)
     elif geom.classification == "totally_umbilical":
         v = geom.frame.vectors[0]
         sin_theta = inner(cs.h @ v, v, cs.metric) / (inv.lam * geom.frame.norms[0])
         cos_theta = -inner(geom.umbilical_vector, cs.xi, cs.metric) / inv.lam
         K = 2 * (1 - inv.mu / 2 + inv.lam * sin_theta)
-        records.append(scan("leaf_space_form", space_form_residuals(K)))
+        records.append(scan_rows("leaf_space_form", space_form_rows(K)))
         records.append(scan("leaf_curvature_negative", [(None, K)] if K >= 0 else []))
         summary["leaf_curvature"] = rat_str(K)
         summary["theta"] = {"sin": rat_str(sin_theta), "cos": rat_str(cos_theta)}

@@ -210,6 +210,17 @@ ROWS = [
         },
         id="mixed-nb[0][1]+e2",
     ),
+    # sigma(v_0, .) and sigma(v_1, .) stay zero, so the shape-operator scan
+    # skips a = 0 and 1 and finds the failure at a = 2
+    pytest.param(
+        MIXED, "second_fundamental_form", {"output": _geom_plus("sigma", (2, 2), _phi_v(0))},
+        {
+            "shape_operator_phi": ((2, 0), 1),
+            "nabla_h2": ((2, 2), 4),
+            "codazzi": ((0, 2, 2), 3),
+        },
+        id="mixed-sigma[2][2]+phi_v0",
+    ),
     pytest.param(
         MIXED, "second_fundamental_form",
         {"output": _geom_plus("rbar", (0, 1, 1), Vec.basis(N, 0))},

@@ -229,14 +229,19 @@ def test_gauss_codazzi_applies_R_on_a_below_b_only(monkeypatch, n):
         second_fundamental_form(an.model, an.conn, build_distribution(an.model, kind, **keys))
         for kind, keys in _leaves(n)
     ]
-    calls = _count_calls(monkeypatch, CurvatureTable, "apply")
+    # the plane coefficients of R(v_a, v_b) are taken once per pair a < b,
+    # and applied once to each v_c
+    pairs = _count_calls(monkeypatch, CurvatureTable, "pair_coefficients")
+    sums = _count_calls(monkeypatch, CurvatureTable, "plane_sum")
     for geom in geoms:
-        del calls[:]
+        del pairs[:], sums[:]
         records = gauss_codazzi_residuals(an.curvature, an.conn, geom)
         assert all(r.passed for r in records)
-        assert len(calls) == n * n * (n - 1) // 2
+        assert len(pairs) == n * (n - 1) // 2
         vectors = geom.frame.vectors
-        assert all(vectors.index(u) < vectors.index(v) for _, u, v, _ in calls)
+        assert all(vectors.index(u) < vectors.index(v) for _, u, v in pairs)
+        assert len({(vectors.index(u), vectors.index(v)) for _, u, v in pairs}) == len(pairs)
+        assert len(sums) == n * n * (n - 1) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -171,12 +171,30 @@ def test_vec_arithmetic_matches_dense(us, vs, noise, s):
 
 
 @settings(max_examples=40)
-@given(sparse_rows(4, 5), sparse_lists(5), sparse_lists(5))
-def test_matvec_matches_dense(rows, vs, noise):
+@given(sparse_rows(4, 5), sparse_lists(5), sparse_lists(5), st.sets(st.integers(0, 4)))
+def test_matvec_matches_dense(rows, vs, noise, emptied):
     M, v = Mat(rows), Vec(vs)
-    exact_vec(M @ v, dense_matvec(rows, vs))
-    # the zero vector, drawn on every example: its product has no support
-    exact_vec(M @ Vec([ZERO] * 5), [ZERO] * 4)
+    # the columns in emptied are zeroed in H, and w lives on them alone
+    hollow = [[ZERO if j in emptied else x for j, x in enumerate(row)] for row in rows]
+    H = Mat(hollow)
+    w = Vec([x if j in emptied else ZERO for j, x in enumerate(vs)])
+    products = {
+        "M v": (M @ v, dense_matvec(rows, vs)),
+        # the zero vector, drawn on every example: its product has no support
+        "M 0": (M @ Vec([ZERO] * 5), [ZERO] * 4),
+        "M 0 (no dense tuple)": (M @ Vec.zero(5), [ZERO] * 4),
+        "H w": (H @ w, [ZERO] * 4),
+        "H v": (H @ v, dense_matvec(hollow, vs)),
+    }
+    # a unit entry, the shared one of a basis vector, writes column k as it is
+    basis = {k: M @ Vec.basis(5, k) for k in range(5)}
+    outputs = [out for out, _ in products.values()] + list(basis.values())
+    assert all(len(out) == 4 and out._d is None for out in outputs)
+    for out, expected in products.values():
+        exact_vec(out, expected)
+    for k, out in basis.items():
+        assert out.nonzero_entries() == M.col(k).nonzero_entries()
+        assert all(x is rows[i][k] for i, x in out.nonzero_entries())
     # rows doubled against (v, -v + noise): each dot product cancels
     # exactly on the v part
     doubled = Mat([row + row for row in rows])

@@ -16,7 +16,11 @@ uses the standard library only.
   milliseconds; and the least-squares slope of log(time) against
   log(dim) over the sizes.  The symmetry scan gets a fresh copy of the
   curvature table on every call, so it reuses nothing a previous call
-  may have cached on the table.
+  may have cached on the table.  The leaf stages ``second_fundamental_form``,
+  ``verify_prop32``, ``gauss_codazzi_residuals`` and
+  ``leaf_curvature_records`` are timed the same way on that model's x leaf
+  and on its diagonal leaf (c, d) = (2, 1), each named with its leaf, as
+  in ``gauss_codazzi_residuals[diagonal]``.
 * ``requests``: two requests of ``perfbench/catalogue.json``, run through
   ``kmu.cli.main`` as the command line would, with the report discarded:
   ``deform3x0`` (a ``deform`` at n = 3 with alpha, beta and a of height
@@ -48,11 +52,21 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from kmu import analyze_structure, build_boeckx_model, riemann, verify_identities  # noqa: E402
 from kmu.connection import curvature_symmetry_residuals, levi_civita  # noqa: E402
+from kmu.submanifold import (  # noqa: E402
+    build_distribution,
+    eigen_split,
+    gauss_codazzi_residuals,
+    leaf_curvature_records,
+    second_fundamental_form,
+    split_h,
+    verify_prop32,
+)
 from kmu.cli import main as kmu_main  # noqa: E402
 
 SIZES = (2, 3, 4, 6, 8, 16)
 REPEATS = 10
 REQUESTS = ("deform3x0", "leaves0")
+LEAVES = {"x": {}, "diagonal": {"c": 2, "d": 1}}
 OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
     "__truediv__", "__rtruediv__", "__pow__", "__rpow__",
@@ -81,8 +95,29 @@ def loglog_slope(points) -> float | None:
     return round(num / sum((x - mx) ** 2 for x in xs), 3)
 
 
+def leaf_times(an, kind, keys) -> dict:
+    """ms of each leaf stage on one leaf of the analysed model."""
+    spec = build_distribution(an.model, kind, **keys)
+    geom = second_fundamental_form(an.model, an.conn, spec)
+    geom = replace(geom, **dict(zip(("h1", "h2"), split_h(an.cs, geom))))
+    split = eigen_split(an.cs, spec)
+    return {
+        "second_fundamental_form": best_ms(
+            lambda: second_fundamental_form(an.model, an.conn, spec)
+        ),
+        "verify_prop32": best_ms(lambda: verify_prop32(an.conn, an.cs, geom)),
+        "gauss_codazzi_residuals": best_ms(
+            lambda: gauss_codazzi_residuals(an.curvature, an.conn, geom)
+        ),
+        "leaf_curvature_records": best_ms(
+            lambda: leaf_curvature_records(geom, an.cs, an.invariants, split)
+        ),
+    }
+
+
 def stage_times() -> dict:
     analyze, connection, curvature, symmetries, identities = {}, {}, {}, {}, {}
+    leaves = {}
     for n in SIZES:
         dim = 2 * n + 1
         analyze[dim] = best_ms(
@@ -95,6 +130,9 @@ def stage_times() -> dict:
         identities[dim] = best_ms(
             lambda: verify_identities(an.model, an.cs, an.curvature, an.invariants, an.conn)
         )
+        for kind, keys in LEAVES.items():
+            for stage, ms in leaf_times(an, kind, keys).items():
+                leaves.setdefault(f"{stage}[{kind}]", {})[dim] = ms
     return {
         name: {
             "ms_by_n": {str((dim - 1) // 2): ms for dim, ms in times.items()},
@@ -106,6 +144,7 @@ def stage_times() -> dict:
             ("riemann", curvature),
             ("curvature_symmetry_residuals", symmetries),
             ("verify_identities", identities),
+            *leaves.items(),
         )
     }
 
