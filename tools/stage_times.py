@@ -99,7 +99,8 @@ def leaf_times(an, kind, keys) -> dict:
     """ms of each leaf stage on one leaf of the analysed model."""
     spec = build_distribution(an.model, kind, **keys)
     geom = second_fundamental_form(an.model, an.conn, spec)
-    geom = replace(geom, **dict(zip(("h1", "h2"), split_h(an.cs, geom))))
+    h1, h2 = split_h(an.cs, geom)
+    geom = replace(geom, h1=h1, h2=h2)
     split = eigen_split(an.cs, spec)
     return {
         "second_fundamental_form": best_ms(
