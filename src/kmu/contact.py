@@ -244,7 +244,9 @@ def verify_structure(
         R(u, v) xi = kappa (eta(v) u - eta(u) v)
                    + mu (eta(v) h u - eta(u) h v).
 
-    lambda_kappa_identity: lambda^2 = 1 - kappa.
+    lambda_kappa_identity: lambda^2 = 1 - kappa.  The condition's right-hand
+    side at (u, v) = (e_i, e_j) is one ``combine`` over the terms where eta
+    is nonzero, so a pair away from xi compares R(e_i, e_j) xi with zero.
     """
     t = cs.tables
     dim, n = t.dim, (t.dim - 1) // 2
@@ -263,14 +265,20 @@ def verify_structure(
             yield from (((k, s), x) for k, x in col.nonzero_entries())
 
     def kappa_mu_residuals():
-        # column j of rhs is eta(e_j) K e_i - eta(e_i) K e_j, K = kappa Id + mu h;
-        # both sides are antisymmetric in (i, j), so i < j alone finds the
-        # first failure of the full index order
+        # the rhs at (i, j) is eta(e_j) K e_i - eta(e_i) K e_j, K = kappa Id +
+        # mu h, summed over the terms where eta is nonzero; both sides are
+        # antisymmetric in (i, j), so i < j alone finds the first failure of
+        # the full index order
         K = matsum(((kappa, Mat.identity(dim)), (mu, h)), dim, dim)
+        eta = dict(cs.eta.nonzero_entries())
         for i in range(dim):
-            rhs = matsum(((1, outer(K.col(i), cs.eta)), (-t.eta[i], K)), dim, dim)
             for j in range(i + 1, dim):
-                yield (i, j), R.planes[i, j] @ cs.xi - rhs.col(j)
+                terms = []
+                if j in eta:
+                    terms.append((eta[j], K.col(i)))
+                if i in eta:
+                    terms.append((-eta[i], K.col(j)))
+                yield (i, j), R.planes[i, j] @ cs.xi - combine(terms, dim)
 
     return [
         scan("h_structure", h_residuals()),
@@ -355,6 +363,8 @@ def closed_form_plane(rows: ClosedFormRows, i: int, j: int) -> Mat:
     accumulates u[r] w over the rank-one terms u w^T whose vector u is
     nonzero at r, as Gustavson's row-wise product does; a unit entry of
     u, as every entry of a basis vector is, scales w with no multiply.
+    The rows are built as vectors of one length and go into the ``Mat``
+    as they are, so the stored plane can be compared with it row by row.
     """
     terms = {}
     for U, W, negated_W in rows.families:
@@ -368,7 +378,7 @@ def closed_form_plane(rows: ClosedFormRows, i: int, j: int) -> Mat:
         for r, w in rows.phi_rows:
             terms.setdefault(r, []).append((c, w))
     dim, zero = rows.dim, rows.zero
-    return Mat([combine(terms[r], dim) if r in terms else zero for r in range(dim)])
+    return Mat._raw(tuple(combine(terms[r], dim) if r in terms else zero for r in range(dim)))
 
 
 def verify_identities(
@@ -384,6 +394,14 @@ def verify_identities(
     h, the closed-form curvature expansion against the computed table,
     and nabla xi = -phi - phi h.  Tests pass corrupted ``invariants``
     to watch the checks fail.
+
+    The closed form, nabla phi and nabla h compare whole planes or
+    operators first: a stored plane equal to its closed form, or a
+    difference operator [nabla_{e_i}, T] - rhs that is zero, is covered
+    by that one comparison and yields nothing.  Only a plane or an
+    operator that differs is walked column by column, in the same order
+    as a full walk, so the first failing witness and its residual do
+    not change.
     """
     t = cs.tables
     dim = model.dim
@@ -399,10 +417,13 @@ def verify_identities(
 
     phih = Mat.from_columns(t.phihcol)
 
-    # (nabla_{e_i} T) - rhs = [ops[i], T] - rhs, as one kernel call
+    # (nabla_{e_i} T) - rhs = [ops[i], T] - rhs, as one kernel call; a zero
+    # D covers every j at once and yields nothing
     def residual_columns(i, T, rhs_terms):
         op = conn.ops[i]
         D = matsum(((1, op, T), (-1, T, op), *rhs_terms), dim, dim)
+        if D.is_zero():
+            return ()
         return (((i, j), D.col(j)) for j in range(dim))
 
     def nabla_phi_residuals():
@@ -429,14 +450,18 @@ def verify_identities(
         # both sides are antisymmetric in (i, j): R by construction, and
         # the closed form because g(phi ., .) is skew under the contact
         # axioms every structure passes; so i < j alone finds the first
-        # failure of the full index order.  Column k is visited where
-        # either side is nonzero; elsewhere the residual is zero.  Equal
-        # sides, as on a certified table, give the zero vector with no
+        # failure of the full index order.  A plane equal to its closed
+        # form, as every plane of a certified table is, is covered by that
+        # one comparison and yields nothing.  A plane that differs is
+        # walked column by column: column k is visited where either side
+        # is nonzero, and equal columns give the zero vector with no
         # subtraction.
         zero = rows.zero
         for i in range(dim):
             for j in range(i + 1, dim):
                 lhs_plane, rhs_plane = R.planes[i, j], closed_form_plane(rows, i, j)
+                if lhs_plane == rhs_plane:
+                    continue
                 for k in range(dim):
                     lhs, rhs = lhs_plane.col(k), rhs_plane.col(k)
                     if not (lhs.is_zero() and rhs.is_zero()):
