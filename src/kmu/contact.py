@@ -266,9 +266,8 @@ def verify_structure(
 
     def kappa_mu_residuals():
         # the rhs at (i, j) is eta(e_j) K e_i - eta(e_i) K e_j, K = kappa Id +
-        # mu h, summed over the terms where eta is nonzero; both sides are
-        # antisymmetric in (i, j), so i < j alone finds the first failure of
-        # the full index order
+        # mu h; both sides are antisymmetric in (i, j), so i < j alone finds
+        # the first failure of the full index order
         K = matsum(((kappa, Mat.identity(dim)), (mu, h)), dim, dim)
         eta = dict(cs.eta.nonzero_entries())
         for i in range(dim):
@@ -363,8 +362,7 @@ def closed_form_plane(rows: ClosedFormRows, i: int, j: int) -> Mat:
     accumulates u[r] w over the rank-one terms u w^T whose vector u is
     nonzero at r, as Gustavson's row-wise product does; a unit entry of
     u, as every entry of a basis vector is, scales w with no multiply.
-    The rows are built as vectors of one length and go into the ``Mat``
-    as they are, so the stored plane can be compared with it row by row.
+    The rows go into the ``Mat`` as they are, to be compared row by row.
     """
     terms = {}
     for U, W, negated_W in rows.families:
@@ -396,12 +394,9 @@ def verify_identities(
     to watch the checks fail.
 
     The closed form, nabla phi and nabla h compare whole planes or
-    operators first: a stored plane equal to its closed form, or a
-    difference operator [nabla_{e_i}, T] - rhs that is zero, is covered
-    by that one comparison and yields nothing.  Only a plane or an
-    operator that differs is walked column by column, in the same order
-    as a full walk, so the first failing witness and its residual do
-    not change.
+    operators first: an equal plane or a zero operator is covered by that
+    one comparison and yields nothing, and only one that differs is
+    walked column by column, in the order of a full walk.
     """
     t = cs.tables
     dim = model.dim
@@ -450,12 +445,9 @@ def verify_identities(
         # both sides are antisymmetric in (i, j): R by construction, and
         # the closed form because g(phi ., .) is skew under the contact
         # axioms every structure passes; so i < j alone finds the first
-        # failure of the full index order.  A plane equal to its closed
-        # form, as every plane of a certified table is, is covered by that
-        # one comparison and yields nothing.  A plane that differs is
-        # walked column by column: column k is visited where either side
-        # is nonzero, and equal columns give the zero vector with no
-        # subtraction.
+        # failure of the full index order.  An equal plane yields nothing;
+        # in one that differs, column k is visited where either side is
+        # nonzero, and equal columns give the zero vector with no subtraction.
         zero = rows.zero
         for i in range(dim):
             for j in range(i + 1, dim):

@@ -4,7 +4,15 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
-from kmu import ConnectionTable, CurvatureTable, Mat, Vec, analyze_structure, build_boeckx_model
+from kmu import (
+    ConnectionTable,
+    CurvatureTable,
+    Mat,
+    Vec,
+    analyze_structure,
+    build_boeckx_model,
+    d_homothetic,
+)
 
 GRID_AB = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 GRID_N = [2, 3, 4]
@@ -18,6 +26,13 @@ def model(n, alpha, beta):
 @lru_cache(maxsize=None)
 def analysis(n, alpha, beta):
     return analyze_structure(model(n, alpha, beta))
+
+
+@lru_cache(maxsize=None)
+def deformed_analysis(n, alpha, beta, a):
+    """The analysis of the model's native structure deformed by the constant a."""
+    native = analysis(n, alpha, beta)
+    return analyze_structure(native.model, d_homothetic(native.model, native.cs, Fraction(a)))
 
 
 def grid_points():

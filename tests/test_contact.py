@@ -20,10 +20,10 @@ from kmu import (
 )
 from kmu.contact import ModelInvariants, check_contact_axioms, verify_structure
 from kmu.errors import StructureError
-from kmu.linalg import dot, inner
-from kmu.report import all_passed
+from kmu.linalg import dot, inner, matsum, outer
+from kmu.report import all_passed, scan
 
-from helpers import analysis, model
+from helpers import analysis, deformed_analysis, model
 
 
 # ---------------------------------------------------------------------------
@@ -276,3 +276,40 @@ def test_corrupted_structure_flips_its_records(
     for identity_id in also_flipped:
         assert bad[identity_id].witness_indices
         assert bad[identity_id].residual != 0
+
+
+def _reference_kappa_mu(cs, R, inv):
+    """kappa_mu_condition with the rhs of each i as one matrix.
+
+    Column j of matsum(outer(K e_i, eta) - eta(e_i) K), K = kappa Id + mu h,
+    is eta(e_j) K e_i - eta(e_i) K e_j, read for every j > i.
+    """
+    t = cs.tables
+    dim = t.dim
+    K = matsum(((inv.kappa, Mat.identity(dim)), (inv.mu, cs.h)), dim, dim)
+
+    def residuals():
+        for i in range(dim):
+            rhs = matsum(((1, outer(K.col(i), cs.eta)), (-t.eta[i], K)), dim, dim)
+            for j in range(i + 1, dim):
+                yield (i, j), R.planes[i, j] @ cs.xi - rhs.col(j)
+
+    return scan("kappa_mu_condition", residuals())
+
+
+@pytest.mark.parametrize("a", [None, 2], ids=["native", "deformed"])
+@pytest.mark.parametrize("field,delta", [
+    ("mu", 1), ("mu", Fraction(-2, 3)), ("kappa", Fraction(1, 7)), ("kappa", -1),
+])
+def test_kappa_mu_record_matches_the_per_i_matsum(a, field, delta):
+    an = analysis(3, 1, 3) if a is None else deformed_analysis(3, 1, 3, a)
+    clean = {r.identity_id: r for r in verify_structure(an.cs, an.curvature, an.invariants)}
+    assert clean["kappa_mu_condition"] == _reference_kappa_mu(
+        an.cs, an.curvature, an.invariants
+    )
+    assert clean["kappa_mu_condition"].passed
+    inv = replace(an.invariants, **{field: getattr(an.invariants, field) + delta})
+    got = {r.identity_id: r for r in verify_structure(an.cs, an.curvature, inv)}
+    want = _reference_kappa_mu(an.cs, an.curvature, inv)
+    assert got["kappa_mu_condition"] == want
+    assert not want.passed

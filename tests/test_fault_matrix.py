@@ -109,6 +109,17 @@ ROWS = [
         },
         id="verify_identities-gamma10+e2",
     ),
+    # only nabla_{Y_3} = ops[6], the last operator, changes: the difference
+    # operators of nabla_phi and nabla_h are zero at every earlier i and
+    # yield nothing, and the walk of i = 6 finds the failing columns
+    pytest.param(
+        None, "verify_identities", {"inputs": {"conn": _gamma_plus(6, 4, 2)}},
+        {
+            "nabla_phi": ((6, 1), 1),
+            "nabla_h": ((6, 4), 4),
+        },
+        id="verify_identities-gamma64+e2",
+    ),
     pytest.param(
         None, "levi_civita", {"output": _gamma_plus(1, 2, 3)},
         {

@@ -8,14 +8,18 @@ that every structure passes make g(phi ., .) skew.  These tests count
 the work each scan does and compare its records with the full-order
 loops kept here, on clean tables and on tables with a corrupted stored
 plane, where the half scan must still find the first failing tuple of
-the full order.
+the full order.  The closed form also compares each plane whole before
+it walks any column, so only a plane that differs is walked.
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmu import contact
 from kmu.connection import CurvatureTable
@@ -41,7 +45,7 @@ from kmu.submanifold import (
     second_fundamental_form,
 )
 
-from helpers import analysis, bump, grid_points, model
+from helpers import analysis, bump, deformed_analysis, grid_points, model
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -207,6 +211,48 @@ def test_closed_form_visits_i_below_j_on_an_antisymmetric_table(monkeypatch):
     assert all(i < j for _, i, j in calls)
 
 
+class _WalkedPlane(Mat):
+    """A closed-form plane that records each column read off it."""
+
+    def col(self, k):
+        self.walked.append((self.pair, k))
+        return Mat.col(self, k)
+
+
+STRUCTURES = {
+    "native": lambda: analysis(3, 1, 3),
+    "deformed": lambda: deformed_analysis(3, 1, 3, 2),
+}
+
+
+@pytest.mark.parametrize("structure", sorted(STRUCTURES))
+def test_closed_form_walks_the_columns_of_a_differing_plane_only(monkeypatch, structure):
+    # a plane equal to its closed form is covered by one Mat equality, so a
+    # certified table reads no column of any closed-form plane; a table
+    # with one changed stored entry reads every column of that plane once
+    an = STRUCTURES[structure]()
+    dim = an.model.dim
+    walked = []
+    original = contact.closed_form_plane
+
+    def walked_plane(rows, i, j):
+        # row r of the closed-form plane is column r of its transpose
+        transposed = original(rows, i, j).transpose()
+        plane = _WalkedPlane([transposed.col(r) for r in range(dim)])
+        plane.pair, plane.walked = (i, j), walked
+        return plane
+
+    _consume_every_residual(monkeypatch)
+    monkeypatch.setattr(contact, "closed_form_plane", walked_plane)
+    records = verify_identities(an.model, an.cs, an.curvature, an.invariants, an.conn)
+    assert _by_id(records)["curvature_closed_form"].passed
+    assert walked == []
+    R = bump(an.curvature, (1, 2, 3), Vec.basis(dim, 1))
+    records = verify_identities(an.model, an.cs, R, an.invariants, an.conn)
+    assert not _by_id(records)["curvature_closed_form"].passed
+    assert walked == [((1, 2), k) for k in range(dim)]
+
+
 def test_contact_axioms_refuse_a_phi_with_g_phi_nonzero_on_the_diagonal():
     # the closed-form scan visits i < j only because g(phi e_a, e_b) is
     # skew on every structure that reaches it; a phi with g(phi e_1, e_1)
@@ -321,6 +367,47 @@ def test_half_scans_match_full_order_references(n, alpha, beta):
         if scan_name == "gauss":
             assert (scan_name, "leaf corrupted", False) in failing
         assert (scan_name, "corrupted", False) in failing, scan_name
+
+
+@lru_cache(maxsize=None)
+def _closed_form_columns(structure):
+    """The (i, j, k) with i < j where the closed form is zero, then the others."""
+    an = STRUCTURES[structure]()
+    dim = an.model.dim
+    rows = ClosedFormRows(an.invariants, an.cs)
+    zero, nonzero = [], []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            plane = closed_form_plane(rows, i, j)
+            for k in range(dim):
+                (zero if plane.col(k).is_zero() else nonzero).append((i, j, k))
+    return zero, nonzero
+
+
+@st.composite
+def _one_changed_entry(draw):
+    structure = draw(st.sampled_from(sorted(STRUCTURES)))
+    columns = _closed_form_columns(structure)[draw(st.integers(0, 1))]
+    i, j, k = draw(st.sampled_from(columns))
+    l = draw(st.integers(0, STRUCTURES[structure]().model.dim - 1))
+    delta = draw(st.sampled_from([1, -1, Fraction(1, 3), Fraction(-7, 2)]))
+    return structure, (i, j, k), l, delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(_one_changed_entry())
+def test_closed_form_record_matches_the_column_walk_on_one_changed_entry(case):
+    # entry l of the stored R(e_i, e_j) e_k moves by delta, in a column
+    # where the closed form is zero or in one where it is not: only that
+    # plane differs from its closed form, and the record is the one the
+    # full-order walk of every column of every plane gives
+    structure, index, l, delta = case
+    an = STRUCTURES[structure]()
+    R = bump(an.curvature, index, delta * Vec.basis(an.model.dim, l))
+    got = _by_id(verify_identities(an.model, an.cs, R, an.invariants, an.conn))
+    want = _reference_closed_form(an, R)
+    assert got["curvature_closed_form"] == want
+    assert not want.passed
 
 
 @pytest.mark.parametrize("n,alpha,beta", [p for p in grid_points() if p[0] <= 4])

@@ -10,26 +10,33 @@ uses the standard library only.
 
 * ``stages``: ``analyze_structure`` on a freshly built Boeckx model
   (alpha = 1, beta = 3), and ``levi_civita``, ``riemann``,
-  ``curvature_symmetry_residuals`` and ``verify_identities`` on that
-  model's analysis, at n in ``SIZES``, each timed with
-  ``time.perf_counter`` around one call, best of ``REPEATS``, in
-  milliseconds; and the least-squares slope of log(time) against
+  ``curvature_symmetry_residuals``, ``verify_structure`` and
+  ``verify_identities`` on that model's analysis, at n in ``SIZES``, each
+  timed with ``time.perf_counter`` around one call, best of ``REPEATS``,
+  in milliseconds; and the least-squares slope of log(time) against
   log(dim) over the sizes.  The symmetry scan gets a fresh copy of the
   curvature table on every call, so it reuses nothing a previous call
-  may have cached on the table.  The leaf stages ``second_fundamental_form``,
-  ``verify_prop32``, ``gauss_codazzi_residuals`` and
-  ``leaf_curvature_records`` are timed the same way on that model's x leaf
-  and on its diagonal leaf (c, d) = (2, 1), each named with its leaf, as
-  in ``gauss_codazzi_residuals[diagonal]``.
+  may have cached on the table.  ``analyze_structure[deformed]`` and
+  ``verify_identities[deformed]`` time the same stages on the model's
+  structure deformed by a = ``DEFORMATION_A``, as a ``deform`` request
+  re-analyses it: on the same model, whose Jacobi check is cached.  The
+  leaf stages ``second_fundamental_form``, ``verify_prop32``,
+  ``gauss_codazzi_residuals`` and ``leaf_curvature_records`` are timed
+  the same way on the native model's x leaf and on its diagonal leaf
+  (c, d) = (2, 1), each named with its leaf, as in
+  ``gauss_codazzi_residuals[diagonal]``.
 * ``requests``: two requests of ``perfbench/catalogue.json``, run through
   ``kmu.cli.main`` as the command line would, with the report discarded:
   ``deform3x0`` (a ``deform`` at n = 3 with alpha, beta and a of height
   about 10^3) and ``leaves0`` (a ``verify`` at n = 5 with nine leaves).
-  For each, the number of calls to Fraction's arithmetic operators
-  (+ - * / ** with their reflected forms, unary - and +, abs) during one
-  request, after one warm-up request.  Counts repeat exactly; request
-  times are left to ``perfbench/run.py``, which calibrates them against
-  the machine's speed.
+  For each, after one warm-up request, the number of calls to Fraction's
+  arithmetic operators (+ - * / ** with their reflected forms, unary -
+  and +, abs) during one request, and the number of Python function
+  calls, the ``call`` events of ``sys.setprofile``, which also count
+  each resumption of a generator.  Both counts repeat exactly, where
+  stage times swing between runs on a shared machine; request times are
+  left to ``perfbench/run.py``, which calibrates them against the
+  machine's speed.
 """
 
 from __future__ import annotations
@@ -50,8 +57,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from kmu import analyze_structure, build_boeckx_model, riemann, verify_identities  # noqa: E402
+from kmu import (  # noqa: E402
+    analyze_structure,
+    build_boeckx_model,
+    d_homothetic,
+    riemann,
+    verify_identities,
+)
 from kmu.connection import curvature_symmetry_residuals, levi_civita  # noqa: E402
+from kmu.contact import verify_structure  # noqa: E402
 from kmu.submanifold import (  # noqa: E402
     build_distribution,
     eigen_split,
@@ -65,6 +79,7 @@ from kmu.cli import main as kmu_main  # noqa: E402
 
 SIZES = (2, 3, 4, 6, 8, 16)
 REPEATS = 10
+DEFORMATION_A = Fraction(2)
 REQUESTS = ("deform3x0", "leaves0")
 LEAVES = {"x": {}, "diagonal": {"c": 2, "d": 1}}
 OPERATORS = (
@@ -117,36 +132,45 @@ def leaf_times(an, kind, keys) -> dict:
 
 
 def stage_times() -> dict:
-    analyze, connection, curvature, symmetries, identities = {}, {}, {}, {}, {}
-    leaves = {}
+    times = {}
+
+    def add(name, dim, ms):
+        times.setdefault(name, {})[dim] = ms
+
     for n in SIZES:
         dim = 2 * n + 1
-        analyze[dim] = best_ms(
+        add("analyze_structure", dim, best_ms(
             lambda: analyze_structure(build_boeckx_model(n, Fraction(1), Fraction(3)))
-        )
+        ))
         an = analyze_structure(build_boeckx_model(n, Fraction(1), Fraction(3)))
-        connection[dim] = best_ms(lambda: levi_civita(an.model))
-        curvature[dim] = best_ms(lambda: riemann(an.model, an.conn))
-        symmetries[dim] = best_ms(lambda: curvature_symmetry_residuals(replace(an.curvature)))
-        identities[dim] = best_ms(
+        add("levi_civita", dim, best_ms(lambda: levi_civita(an.model)))
+        add("riemann", dim, best_ms(lambda: riemann(an.model, an.conn)))
+        add("curvature_symmetry_residuals", dim, best_ms(
+            lambda: curvature_symmetry_residuals(replace(an.curvature))
+        ))
+        add("verify_structure", dim, best_ms(
+            lambda: verify_structure(an.cs, an.curvature, an.invariants)
+        ))
+        add("verify_identities", dim, best_ms(
             lambda: verify_identities(an.model, an.cs, an.curvature, an.invariants, an.conn)
-        )
+        ))
+        deformed = d_homothetic(an.model, an.cs, DEFORMATION_A)
+        add("analyze_structure[deformed]", dim, best_ms(
+            lambda: analyze_structure(an.model, deformed)
+        ))
+        dan = analyze_structure(an.model, deformed)
+        add("verify_identities[deformed]", dim, best_ms(
+            lambda: verify_identities(dan.model, dan.cs, dan.curvature, dan.invariants, dan.conn)
+        ))
         for kind, keys in LEAVES.items():
             for stage, ms in leaf_times(an, kind, keys).items():
-                leaves.setdefault(f"{stage}[{kind}]", {})[dim] = ms
+                add(f"{stage}[{kind}]", dim, ms)
     return {
         name: {
-            "ms_by_n": {str((dim - 1) // 2): ms for dim, ms in times.items()},
-            "loglog_slope_vs_dim": loglog_slope(list(times.items())),
+            "ms_by_n": {str((dim - 1) // 2): ms for dim, ms in by_dim.items()},
+            "loglog_slope_vs_dim": loglog_slope(list(by_dim.items())),
         }
-        for name, times in (
-            ("analyze_structure", analyze),
-            ("levi_civita", connection),
-            ("riemann", curvature),
-            ("curvature_symmetry_residuals", symmetries),
-            ("verify_identities", identities),
-            *leaves.items(),
-        )
+        for name, by_dim in times.items()
     }
 
 
@@ -188,6 +212,23 @@ def fraction_operations(argv) -> int:
     return count
 
 
+def python_calls(argv) -> int:
+    """Python function calls, generator resumptions included, during one request."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        run_quietly(argv)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
 def catalogue_entries() -> dict:
     with open(ROOT / "perfbench" / "catalogue.json", encoding="utf-8") as handle:
         catalogue = json.load(handle)
@@ -216,12 +257,16 @@ def main() -> int:
         for key, entry in catalogue_entries().items():
             request = request_argv(entry, workdir)
             run_quietly(request)  # warm-up
-            requests[key] = {"fraction_operations": fraction_operations(request)}
+            requests[key] = {
+                "fraction_operations": fraction_operations(request),
+                "python_calls": python_calls(request),
+            }
     out = {
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "repeats": REPEATS,
-        "model": "build_boeckx_model(n, 1, 3), native structure",
+        "model": f"build_boeckx_model(n, 1, 3); native structure, deformed by"
+        f" a = {DEFORMATION_A} where a stage is named [deformed]",
         "stages": stage_times(),
         "requests": requests,
     }
