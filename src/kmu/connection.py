@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .errors import DegeneratePlaneError, DimensionMismatchError
 from .liealg import LieAlgebraModel
-from .linalg import Mat, Vec, combine, inner, matsum, metric_diagonal
+from .linalg import Mat, Vec, combine, dot, inner, matsum, metric_diagonal
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,22 @@ class ConnectionTable:
                         yield x * y, column
 
         return combine(terms(), self.dim)
+
+    def derivative_residuals(self, T: Mat, minus_rhs):
+        """((i, j), column j of [ops[i], T] - rhs(i)) for every operator i.
+
+        An operator T with constant coefficients in the frame has
+        (nabla_{e_i} T) e_j = [nabla_{e_i}, T] e_j, so this checks an
+        identity (nabla_{e_i} T) = rhs(i) one operator at a time;
+        ``minus_rhs(i)`` gives the ``matsum`` terms of -rhs(i).  The
+        difference is one ``matsum`` per i, and a zero difference covers
+        every j at once and yields nothing.
+        """
+        dim = self.dim
+        for i, op in enumerate(self.ops):
+            D = matsum(((1, op, T), (-1, T, op), *minus_rhs(i)), dim, dim)
+            if not D.is_zero():
+                yield from (((i, j), D.col(j)) for j in range(dim))
 
 
 @dataclass(frozen=True)
@@ -130,6 +146,21 @@ class CurvatureTable:
 
     def lowered(self, u: Vec, v: Vec, w: Vec, z: Vec) -> Fraction:
         return inner(self.apply(u, v, w), z, self.metric)
+
+    def sectional(self, i: int, j: int) -> Fraction:
+        """K(e_i, e_j) = R(e_i, e_j, e_j, e_i) / (g_ii g_jj - g_ij^2).
+
+        The numerator is column j of the stored plane of {i, j} paired
+        with column i of the metric, and the denominator reads three
+        metric entries; ``sectional_curvature`` is the same quotient for
+        any u and v.  A zero numerator is returned as it is.
+        """
+        G = self.metric
+        denom = gram_determinant(G[i, i], G[j, j], G[i, j])
+        if denom == 0:
+            raise DegeneratePlaneError(f"e_{i} and e_{j} do not span a plane")
+        numerator = dot(self.column(i, j, j), G.col(i))
+        return numerator / denom if numerator else numerator
 
 
 def levi_civita(model: LieAlgebraModel, metric: Mat | None = None) -> ConnectionTable:

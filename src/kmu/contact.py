@@ -57,26 +57,27 @@ class ContactStructure:
 class StructureTables:
     """Columns and metric pairings of one structure with h, built once.
 
-    hcol[t], phicol[t] and phihcol[t] are h e_t, phi e_t and phi h e_t;
-    eta[t] is eta(e_t).  The pairings are matrices: g_id[a, b], g_h[a, b],
-    g_phi[a, b] and g_phih[a, b] are g(e_a, e_b), g(h e_a, e_b),
-    g(phi e_a, e_b) and g(phi h e_a, e_b), so row a is the covector
-    g(u, .) of one vector u.  Every structure identity reads these tables.
+    phih is the operator phi h; hcol[t], phicol[t] and phihcol[t] are
+    h e_t, phi e_t and phi h e_t; eta[t] is eta(e_t).  The pairings are
+    matrices: g_id[a, b], g_h[a, b], g_phi[a, b] and g_phih[a, b] are
+    g(e_a, e_b), g(h e_a, e_b), g(phi e_a, e_b) and g(phi h e_a, e_b), so
+    row a is the covector g(u, .) of one vector u.  g_id is the metric
+    itself, and the pairing of an operator T is the product T^T G.  Every
+    structure identity reads these tables.
     """
 
     def __init__(self, cs: ContactStructure):
         dim = len(cs.xi)
         self.dim = dim
         self.basis = tuple(Vec.basis(dim, t) for t in range(dim))
-        self.hcol = tuple(cs.h.col(t) for t in range(dim))
-        self.phicol = tuple(cs.phi.col(t) for t in range(dim))
-        self.phihcol = tuple(cs.phi @ col for col in self.hcol)
+        self.phih = cs.phi @ cs.h
+        self.hcol, self.phicol, self.phihcol = (
+            tuple(map(T.col, range(dim))) for T in (cs.h, cs.phi, self.phih)
+        )
         self.eta = tuple(cs.eta)
-        # g(u, e_b) for every b is the transposed metric applied to u
-        gt = cs.metric.transpose()
-        self.g_id, self.g_h, self.g_phi, self.g_phih = (
-            Mat([gt @ u for u in cols])
-            for cols in (self.basis, self.hcol, self.phicol, self.phihcol)
+        G = self.g_id = cs.metric
+        self.g_h, self.g_phi, self.g_phih = (
+            T.transpose() @ G for T in (cs.h, cs.phi, self.phih)
         )
 
 
@@ -254,10 +255,10 @@ def verify_structure(
     kappa, mu = inv.kappa, inv.mu
 
     def h_residuals():
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                # g(e_a, h e_b) - g(h e_a, e_b)
-                yield (a, b), t.g_h[b, a] - t.g_h[a, b]
+        # g(e_a, h e_b) - g(h e_a, e_b) is entry (a, b) of g_h^T - g_h; it
+        # is antisymmetric, so its first nonzero entry has a < b
+        g_h = t.g_h
+        yield from matsum(((1, g_h.transpose()), (-1, g_h)), dim, dim).nonzero_entries()
         yield from (((k,), x) for k, x in (h @ cs.xi).nonzero_entries())
         yield from matsum(((1, h, cs.phi), (1, cs.phi, h)), dim, dim).nonzero_entries()
         for s in range(1, dim):
@@ -396,7 +397,9 @@ def verify_identities(
     The closed form, nabla phi and nabla h compare whole planes or
     operators first: an equal plane or a zero operator is covered by that
     one comparison and yields nothing, and only one that differs is
-    walked column by column, in the order of a full walk.
+    walked column by column, in the order of a full walk.  nabla phi and
+    nabla h are read by ``ConnectionTable.derivative_residuals``, as the
+    leaf's nabla_h1 and nabla_h2 are.
     """
     t = cs.tables
     dim = model.dim
@@ -410,35 +413,22 @@ def verify_identities(
     phi_w = t.g_id.transpose() + t.g_h
     h_w = matsum(((one_minus_kappa, t.g_phi), (-1, t.g_phih)), dim, dim)
 
-    phih = Mat.from_columns(t.phihcol)
+    def nabla_phi_rhs(i):
+        # minus g(X, Y + h Y) xi - eta(Y) (X + h X), at X = e_i
+        return (
+            (-1, outer(xi, phi_w.col(i))),
+            (1, outer(t.basis[i] + t.hcol[i], cs.eta)),
+        )
 
-    # (nabla_{e_i} T) - rhs = [ops[i], T] - rhs, as one kernel call; a zero
-    # D covers every j at once and yields nothing
-    def residual_columns(i, T, rhs_terms):
-        op = conn.ops[i]
-        D = matsum(((1, op, T), (-1, T, op), *rhs_terms), dim, dim)
-        if D.is_zero():
-            return ()
-        return (((i, j), D.col(j)) for j in range(dim))
-
-    def nabla_phi_residuals():
-        for i in range(dim):
-            # g(X, Y + h Y) xi - eta(Y) (X + h X)
-            yield from residual_columns(i, phi, (
-                (-1, outer(xi, phi_w.col(i))),
-                (1, outer(t.basis[i] + t.hcol[i], cs.eta)),
-            ))
-
-    def nabla_h_residuals():
-        for i in range(dim):
-            # g((1 - kappa) phi Y - phi h Y, X) xi
-            # - eta(Y) ((1 - kappa) phi X + phi h X) - mu eta(X) phi h Y
-            eta_factor = one_minus_kappa * t.phicol[i] + t.phihcol[i]
-            yield from residual_columns(i, h, (
-                (-1, outer(xi, h_w.col(i))),
-                (1, outer(eta_factor, cs.eta)),
-                (mu * t.eta[i] if t.eta[i] else 0, phih),
-            ))
+    def nabla_h_rhs(i):
+        # minus g((1 - kappa) phi Y - phi h Y, X) xi
+        # - eta(Y) ((1 - kappa) phi X + phi h X) - mu eta(X) phi h Y, at X = e_i
+        eta_factor = one_minus_kappa * t.phicol[i] + t.phihcol[i]
+        return (
+            (-1, outer(xi, h_w.col(i))),
+            (1, outer(eta_factor, cs.eta)),
+            (mu * t.eta[i] if t.eta[i] else 0, t.phih),
+        )
 
     def closed_form_residuals():
         rows = ClosedFormRows(invariants, cs)
@@ -465,8 +455,8 @@ def verify_identities(
 
     return [
         scan("h_square", h_square.nonzero_entries()),
-        scan("nabla_phi", nabla_phi_residuals()),
-        scan("nabla_h", nabla_h_residuals()),
+        scan("nabla_phi", conn.derivative_residuals(phi, nabla_phi_rhs)),
+        scan("nabla_h", conn.derivative_residuals(h, nabla_h_rhs)),
         scan("curvature_closed_form", closed_form_residuals()),
         scan("nabla_xi", nabla_xi_residuals()),
     ]

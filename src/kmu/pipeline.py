@@ -18,7 +18,6 @@ from .connection import (
     levi_civita,
     metric_compatibility_residuals,
     riemann,
-    sectional_curvature,
     torsion_residuals,
 )
 from .contact import (
@@ -59,23 +58,22 @@ def sectional_records(
 
     Planes inside E(lambda) have curvature 2(1 + lambda) - mu, planes
     inside E(-lambda) have 2(1 - lambda) - mu, and mixed planes have
-    -(kappa + mu) g(X, phi Y)^2.
+    -(kappa + mu) g(X, phi Y)^2.  Each K(e_i, e_j) is read off the stored
+    plane by ``CurvatureTable.sectional``.
     """
     n, dim = model.n, model.dim
-    G, t = cs.metric, cs.tables
+    t = cs.tables
     k_plus = 2 * (1 + inv.lam) - inv.mu
     k_minus = 2 * (1 - inv.lam) - inv.mu
 
     def residuals():
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                yield (i, j), sectional_curvature(R, G, t.basis[i], t.basis[j]) - k_plus
-                yield (n + i, n + j), (
-                    sectional_curvature(R, G, t.basis[n + i], t.basis[n + j]) - k_minus
-                )
+                yield (i, j), R.sectional(i, j) - k_plus
+                yield (n + i, n + j), R.sectional(n + i, n + j) - k_minus
         for i in range(1, n + 1):
             for j in range(n + 1, dim):
-                K = sectional_curvature(R, G, t.basis[i], t.basis[j])
+                K = R.sectional(i, j)
                 g_i_phi_j = t.g_phi[j, i]  # g(e_i, phi e_j)
                 if not g_i_phi_j:
                     yield (i, j), K

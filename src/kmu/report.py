@@ -61,24 +61,5 @@ def scan(identity_id: str, residuals) -> IdentityRecord:
     return IdentityRecord(identity_id, "pass", None, Fraction(0))
 
 
-def scan_rows(identity_id: str, rows) -> IdentityRecord:
-    """``scan`` over row-valued residuals.
-
-    ``rows`` yields (witness, row) with row a ``Vec``: it stands for the
-    tuples witness + (d,) with residual row[d], for every d in index
-    order.  ``scan`` is handed the first nonzero entry of each row, at its
-    full witness and signed, so the record is the one the scalar stream
-    of every (witness + (d,), row[d]) would give.
-    """
-    def first_entries():
-        for witness, row in rows:
-            entries = row.nonzero_entries()
-            if entries:
-                d, residual = entries[0]
-                yield (*witness, d), residual
-
-    return scan(identity_id, first_entries())
-
-
 def all_passed(records) -> bool:
     return all(r.passed for r in records)

@@ -26,7 +26,7 @@ from .contact import ContactStructure, ModelInvariants, standard_phi
 from .errors import NonInvolutiveError, ParameterError, StructureError
 from .liealg import LieAlgebraModel, bracket
 from .linalg import Mat, Vec, combine, dot, inner, matsum, rat, rat_str
-from .report import IdentityRecord, scan, scan_rows
+from .report import IdentityRecord, scan
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -320,17 +320,6 @@ def split_h(cs: ContactStructure, geom: SubmanifoldGeometry) -> tuple[Mat, Mat]:
     return Mat.from_columns(h1_cols), Mat.from_columns(h2_cols)
 
 
-def _operator_symmetry_residuals(frame: _Frame, M: Mat):
-    """g(M v_a, v_b) - g(v_a, M v_b) over the frame."""
-    # lowered = diag(norms) M has lowered[a, b] = g(v_a, M v_b), so the
-    # residual is its skew part, M^T diag(norms) - diag(norms) M
-    n = len(frame.vectors)
-    skew = matsum(((1, M.transpose(), frame.induced), (-1, frame.induced, M)), n, n)
-    for a in range(n):
-        for b in range(n):
-            yield (a, b), skew[a, b]
-
-
 def verify_split_identities(
     cs: ContactStructure, geom: SubmanifoldGeometry, kappa: Fraction
 ) -> list[IdentityRecord]:
@@ -338,37 +327,35 @@ def verify_split_identities(
 
     Checks the defining split h X = h1 X + phi h2 X, symmetry of both
     operators, h1^2 + h2^2 = (1 - kappa) Id, commutation, and the
-    sigma-h2 pairing g(sigma(X, Y), xi) + g(X, h2 Y) = 0.
+    sigma-h2 pairing g(sigma(X, Y), xi) + g(X, h2 Y) = 0.  Each is one
+    ``matsum``: the split is the dim x n matrix h V - V h1 - (phi V) h2,
+    V the frame as columns, scanned column by column; every other identity
+    is an n x n matrix in frame coordinates, scanned by its nonzero entries.
     """
     frame, sigma, h1, h2 = geom.frame, geom.sigma, geom.h1, geom.h2
-    vectors = frame.vectors
-    n = len(vectors)
+    V, induced = frame.span, frame.induced
+    dim, n = V.shape
+    split = matsum(((1, cs.h, V), (-1, V, h1), (-1, cs.phi @ V, h2)), dim, n)
 
-    def split_residuals():
-        for a in range(n):
-            recon = frame.span @ h1.col(a) + cs.phi @ (frame.span @ h2.col(a))
-            yield (a,), cs.h @ vectors[a] - recon
+    def skew(M):
+        # g(M v_a, v_b) - g(v_a, M v_b): diag(norms) M has entry (a, b)
+        # g(v_a, M v_b), so this is M^T diag(norms) - diag(norms) M
+        return matsum(((1, M.transpose(), induced), (-1, induced, M)), n, n)
 
-    def sigma_xi_residuals():
-        # in frame coordinates g(v_a, h2 v_b) = norms[a] h2[a, b], so the
-        # residuals are the entries of S + diag(norms) h2, S[a, b] the
-        # pairing g(sigma(v_a, v_b), xi) with the covector G xi
-        g_xi = cs.metric @ cs.xi
-        S = Mat([dot(entry, g_xi) for entry in row] for row in sigma)
-        res = matsum(((1, S), (1, frame.induced, h2)), n, n)
-        for a in range(n):
-            for b in range(n):
-                yield (a, b), res[a, b]
-
+    # g(v_a, h2 v_b) = norms[a] h2[a, b] in frame coordinates, and S[a, b]
+    # is the pairing g(sigma(v_a, v_b), xi) with the covector G xi
+    g_xi = cs.metric @ cs.xi
+    S = Mat([dot(entry, g_xi) for entry in row] for row in sigma)
+    sigma_xi = matsum(((1, S), (1, induced, h2)), n, n)
     square_sum = matsum(((1, h1, h1), (1, h2, h2), (kappa - 1, Mat.identity(n))), n, n)
     commutator = matsum(((1, h1, h2), (-1, h2, h1)), n, n)
     return [
-        scan("h_split", split_residuals()),
-        scan("h1_symmetric", _operator_symmetry_residuals(frame, h1)),
-        scan("h2_symmetric", _operator_symmetry_residuals(frame, h2)),
+        scan("h_split", (((a,), split.col(a)) for a in range(n))),
+        scan("h1_symmetric", skew(h1).nonzero_entries()),
+        scan("h2_symmetric", skew(h2).nonzero_entries()),
         scan("h1_sq_plus_h2_sq", square_sum.nonzero_entries()),
         scan("h1_h2_commute", commutator.nonzero_entries()),
-        scan("sigma_xi_h2", sigma_xi_residuals()),
+        scan("sigma_xi_h2", sigma_xi.nonzero_entries()),
     ]
 
 
@@ -383,8 +370,11 @@ def verify_prop32(
 
         (nablabar_X h1) Y = -phi sigma(X, h2 Y) - h2 phi sigma(X, Y),
         (nablabar_X h2) Y =  phi sigma(X, h1 Y) + h1 phi sigma(X, Y).
+
+    The last two are read by ``ConnectionTable.derivative_residuals`` on
+    nablabar, as nabla phi and nabla h are on the ambient connection.
     """
-    frame, sigma, nb_ops, h1, h2 = geom.frame, geom.sigma, geom.nbar.ops, geom.h1, geom.h2
+    frame, sigma, nbar, h1, h2 = geom.frame, geom.sigma, geom.nbar, geom.h1, geom.h2
     vectors = frame.vectors
     n = len(vectors)
     G, phi = cs.metric, cs.phi
@@ -412,23 +402,24 @@ def verify_prop32(
         for a in range(n):
             for b in range(n):
                 lhs = frame.normal(conn.nabla(vectors[a], phi_vectors[b]))
-                rhs = phi @ (frame.span @ nb_ops[a].col(b)) + cs.xi * P[a, b]
+                rhs = phi @ (frame.span @ nbar.ops[a].col(b)) + cs.xi * P[a, b]
                 yield (a, b), lhs - rhs
 
-    def nabla_op_residuals(M, sign, other):
-        # (nablabar_X M) Y = [nablabar_X, M] Y vs sign * (phi sigma(X, other Y)
-        # + other phi sigma(X, Y)), an anticommutator with phi sigma(X, .)
-        for a in range(n):
-            C, op = phi_sigma_ops[a], nb_ops[a]
-            terms = ((1, op, M), (-1, M, op), (-sign, C, other), (-sign, other, C))
-            res = matsum(terms, n, n)
-            yield from (((a, b), res.col(b)) for b in range(n))
+    # each rhs(a) is an anticommutator with C = phi sigma(v_a, .):
+    # -(C h2 + h2 C) for nabla_h1 and C h1 + h1 C for nabla_h2
+    def nabla_h1_rhs(a):
+        C = phi_sigma_ops[a]
+        return (1, C, h2), (1, h2, C)
+
+    def nabla_h2_rhs(a):
+        C = phi_sigma_ops[a]
+        return (-1, C, h1), (-1, h1, C)
 
     return [
         scan("shape_operator_phi", shape_operator_residuals()),
         scan("normal_connection_phi", normal_connection_residuals()),
-        scan("nabla_h1", nabla_op_residuals(h1, Fraction(-1), h2)),
-        scan("nabla_h2", nabla_op_residuals(h2, Fraction(1), h1)),
+        scan("nabla_h1", nbar.derivative_residuals(h1, nabla_h1_rhs)),
+        scan("nabla_h2", nbar.derivative_residuals(h2, nabla_h2_rhs)),
     ]
 
 
@@ -449,8 +440,8 @@ def gauss_codazzi_residuals(
     frame coordinates.  The frame is orthogonal, so R(v_a, v_b, v_c, v_d)
     = norms[d] coords[d], and the Gauss residuals of all d at once are the
     row diag(norms) (coords - Rbar[a][b][c]) plus the sigma pairings,
-    which are added only on a leaf with sigma != 0; ``scan_rows`` reports
-    the first nonzero entry at its full witness (a, b, c, d).
+    which are added only on a leaf with sigma != 0.  Each row's nonzero
+    entries go to ``scan`` at their full witness (a, b, c, d).
     """
     frame, sigma, nb_ops = geom.frame, geom.sigma, geom.nbar.ops
     vectors = frame.vectors
@@ -493,12 +484,12 @@ def gauss_codazzi_residuals(
             for c in range(n)
         }
 
-    def gauss_rows():
+    def gauss_residuals():
         for a, b, c in triples:
             row = frame.induced @ (projected[a, b, c][0] - geom.rbar.column(a, b, c))
             if sigma_pairs:
                 row = row + sigma_pairs[b, c, a] - sigma_pairs[a, c, b]
-            yield (a, b, c), row
+            yield from (((a, b, c, d), x) for d, x in row.nonzero_entries())
 
     def codazzi_residuals():
         for a, b, c in triples:
@@ -507,7 +498,7 @@ def gauss_codazzi_residuals(
                 normal = normal - (nabla_sigma[a, b, c] - nabla_sigma[b, a, c])
             yield (a, b, c), normal
 
-    return [scan_rows("gauss", gauss_rows()), scan("codazzi", codazzi_residuals())]
+    return [scan("gauss", gauss_residuals()), scan("codazzi", codazzi_residuals())]
 
 
 def eigen_split(cs: ContactStructure, spec: DistributionSpec):
@@ -548,12 +539,7 @@ def leaf_curvature_records(
     records = []
     summary: dict = {}
 
-    def sectional_bar(a, b):
-        # Rbar(v_a, v_b, v_b, v_a) / (g(v_a, v_a) g(v_b, v_b)) on an
-        # orthogonal frame
-        return rbar.column(a, b, b)[a] / norms[b]
-
-    def space_form_rows(K):
+    def space_form_residuals(K):
         # Rbar(v_a, v_b, v_c, v_d) - K (g_ad g_bc - g_ac g_bd), all d at
         # once: the row diag(norms) Rbar(v_a, v_b) v_c, less the K-term,
         # which on an orthogonal frame lives only at d = a when c = b and
@@ -567,7 +553,7 @@ def leaf_curvature_records(
                     row = frame.induced @ rbar.column(a, b, c)
                     if c in k_term:
                         row = row - k_term[c]
-                    yield (a, b, c), row
+                    yield from (((a, b, c, d), x) for d, x in row.nonzero_entries())
 
     if geom.classification == "totally_geodesic":
         if split is None:
@@ -582,7 +568,7 @@ def leaf_curvature_records(
         def block_gen(indices, K):
             for ia, a in enumerate(indices):
                 for b in indices[ia + 1 :]:
-                    yield (a, b), sectional_bar(a, b) - K
+                    yield (a, b), rbar.sectional(a, b) - K
 
         if k_plus >= 2:
             records.append(scan("leaf_curvature_e_lambda", block_gen(plus_idx, K_plus)))
@@ -595,19 +581,19 @@ def leaf_curvature_records(
 
         if plus_idx and minus_idx:
             records.append(scan("leaf_curvature_mixed_planes", (
-                ((a, b), sectional_bar(a, b)) for a in plus_idx for b in minus_idx
+                ((a, b), rbar.sectional(a, b)) for a in plus_idx for b in minus_idx
             )))
         if not (plus_idx and minus_idx):
             # pure eigenleaf: a genuine space form
             K = K_plus if plus_idx else K_minus
-            records.append(scan_rows("leaf_space_form", space_form_rows(K)))
+            records.append(scan("leaf_space_form", space_form_residuals(K)))
             summary["leaf_curvature"] = rat_str(K)
     elif geom.classification == "totally_umbilical":
         v = geom.frame.vectors[0]
         sin_theta = inner(cs.h @ v, v, cs.metric) / (inv.lam * geom.frame.norms[0])
         cos_theta = -inner(geom.umbilical_vector, cs.xi, cs.metric) / inv.lam
         K = 2 * (1 - inv.mu / 2 + inv.lam * sin_theta)
-        records.append(scan_rows("leaf_space_form", space_form_rows(K)))
+        records.append(scan("leaf_space_form", space_form_residuals(K)))
         records.append(scan("leaf_curvature_negative", [(None, K)] if K >= 0 else []))
         summary["leaf_curvature"] = rat_str(K)
         summary["theta"] = {"sin": rat_str(sin_theta), "cos": rat_str(cos_theta)}

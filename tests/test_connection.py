@@ -21,8 +21,9 @@ from kmu.connection import (
 )
 from kmu.errors import DegeneratePlaneError
 from kmu.linalg import dot
+from kmu.submanifold import build_distribution, second_fundamental_form
 
-from helpers import analysis, bump, failures, lowered_plane, model
+from helpers import analysis, bump, deformed_analysis, failures, lowered_plane, model
 
 
 def koszul_oracle(m, i, j, G=None):
@@ -317,3 +318,37 @@ def test_sectional_rejects_dependent_vectors():
     u = Vec.basis(m.dim, m.x(1))
     with pytest.raises(DegeneratePlaneError):
         sectional_curvature(R, m.metric, u, 3 * u)
+
+
+@pytest.mark.parametrize("a", [None, Fraction(991, 363)], ids=["native", "deformed"])
+def test_sectional_reader_matches_sectional_curvature(a):
+    an = analysis(3, 1, 3) if a is None else deformed_analysis(3, 1, 3, a)
+    R = an.curvature
+    basis = [Vec.basis(R.dim, k) for k in range(R.dim)]
+    values = set()
+    for i in range(R.dim):
+        for j in range(R.dim):
+            if i != j:
+                K = R.sectional(i, j)
+                assert K == sectional_curvature(R, R.metric, basis[i], basis[j]), (i, j)
+                values.add(K)
+    assert len(values) > 2  # zero and nonzero planes, of more than one value
+    with pytest.raises(DegeneratePlaneError):
+        R.sectional(1, 1)
+
+
+@pytest.mark.parametrize("leaf", [
+    {"kind": "x"}, {"kind": "mixed", "k": 2}, {"kind": "diagonal", "c": 2, "d": 1},
+], ids=["x", "mixed", "diagonal"])
+def test_sectional_reader_on_leaf_curvature(leaf):
+    an = analysis(3, 1, 3)
+    spec = build_distribution(an.model, **leaf)
+    geom = second_fundamental_form(an.model, an.conn, spec)
+    rbar, gram = geom.rbar, geom.frame.gram
+    n = rbar.dim
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                # Rbar(v_a, v_b, v_b, v_a) / (g_aa g_bb) on an orthogonal frame
+                lowered = inner(rbar.column(a, b, b), Vec.basis(n, a), rbar.metric)
+                assert rbar.sectional(a, b) == lowered / (gram[a][a] * gram[b][b])

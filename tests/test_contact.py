@@ -262,7 +262,18 @@ def _shifted_kappa(cs, inv):
 def test_corrupted_structure_flips_its_records(
     corrupt, target, witness, residual, also_flipped
 ):
-    an = analysis(2, 1, 3)
+    _assert_flips(analysis(2, 1, 3), corrupt, target, witness, residual, also_flipped)
+
+
+def test_corrupted_deformed_structure_flips_its_records():
+    # under the deformed metric, a = 2 with g(X_1, X_1) = 2, the g-symmetry
+    # residual g(e_1, h e_2) - g(h e_1, e_2) carries the metric entry: 2, not 1
+    an = deformed_analysis(2, 1, 3, 2)
+    assert an.cs.metric[1, 1] == 2
+    _assert_flips(an, _changed_h_entry, "h_structure", (1, 2), 2, {"kappa_mu_condition"})
+
+
+def _assert_flips(an, corrupt, target, witness, residual, also_flipped):
     clean = verify_structure(an.cs, an.curvature, an.invariants)
     assert [r.identity_id for r in clean] == [
         "h_structure", "kappa_mu_condition", "lambda_kappa_identity"

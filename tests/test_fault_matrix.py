@@ -221,6 +221,18 @@ ROWS = [
         },
         id="mixed-nb[0][1]+e2",
     ),
+    # the leaf twin of verify_identities-gamma64+e2: only nablabar_{v_2},
+    # the last operator, changes, so the nabla_h1 and nabla_h2 differences
+    # are zero at every earlier a and yield nothing
+    pytest.param(
+        MIXED, "second_fundamental_form",
+        {"output": _geom_plus("nbar", (2, 1), Vec.basis(N, 0))},
+        {
+            "normal_connection_phi": ((2, 1), 1),
+            "nabla_h1": ((2, 1), 4),
+        },
+        id="mixed-nb[2][1]+e0",
+    ),
     # sigma(v_0, .) and sigma(v_1, .) stay zero, so the shape-operator scan
     # skips a = 0 and 1 and finds the failure at a = 2
     pytest.param(
@@ -303,6 +315,22 @@ ROWS = [
         {"inputs": {"geom": _geom_plus("rbar", (0, 1, 2), Vec.basis(N, 0))}},
         {"gauss": ((0, 1, 2, 0), -5)},
         id="diag-gauss-rbar[0][1][2]+e0",
+    ),
+    # the Gauss row of (0, 1, 2) is -5 (2 e_1 + 3 e_2): its first failing
+    # entry is at d = 1, signed, and not the largest magnitude -15 at d = 2
+    pytest.param(
+        DIAG, "gauss_codazzi_residuals",
+        {"inputs": {"geom": _geom_plus("rbar", (0, 1, 2), Vec([0, 2, 3]))}},
+        {"gauss": ((0, 1, 2, 1), -10)},
+        id="diag-gauss-rbar[0][1][2]+2e1+3e2",
+    ),
+    # the space-form row of (0, 1, 2) on the x leaf, whose frame is
+    # orthonormal, is -2 e_0 + 3 e_2: its first failing entry is negative
+    pytest.param(
+        {"kind": "x"}, "leaf_curvature_records",
+        {"inputs": {"geom": _geom_plus("rbar", (0, 1, 2), Vec([-2, 0, 3]))}},
+        {"leaf_space_form": ((0, 1, 2, 0), -2)},
+        id="x-space_form-rbar[0][1][2]-2e0+3e2",
     ),
 ]
 

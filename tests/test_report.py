@@ -1,13 +1,9 @@
-"""report.scan: the one place that decides whether a residual fails.
-
-``scan_rows`` feeds it row-valued residuals; each case below compares it
-with ``scan`` over the scalar stream the rows stand for.
-"""
+"""report.scan: the one place that decides whether a residual fails."""
 
 from fractions import Fraction
 
 from kmu.linalg import Vec
-from kmu.report import scan, scan_rows
+from kmu.report import scan
 
 
 def test_zero_fraction_skipped_nonzero_reported_signed():
@@ -58,45 +54,3 @@ def test_all_zero_input_passes_with_residual_zero():
     assert record.residual == 0
     assert record.to_dict() == {"identity_id": "t", "status": "pass", "residual": "0"}
     assert scan("t", []).to_dict() == record.to_dict()
-
-
-def _scalar_stream(rows):
-    """Every (witness + (d,), row[d]) that the rows stand for, zero or not."""
-    return [((*w, d), x) for w, row in rows for d, x in enumerate(row)]
-
-
-def _rows(*lists):
-    return [((a, b), Vec(entries)) for (a, b), entries in lists]
-
-
-def test_scan_rows_matches_the_scalar_stream():
-    cases = {
-        "all zero": _rows(((0, 1), [0, 0, 0]), ((0, 2), [0, 0, 0])),
-        "first nonzero at d > 0": _rows(((0, 1), [0, 0, 0]), ((0, 2), [0, 0, 7])),
-        "negative entry": _rows(
-            ((1, 2), [0, Fraction(-5, 3), 4]), ((1, 3), [9, 0, 0])
-        ),
-    }
-    for name, rows in cases.items():
-        record = scan_rows("t", rows)
-        assert record == scan("t", _scalar_stream(rows)), name
-    assert scan_rows("t", cases["all zero"]).to_dict() == {
-        "identity_id": "t", "status": "pass", "residual": "0"
-    }
-    assert scan_rows("t", cases["first nonzero at d > 0"]).to_dict() == {
-        "identity_id": "t", "status": "fail", "witness_indices": [0, 2, 2], "residual": "7"
-    }
-    # signed, not a magnitude as a Vec residual is
-    record = scan_rows("t", cases["negative entry"])
-    assert (record.witness_indices, record.residual) == ((1, 2, 1), Fraction(-5, 3))
-    assert scan_rows("t", []) == scan("t", [])
-
-
-def test_scan_rows_stops_at_the_first_failing_row():
-    def rows():
-        yield (0,), Vec([0, 0])
-        yield (1,), Vec([0, 2])
-        raise AssertionError("scan_rows advanced past the first failing row")
-
-    record = scan_rows("t", rows())
-    assert (record.witness_indices, record.residual) == ((1, 1), 2)

@@ -19,12 +19,13 @@ uses the standard library only.
   may have cached on the table.  ``analyze_structure[deformed]`` and
   ``verify_identities[deformed]`` time the same stages on the model's
   structure deformed by a = ``DEFORMATION_A``, as a ``deform`` request
-  re-analyses it: on the same model, whose Jacobi check is cached.  The
-  leaf stages ``second_fundamental_form``, ``verify_prop32``,
-  ``gauss_codazzi_residuals`` and ``leaf_curvature_records`` are timed
-  the same way on the native model's x leaf and on its diagonal leaf
-  (c, d) = (2, 1), each named with its leaf, as in
-  ``gauss_codazzi_residuals[diagonal]``.
+  re-analyses it: on the same model, whose Jacobi check is cached;
+  ``sectional_records`` is timed on both structures.  The leaf stages
+  ``second_fundamental_form``, ``verify_split_identities``,
+  ``verify_prop32``, ``gauss_codazzi_residuals`` and
+  ``leaf_curvature_records`` are timed the same way on the native
+  model's x leaf and on its diagonal leaf (c, d) = (2, 1), each named
+  with its leaf, as in ``gauss_codazzi_residuals[diagonal]``.
 * ``requests``: two requests of ``perfbench/catalogue.json``, run through
   ``kmu.cli.main`` as the command line would, with the report discarded:
   ``deform3x0`` (a ``deform`` at n = 3 with alpha, beta and a of height
@@ -66,6 +67,7 @@ from kmu import (  # noqa: E402
 )
 from kmu.connection import curvature_symmetry_residuals, levi_civita  # noqa: E402
 from kmu.contact import verify_structure  # noqa: E402
+from kmu.pipeline import sectional_records  # noqa: E402
 from kmu.submanifold import (  # noqa: E402
     build_distribution,
     eigen_split,
@@ -74,6 +76,7 @@ from kmu.submanifold import (  # noqa: E402
     second_fundamental_form,
     split_h,
     verify_prop32,
+    verify_split_identities,
 )
 from kmu.cli import main as kmu_main  # noqa: E402
 
@@ -121,6 +124,9 @@ def leaf_times(an, kind, keys) -> dict:
         "second_fundamental_form": best_ms(
             lambda: second_fundamental_form(an.model, an.conn, spec)
         ),
+        "verify_split_identities": best_ms(
+            lambda: verify_split_identities(an.cs, geom, an.invariants.kappa)
+        ),
         "verify_prop32": best_ms(lambda: verify_prop32(an.conn, an.cs, geom)),
         "gauss_codazzi_residuals": best_ms(
             lambda: gauss_codazzi_residuals(an.curvature, an.conn, geom)
@@ -162,6 +168,10 @@ def stage_times() -> dict:
         add("verify_identities[deformed]", dim, best_ms(
             lambda: verify_identities(dan.model, dan.cs, dan.curvature, dan.invariants, dan.conn)
         ))
+        for name, st in (("sectional_records", an), ("sectional_records[deformed]", dan)):
+            add(name, dim, best_ms(
+                lambda: sectional_records(st.model, st.curvature, st.cs, st.invariants)
+            ))
         for kind, keys in LEAVES.items():
             for stage, ms in leaf_times(an, kind, keys).items():
                 add(f"{stage}[{kind}]", dim, ms)
