@@ -29,6 +29,7 @@ from functools import cached_property
 from .errors import DegeneratePlaneError, DimensionMismatchError
 from .liealg import LieAlgebraModel
 from .linalg import Mat, Vec, combine, dot, inner, matsum, metric_diagonal
+from .report import column_residuals
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,14 @@ class ConnectionTable:
         (nabla_{e_i} T) e_j = [nabla_{e_i}, T] e_j, so this checks an
         identity (nabla_{e_i} T) = rhs(i) one operator at a time;
         ``minus_rhs(i)`` gives the ``matsum`` terms of -rhs(i).  The
-        difference is one ``matsum`` per i, and a zero difference covers
-        every j at once and yields nothing.
+        difference is one ``matsum`` per i, read by ``column_residuals``:
+        a zero difference covers every j at once and yields nothing.
         """
         dim = self.dim
-        for i, op in enumerate(self.ops):
-            D = matsum(((1, op, T), (-1, T, op), *minus_rhs(i)), dim, dim)
-            if not D.is_zero():
-                yield from (((i, j), D.col(j)) for j in range(dim))
+        return column_residuals(
+            ((i,), matsum(((1, op, T), (-1, T, op), *minus_rhs(i)), dim, dim))
+            for i, op in enumerate(self.ops)
+        )
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,9 @@ class CurvatureTable:
     """Curvature stored once, as one plane per index pair i < j.
 
     planes[i, j] is the matrix whose column k is R(e_i, e_j) e_k, and
-    ``column`` reads R(e_i, e_j) e_k for any i and j.  The lowering (plane
-    by plane) and the nested ``table`` are views derived on first read,
-    so a table rebuilt with ``replace(R, planes=...)`` derives its own.
+    ``column`` reads R(e_i, e_j) e_k for any i and j.  The nested ``table``
+    is an export view derived on first read, so a table rebuilt with
+    ``replace(R, planes=...)`` derives its own.
     """
 
     dim: int
@@ -129,20 +130,12 @@ class CurvatureTable:
                 coeffs[pair] = coeffs[pair] + xy if pair in coeffs else xy
         return tuple((pair, c) for pair, c in coeffs.items() if c)
 
-    def plane_sum(self, coeffs: tuple, w: Vec) -> Vec:
-        """sum of c R(e_i, e_j) w over the ((i, j), c) of ``pair_coefficients``."""
-        planes = self.planes
-        return combine(((c, planes[pair] @ w) for pair, c in coeffs), self.dim)
-
     def apply(self, u: Vec, v: Vec, w: Vec) -> Vec:
-        """R(u, v) w = sum over i < j of (u_i v_j - u_j v_i) R(e_i, e_j) w.
-
-        The coefficients of the pair (u, v) come first, then each plane
-        with a nonzero one is applied to w once.  A caller that applies
-        R(u, v) to several vectors computes the coefficients once and
-        calls ``plane_sum`` for each.
-        """
-        return self.plane_sum(self.pair_coefficients(u, v), w)
+        """R(u, v) w, summed over the ((i, j), c) of ``pair_coefficients``."""
+        planes = self.planes
+        return combine(
+            ((c, planes[pair] @ w) for pair, c in self.pair_coefficients(u, v)), self.dim
+        )
 
     def lowered(self, u: Vec, v: Vec, w: Vec, z: Vec) -> Fraction:
         return inner(self.apply(u, v, w), z, self.metric)

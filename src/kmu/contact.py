@@ -26,7 +26,7 @@ from .connection import ConnectionTable, CurvatureTable
 from .errors import NotKappaMuError, StructureError
 from .liealg import LieAlgebraModel, bracket
 from .linalg import Mat, Vec, combine, dot, matsum, outer, rank, rat_str
-from .report import IdentityRecord, scan
+from .report import IdentityRecord, column_residuals, scan
 
 
 @dataclass(frozen=True)
@@ -396,10 +396,11 @@ def verify_identities(
 
     The closed form, nabla phi and nabla h compare whole planes or
     operators first: an equal plane or a zero operator is covered by that
-    one comparison and yields nothing, and only one that differs is
-    walked column by column, in the order of a full walk.  nabla phi and
-    nabla h are read by ``ConnectionTable.derivative_residuals``, as the
-    leaf's nabla_h1 and nabla_h2 are.
+    one comparison and yields nothing, and only the difference of one that
+    differs is walked column by column by ``column_residuals``, in the
+    order of a full walk.  nabla phi and nabla h are read by
+    ``ConnectionTable.derivative_residuals``, as the leaf's nabla_h1 and
+    nabla_h2 are.
     """
     t = cs.tables
     dim = model.dim
@@ -430,24 +431,18 @@ def verify_identities(
             (mu * t.eta[i] if t.eta[i] else 0, t.phih),
         )
 
-    def closed_form_residuals():
-        rows = ClosedFormRows(invariants, cs)
+    def closed_form_differences():
         # both sides are antisymmetric in (i, j): R by construction, and
         # the closed form because g(phi ., .) is skew under the contact
         # axioms every structure passes; so i < j alone finds the first
-        # failure of the full index order.  An equal plane yields nothing;
-        # in one that differs, column k is visited where either side is
-        # nonzero, and equal columns give the zero vector with no subtraction.
-        zero = rows.zero
+        # failure of the full index order.  An equal plane is covered by
+        # one Mat equality and never subtracted.
+        rows = ClosedFormRows(invariants, cs)
         for i in range(dim):
             for j in range(i + 1, dim):
-                lhs_plane, rhs_plane = R.planes[i, j], closed_form_plane(rows, i, j)
-                if lhs_plane == rhs_plane:
-                    continue
-                for k in range(dim):
-                    lhs, rhs = lhs_plane.col(k), rhs_plane.col(k)
-                    if not (lhs.is_zero() and rhs.is_zero()):
-                        yield (i, j, k), zero if lhs == rhs else lhs - rhs
+                lhs, rhs = R.planes[i, j], closed_form_plane(rows, i, j)
+                if lhs != rhs:
+                    yield (i, j), lhs - rhs
 
     def nabla_xi_residuals():
         for i in range(dim):
@@ -457,6 +452,6 @@ def verify_identities(
         scan("h_square", h_square.nonzero_entries()),
         scan("nabla_phi", conn.derivative_residuals(phi, nabla_phi_rhs)),
         scan("nabla_h", conn.derivative_residuals(h, nabla_h_rhs)),
-        scan("curvature_closed_form", closed_form_residuals()),
+        scan("curvature_closed_form", column_residuals(closed_form_differences())),
         scan("nabla_xi", nabla_xi_residuals()),
     ]

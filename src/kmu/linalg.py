@@ -297,7 +297,8 @@ def matsum(terms, nrows: int, ncols: int) -> "Mat":
     plan = []
     for c, A, *B in terms:
         B = B[0] if B else None
-        s = _scalar(c)
+        # an int is its own numerator over 1, so it builds no Fraction
+        s = c if type(c) is int else _scalar(c)
         if s is None:
             raise ParameterError(f"coefficient {c!r} rejected: use an int or a Fraction")
         inner_dim = ncols if B is None else B.shape[0]

@@ -61,5 +61,26 @@ def scan(identity_id: str, residuals) -> IdentityRecord:
     return IdentityRecord(identity_id, "pass", None, Fraction(0))
 
 
+def column_residuals(matrices):
+    """((*key, k), column k of D) for each (key, D) of ``matrices``, D nonzero.
+
+    A zero D is covered by one test and yields nothing; ``scan`` reports
+    the first nonzero column by its largest entry.
+    """
+    for key, D in matrices:
+        if not D.is_zero():
+            yield from (((*key, k), D.col(k)) for k in range(D.shape[1]))
+
+
+def entry_residuals(matrices):
+    """((*key, k, l), D[l, k]) for each nonzero entry of each (key, D).
+
+    In column-then-row order: column k of D is the row of (*key, k).
+    """
+    for key, D in matrices:
+        for (k, l), x in D.transpose().nonzero_entries():
+            yield (*key, k, l), x
+
+
 def all_passed(records) -> bool:
     return all(r.passed for r in records)

@@ -25,8 +25,8 @@ from .connection import ConnectionTable, CurvatureTable, curvature_from
 from .contact import ContactStructure, ModelInvariants, standard_phi
 from .errors import NonInvolutiveError, ParameterError, StructureError
 from .liealg import LieAlgebraModel, bracket
-from .linalg import Mat, Vec, combine, dot, inner, matsum, rat, rat_str
-from .report import IdentityRecord, scan
+from .linalg import Mat, Vec, combine, dot, inner, matsum, outer, rat, rat_str
+from .report import IdentityRecord, column_residuals, entry_residuals, scan
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -186,12 +186,14 @@ class _Frame:
         self.gram = _orthogonal_gram(self.vectors, metric)
         self.norms = tuple(self.gram[a][a] for a in range(len(self.vectors)))
         self.induced = Mat.diagonal(self.norms)
-        # row a is g(., v_a) / g(v_a, v_a), so coordinates = pairing @ w;
-        # span has the frame vectors as columns
-        self.pairing = Mat(
-            (metric @ v) * (1 / nv) for v, nv in zip(self.vectors, self.norms)
-        )
+        # row a of lowering is g(., v_a), and of pairing g(., v_a) / g(v_a,
+        # v_a), so coordinates = pairing @ w; span has the frame vectors as
+        # columns, and perp = Id - span pairing takes the normal part
+        rows = [metric @ v for v in self.vectors]
+        self.lowering = Mat(rows)
+        self.pairing = Mat(row * (1 / nv) for row, nv in zip(rows, self.norms))
         self.span = Mat.from_columns(self.vectors)
+        self.perp = Mat.identity(metric.shape[0]) - self.span @ self.pairing
 
     def project(self, w: Vec) -> tuple[Vec, Vec]:
         """Frame coordinates of the tangential part of w, and the normal part."""
@@ -199,9 +201,6 @@ class _Frame:
             return Vec.zero(len(self.vectors)), w
         coeffs = self.pairing @ w
         return coeffs, w - self.span @ coeffs
-
-    def normal(self, w: Vec) -> Vec:
-        return self.project(w)[1]
 
     def coords(self, w: Vec) -> Vec:
         """Frame coordinates of a tangent vector; raises if not tangent."""
@@ -350,7 +349,7 @@ def verify_split_identities(
     square_sum = matsum(((1, h1, h1), (1, h2, h2), (kappa - 1, Mat.identity(n))), n, n)
     commutator = matsum(((1, h1, h2), (-1, h2, h1)), n, n)
     return [
-        scan("h_split", (((a,), split.col(a)) for a in range(n))),
+        scan("h_split", column_residuals([((), split)])),
         scan("h1_symmetric", skew(h1).nonzero_entries()),
         scan("h2_symmetric", skew(h2).nonzero_entries()),
         scan("h1_sq_plus_h2_sq", square_sum.nonzero_entries()),
@@ -375,35 +374,40 @@ def verify_prop32(
     nablabar, as nabla phi and nabla h are on the ambient connection.
     """
     frame, sigma, nbar, h1, h2 = geom.frame, geom.sigma, geom.nbar, geom.h1, geom.h2
-    vectors = frame.vectors
-    n = len(vectors)
-    G, phi = cs.metric, cs.phi
-    phi_vectors = [phi @ v for v in vectors]
-    # phi sigma(v_a, v_b), and as operators on frame coordinates
-    phi_sigma = [[phi @ s for s in row] for row in sigma]
-    phi_sigma_ops = [Mat.from_columns(map(frame.coords, row)) for row in phi_sigma]
+    V = frame.span
+    dim, n = V.shape
+    phi, phi_V = cs.phi, cs.phi @ V
+    # Sigma[a] has sigma(v_a, v_b) as column b, so phi_Sigma[a] has
+    # phi sigma(v_a, v_b); as operators on frame coordinates too
+    Sigma = [Mat.from_columns(row) for row in sigma]
+    phi_Sigma = [S if S.is_zero() else phi @ S for S in Sigma]
+    phi_sigma_ops = [
+        Mat.from_columns(map(frame.coords, map(S.col, range(n)))) for S in phi_Sigma
+    ]
 
-    def shape_operator_residuals():
-        inverse = Mat.diagonal([1 / nv for nv in frame.norms])
-        for a in range(n):
-            # with sigma(v_a, .) = 0 every term at this a is zero
-            if all(s.is_zero() for s in sigma[a]):
-                continue
-            for b in range(n):
-                # A_{phi v_b} v_a assembled from sigma through the
-                # shape-operator pairing g(A v_a, v_c) = g(sigma(v_a, v_c), phi v_b)
-                pairings = Vec(inner(s, phi_vectors[b], G) for s in sigma[a])
-                shape = frame.span @ (inverse @ pairings)
-                yield (a, b), shape + phi_sigma[a][b]
+    def shape_operator_differences():
+        # column b is A_{phi v_b} v_a + phi sigma(v_a, v_b), A assembled from
+        # the pairing g(A v_a, v_c) = g(sigma(v_a, v_c), phi v_b), which is
+        # entry (c, b) of Sigma[a]^T G phi V; with sigma(v_a, .) = 0 every
+        # term at this a is zero
+        scaled_V = V @ Mat.diagonal([1 / nv for nv in frame.norms])
+        g_phi_V = cs.metric @ phi_V
+        for a, S in enumerate(Sigma):
+            if not S.is_zero():
+                pairings = S.transpose() @ g_phi_V
+                yield (a,), matsum(((1, scaled_V, pairings), (1, phi_Sigma[a])), dim, n)
 
-    def normal_connection_residuals():
-        # in frame coordinates g(v_a, v_b + h1 v_b) = norms[a] (Id + h1)[a, b]
-        P = matsum(((1, frame.induced), (1, frame.induced, h1)), n, n)
-        for a in range(n):
-            for b in range(n):
-                lhs = frame.normal(conn.nabla(vectors[a], phi_vectors[b]))
-                rhs = phi @ (frame.span @ nbar.ops[a].col(b)) + cs.xi * P[a, b]
-                yield (a, b), lhs - rhs
+    def normal_connection_differences():
+        # column b is the normal part of nabla_{v_a} phi v_b, less phi of
+        # nablabar_{v_a} v_b and g(v_a, v_b + h1 v_b) xi, which is
+        # norms[a] (Id + h1)[a, b] xi in frame coordinates
+        P = matsum(((1, frame.induced), (1, frame.induced, h1)), n, n).transpose()
+        for a, v in enumerate(frame.vectors):
+            # nabla_{v_a} phi V, summed over the support of v_a
+            M = matsum([(x, conn.ops[i], phi_V) for i, x in v.nonzero_entries()], dim, n)
+            yield (a,), matsum((
+                (1, frame.perp, M), (-1, phi_V, nbar.ops[a]), (-1, outer(cs.xi, P.col(a))),
+            ), dim, n)
 
     # each rhs(a) is an anticommutator with C = phi sigma(v_a, .):
     # -(C h2 + h2 C) for nabla_h1 and C h1 + h1 C for nabla_h2
@@ -416,8 +420,8 @@ def verify_prop32(
         return (-1, C, h1), (-1, h1, C)
 
     return [
-        scan("shape_operator_phi", shape_operator_residuals()),
-        scan("normal_connection_phi", normal_connection_residuals()),
+        scan("shape_operator_phi", column_residuals(shape_operator_differences())),
+        scan("normal_connection_phi", column_residuals(normal_connection_differences())),
         scan("nabla_h1", nbar.derivative_residuals(h1, nabla_h1_rhs)),
         scan("nabla_h2", nbar.derivative_residuals(h2, nabla_h2_rhs)),
     ]
@@ -434,71 +438,54 @@ def gauss_codazzi_residuals(
     with (nabla_X sigma)(Y,Z) = nabla^perp_X(sigma(Y,Z))
          - sigma(nablabar_X Y, Z) - sigma(Y, nablabar_X Z).
 
-    The plane coefficients of R(v_a, v_b) are computed once per frame
-    pair a < b and applied to every v_c, and R(v_a, v_b) v_c is projected
-    once per visited triple: Codazzi reads its normal part, and Gauss its
-    frame coordinates.  The frame is orthogonal, so R(v_a, v_b, v_c, v_d)
-    = norms[d] coords[d], and the Gauss residuals of all d at once are the
-    row diag(norms) (coords - Rbar[a][b][c]) plus the sigma pairings,
-    which are added only on a leaf with sigma != 0.  Each row's nonzero
-    entries go to ``scan`` at their full witness (a, b, c, d).
+    Both are checked one frame pair a < b at a time, as matrices over
+    (c, d); both are antisymmetric in (a, b), as R and Rbar are by
+    construction, so a < b alone finds the first failures of the full
+    index order.  With V the frame as columns, RV = sum of c R(e_i, e_j) V
+    over the plane coefficients of R(v_a, v_b) is one ``matsum``.  The
+    frame is orthogonal, so lowering RV is diag(norms) times the frame
+    coordinates pairing RV, and Gauss is lowering RV - diag(norms) Rbar_ab
+    + Sigma_a^T G Sigma_b - Sigma_b^T G Sigma_a, with sigma(v_a, v_d) as
+    column d of Sigma_a, read by ``entry_residuals`` at (a, b, c, d).
+    Codazzi, read by ``column_residuals`` at (a, b, c), is the normal part
+    perp RV less the nabla sigma terms: nabla_{v_a} Sigma_b - nabla_{v_b}
+    Sigma_a is one ``matsum`` over the supports of v_a and v_b, then its
+    normal part, and the nablabar terms are products with Sigma.  No term
+    of a zero Sigma_a is built, so none on a leaf with sigma = 0.
     """
-    frame, sigma, nb_ops = geom.frame, geom.sigma, geom.nbar.ops
-    vectors = frame.vectors
-    n = len(vectors)
-    G = conn.metric
-    # both equations are antisymmetric in (a, b), as R and Rbar are by
-    # construction, so a < b alone finds the first failures of the full
-    # index order
-    triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(n)]
-    # R(v_a, v_b) v_c projected onto the frame, and (nabla_{v_a} sigma)(v_b,
-    # v_c), each built once; sigma is symmetric, so row c of sigma is
-    # sigma(., v_c).  Codazzi reads nabla sigma only at a != b, and not at
-    # all when sigma vanishes (a totally geodesic leaf).
-    projected = {}
+    frame, rbar, nb_ops = geom.frame, geom.rbar, geom.nbar.ops
+    vectors, V = frame.vectors, frame.span
+    dim, n = V.shape
+    Sigma = [Mat.from_columns(row) for row in geom.sigma]
+    live = [not S.is_zero() for S in Sigma]
+    low = [conn.metric @ S if alive else None for S, alive in zip(Sigma, live)]
+    ops, support = conn.ops, [v.nonzero_entries() for v in vectors]
+    gauss, codazzi = [], []
     for a in range(n):
         for b in range(a + 1, n):
             coeffs = R.pair_coefficients(vectors[a], vectors[b])
-            for c in range(n):
-                projected[a, b, c] = frame.project(R.plane_sum(coeffs, vectors[c]))
-    nabla_sigma, sigma_pairs = {}, {}
-    if not all(entry.is_zero() for row in sigma for entry in row):
-        sigma_ops = [Mat.from_columns(row) for row in sigma]
-        nabla_sigma = {
-            (a, b, c): frame.normal(conn.nabla(vectors[a], sigma[b][c]))
-            - sigma_ops[c] @ nb_ops[a].col(b)
-            - sigma_ops[b] @ nb_ops[a].col(c)
-            for a in range(n)
-            for b in range(n)
-            if a != b
-            for c in range(n)
-        }
-        # sigma_pairs[b, c, a][d] = g(sigma(v_a, v_d), sigma(v_b, v_c)): the
-        # rows of sigma(v_a, .) against sigma(v_b, v_c) lowered by the metric
-        rows = [Mat(sigma[a]) for a in range(n)]
-        lowered = [[G @ entry for entry in row] for row in sigma]
-        sigma_pairs = {
-            (b, c, a): rows[a] @ lowered[b][c]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-        }
-
-    def gauss_residuals():
-        for a, b, c in triples:
-            row = frame.induced @ (projected[a, b, c][0] - geom.rbar.column(a, b, c))
-            if sigma_pairs:
-                row = row + sigma_pairs[b, c, a] - sigma_pairs[a, c, b]
-            yield from (((a, b, c, d), x) for d, x in row.nonzero_entries())
-
-    def codazzi_residuals():
-        for a, b, c in triples:
-            normal = projected[a, b, c][1]
-            if nabla_sigma:
-                normal = normal - (nabla_sigma[a, b, c] - nabla_sigma[b, a, c])
-            yield (a, b, c), normal
-
-    return [scan("gauss", gauss_residuals()), scan("codazzi", codazzi_residuals())]
+            RV = matsum([(c, R.planes[pair], V) for pair, c in coeffs], dim, n)
+            g_terms = [(1, frame.lowering, RV), (-1, frame.induced, rbar.planes[a, b])]
+            if live[a] and live[b]:
+                Sa, Sb = Sigma[a].transpose(), Sigma[b].transpose()
+                g_terms += (1, Sa, low[b]), (-1, Sb, low[a])
+            c_terms, nabla = [(1, frame.perp, RV)], []
+            for s, t, sign in ((a, b, 1), (b, a, -1)):
+                # +- nabla_{v_s} Sigma_t over the support of v_s, and over c
+                # +- sigma(v_t, nablabar_s v_c) and sigma(nablabar_s v_t, v_c)
+                if live[t]:
+                    nabla += ((sign * x, ops[i], Sigma[t]) for i, x in support[s])
+                    c_terms.append((sign, Sigma[t], nb_ops[s]))
+                tangent = nb_ops[s].col(t).nonzero_entries()
+                c_terms += ((sign * x, Sigma[e]) for e, x in tangent if live[e])
+            if nabla:
+                c_terms.append((-1, frame.perp, matsum(nabla, dim, n)))
+            gauss.append(((a, b), matsum(g_terms, n, n)))
+            codazzi.append(((a, b), matsum(c_terms, dim, n)))
+    return [
+        scan("gauss", entry_residuals(gauss)),
+        scan("codazzi", column_residuals(codazzi)),
+    ]
 
 
 def eigen_split(cs: ContactStructure, spec: DistributionSpec):
@@ -539,21 +526,21 @@ def leaf_curvature_records(
     records = []
     summary: dict = {}
 
-    def space_form_residuals(K):
-        # Rbar(v_a, v_b, v_c, v_d) - K (g_ad g_bc - g_ac g_bd), all d at
-        # once: the row diag(norms) Rbar(v_a, v_b) v_c, less the K-term,
-        # which on an orthogonal frame lives only at d = a when c = b and
-        # at d = b when c = a.  Both are antisymmetric in (a, b), so a < b
-        # alone finds the first failure of the full index order
+    def space_form_differences(K):
+        # over (c, d), Rbar(v_a, v_b, v_c, v_d) - K (g_ad g_bc - g_ac g_bd) is
+        # diag(norms) (Rbar_ab - F_ab) on an orthogonal frame, with the rank-two
+        # F_ab = K (norms[b] e_a e_b^T - norms[a] e_b e_a^T); only a plane
+        # Rbar_ab != F_ab is subtracted.  Both sides are antisymmetric in
+        # (a, b), so a < b alone finds the first failure of the full order
+        zero = [Vec.zero(n)] * n
         for a in range(n):
             for b in range(a + 1, n):
-                k_ab = K * norms[a] * norms[b]
-                k_term = {b: k_ab * Vec.basis(n, a), a: -k_ab * Vec.basis(n, b)}
-                for c in range(n):
-                    row = frame.induced @ rbar.column(a, b, c)
-                    if c in k_term:
-                        row = row - k_term[c]
-                    yield from (((a, b, c, d), x) for d, x in row.nonzero_entries())
+                rows = list(zero)
+                rows[a] = Vec.from_dict({b: K * norms[b]}, n)
+                rows[b] = Vec.from_dict({a: -K * norms[a]}, n)
+                plane, form = rbar.planes[a, b], Mat(rows)
+                if plane != form:
+                    yield (a, b), frame.induced @ (plane - form)
 
     if geom.classification == "totally_geodesic":
         if split is None:
@@ -586,14 +573,15 @@ def leaf_curvature_records(
         if not (plus_idx and minus_idx):
             # pure eigenleaf: a genuine space form
             K = K_plus if plus_idx else K_minus
-            records.append(scan("leaf_space_form", space_form_residuals(K)))
+            differences = space_form_differences(K)
+            records.append(scan("leaf_space_form", entry_residuals(differences)))
             summary["leaf_curvature"] = rat_str(K)
     elif geom.classification == "totally_umbilical":
         v = geom.frame.vectors[0]
         sin_theta = inner(cs.h @ v, v, cs.metric) / (inv.lam * geom.frame.norms[0])
         cos_theta = -inner(geom.umbilical_vector, cs.xi, cs.metric) / inv.lam
         K = 2 * (1 - inv.mu / 2 + inv.lam * sin_theta)
-        records.append(scan("leaf_space_form", space_form_residuals(K)))
+        records.append(scan("leaf_space_form", entry_residuals(space_form_differences(K))))
         records.append(scan("leaf_curvature_negative", [(None, K)] if K >= 0 else []))
         summary["leaf_curvature"] = rat_str(K)
         summary["theta"] = {"sin": rat_str(sin_theta), "cos": rat_str(cos_theta)}

@@ -324,6 +324,28 @@ ROWS = [
         {"gauss": ((0, 1, 2, 1), -10)},
         id="diag-gauss-rbar[0][1][2]+2e1+3e2",
     ),
+    # rows with a bad ambient R fed to the leaf's Gauss and Codazzi, the
+    # only path where a stored plane of R is applied to frame vectors: on
+    # the x leaf (sigma = 0) R(X_1, X_2) X_1 moves by 2 X_3 - Y_2, a
+    # tangent and a normal part; on the diagonal leaf (sigma != 0)
+    # R(X_1, Y_2) X_1 moves by X_2 - xi, which R(v_0, v_1) v_0 reads with
+    # the factor c^2 d = 4
+    pytest.param(
+        {"kind": "x"}, "gauss_codazzi_residuals",
+        {"inputs": {"R": lambda R: bump(
+            R, (1, 2, 1), 2 * Vec.basis(DIM, 3) - Vec.basis(DIM, 5)
+        )}},
+        {"gauss": ((0, 1, 0, 2), 2), "codazzi": ((0, 1, 0), 1)},
+        id="x-gauss_codazzi-R121+2X3-Y2",
+    ),
+    pytest.param(
+        DIAG, "gauss_codazzi_residuals",
+        {"inputs": {"R": lambda R: bump(
+            R, (1, 5, 1), Vec.basis(DIM, 2) - Vec.basis(DIM, 0)
+        )}},
+        {"gauss": ((0, 1, 0, 1), 8), "codazzi": ((0, 1, 0), 4)},
+        id="diag-gauss_codazzi-R151+X2-xi",
+    ),
     # the space-form row of (0, 1, 2) on the x leaf, whose frame is
     # orthonormal, is -2 e_0 + 3 e_2: its first failing entry is negative
     pytest.param(

@@ -8,8 +8,9 @@ that every structure passes make g(phi ., .) skew.  These tests count
 the work each scan does and compare its records with the full-order
 loops kept here, on clean tables and on tables with a corrupted stored
 plane, where the half scan must still find the first failing tuple of
-the full order.  The closed form also compares each plane whole before
-it walks any column, so only a plane that differs is walked.
+the full order, or with one entry moved to a tuple where the table is
+zero.  The closed form also compares each plane whole before it walks
+any column, so only a plane that differs is subtracted and walked.
 """
 
 import random
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmu import contact
-from kmu.connection import CurvatureTable
+from kmu.connection import ConnectionTable, CurvatureTable
 from kmu.contact import (
     ClosedFormRows,
     ContactStructure,
@@ -110,7 +111,7 @@ def _reference_gauss_codazzi(R, conn, geom):
     triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
     ambient = {t: R.apply(*(vectors[x] for x in t)) for t in triples}
     nabla_sigma = {
-        (a, b, c): frame.normal(conn.nabla(vectors[a], sigma[b][c]))
+        (a, b, c): frame.project(conn.nabla(vectors[a], sigma[b][c]))[1]
         - combine(zip(nb[a][b], sigma[c]), conn.dim)
         - combine(zip(nb[a][c], sigma[b]), conn.dim)
         for a, b, c in triples
@@ -125,7 +126,7 @@ def _reference_gauss_codazzi(R, conn, geom):
         for d in range(n)
     )
     codazzi = (
-        ((a, b, c), frame.normal(ambient[a, b, c])
+        ((a, b, c), frame.project(ambient[a, b, c])[1]
          - (nabla_sigma[a, b, c] - nabla_sigma[b, a, c]))
         for a, b, c in triples
     )
@@ -211,12 +212,16 @@ def test_closed_form_visits_i_below_j_on_an_antisymmetric_table(monkeypatch):
     assert all(i < j for _, i, j in calls)
 
 
-class _WalkedPlane(Mat):
-    """A closed-form plane that records each column read off it."""
+class _SubtractedPlane(Mat):
+    """A closed-form plane that records each subtraction from it.
 
-    def col(self, k):
-        self.walked.append((self.pair, k))
-        return Mat.col(self, k)
+    ``lhs - plane`` calls this reflected method before ``Mat.__sub__``,
+    as the plane's type is a subclass of the stored plane's.
+    """
+
+    def __rsub__(self, other):
+        self.subtracted.append(self.pair)
+        return matsum(((1, other), (-1, self)), *self.shape)
 
 
 STRUCTURES = {
@@ -228,29 +233,30 @@ STRUCTURES = {
 @pytest.mark.parametrize("structure", sorted(STRUCTURES))
 def test_closed_form_walks_the_columns_of_a_differing_plane_only(monkeypatch, structure):
     # a plane equal to its closed form is covered by one Mat equality, so a
-    # certified table reads no column of any closed-form plane; a table
-    # with one changed stored entry reads every column of that plane once
+    # certified table subtracts no closed-form plane; a table with one
+    # changed stored entry subtracts that plane once, and only its
+    # difference is walked column by column
     an = STRUCTURES[structure]()
     dim = an.model.dim
-    walked = []
+    subtracted = []
     original = contact.closed_form_plane
 
-    def walked_plane(rows, i, j):
+    def subtracted_plane(rows, i, j):
         # row r of the closed-form plane is column r of its transpose
         transposed = original(rows, i, j).transpose()
-        plane = _WalkedPlane([transposed.col(r) for r in range(dim)])
-        plane.pair, plane.walked = (i, j), walked
+        plane = _SubtractedPlane([transposed.col(r) for r in range(dim)])
+        plane.pair, plane.subtracted = (i, j), subtracted
         return plane
 
     _consume_every_residual(monkeypatch)
-    monkeypatch.setattr(contact, "closed_form_plane", walked_plane)
+    monkeypatch.setattr(contact, "closed_form_plane", subtracted_plane)
     records = verify_identities(an.model, an.cs, an.curvature, an.invariants, an.conn)
     assert _by_id(records)["curvature_closed_form"].passed
-    assert walked == []
+    assert subtracted == []
     R = bump(an.curvature, (1, 2, 3), Vec.basis(dim, 1))
     records = verify_identities(an.model, an.cs, R, an.invariants, an.conn)
     assert not _by_id(records)["curvature_closed_form"].passed
-    assert walked == [((1, 2), k) for k in range(dim)]
+    assert subtracted == [(1, 2)]
 
 
 def test_contact_axioms_refuse_a_phi_with_g_phi_nonzero_on_the_diagonal():
@@ -276,18 +282,16 @@ def test_gauss_codazzi_applies_R_on_a_below_b_only(monkeypatch, n):
         for kind, keys in _leaves(n)
     ]
     # the plane coefficients of R(v_a, v_b) are taken once per pair a < b,
-    # and applied once to each v_c
+    # for the one product of R(v_a, v_b) with the whole frame
     pairs = _count_calls(monkeypatch, CurvatureTable, "pair_coefficients")
-    sums = _count_calls(monkeypatch, CurvatureTable, "plane_sum")
     for geom in geoms:
-        del pairs[:], sums[:]
+        del pairs[:]
         records = gauss_codazzi_residuals(an.curvature, an.conn, geom)
         assert all(r.passed for r in records)
         assert len(pairs) == n * (n - 1) // 2
         vectors = geom.frame.vectors
         assert all(vectors.index(u) < vectors.index(v) for _, u, v in pairs)
         assert len({(vectors.index(u), vectors.index(v)) for _, u, v in pairs}) == len(pairs)
-        assert len(sums) == n * n * (n - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +408,160 @@ def test_closed_form_record_matches_the_column_walk_on_one_changed_entry(case):
     structure, index, l, delta = case
     an = STRUCTURES[structure]()
     R = bump(an.curvature, index, delta * Vec.basis(an.model.dim, l))
+    got = _by_id(verify_identities(an.model, an.cs, R, an.invariants, an.conn))
+    want = _reference_closed_form(an, R)
+    assert got["curvature_closed_form"] == want
+    assert not want.passed
+
+
+# ---------------------------------------------------------------------------
+# one entry moved to a tuple outside the nonzero supports
+# ---------------------------------------------------------------------------
+
+
+def _slots(table):
+    """(index, l, entry) for every entry of R, Rbar, nablabar or sigma.
+
+    On a curvature table the index (i, j, k) with i < j names R(e_i, e_j)
+    e_k, on a connection table (a, b) names nabla_{e_a} e_b, and on sigma
+    (b, c) with b <= c names sigma(v_b, v_c); l is the entry's component.
+    """
+    if isinstance(table, CurvatureTable):
+        return [
+            ((i, j, k), l, plane[l, k])
+            for (i, j), plane in sorted(table.planes.items())
+            for k in range(table.dim)
+            for l in range(table.dim)
+        ]
+    if isinstance(table, ConnectionTable):
+        return [
+            ((a, b), e, op[e, b])
+            for a, op in enumerate(table.ops)
+            for b in range(table.dim)
+            for e in range(table.dim)
+        ]
+    n = len(table)
+    return [
+        ((b, c), l, entry)
+        for b in range(n)
+        for c in range(b, n)
+        for l, entry in enumerate(table[b][c])
+    ]
+
+
+def _plus(table, index, l, x):
+    """``table`` with component l at ``index`` moved by x; sigma stays symmetric."""
+    if isinstance(table, (CurvatureTable, ConnectionTable)):
+        return bump(table, index, x * Vec.basis(table.dim, l))
+    b, c = index
+    delta = x * Vec.basis(len(table[b][c]), l)
+    table = bump(table, (b, c), delta)
+    return table if b == c else bump(table, (c, b), delta)
+
+
+def _moved(table, source, target, x):
+    """``table`` with the entry at ``source`` (if any) removed and x put at ``target``."""
+    if source is not None:
+        table = _plus(table, source[0], source[1], -source[2])
+    return _plus(table, target[0], target[1], x)
+
+
+_SUPPORTS = {}
+
+
+def _support_slots(table, planes=None):
+    """(zero slots, nonzero slots) of one of the cached tables, found once.
+
+    ``planes``, if given, keeps only the slots of R(e_i, e_j) with i and
+    j both in it.
+    """
+    key = id(table), planes
+    if key not in _SUPPORTS:
+        slots = [s for s in _slots(table) if planes is None or set(s[0][:2]) <= planes]
+        _SUPPORTS[key] = table, ([s for s in slots if not s[2]], [s for s in slots if s[2]])
+    return _SUPPORTS[key][1]
+
+
+@st.composite
+def _moved_entry(draw, table, planes=None, deltas=(1, -1, Fraction(1, 3), Fraction(-7, 2))):
+    """A nonzero entry of ``table`` and a zero tuple to move it to.
+
+    A table with no nonzero entry, as sigma on a totally geodesic leaf,
+    gets one of ``deltas`` at the zero tuple instead.
+    """
+    zero, nonzero = _support_slots(table, planes)
+    target = draw(st.sampled_from(zero))
+    if not nonzero:
+        return None, target, draw(st.sampled_from(deltas))
+    source = draw(st.sampled_from(nonzero))
+    return source, target, source[2]
+
+
+LEAVES = {"x": {}, "mixed": {"k": 2}, "diagonal": {"c": 2, "d": 1}}
+
+
+@lru_cache(maxsize=None)
+def _leaf(kind):
+    """A leaf of model (3, 1, 3): its geometry, eigen split and space-form K."""
+    an = analysis(3, 1, 3)
+    spec = build_distribution(an.model, kind, **LEAVES[kind])
+    geom, _, summary = analyze_submanifold(
+        an.model, an.conn, an.curvature, an.cs, an.invariants, spec
+    )
+    K = summary["leaf_curvature"]
+    return geom, eigen_split(an.cs, spec), None if K is None else Fraction(K)
+
+
+@st.composite
+def _moved_leaf_entry(draw):
+    kind = draw(st.sampled_from(sorted(LEAVES)))
+    name = draw(st.sampled_from(["R", "rbar", "sigma", "nbar"]))
+    geom = _leaf(kind)[0]
+    if name != "R":
+        return kind, name, getattr(geom, name), draw(_moved_entry(getattr(geom, name)))
+    # R moves within the planes of the basis vectors the frame spans, which
+    # are the planes R(v_a, v_b) reads
+    R = analysis(3, 1, 3).curvature
+    spanned = frozenset(i for v in geom.frame.vectors for i, _ in v.nonzero_entries())
+    return kind, name, R, draw(_moved_entry(R, spanned))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_moved_leaf_entry())
+def test_leaf_records_match_the_full_order_references_on_a_moved_entry(case):
+    # an entry of R, Rbar, sigma or nablabar leaves its place for a tuple
+    # where the table is zero, where a visit set built from the supports
+    # of the clean tables would not look: Gauss, Codazzi and the space
+    # form still report the record of the full-order scan, on the x,
+    # mixed and diagonal leaves
+    kind, name, table, (source, target, x) = case
+    an = analysis(3, 1, 3)
+    geom, split, K = _leaf(kind)
+    table = _moved(table, source, target, x)
+    R = table if name == "R" else an.curvature
+    bad = geom if name == "R" else replace(geom, **{name: table})
+    want = _reference_gauss_codazzi(R, an.conn, bad)
+    assert gauss_codazzi_residuals(R, an.conn, bad) == want
+    if name == "rbar" and K is not None:
+        records = _by_id(leaf_curvature_records(bad, an.cs, an.invariants, split)[0])
+        assert records["leaf_space_form"] == _reference_space_form(bad, K)
+
+
+@st.composite
+def _moved_curvature_entry(draw):
+    structure = draw(st.sampled_from(sorted(STRUCTURES)))
+    return structure, draw(_moved_entry(STRUCTURES[structure]().curvature))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_moved_curvature_entry())
+def test_closed_form_record_matches_the_full_walk_on_a_moved_entry(case):
+    # a nonzero entry of the stored R moves to a tuple where R is zero, on
+    # the native and the deformed structure: two planes may now differ
+    # from their closed forms, and the record is the full-order walk's
+    structure, (source, target, x) = case
+    an = STRUCTURES[structure]()
+    R = _moved(an.curvature, source, target, x)
     got = _by_id(verify_identities(an.model, an.cs, R, an.invariants, an.conn))
     want = _reference_closed_form(an, R)
     assert got["curvature_closed_form"] == want

@@ -38,6 +38,16 @@ uses the standard library only.
   stage times swing between runs on a shared machine; request times are
   left to ``perfbench/run.py``, which calibrates them against the
   machine's speed.
+* ``stage_counts``: the same two counts per stage, on one ``verify`` of
+  the reference descriptor (``reference_descriptor``: alpha = 1,
+  beta = 3, deformation_a = 2, the x, y and diag(2, 1) leaves and, for
+  n >= 3, the mixed k = 2 leaf) at n in ``COUNT_SIZES``, after one
+  warm-up.  A stage's counts are inclusive (``riemann`` is also counted
+  in ``analyze_structure``) and summed over its calls in the request
+  (``analyze_structure`` runs on the native and the deformed structure,
+  the leaf stages once per leaf), and ``verify`` is the whole request.
+  ``slope_by_n`` is the log-log slope against dim from the size before,
+  as in ``"32"`` for dim 33 to 65.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from kmu import (  # noqa: E402
     analyze_structure,
+    analyze_submanifold,
     build_boeckx_model,
     d_homothetic,
     riemann,
@@ -81,6 +92,7 @@ from kmu.submanifold import (  # noqa: E402
 from kmu.cli import main as kmu_main  # noqa: E402
 
 SIZES = (2, 3, 4, 6, 8, 16)
+COUNT_SIZES = (4, 8, 16, 32)
 REPEATS = 10
 DEFORMATION_A = Fraction(2)
 REQUESTS = ("deform3x0", "leaves0")
@@ -90,6 +102,17 @@ OPERATORS = (
     "__truediv__", "__rtruediv__", "__pow__", "__rpow__",
     "__neg__", "__pos__", "__abs__",
 )
+METRICS = ("python_calls", "fraction_operations")
+# the stages counted in ``stage_counts``, each by its code object
+COUNTED = {
+    f.__name__: f.__code__
+    for f in (
+        analyze_structure, levi_civita, riemann, curvature_symmetry_residuals,
+        verify_structure, verify_identities, sectional_records,
+        analyze_submanifold, second_fundamental_form, verify_split_identities,
+        verify_prop32, gauss_codazzi_residuals, leaf_curvature_records,
+    )
+}
 
 
 def best_ms(run) -> float:
@@ -111,6 +134,14 @@ def loglog_slope(points) -> float | None:
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
     num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     return round(num / sum((x - mx) ** 2 for x in xs), 3)
+
+
+def segment_slopes(points) -> dict:
+    """Log-log slope of each (dim, count) point from the one before, keyed by n."""
+    return {
+        str((d2 - 1) // 2): loglog_slope([(d1, c1), (d2, c2)]) if c1 and c2 else None
+        for (d1, c1), (d2, c2) in zip(points, points[1:])
+    }
 
 
 def leaf_times(an, kind, keys) -> dict:
@@ -200,43 +231,88 @@ def run_quietly(argv) -> None:
         raise SystemExit(f"kmu {' '.join(argv)} exited with status {status}")
 
 
-def fraction_operations(argv) -> int:
-    """Calls to Fraction's arithmetic operators during one request."""
-    count = 0
-    originals = {name: getattr(Fraction, name) for name in OPERATORS}
+def counts(argv) -> dict:
+    """Python calls and Fraction operator calls during one request, per stage.
+
+    One pass: ``sys.setprofile`` counts the ``call`` events, and each of
+    Fraction's operators is wrapped to count its calls; the wrapper's own
+    call events are not counted, so the call count is the request's.  A
+    ``COUNTED`` stage's counts are the totals between its call and return
+    events, summed over its invocations.
+    """
+    codes = {code: name for name, code in COUNTED.items()}
+    per_stage = {}
+    calls = operations = 0
+    open_stages = []  # (frame, stage, calls, operations) at entry
 
     def counted(method):
         def wrapper(*args):
-            nonlocal count
-            count += 1
+            nonlocal operations
+            operations += 1
             return method(*args)
         return wrapper
 
-    try:
-        for name, method in originals.items():
-            setattr(Fraction, name, counted(method))
-        run_quietly(argv)
-    finally:
-        for name, method in originals.items():
-            setattr(Fraction, name, method)
-    return count
-
-
-def python_calls(argv) -> int:
-    """Python function calls, generator resumptions included, during one request."""
-    count = 0
+    originals = {name: getattr(Fraction, name) for name in OPERATORS}
+    wrappers = {name: counted(method) for name, method in originals.items()}
+    wrapper_code = wrappers["__add__"].__code__
 
     def profile(frame, event, arg):
-        nonlocal count
+        nonlocal calls
         if event == "call":
-            count += 1
+            if frame.f_code is wrapper_code:
+                return
+            calls += 1
+            stage = codes.get(frame.f_code)
+            if stage is not None:
+                open_stages.append((frame, stage, calls - 1, operations))
+        elif event == "return" and open_stages and open_stages[-1][0] is frame:
+            _, stage, calls0, operations0 = open_stages.pop()
+            total = per_stage.setdefault(stage, dict.fromkeys(METRICS, 0))
+            total["python_calls"] += calls - calls0
+            total["fraction_operations"] += operations - operations0
 
-    sys.setprofile(profile)
     try:
+        for name, wrapper in wrappers.items():
+            setattr(Fraction, name, wrapper)
+        sys.setprofile(profile)
         run_quietly(argv)
     finally:
         sys.setprofile(None)
-    return count
+        for name, method in originals.items():
+            setattr(Fraction, name, method)
+    return {"python_calls": calls, "fraction_operations": operations, "stages": per_stage}
+
+
+def reference_descriptor(n: int) -> dict:
+    """The ``verify`` descriptor whose per-stage counts ``stage_counts`` gives."""
+    leaves = [{"kind": "x"}, {"kind": "y"}, {"kind": "diag", "c": "2", "d": "1"}]
+    if n >= 3:
+        leaves.append({"kind": "mixed", "k": 2})
+    return {"n": n, "alpha": "1", "beta": "3", "deformation_a": "2", "submanifolds": leaves}
+
+
+def stage_counts(workdir: str) -> dict:
+    """Per-stage counts of one reference ``verify`` at each n of ``COUNT_SIZES``."""
+    found = {}
+    for n in COUNT_SIZES:
+        entry = {"key": f"reference{n}", "command": "verify"}
+        request = request_argv({**entry, "descriptor": reference_descriptor(n)}, workdir)
+        run_quietly(request)  # warm-up
+        total = counts(request)
+        for stage, counted in {"verify": total, **total["stages"]}.items():
+            for metric in METRICS:
+                points = found.setdefault(stage, {}).setdefault(metric, [])
+                points.append((2 * n + 1, counted[metric]))
+    return {
+        stage: {
+            metric: {
+                "by_n": {str((dim - 1) // 2): count for dim, count in points},
+                "slope_by_n": segment_slopes(points),
+            }
+            for metric, points in metrics.items()
+        }
+        for stage, metrics in sorted(found.items())
+    }
 
 
 def catalogue_entries() -> dict:
@@ -267,10 +343,12 @@ def main() -> int:
         for key, entry in catalogue_entries().items():
             request = request_argv(entry, workdir)
             run_quietly(request)  # warm-up
+            found = counts(request)
             requests[key] = {
-                "fraction_operations": fraction_operations(request),
-                "python_calls": python_calls(request),
+                "fraction_operations": found["fraction_operations"],
+                "python_calls": found["python_calls"],
             }
+        counted = stage_counts(workdir)
     out = {
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
@@ -279,6 +357,7 @@ def main() -> int:
         f" a = {DEFORMATION_A} where a stage is named [deformed]",
         "stages": stage_times(),
         "requests": requests,
+        "stage_counts": counted,
     }
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
