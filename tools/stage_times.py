@@ -103,9 +103,9 @@ OPERATORS = (
     "__neg__", "__pos__", "__abs__",
 )
 METRICS = ("python_calls", "fraction_operations")
-# the stages counted in ``stage_counts``, each by its code object
+# the stages counted in ``stage_counts``: code object -> stage name
 COUNTED = {
-    f.__name__: f.__code__
+    f.__code__: f.__name__
     for f in (
         analyze_structure, levi_civita, riemann, curvature_symmetry_residuals,
         verify_structure, verify_identities, sectional_records,
@@ -240,7 +240,6 @@ def counts(argv) -> dict:
     ``COUNTED`` stage's counts are the totals between its call and return
     events, summed over its invocations.
     """
-    codes = {code: name for name, code in COUNTED.items()}
     per_stage = {}
     calls = operations = 0
     open_stages = []  # (frame, stage, calls, operations) at entry
@@ -262,7 +261,7 @@ def counts(argv) -> dict:
             if frame.f_code is wrapper_code:
                 return
             calls += 1
-            stage = codes.get(frame.f_code)
+            stage = COUNTED.get(frame.f_code)
             if stage is not None:
                 open_stages.append((frame, stage, calls - 1, operations))
         elif event == "return" and open_stages and open_stages[-1][0] is frame:
