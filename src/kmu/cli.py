@@ -112,10 +112,12 @@ def parse_descriptor(data: dict) -> ModelDescriptor:
 
 
 def load_descriptor(path: str) -> ModelDescriptor:
+    # a ValueError is a JSON syntax error or bytes that are not UTF-8, and
+    # a RecursionError nesting deeper than the decoder allows
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DescriptorError(f"cannot read descriptor {path}: {exc}") from exc
     return parse_descriptor(data)
 
@@ -148,14 +150,7 @@ def _deformation_block(analysis, a: Fraction) -> tuple[dict, bool]:
 
 def _submanifold_block(analysis, sub: dict) -> tuple[dict, bool]:
     spec = build_distribution(analysis.model, **sub)
-    _, records, summary = analyze_submanifold(
-        analysis.model,
-        analysis.conn,
-        analysis.curvature,
-        analysis.cs,
-        analysis.invariants,
-        spec,
-    )
+    _, records, summary = analyze_submanifold(analysis, spec)
     block = dict(summary)
     block["identities"] = _records_json(records)
     return block, all_passed(records)
@@ -287,11 +282,19 @@ def dump_tables_report(desc: ModelDescriptor, which: str) -> dict:
 
 
 def _emit(report: dict, out_path: str | None) -> int:
+    """Write the report to ``out_path``, if given, then print it.
+
+    The file is written first, so a path that cannot be written prints
+    nothing and raises a KmuError naming it.
+    """
     text = json.dumps(report, indent=2)
-    print(text)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise KmuError(f"cannot write report to {out_path}: {exc}") from exc
+    print(text)
     return 0 if report.get("pass") else 1
 
 
@@ -359,8 +362,9 @@ def main(argv=None) -> int:
 
         if args.command == "deform":
             desc = load_descriptor(args.descriptor)
+            a = rat(args.a)
             stage = "deform"
-            return _emit(build_report(desc, deformation_a=rat(args.a)), args.out)
+            return _emit(build_report(desc, deformation_a=a), args.out)
 
         if args.command == "submanifold":
             desc = load_descriptor(args.descriptor)
@@ -379,13 +383,10 @@ def main(argv=None) -> int:
             return _emit(report, args.out)
 
         if args.command == "sweep":
+            alphas = _parse_rational_list(args.alphas)
+            betas = _parse_rational_list(args.betas)
             stage = "sweep"
-            report = sweep_report(
-                args.n,
-                _parse_rational_list(args.alphas),
-                _parse_rational_list(args.betas),
-            )
-            return _emit(report, args.out)
+            return _emit(sweep_report(args.n, alphas, betas), args.out)
 
         if args.command == "dump-tables":
             desc = load_descriptor(args.descriptor)

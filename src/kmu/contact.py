@@ -58,7 +58,7 @@ class StructureTables:
     """Columns and metric pairings of one structure with h, built once.
 
     phih is the operator phi h; hcol[t], phicol[t] and phihcol[t] are
-    h e_t, phi e_t and phi h e_t; eta[t] is eta(e_t).  The pairings are
+    h e_t, phi e_t and phi h e_t.  The pairings are
     matrices: g_id[a, b], g_h[a, b], g_phi[a, b] and g_phih[a, b] are
     g(e_a, e_b), g(h e_a, e_b), g(phi e_a, e_b) and g(phi h e_a, e_b), so
     row a is the covector g(u, .) of one vector u.  g_id is the metric
@@ -74,7 +74,6 @@ class StructureTables:
         self.hcol, self.phicol, self.phihcol = (
             tuple(map(T.col, range(dim))) for T in (cs.h, cs.phi, self.phih)
         )
-        self.eta = tuple(cs.eta)
         G = self.g_id = cs.metric
         self.g_h, self.g_phi, self.g_phih = (
             T.transpose() @ G for T in (cs.h, cs.phi, self.phih)
@@ -321,8 +320,7 @@ class ClosedFormRows:
         dim = self.dim = t.dim
         one_minus_half_mu, coef_h, coef_phih, half_mu, mu, c1, c2 = inv.closed_form_constants
         g_id, g_h, g_phi = t.g_id, t.g_h, t.g_phi
-        eta = Vec(t.eta)
-        eta_eta = outer(eta, eta)
+        eta_eta = outer(cs.eta, cs.eta)
 
         def rows(*terms):
             # row a of the sum, as the columns of its transpose
@@ -344,10 +342,10 @@ class ClosedFormRows:
             (t.hcol, W2, negated(W2)),
             (t.phicol, negated(P), P),
             (t.phihcol, Q, negated(Q)),
-            (tuple(cs.xi * e for e in t.eta), T, negated(T)),
+            (tuple(cs.xi * e for e in cs.eta), T, negated(T)),
         )
         self.mu, self.g_phi = mu, g_phi
-        phi_t = Mat(t.phicol)  # row k is phi e_k, so column r is row r of phi
+        phi_t = cs.phi.transpose()  # column r is row r of phi
         self.phi_rows = tuple(
             (r, w) for r, w in enumerate(map(phi_t.col, range(dim))) if not w.is_zero()
         )
@@ -428,7 +426,7 @@ def verify_identities(
         return (
             (-1, outer(xi, h_w.col(i))),
             (1, outer(eta_factor, cs.eta)),
-            (mu * t.eta[i] if t.eta[i] else 0, t.phih),
+            (mu * cs.eta[i] if cs.eta[i] else 0, t.phih),
         )
 
     def closed_form_differences():

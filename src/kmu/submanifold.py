@@ -18,14 +18,15 @@ which is the unique left inverse because phi^2 = -Id off xi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .connection import ConnectionTable, CurvatureTable, curvature_from
-from .contact import ContactStructure, ModelInvariants, standard_phi
+from .contact import ContactStructure, ModelInvariants
 from .errors import NonInvolutiveError, ParameterError, StructureError
 from .liealg import LieAlgebraModel, bracket
-from .linalg import Mat, Vec, combine, dot, inner, matsum, outer, rat, rat_str
+from .linalg import Mat, Vec, combine, inner, matsum, outer, rat, rat_str
+from .pipeline import StructureAnalysis
 from .report import IdentityRecord, column_residuals, entry_residuals, scan
 
 @dataclass(frozen=True)
@@ -119,8 +120,9 @@ def build_distribution(model: LieAlgebraModel, kind: str, **params) -> Distribut
     "diagonal" or "diag" (keys c and d): {c X_i + d Y_i} for nonzero
     rationals c, d.
 
-    The spanning set is verified Legendrian: orthogonal to xi and
-    anti-invariant (pairwise phi-orthogonal).
+    Only the parameters are checked here; ``second_fundamental_form``
+    checks the spanning set Legendrian where it builds the leaf, as it
+    does for every spanning set.
     """
     label, blocks = leaf_preset(kind, params)
     dim = model.dim
@@ -130,69 +132,37 @@ def build_distribution(model: LieAlgebraModel, kind: str, **params) -> Distribut
         )
         for i, (c, d) in enumerate(blocks(model.n, params), start=1)
     )
-    spec = DistributionSpec(kind=label, vectors=vectors)
-    _check_legendrian(model, spec)
-    return spec
-
-
-def _check_legendrian(model: LieAlgebraModel, spec: DistributionSpec):
-    G = model.metric
-    phi = standard_phi(model)
-    if len(spec.vectors) != model.n:
-        raise StructureError(
-            f"expected {model.n} spanning vectors, got {len(spec.vectors)}"
-        )
-    for a, v in enumerate(spec.vectors):
-        if inner(v, Vec.basis(model.dim, 0), G) != 0:
-            raise StructureError(f"spanning vector {a} is not orthogonal to xi")
-    phi_vectors = [phi @ v for v in spec.vectors]
-    for a, u in enumerate(spec.vectors):
-        for b, phi_v in enumerate(phi_vectors):
-            if inner(u, phi_v, G) != 0:
-                raise StructureError(
-                    f"anti-invariance fails: g(v_{a}, phi v_{b}) != 0"
-                )
-    _orthogonal_gram(spec.vectors, G)
-
-
-def _orthogonal_gram(vectors, metric: Mat) -> tuple:
-    """The Gram table of a frame that is orthogonal with nonzero norms.
-
-    Raises StructureError naming the first zero-length vector or
-    non-orthogonal pair: every frame table is read as orthogonal.
-    """
-    gram = tuple(tuple(inner(u, v, metric) for v in vectors) for u in vectors)
-    for a, row in enumerate(gram):
-        if not row[a]:
-            raise StructureError(f"spanning vector {a} has zero length")
-        for b in range(a + 1, len(row)):
-            if row[b]:
-                raise StructureError(f"spanning vectors {a}, {b} are not orthogonal")
-    return gram
+    return DistributionSpec(kind=label, vectors=vectors)
 
 
 class _Frame:
-    """An orthogonal frame: projection onto its span, and its Gram matrix.
+    """An orthogonal frame: projection onto its span, and its norms.
 
-    The frame is refused unless it is orthogonal with nonzero norms, so
-    g(w, v_d) = norms[d] * coords[d] for the frame coordinates of the
-    tangential part of any w.  Every leaf scan therefore reads rows in
-    frame coordinates, lowered by ``induced`` = diag(norms), instead of
-    pairing ambient vectors entry by entry.
+    The frame is refused unless it is orthogonal with nonzero norms,
+    naming the first zero-length vector or non-orthogonal pair of its
+    Gram matrix, so g(w, v_d) = norms[d] * coords[d] for the frame
+    coordinates of the tangential part of any w.  Every leaf scan
+    therefore reads rows in frame coordinates, lowered by ``induced`` =
+    diag(norms), instead of pairing ambient vectors entry by entry.
     """
 
     def __init__(self, vectors, metric: Mat):
         self.vectors = tuple(vectors)
-        self.gram = _orthogonal_gram(self.vectors, metric)
-        self.norms = tuple(self.gram[a][a] for a in range(len(self.vectors)))
-        self.induced = Mat.diagonal(self.norms)
         # row a of lowering is g(., v_a), and of pairing g(., v_a) / g(v_a,
         # v_a), so coordinates = pairing @ w; span has the frame vectors as
         # columns, and perp = Id - span pairing takes the normal part
         rows = [metric @ v for v in self.vectors]
-        self.lowering = Mat(rows)
+        self.lowering, self.span = Mat(rows), Mat.from_columns(self.vectors)
+        gram, n = self.lowering @ self.span, len(rows)
+        for a in range(n):
+            if not gram[a, a]:
+                raise StructureError(f"spanning vector {a} has zero length")
+            for b in range(a + 1, n):
+                if gram[a, b]:
+                    raise StructureError(f"spanning vectors {a}, {b} are not orthogonal")
+        self.norms = tuple(gram[a, a] for a in range(n))
+        self.induced = Mat.diagonal(self.norms)
         self.pairing = Mat(row * (1 / nv) for row, nv in zip(rows, self.norms))
-        self.span = Mat.from_columns(self.vectors)
         self.perp = Mat.identity(metric.shape[0]) - self.span @ self.pairing
 
     def project(self, w: Vec) -> tuple[Vec, Vec]:
@@ -215,9 +185,10 @@ class SubmanifoldGeometry:
     """One leaf's tables, each built once, and its classification verdict.
 
     In frame coordinates nbar is the ``ConnectionTable`` of nablabar on
-    the induced metric, br[a][b] is [v_a, v_b] and rbar.column(a, b, c) is
-    Rbar(v_a, v_b) v_c; sigma[a][b] is sigma(v_a, v_b) in the ambient
-    basis.  Every check on the leaf reads these tables, never rebuilds them.
+    the induced metric, br[a][b] is [v_a, v_b], rbar.column(a, b, c) is
+    Rbar(v_a, v_b) v_c, and h1, h2 are the split of h; sigma[a] is the
+    dim x n matrix whose column b is sigma(v_a, v_b) in the ambient basis.
+    Every check on the leaf reads these tables, never rebuilds them.
     """
 
     spec: DistributionSpec
@@ -229,27 +200,29 @@ class SubmanifoldGeometry:
     mean_curvature_vector: Vec
     classification: str
     umbilical_vector: Vec | None
-    h1: Mat | None = None
-    h2: Mat | None = None
+    h1: Mat
+    h2: Mat
 
 
 def second_fundamental_form(
-    model: LieAlgebraModel, conn: ConnectionTable, spec: DistributionSpec
+    analysis: StructureAnalysis, spec: DistributionSpec
 ) -> SubmanifoldGeometry:
-    """The leaf's tables: frame, nablabar, brackets, sigma and Rbar.
+    """The one constructor of a leaf: every table, checked, and its verdict.
 
-    sigma(v_a, v_b) is the normal part of nabla_{v_a} v_b and nablabar
-    its tangential part.  The verdict is totally_geodesic when sigma
-    vanishes, totally_umbilical when sigma(X, Y) = g(X, Y) V for the
-    mean curvature vector V, otherwise generic.  Refuses non-involutive
-    distributions, which bound no integral submanifold.
+    In order: the frame (refused unless orthogonal with nonzero norms);
+    the brackets, refused if one leaves the span, as a non-involutive
+    distribution bounds no integral submanifold; nabla_{v_a} V for V the
+    frame as columns, whose normal part is Sigma_a, column b sigma(v_a,
+    v_b), and whose frame coordinates are nablabar_{v_a}; the Legendrian
+    check; the split of h; and Rbar.  The verdict is totally_geodesic
+    when sigma vanishes, totally_umbilical when sigma(X, Y) = g(X, Y) V
+    for the mean curvature vector V, otherwise generic.
     """
+    model, conn, cs = analysis.model, analysis.conn, analysis.cs
     frame = _Frame(spec.vectors, conn.metric)
-    vectors = frame.vectors
-    n = spec.rank
-    nb = [[None] * n for _ in range(n)]
+    vectors, V = frame.vectors, frame.span
+    dim, n = V.shape
     br = [[None] * n for _ in range(n)]
-    sigma = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
             br[a][b], off = frame.project(bracket(model, vectors[a], vectors[b]))
@@ -257,20 +230,28 @@ def second_fundamental_form(
                 raise NonInvolutiveError(
                     f"distribution is not involutive: [v_{a}, v_{b}] leaves the span"
                 )
-            nb[a][b], sigma[a][b] = frame.project(conn.nabla(vectors[a], vectors[b]))
+    br = tuple(map(tuple, br))
+    nb_ops, sigma = [], []
+    for v in vectors:
+        # nabla_{v_a} V, summed over the support of v_a
+        N = matsum([(x, conn.ops[i], V) for i, x in v.nonzero_entries()], dim, n)
+        coords = frame.pairing @ N
+        nb_ops.append(coords)
+        sigma.append(matsum(((1, N), (-1, V, coords)), dim, n))
     for a in range(n):
         for b in range(a + 1, n):
-            if sigma[a][b] != sigma[b][a]:
+            if sigma[a].col(b) != sigma[b].col(a):
                 raise StructureError(f"sigma is not symmetric at ({a}, {b})")
-    br, sigma = (tuple(tuple(row) for row in t) for t in (br, sigma))
-    nbar = ConnectionTable(n, frame.induced, tuple(map(Mat.from_columns, nb)))
+    _check_legendrian(cs, frame)
+    h1, h2 = split_h(cs, frame)
+    nbar = ConnectionTable(n, frame.induced, tuple(nb_ops))
 
-    mean = combine(((1 / (n * frame.norms[a]), sigma[a][a]) for a in range(n)), model.dim)
-
+    mean = combine(((1 / (n * frame.norms[a]), S.col(a)) for a, S in enumerate(sigma)), dim)
     umbilical = None
-    if all(sigma[a][b].is_zero() for a in range(n) for b in range(n)):
+    if all(S.is_zero() for S in sigma):
         classification = "totally_geodesic"
-    elif all(sigma[a][b] == mean * frame.gram[a][b] for a in range(n) for b in range(n)):
+    # sigma(v_a, .) = g(v_a, .) V is the rank-one Sigma_a = V (norms[a] e_a)^T
+    elif all(S == outer(mean, frame.induced.col(a)) for a, S in enumerate(sigma)):
         classification, umbilical = "totally_umbilical", mean
     else:
         classification = "generic"
@@ -280,12 +261,30 @@ def second_fundamental_form(
         frame=frame,
         nbar=nbar,
         br=br,
-        sigma=sigma,
+        sigma=tuple(sigma),
         rbar=intrinsic_curvature(nbar, br),
         mean_curvature_vector=mean,
         classification=classification,
         umbilical_vector=umbilical,
+        h1=h1,
+        h2=h2,
     )
+
+
+def _check_legendrian(cs: ContactStructure, frame: _Frame):
+    """Refuse a frame that is not Legendrian, naming the first failure.
+
+    A Legendrian frame has n vectors, each orthogonal to xi, and is
+    anti-invariant: g(v_a, phi v_b) = 0, entry (a, b) of the frame's
+    lowering times phi V.
+    """
+    n, count = len(cs.xi) // 2, len(frame.vectors)
+    if count != n:
+        raise StructureError(f"expected {n} spanning vectors, got {count}")
+    for a, _ in (frame.lowering @ cs.xi).nonzero_entries():
+        raise StructureError(f"spanning vector {a} is not orthogonal to xi")
+    for (a, b), _ in (frame.lowering @ (cs.phi @ frame.span)).nonzero_entries():
+        raise StructureError(f"anti-invariance fails: g(v_{a}, phi v_{b}) != 0")
 
 
 def intrinsic_curvature(nbar: ConnectionTable, br: tuple) -> CurvatureTable:
@@ -297,7 +296,7 @@ def intrinsic_curvature(nbar: ConnectionTable, br: tuple) -> CurvatureTable:
     return curvature_from(nbar.ops, br, nbar.metric)
 
 
-def split_h(cs: ContactStructure, geom: SubmanifoldGeometry) -> tuple[Mat, Mat]:
+def split_h(cs: ContactStructure, frame: _Frame) -> tuple[Mat, Mat]:
     """Tangential / phi-twisted-normal components of h on the frame.
 
     Returns (h1, h2) as rank-n matrices in frame coordinates.  The
@@ -306,7 +305,6 @@ def split_h(cs: ContactStructure, geom: SubmanifoldGeometry) -> tuple[Mat, Mat]:
     """
     if cs.h is None:
         raise StructureError("h has not been computed for this structure")
-    frame = geom.frame
     h1_cols, h2_cols = [], []
     for a, v in enumerate(frame.vectors):
         coeffs, normal = frame.project(cs.h @ v)
@@ -341,10 +339,10 @@ def verify_split_identities(
         # g(v_a, M v_b), so this is M^T diag(norms) - diag(norms) M
         return matsum(((1, M.transpose(), induced), (-1, induced, M)), n, n)
 
-    # g(v_a, h2 v_b) = norms[a] h2[a, b] in frame coordinates, and S[a, b]
-    # is the pairing g(sigma(v_a, v_b), xi) with the covector G xi
+    # g(v_a, h2 v_b) = norms[a] h2[a, b] in frame coordinates, and row a
+    # of S is the pairing g(sigma(v_a, .), xi), Sigma_a^T G xi
     g_xi = cs.metric @ cs.xi
-    S = Mat([dot(entry, g_xi) for entry in row] for row in sigma)
+    S = Mat([Sigma.transpose() @ g_xi for Sigma in sigma])
     sigma_xi = matsum(((1, S), (1, induced, h2)), n, n)
     square_sum = matsum(((1, h1, h1), (1, h2, h2), (kappa - 1, Mat.identity(n))), n, n)
     commutator = matsum(((1, h1, h2), (-1, h2, h1)), n, n)
@@ -373,13 +371,12 @@ def verify_prop32(
     The last two are read by ``ConnectionTable.derivative_residuals`` on
     nablabar, as nabla phi and nabla h are on the ambient connection.
     """
-    frame, sigma, nbar, h1, h2 = geom.frame, geom.sigma, geom.nbar, geom.h1, geom.h2
+    frame, Sigma, nbar, h1, h2 = geom.frame, geom.sigma, geom.nbar, geom.h1, geom.h2
     V = frame.span
     dim, n = V.shape
     phi, phi_V = cs.phi, cs.phi @ V
     # Sigma[a] has sigma(v_a, v_b) as column b, so phi_Sigma[a] has
     # phi sigma(v_a, v_b); as operators on frame coordinates too
-    Sigma = [Mat.from_columns(row) for row in sigma]
     phi_Sigma = [S if S.is_zero() else phi @ S for S in Sigma]
     phi_sigma_ops = [
         Mat.from_columns(map(frame.coords, map(S.col, range(n)))) for S in phi_Sigma
@@ -453,10 +450,9 @@ def gauss_codazzi_residuals(
     normal part, and the nablabar terms are products with Sigma.  No term
     of a zero Sigma_a is built, so none on a leaf with sigma = 0.
     """
-    frame, rbar, nb_ops = geom.frame, geom.rbar, geom.nbar.ops
+    frame, rbar, nb_ops, Sigma = geom.frame, geom.rbar, geom.nbar.ops, geom.sigma
     vectors, V = frame.vectors, frame.span
     dim, n = V.shape
-    Sigma = [Mat.from_columns(row) for row in geom.sigma]
     live = [not S.is_zero() for S in Sigma]
     low = [conn.metric @ S if alive else None for S, alive in zip(Sigma, live)]
     ops, support = conn.ops, [v.nonzero_entries() for v in vectors]
@@ -590,27 +586,21 @@ def leaf_curvature_records(
 
 
 def analyze_submanifold(
-    model: LieAlgebraModel,
-    conn: ConnectionTable,
-    R: CurvatureTable,
-    cs: ContactStructure,
-    inv: ModelInvariants,
-    leaf: DistributionSpec,
+    analysis: StructureAnalysis, leaf: DistributionSpec
 ) -> tuple[SubmanifoldGeometry, list[IdentityRecord], dict]:
-    """Full verification pipeline for one distribution.
+    """Full verification pipeline for one distribution of an analysed model.
 
     Every check and summary entry reads the spanning vectors and the
     tables built from them; ``leaf.kind`` is only the report label.
-    Returns the completed geometry (sigma, classification, h1/h2), the
-    concatenated identity records, and a summary dict for reports.
+    Returns the geometry, the concatenated identity records, and a
+    summary dict for reports.
     """
-    geom = second_fundamental_form(model, conn, leaf)
-    h1, h2 = split_h(cs, geom)
-    geom = replace(geom, h1=h1, h2=h2)
+    conn, cs, inv = analysis.conn, analysis.cs, analysis.invariants
+    geom = second_fundamental_form(analysis, leaf)
 
     records = verify_split_identities(cs, geom, inv.kappa)
     records += verify_prop32(conn, cs, geom)
-    records += gauss_codazzi_residuals(R, conn, geom)
+    records += gauss_codazzi_residuals(analysis.curvature, conn, geom)
     split = eigen_split(cs, leaf)
     leaf_records, summary = leaf_curvature_records(geom, cs, inv, split)
     records += leaf_records
@@ -631,8 +621,8 @@ def analyze_submanifold(
         s = M[0, 0]
         return s if M == s * Mat.identity(n) else None
 
-    s1 = scalar_multiple_of_identity(h1)
-    s2 = scalar_multiple_of_identity(h2)
+    s1 = scalar_multiple_of_identity(geom.h1)
+    s2 = scalar_multiple_of_identity(geom.h2)
     summary["h1_eigenvalue"] = rat_str(s1) if s1 is not None else None
     summary["h2_eigenvalue"] = rat_str(s2) if s2 is not None else None
     if split is not None:

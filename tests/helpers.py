@@ -42,10 +42,12 @@ def grid_points():
 def bump(table, index, delta):
     """The nested tuple or ``Mat`` ``table`` with ``delta`` added at ``index``.
 
-    On a ``ConnectionTable`` the index (i, j) names nabla_{e_i} e_j, column
-    j of the operator ops[i].  On a ``CurvatureTable`` the index (i, j, k)
-    names R(e_i, e_j) e_k, and the stored plane of {i, j} changes, so
-    R(e_j, e_i) e_k moves by -delta.
+    On a ``Mat`` the index (j,) names column j, so on a leaf's sigma, n
+    matrices whose column b is sigma(v_a, v_b), the index (a, b) names
+    sigma(v_a, v_b).  On a ``ConnectionTable`` the index (i, j) names
+    nabla_{e_i} e_j, column j of the operator ops[i].  On a
+    ``CurvatureTable`` the index (i, j, k) names R(e_i, e_j) e_k, and the
+    stored plane of {i, j} changes, so R(e_j, e_i) e_k moves by -delta.
     """
     if isinstance(table, ConnectionTable):
         i, j = index
@@ -60,8 +62,8 @@ def bump(table, index, delta):
         columns = [plane.col(t) + step if t == k else plane.col(t) for t in range(table.dim)]
         return replace(table, planes={**table.planes, pair: Mat.from_columns(columns)})
     if isinstance(table, Mat):
-        rows = table.transpose()
-        return Mat(bump(tuple(tuple(rows.col(i)) for i in range(table.shape[0])), index, delta))
+        columns = tuple(table.col(t) for t in range(table.shape[1]))
+        return Mat.from_columns(bump(columns, index, delta))
     head, *rest = index
     entry = table[head] + delta if not rest else bump(table[head], rest, delta)
     return table[:head] + (entry,) + table[head + 1:]

@@ -52,9 +52,7 @@ def submanifold_runs(n, alpha, beta):
         labels += [("diagonal", {"c": c, "d": d}) for (c, d) in DIAGONAL_CD]
         for kind, keys in labels:
             spec = build_distribution(m, kind, **keys)
-            geom, records, summary = analyze_submanifold(
-                m, an.conn, an.curvature, an.cs, an.invariants, spec
-            )
+            geom, records, summary = analyze_submanifold(an, spec)
             runs.append(((kind, keys), spec, geom, records, summary))
         _submanifold_cache[key] = runs
     return _submanifold_cache[key]
@@ -464,7 +462,7 @@ def test_criterion_11_negative_controls():
         kind="x", vectors=(Vec.basis(m.dim, m.x(1)), Vec.basis(m.dim, m.y(1)))
     )
     try:
-        second_fundamental_form(m, analysis(2, 1, 3).conn, spec)
+        second_fundamental_form(analysis(2, 1, 3), spec)
         ok = False
     except NonInvolutiveError as err:
         ok = ok and "[v_0, v_1]" in str(err)

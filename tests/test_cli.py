@@ -149,6 +149,40 @@ def test_load_descriptor_missing_file():
         load_descriptor("/nonexistent/path.json")
 
 
+@pytest.mark.parametrize("content,message", [
+    (b'\xff\xfe{"n": 2}', "can't decode byte 0xff"),
+    (b'{"n": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "maximum recursion depth"),
+], ids=["not-utf8", "nested-100000"])
+def test_unreadable_descriptor_is_a_parse_error(tmp_path, content, message):
+    # bytes that are not UTF-8, and nesting deeper than the JSON decoder
+    # allows, are a typed parse error on stderr, never a traceback
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    with pytest.raises(DescriptorError, match=message):
+        load_descriptor(str(path))
+    done = run_cli_process(["verify", str(path)])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "Traceback" not in done.stderr
+    error = json.loads(done.stderr)["error"]
+    assert error["stage"] == "parse"
+    assert error["message"].startswith(f"cannot read descriptor {path}: ")
+
+
+@pytest.mark.parametrize("argv,literal", [
+    (["deform", "{path}", "--a", "0.5"], "'0.5'"),
+    (["sweep", "--n", "2", "--alphas", "0,x", "--betas", "2"], "'x'"),
+    (["sweep", "--n", "2", "--alphas", "0", "--betas", "1/0"], "'1/0'"),
+], ids=["deform-a", "sweep-alphas", "sweep-betas"])
+def test_malformed_rational_flags_are_parse_errors(tmp_path, capsys, argv, literal):
+    # the same literal in a descriptor is a parse error, so a flag is too
+    path = write_descriptor(tmp_path, {"n": 2, "alpha": "0", "beta": "2"})
+    code, out, err = run_cli(capsys, [arg.format(path=path) for arg in argv])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": {"stage": "parse", "message": f"not a rational literal: {literal}"}
+    }
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -235,10 +269,13 @@ def test_deform_command(tmp_path, capsys):
 
 
 def test_deform_rejects_nonpositive(tmp_path, capsys):
+    # a well-formed a out of range is refused where the deformation runs
     path = write_descriptor(tmp_path, {"n": 2, "alpha": "0", "beta": "2"})
     code, _, err = run_cli(capsys, ["deform", path, "--a", "0"])
     assert code == 1
-    assert "positive" in json.loads(err)["error"]["message"]
+    error = json.loads(err)["error"]
+    assert error["stage"] == "deform"
+    assert "positive" in error["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +441,20 @@ def test_out_flag_writes_report_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["verify", path, "--out", str(out_path)])
     assert code == 0
     assert json.loads(out_path.read_text()) == json.loads(out)
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "dir"])
+def test_out_flag_unwritable_path_is_an_error(tmp_path, target):
+    # the report file is written before the report is printed, so a path
+    # that cannot be written prints nothing and is named in the error
+    path = write_descriptor(tmp_path, {"n": 2, "alpha": "0", "beta": "1"})
+    out_path = tmp_path / target
+    done = run_cli_process(["verify", path, "--out", str(out_path)])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "Traceback" not in done.stderr
+    error = json.loads(done.stderr)["error"]
+    assert error["stage"] == "verify"
+    assert error["message"].startswith(f"cannot write report to {out_path}: ")
 
 
 def test_build_report_direct():

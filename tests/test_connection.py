@@ -343,12 +343,12 @@ def test_sectional_reader_matches_sectional_curvature(a):
 def test_sectional_reader_on_leaf_curvature(leaf):
     an = analysis(3, 1, 3)
     spec = build_distribution(an.model, **leaf)
-    geom = second_fundamental_form(an.model, an.conn, spec)
-    rbar, gram = geom.rbar, geom.frame.gram
+    geom = second_fundamental_form(an, spec)
+    rbar, norms = geom.rbar, geom.frame.norms
     n = rbar.dim
     for a in range(n):
         for b in range(n):
             if a != b:
                 # Rbar(v_a, v_b, v_b, v_a) / (g_aa g_bb) on an orthogonal frame
                 lowered = inner(rbar.column(a, b, b), Vec.basis(n, a), rbar.metric)
-                assert rbar.sectional(a, b) == lowered / (gram[a][a] * gram[b][b])
+                assert rbar.sectional(a, b) == lowered / (norms[a] * norms[b])

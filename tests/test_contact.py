@@ -301,7 +301,7 @@ def _reference_kappa_mu(cs, R, inv):
 
     def residuals():
         for i in range(dim):
-            rhs = matsum(((1, outer(K.col(i), cs.eta)), (-t.eta[i], K)), dim, dim)
+            rhs = matsum(((1, outer(K.col(i), cs.eta)), (-cs.eta[i], K)), dim, dim)
             for j in range(i + 1, dim):
                 yield (i, j), R.planes[i, j] @ cs.xi - rhs.col(j)
 

@@ -67,7 +67,7 @@ def test_leaf_curvature_matches_the_full_range_expansion(n, alpha, beta):
     an = analysis(n, alpha, beta)
     for kind, keys in _leaves(n):
         spec = build_distribution(an.model, kind, **keys)
-        geom = second_fundamental_form(an.model, an.conn, spec)
+        geom = second_fundamental_form(an, spec)
         assert geom.rbar.table == _reference_rbar(geom.nbar.gamma, geom.br), (kind, keys)
         assert geom.rbar.metric == geom.frame.induced
 

@@ -365,14 +365,10 @@ def test_fault_matrix(monkeypatch, leaf, call, corruption, failing):
         records = pipeline.analyze_structure(model(N, ALPHA, BETA)).records
     else:
         spec = submanifold.build_distribution(an.model, **leaf)
-        clean = submanifold.analyze_submanifold(
-            an.model, an.conn, an.curvature, an.cs, an.invariants, spec
-        )[1]
+        clean = submanifold.analyze_submanifold(an, spec)[1]
         assert all(r.passed for r in clean)
         _corrupt(monkeypatch, submanifold, call, **corruption)
-        records = submanifold.analyze_submanifold(
-            an.model, an.conn, an.curvature, an.cs, an.invariants, spec
-        )[1]
+        records = submanifold.analyze_submanifold(an, spec)[1]
     got = {
         r.identity_id: (r.witness_indices, r.residual) for r in records if not r.passed
     }

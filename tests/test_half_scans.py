@@ -106,8 +106,9 @@ def _reference_kappa_mu(an, R):
 
 
 def _reference_gauss_codazzi(R, conn, geom):
-    frame, sigma, nb = geom.frame, geom.sigma, geom.nbar.gamma
+    frame, nb = geom.frame, geom.nbar.gamma
     vectors, n, G = frame.vectors, len(frame.vectors), conn.metric
+    sigma = [[S.col(b) for b in range(n)] for S in geom.sigma]
     triples = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
     ambient = {t: R.apply(*(vectors[x] for x in t)) for t in triples}
     nabla_sigma = {
@@ -134,10 +135,11 @@ def _reference_gauss_codazzi(R, conn, geom):
 
 
 def _reference_space_form(geom, K):
-    gram, n = geom.frame.gram, len(geom.frame.gram)
+    # the whole Gram matrix, g(v_a, v_d) at (a, d), off-diagonal zeros included
+    gram, n = geom.frame.lowering @ geom.frame.span, len(geom.frame.vectors)
     return scan("leaf_space_form", (
         ((a, b, c, d), geom.rbar.column(a, b, c)[d] * geom.frame.norms[d]
-         - K * (gram[a][d] * gram[b][c] - gram[a][c] * gram[b][d]))
+         - K * (gram[a, d] * gram[b, c] - gram[a, c] * gram[b, d]))
         for a in range(n)
         for b in range(n)
         for c in range(n)
@@ -278,7 +280,7 @@ def test_contact_axioms_refuse_a_phi_with_g_phi_nonzero_on_the_diagonal():
 def test_gauss_codazzi_applies_R_on_a_below_b_only(monkeypatch, n):
     an = analysis(n, 1, 3)
     geoms = [
-        second_fundamental_form(an.model, an.conn, build_distribution(an.model, kind, **keys))
+        second_fundamental_form(an, build_distribution(an.model, kind, **keys))
         for kind, keys in _leaves(n)
     ]
     # the plane coefficients of R(v_a, v_b) are taken once per pair a < b,
@@ -340,16 +342,14 @@ def test_half_scans_match_full_order_references(n, alpha, beta):
 
         for kind, keys in _leaves(n):
             spec = build_distribution(an.model, kind, **keys)
-            geom = second_fundamental_form(an.model, an.conn, spec)
+            geom = second_fundamental_form(an, spec)
             want = _reference_gauss_codazzi(R, an.conn, geom)
             assert gauss_codazzi_residuals(R, an.conn, geom) == want, (name, kind, keys)
             failing.add(("gauss", name, want[0].passed))
 
     for kind, keys in _leaves(n):
         spec = build_distribution(an.model, kind, **keys)
-        geom, _, summary = analyze_submanifold(
-            an.model, an.conn, an.curvature, an.cs, an.invariants, spec
-        )
+        geom, _, summary = analyze_submanifold(an, spec)
         split = eigen_split(an.cs, spec)
         for name, corrupt in _leaf_cases(n).items():
             bad = replace(geom, rbar=corrupt(geom.rbar))
@@ -424,7 +424,8 @@ def _slots(table):
 
     On a curvature table the index (i, j, k) with i < j names R(e_i, e_j)
     e_k, on a connection table (a, b) names nabla_{e_a} e_b, and on sigma
-    (b, c) with b <= c names sigma(v_b, v_c); l is the entry's component.
+    (b, c) with b <= c names sigma(v_b, v_c), column c of sigma[b]; l is
+    the entry's component.
     """
     if isinstance(table, CurvatureTable):
         return [
@@ -445,7 +446,7 @@ def _slots(table):
         ((b, c), l, entry)
         for b in range(n)
         for c in range(b, n)
-        for l, entry in enumerate(table[b][c])
+        for l, entry in enumerate(table[b].col(c))
     ]
 
 
@@ -454,7 +455,7 @@ def _plus(table, index, l, x):
     if isinstance(table, (CurvatureTable, ConnectionTable)):
         return bump(table, index, x * Vec.basis(table.dim, l))
     b, c = index
-    delta = x * Vec.basis(len(table[b][c]), l)
+    delta = x * Vec.basis(table[b].shape[0], l)
     table = bump(table, (b, c), delta)
     return table if b == c else bump(table, (c, b), delta)
 
@@ -505,9 +506,7 @@ def _leaf(kind):
     """A leaf of model (3, 1, 3): its geometry, eigen split and space-form K."""
     an = analysis(3, 1, 3)
     spec = build_distribution(an.model, kind, **LEAVES[kind])
-    geom, _, summary = analyze_submanifold(
-        an.model, an.conn, an.curvature, an.cs, an.invariants, spec
-    )
+    geom, _, summary = analyze_submanifold(an, spec)
     K = summary["leaf_curvature"]
     return geom, eigen_split(an.cs, spec), None if K is None else Fraction(K)
 

@@ -144,7 +144,8 @@ def test_connection_table_stores_only_its_operators():
     rebuilt = replace(conn, ops=ops)
     assert rebuilt.gamma[0][1] == conn.gamma[0][1] + Vec.basis(dim, 1)
     assert rebuilt.gamma[1:] == conn.gamma[1:]
-    geom = second_fundamental_form(m, conn, build_distribution(m, "diagonal", c=2, d=1))
+    an = kmu.analyze_structure(m)
+    geom = second_fundamental_form(an, build_distribution(m, "diagonal", c=2, d=1))
     assert isinstance(geom.nbar, ConnectionTable)
     assert geom.nbar.dim == m.n and geom.nbar.metric is geom.frame.induced
 

@@ -17,7 +17,7 @@ from kmu import (
     split_h,
 )
 from kmu.errors import NonInvolutiveError, ParameterError, StructureError
-from kmu.linalg import Mat, dot, rat_str
+from kmu.linalg import Mat, dot, outer, rat_str
 from kmu.report import all_passed
 from kmu.submanifold import (
     DistributionSpec,
@@ -27,14 +27,7 @@ from kmu.submanifold import (
     verify_split_identities,
 )
 
-from helpers import analysis, model
-
-
-def leaf_geometry(an, spec):
-    """The leaf's tables with the h split attached, as analyze_submanifold does."""
-    geom = second_fundamental_form(an.model, an.conn, spec)
-    h1, h2 = split_h(an.cs, geom)
-    return replace(geom, h1=h1, h2=h2)
+from helpers import analysis, bump, model
 
 
 def lowered_bar(geom, a, b, c, d):
@@ -190,13 +183,13 @@ def test_invalid_parameters_rejected(kwargs):
 @pytest.mark.parametrize("n,alpha,beta", [(2, 0, 2), (3, 1, 3), (4, 2, 3)])
 def test_example_families_involutive(n, alpha, beta):
     m = model(n, alpha, beta)
-    conn = analysis(n, alpha, beta).conn
+    an = analysis(n, alpha, beta)
     specs = [build_distribution(m, "x"), build_distribution(m, "y")]
     specs += [build_distribution(m, "mixed", k=k) for k in range(1, n)]
     specs.append(build_distribution(m, "diagonal", c=1, d=1))
     for spec in specs:
         # raises NonInvolutiveError on a bracket that leaves the span
-        geom = second_fundamental_form(m, conn, spec)
+        geom = second_fundamental_form(an, spec)
         assert len(geom.br) == n, spec.kind
 
 
@@ -214,12 +207,12 @@ def test_x_family_brackets_stay_in_span_oracle():
 def test_x1_y1_plane_not_involutive():
     # negative control: not one of the example families
     m = model(2, 0, 2)
-    conn = analysis(2, 0, 2).conn
+    an = analysis(2, 0, 2)
     spec = DistributionSpec(
         kind="x", vectors=(Vec.basis(m.dim, m.x(1)), Vec.basis(m.dim, m.y(1)))
     )
     with pytest.raises(NonInvolutiveError, match=r"\[v_0, v_1\] leaves the span"):
-        second_fundamental_form(m, conn, spec)
+        second_fundamental_form(an, spec)
     # the offending component is the full bracket -beta X_2 + 2 xi,
     # which is entirely normal to the plane
     br = bracket(m, *spec.vectors)
@@ -229,12 +222,12 @@ def test_x1_y1_plane_not_involutive():
 
 def test_second_fundamental_form_refuses_non_involutive():
     m = model(2, 0, 2)
-    conn = analysis(2, 0, 2).conn
+    an = analysis(2, 0, 2)
     spec = DistributionSpec(
         kind="x", vectors=(Vec.basis(m.dim, m.x(1)), Vec.basis(m.dim, m.y(1)))
     )
     with pytest.raises(NonInvolutiveError):
-        second_fundamental_form(m, conn, spec)
+        second_fundamental_form(an, spec)
 
 
 @pytest.mark.parametrize("n,alpha,beta", [(2, 0, 2), (2, 1, 3), (3, 1, 3)])
@@ -246,10 +239,8 @@ def test_non_orthogonal_frame_refused(n, alpha, beta):
     x = [Vec.basis(m.dim, m.x(i)) for i in range(1, n + 1)]
     spec = DistributionSpec(kind="x", vectors=(x[0], x[0] + x[1], *x[2:]))
     for check in (
-        lambda: second_fundamental_form(m, an.conn, spec),
-        lambda: analyze_submanifold(
-            m, an.conn, an.curvature, an.cs, an.invariants, spec
-        ),
+        lambda: second_fundamental_form(an, spec),
+        lambda: analyze_submanifold(an, spec),
     ):
         with pytest.raises(StructureError, match="vectors 0, 1 are not orthogonal"):
             check()
@@ -260,7 +251,48 @@ def test_zero_length_frame_vector_refused():
     m = an.model
     spec = DistributionSpec(kind="x", vectors=(Vec.basis(m.dim, m.x(1)), Vec.zero(m.dim)))
     with pytest.raises(StructureError, match="vector 1 has zero length"):
-        second_fundamental_form(m, an.conn, spec)
+        second_fundamental_form(an, spec)
+
+
+# ---------------------------------------------------------------------------
+# Legendrian check, made on every leaf where it is built
+# ---------------------------------------------------------------------------
+
+
+def test_leaf_of_the_wrong_rank_refused():
+    # {X_1} at n = 2 is orthogonal and involutive, but not of rank n
+    an = analysis(2, 0, 2)
+    spec = DistributionSpec(kind="x", vectors=(Vec.basis(an.model.dim, an.model.x(1)),))
+    with pytest.raises(StructureError, match="^expected 2 spanning vectors, got 1$"):
+        second_fundamental_form(an, spec)
+
+
+def test_leaf_containing_xi_refused():
+    # {xi, X_1} is orthogonal and involutive at (2, 0, 2), so only the
+    # Legendrian check stands between it and a report of failing records
+    an = analysis(2, 0, 2)
+    m = an.model
+    spec = DistributionSpec(kind="x", vectors=(Vec.basis(m.dim, 0), Vec.basis(m.dim, m.x(1))))
+    for check in (
+        lambda: second_fundamental_form(an, spec),
+        lambda: analyze_submanifold(an, spec),
+    ):
+        with pytest.raises(StructureError, match="^spanning vector 0 is not orthogonal to xi$"):
+            check()
+
+
+def test_leaf_that_is_not_anti_invariant_refused():
+    # under the contact condition an involutive span orthogonal to xi is
+    # anti-invariant, so the check is reached with a phi that moves X_2 by
+    # X_1: g(v_0, phi v_1) = g(X_1, Y_2 + X_1) = 1 on the x leaf
+    an = analysis(2, 1, 3)
+    m = an.model
+    x1, x2 = (Vec.basis(m.dim, m.x(i)) for i in (1, 2))
+    bad = replace(an, cs=replace(an.cs, phi=an.cs.phi + outer(x1, x2)))
+    spec = build_distribution(m, "x")
+    second_fundamental_form(an, spec)
+    with pytest.raises(StructureError, match=r"^anti-invariance fails: g\(v_0, phi v_1\) != 0$"):
+        second_fundamental_form(bad, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +306,9 @@ def test_eigenblock_families_totally_geodesic(kind, n, alpha, beta):
     m = model(n, alpha, beta)
     an = analysis(n, alpha, beta)
     spec = build_distribution(m, kind)
-    geom = second_fundamental_form(m, an.conn, spec)
+    geom = second_fundamental_form(an, spec)
     assert geom.classification == "totally_geodesic"
-    assert all(
-        geom.sigma[a][b].is_zero() for a in range(n) for b in range(n)
-    )
+    assert all(S.is_zero() for S in geom.sigma)
     assert geom.mean_curvature_vector.is_zero()
 
 
@@ -297,8 +327,8 @@ def test_diagonal_sigma_by_koszul_sum_oracle():
     e = partial(Vec.basis, m.dim)
     assert pieces == 2 * e(0) + 2 * e(m.x(2)) + 2 * e(m.y(2))
     spec = build_distribution(m, "diagonal", c=1, d=1)
-    geom = second_fundamental_form(m, conn, spec)
-    assert geom.sigma[0][0] == 2 * Vec.basis(m.dim, 0)
+    geom = second_fundamental_form(an, spec)
+    assert geom.sigma[0].col(0) == 2 * Vec.basis(m.dim, 0)
 
 
 @pytest.mark.parametrize("c,d", [(1, 1), (2, 1), (1, 3)])
@@ -309,12 +339,12 @@ def test_diagonal_sigma_closed_form_and_umbilical(c, d, n, alpha, beta):
     lam = an.invariants.lam
     c, d = Fraction(c), Fraction(d)
     spec = build_distribution(m, "diagonal", c=c, d=d)
-    geom = second_fundamental_form(m, an.conn, spec)
+    geom = second_fundamental_form(an, spec)
     xi = Vec.basis(m.dim, 0)
     for a in range(n):
         for b in range(n):
             expected = (2 * c * d * lam) * xi if a == b else Vec.zero(m.dim)
-            assert geom.sigma[a][b] == expected
+            assert geom.sigma[a].col(b) == expected
     assert geom.classification == "totally_umbilical"
     assert geom.umbilical_vector == (2 * c * d * lam / (c * c + d * d)) * xi
     assert geom.mean_curvature_vector == geom.umbilical_vector
@@ -325,7 +355,7 @@ def test_mixed_family_totally_geodesic():
     an = analysis(4, 1, 3)
     for k in (1, 2, 3):
         spec = build_distribution(m, "mixed", k=k)
-        geom = second_fundamental_form(m, an.conn, spec)
+        geom = second_fundamental_form(an, spec)
         assert geom.classification == "totally_geodesic"
 
 
@@ -338,11 +368,11 @@ def test_split_on_x_family_is_ambient_restriction():
     m = model(3, 1, 3)
     an = analysis(3, 1, 3)
     spec = build_distribution(m, "x")
-    h1, h2 = split_h(an.cs, second_fundamental_form(m, an.conn, spec))
+    h1, h2 = split_h(an.cs, second_fundamental_form(an, spec).frame)
     assert h1 == an.invariants.lam * Mat.identity(3)
     assert h2.is_zero()
     spec = build_distribution(m, "y")
-    h1, h2 = split_h(an.cs, second_fundamental_form(m, an.conn, spec))
+    h1, h2 = split_h(an.cs, second_fundamental_form(an, spec).frame)
     assert h1 == -an.invariants.lam * Mat.identity(3)
     assert h2.is_zero()
 
@@ -360,12 +390,13 @@ def test_split_on_diagonal_1_1_detailed_oracle():
     assert inner(hv, v, m.metric) == 0
     assert -(cs.phi @ hv) == -v
     spec = build_distribution(m, "diagonal", c=1, d=1)
-    geom = second_fundamental_form(m, an.conn, spec)
-    h1, h2 = split_h(cs, geom)
+    geom = second_fundamental_form(an, spec)
+    h1, h2 = split_h(cs, geom.frame)
+    assert (h1, h2) == (geom.h1, geom.h2)
     assert h1.is_zero()
     assert h2 == -Mat.identity(2)
     # the sigma-h2 pairing of the geometry suite, checked by hand
-    assert inner(geom.sigma[0][0], cs.xi, m.metric) + inner(
+    assert inner(geom.sigma[0].col(0), cs.xi, m.metric) + inner(
         v, h2[0, 0] * v, m.metric
     ) == 2 - 2
 
@@ -377,7 +408,7 @@ def test_split_on_diagonal_closed_forms(c, d):
     lam = an.invariants.lam
     c, d = Fraction(c), Fraction(d)
     spec = build_distribution(m, "diagonal", c=c, d=d)
-    h1, h2 = split_h(an.cs, second_fundamental_form(m, an.conn, spec))
+    h1, h2 = split_h(an.cs, second_fundamental_form(an, spec).frame)
     assert h1 == (lam * (c * c - d * d) / (c * c + d * d)) * Mat.identity(3)
     assert h2 == (-2 * c * d * lam / (c * c + d * d)) * Mat.identity(3)
 
@@ -396,7 +427,7 @@ def test_split_identities_suite(kind, kwargs, n, alpha, beta):
     an = analysis(n, alpha, beta)
     spec = build_distribution(m, kind, **kwargs)
     records = verify_split_identities(
-        an.cs, leaf_geometry(an, spec), an.invariants.kappa
+        an.cs, second_fundamental_form(an, spec), an.invariants.kappa
     )
     assert {r.identity_id for r in records} == {
         "h_split",
@@ -420,14 +451,14 @@ def test_shape_operator_assembled_from_sigma_matches():
     m = model(2, 0, 2)
     an = analysis(2, 0, 2)
     spec = build_distribution(m, "diagonal", c=1, d=1)
-    geom = second_fundamental_form(m, an.conn, spec)
+    geom = second_fundamental_form(an, spec)
     v0 = spec.vectors[0]
     norms = [inner(v, v, m.metric) for v in spec.vectors]
     shape = Vec.zero(m.dim)
     for cdx, vc in enumerate(spec.vectors):
-        coeff = inner(geom.sigma[0][cdx], an.cs.phi @ v0, m.metric) / norms[cdx]
+        coeff = inner(geom.sigma[0].col(cdx), an.cs.phi @ v0, m.metric) / norms[cdx]
         shape = shape + coeff * vc
-    assert shape == -(an.cs.phi @ geom.sigma[0][0])
+    assert shape == -(an.cs.phi @ geom.sigma[0].col(0))
 
 
 @pytest.mark.parametrize("kind,kwargs", [
@@ -441,7 +472,7 @@ def test_prop32_zero_residual(kind, kwargs):
     m = model(3, 1, 3)
     an = analysis(3, 1, 3)
     spec = build_distribution(m, kind, **kwargs)
-    records = verify_prop32(an.conn, an.cs, leaf_geometry(an, spec))
+    records = verify_prop32(an.conn, an.cs, second_fundamental_form(an, spec))
     assert {r.identity_id for r in records} == {
         "shape_operator_phi",
         "normal_connection_phi",
@@ -456,7 +487,7 @@ def test_totally_geodesic_leaves_have_parallel_h1():
     m = model(3, 1, 3)
     an = analysis(3, 1, 3)
     spec = build_distribution(m, "x")
-    geom = leaf_geometry(an, spec)
+    geom = second_fundamental_form(an, spec)
     assert geom.h2.is_zero()
     # nablabar h1 = 0 holds entry by entry because h1 is lambda Id and
     # nablabar maps the frame into itself
@@ -468,10 +499,8 @@ def test_prop32_refuses_phi_sigma_off_the_leaf():
     # sigma(v_0, v_0) gains the tangent v_0, so phi sigma(v_0, v_0) is
     # normal and has no frame coordinates for the nabla_h scans to share
     an = analysis(3, 1, 3)
-    geom = leaf_geometry(an, build_distribution(an.model, "x"))
-    sigma = [list(row) for row in geom.sigma]
-    sigma[0][0] = sigma[0][0] + geom.frame.vectors[0]
-    bad = replace(geom, sigma=tuple(tuple(row) for row in sigma))
+    geom = second_fundamental_form(an, build_distribution(an.model, "x"))
+    bad = replace(geom, sigma=bump(geom.sigma, (0, 0), geom.frame.vectors[0]))
     with pytest.raises(StructureError, match="not tangent to the distribution"):
         verify_prop32(an.conn, an.cs, bad)
 
@@ -492,7 +521,7 @@ def test_gauss_codazzi_zero_residual(kind, kwargs):
     m = model(3, 1, 2)
     an = analysis(3, 1, 2)
     spec = build_distribution(m, kind, **kwargs)
-    geom = second_fundamental_form(m, an.conn, spec)
+    geom = second_fundamental_form(an, spec)
     records = gauss_codazzi_residuals(an.curvature, an.conn, geom)
     assert {r.identity_id for r in records} == {"gauss", "codazzi"}
     assert all_passed(records)
@@ -505,7 +534,7 @@ def test_x_leaf_curvature_equals_ambient():
     an = analysis(3, 1, 3)
     inv = an.invariants
     spec = build_distribution(m, "x")
-    geom = second_fundamental_form(m, an.conn, spec)
+    geom = second_fundamental_form(an, spec)
     expected = 2 * (1 + inv.lam) - inv.mu
     assert expected == 2 * inv.lam * (inv.boeckx_invariant + 1)
     for a in range(3):
@@ -519,7 +548,7 @@ def test_y_leaf_curvature_negative():
     an = analysis(3, 1, 3)
     inv = an.invariants
     spec = build_distribution(m, "y")
-    geom = second_fundamental_form(m, an.conn, spec)
+    geom = second_fundamental_form(an, spec)
     expected = 2 * (1 - inv.lam) - inv.mu
     assert expected == 2 * inv.lam * (inv.boeckx_invariant - 1)
     assert expected < 0
@@ -533,12 +562,13 @@ def test_diagonal_leaf_space_form_cross_checked_by_gauss():
     an = analysis(3, 0, 2)
     inv = an.invariants
     spec = build_distribution(m, "diagonal", c=1, d=1)
-    geom = second_fundamental_form(m, an.conn, spec)
+    geom = second_fundamental_form(an, spec)
     v0, v1 = spec.vectors[0], spec.vectors[1]
     ambient = an.curvature.lowered(v0, v1, v1, v0)
+    sigma = geom.sigma
     gauss_rhs = ambient + inner(
-        geom.sigma[0][0], geom.sigma[1][1], m.metric
-    ) - inner(geom.sigma[0][1], geom.sigma[1][0], m.metric)
+        sigma[0].col(0), sigma[1].col(1), m.metric
+    ) - inner(sigma[0].col(1), sigma[1].col(0), m.metric)
     assert lowered_bar(geom, 0, 1, 1, 0) == gauss_rhs
     # space form constant 2(1 - mu/2 + lambda sin theta) with sin = 0
     expected = 2 * (1 - inv.mu / 2)
@@ -577,9 +607,8 @@ def _changed_h1_entry(geom, kappa):
 
 def _changed_sigma_entry(geom, kappa):
     # sigma(v_0, v_0) gains a xi component; sigma stays symmetric
-    sigma = [list(row) for row in geom.sigma]
-    sigma[0][0] = sigma[0][0] + Vec.basis(len(sigma[0][0]), 0)
-    return replace(geom, sigma=tuple(tuple(row) for row in sigma)), kappa
+    xi = Vec.basis(geom.frame.span.shape[0], 0)
+    return replace(geom, sigma=bump(geom.sigma, (0, 0), xi)), kappa
 
 
 @pytest.mark.parametrize("corrupt,flipped", [
@@ -597,7 +626,7 @@ def test_corrupted_leaf_table_flips_its_records(corrupt, flipped):
         out += gauss_codazzi_residuals(an.curvature, an.conn, geom)
         return {r.identity_id: r for r in out}
 
-    geom = leaf_geometry(an, spec)
+    geom = second_fundamental_form(an, spec)
     clean = records(geom, an.invariants.kappa)
     bad = records(*corrupt(geom, an.invariants.kappa))
     for identity_id in flipped:
@@ -615,9 +644,7 @@ def test_corrupted_leaf_table_flips_its_records(corrupt, flipped):
 def diagonal_summary(n, alpha, beta, c, d):
     an = analysis(n, alpha, beta)
     spec = build_distribution(an.model, "diagonal", c=c, d=d)
-    return analyze_submanifold(
-        an.model, an.conn, an.curvature, an.cs, an.invariants, spec
-    )[2]
+    return analyze_submanifold(an, spec)[2]
 
 
 def test_theta_for_equal_coefficients():
@@ -630,7 +657,7 @@ def test_theta_for_equal_coefficients():
     an = analysis(3, 1, 3)
     lam = an.invariants.lam
     spec = build_distribution(m, "diagonal", c=1, d=1)
-    h1, h2 = split_h(an.cs, second_fundamental_form(m, an.conn, spec))
+    h1, h2 = split_h(an.cs, second_fundamental_form(an, spec).frame)
     assert lam * sin == 0 and lam * cos == -lam
     assert h2[0, 0] == lam * cos
     assert h1[0, 0] == lam * sin
@@ -685,9 +712,7 @@ def test_analyze_diagonal_summary():
     m = model(3, 1, 3)
     an = analysis(3, 1, 3)
     spec = build_distribution(m, "diagonal", c=2, d=1)
-    geom, records, summary = analyze_submanifold(
-        m, an.conn, an.curvature, an.cs, an.invariants, spec
-    )
+    geom, records, summary = analyze_submanifold(an, spec)
     assert all_passed(records)
     assert summary["classification"] == "totally_umbilical"
     assert summary["h1_eigenvalue"] == "6/5"
@@ -706,8 +731,6 @@ def test_diagonal_at_n_two_still_verifies():
     m = model(2, 1, 3)
     an = analysis(2, 1, 3)
     spec = build_distribution(m, "diagonal", c=2, d=1)
-    geom, records, summary = analyze_submanifold(
-        m, an.conn, an.curvature, an.cs, an.invariants, spec
-    )
+    geom, records, summary = analyze_submanifold(an, spec)
     assert all_passed(records)
     assert summary["classification"] == "totally_umbilical"

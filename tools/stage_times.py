@@ -25,7 +25,9 @@ uses the standard library only.
   ``verify_prop32``, ``gauss_codazzi_residuals`` and
   ``leaf_curvature_records`` are timed the same way on the native
   model's x leaf and on its diagonal leaf (c, d) = (2, 1), each named
-  with its leaf, as in ``gauss_codazzi_residuals[diagonal]``.
+  with its leaf, as in ``gauss_codazzi_residuals[diagonal]``;
+  ``second_fundamental_form`` builds the whole leaf, the split of h
+  included.
 * ``requests``: two requests of ``perfbench/catalogue.json``, run through
   ``kmu.cli.main`` as the command line would, with the report discarded:
   ``deform3x0`` (a ``deform`` at n = 3 with alpha, beta and a of height
@@ -85,7 +87,6 @@ from kmu.submanifold import (  # noqa: E402
     gauss_codazzi_residuals,
     leaf_curvature_records,
     second_fundamental_form,
-    split_h,
     verify_prop32,
     verify_split_identities,
 )
@@ -147,14 +148,10 @@ def segment_slopes(points) -> dict:
 def leaf_times(an, kind, keys) -> dict:
     """ms of each leaf stage on one leaf of the analysed model."""
     spec = build_distribution(an.model, kind, **keys)
-    geom = second_fundamental_form(an.model, an.conn, spec)
-    h1, h2 = split_h(an.cs, geom)
-    geom = replace(geom, h1=h1, h2=h2)
+    geom = second_fundamental_form(an, spec)
     split = eigen_split(an.cs, spec)
     return {
-        "second_fundamental_form": best_ms(
-            lambda: second_fundamental_form(an.model, an.conn, spec)
-        ),
+        "second_fundamental_form": best_ms(lambda: second_fundamental_form(an, spec)),
         "verify_split_identities": best_ms(
             lambda: verify_split_identities(an.cs, geom, an.invariants.kappa)
         ),
