@@ -11,10 +11,15 @@ The model tables are a few percent dense, so every kernel here visits
 only nonzero coefficients.  A vector is its length and its support, the
 (index, entry) pairs of its nonzero entries; its dense tuple is built
 on the first index, iteration or hash, with every zero the one shared
-``_ZERO``.  A matrix keeps its rows, and on first use its columns, as
-such vectors.  ``combine`` sums scaled vectors and ``matsum`` sums
-matrix products c A B, one dict per output row; every operator between
-matrices is one ``matsum`` call, the one row-accumulation path.
+``_ZERO``.  A zero vector is ``Vec.zero(length)``, one shared empty
+vector per length: every zero row, column or result a kernel writes is
+that object, so it costs no allocation, and it keeps no dense tuple of
+its own, since a dense read of any zero vector returns one shared tuple
+of zeros per length.  A matrix keeps its rows, and on first use its
+columns, as such vectors.  ``combine`` sums scaled vectors and
+``matsum`` sums matrix products c A B, one dict per output row; every
+operator between matrices is one ``matsum`` call, the one
+row-accumulation path.
 ``Mat @ Vec`` sums v_k times column k over the support of v in a loop of
 its own, with the accumulation of ``combine`` but no call to it and no
 term list; a zero vector costs it one length test.  Each kernel writes
@@ -76,6 +81,11 @@ def rat_str(value: Fraction) -> str:
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# The shared zero vectors and their dense tuples, one per length, each
+# made on first use (Vec.zero, Vec._c)
+_EMPTY = {}
+_ZEROS = {}
+
 
 def _frac(x) -> Fraction:
     """An exact entry: a Fraction, or an int that is not a bool."""
@@ -100,10 +110,11 @@ def _collect(acc: dict, dim: int) -> "Vec":
 
     ``acc`` maps an index to the one Fraction a unit term wrote there, or
     to a list [numerator, denominator] of ints; each list becomes one
-    Fraction, normalised once.
+    Fraction, normalised once.  An accumulator that is empty, or whose
+    entries all cancel, gives the shared zero vector.
     """
     if not acc:
-        return Vec._raw((), dim)
+        return Vec.zero(dim)
     nz = []
     for t in sorted(acc):
         e = acc[t]
@@ -111,7 +122,7 @@ def _collect(acc: dict, dim: int) -> "Vec":
             nz.append((t, e))
         elif e[0]:
             nz.append((t, Fraction(e[0], e[1])))
-    return Vec._raw(tuple(nz), dim)
+    return Vec._raw(tuple(nz), dim) if nz else Vec.zero(dim)
 
 
 def _add(acc: dict, t: int, e, p: int, q: int) -> None:
@@ -131,7 +142,8 @@ class Vec:
 
     A vector is its length and its support, ``nonzero_entries()``, so
     every kernel below iterates over supports instead of full ranges.
-    The dense entries are built on the first index, iteration or hash.
+    The dense entries are built on the first index, iteration or hash;
+    a zero vector reads the shared tuple of its length and stores none.
     """
 
     __slots__ = ("_nz", "_len", "_d")
@@ -155,6 +167,12 @@ class Vec:
     def _c(self) -> tuple:
         """The dense entries, built once on first read; every zero is _ZERO."""
         if self._d is None:
+            if not self._nz:
+                # left unset, so the shared zero vector stays as it was made
+                d = _ZEROS.get(self._len)
+                if d is None:
+                    d = _ZEROS[self._len] = (_ZERO,) * self._len
+                return d
             c = [_ZERO] * self._len
             for i, x in self._nz:
                 c[i] = x
@@ -173,7 +191,11 @@ class Vec:
 
     @staticmethod
     def zero(dim: int) -> "Vec":
-        return Vec._raw((), dim)
+        """The zero vector of length dim, one shared object per length."""
+        v = _EMPTY.get(dim)
+        if v is None:
+            v = _EMPTY[dim] = Vec._raw((), dim)
+        return v
 
     @staticmethod
     def basis(dim: int, k: int) -> "Vec":
@@ -226,6 +248,8 @@ class Vec:
                 acc[j] = Fraction(n, d)
             else:
                 del acc[j]
+        if not acc:
+            return Vec.zero(self._len)
         return Vec._raw(tuple(sorted(acc.items())), self._len)
 
     def __add__(self, other):
@@ -235,13 +259,15 @@ class Vec:
         return self._merge(other, True) if isinstance(other, Vec) else NotImplemented
 
     def __neg__(self):
+        if not self._nz:
+            return Vec.zero(self._len)
         return Vec._raw(tuple((i, -x) for i, x in self._nz), self._len)
 
     def __mul__(self, scalar):
         s = _scalar(scalar)
         if s is None:
             return NotImplemented
-        if not s:
+        if not s or not self._nz:
             return Vec.zero(self._len)
         # a product of nonzero rationals is nonzero: nothing to test
         return Vec._raw(tuple((i, x * s) for i, x in self._nz), self._len)
@@ -292,7 +318,8 @@ def matsum(terms, nrows: int, ncols: int) -> "Mat":
     one dict of integer numerators and denominators, as in ``combine``:
     each nonzero A[r, k] is scaled by c once, then written at column k or
     multiplied into row k of B.  A term (1, A) writes A's entries as they
-    are, so an entry that term alone writes keeps its Fraction.
+    are, so an entry that term alone writes keeps its Fraction.  A row
+    that nothing writes is the shared zero vector, with no ``_collect``.
     """
     plan = []
     for c, A, *B in terms:
@@ -308,7 +335,7 @@ def matsum(terms, nrows: int, ncols: int) -> "Mat":
         if s:
             a, b = s.numerator, s.denominator
             plan.append((a, b, a == b, A._vecs, None if B is None else B._vecs))
-    rows = []
+    rows, empty = [], Vec.zero(ncols)
     for r in range(nrows):
         acc = {}
         get = acc.get
@@ -329,7 +356,7 @@ def matsum(terms, nrows: int, ncols: int) -> "Mat":
                         acc[j] = [p, q]
                     else:
                         _add(acc, j, e, p, q)
-        rows.append(_collect(acc, ncols))
+        rows.append(_collect(acc, ncols) if acc else empty)
     return Mat._raw(tuple(rows))
 
 
@@ -367,7 +394,8 @@ class Mat:
             for i, v in enumerate(self._vecs):
                 for j, x in v._nz:
                     sups[j].append((i, x))
-            self._cols = tuple(Vec._raw(tuple(s), nrows) for s in sups)
+            empty = Vec.zero(nrows)
+            self._cols = tuple(Vec._raw(tuple(s), nrows) if s else empty for s in sups)
         return self._cols
 
     @staticmethod
@@ -378,8 +406,9 @@ class Mat:
     def diagonal(entries) -> "Mat":
         entries = [_frac(e) for e in entries]
         dim = len(entries)
+        empty = Vec.zero(dim)
         return Mat._raw(
-            tuple(Vec._raw(((i, e),) if e else (), dim) for i, e in enumerate(entries))
+            tuple(Vec._raw(((i, e),), dim) if e else empty for i, e in enumerate(entries))
         )
 
     @staticmethod
@@ -430,7 +459,7 @@ class Mat:
         if isinstance(other, Vec):
             # the sum over the support of other of other_k times column k,
             # accumulated as in combine; a zero vector costs one length
-            # test and reads no column
+            # test, reads no column and gives the shared zero vector
             vecs = self._vecs
             nrows = len(vecs)
             if other._len != (vecs[0]._len if vecs else 0):
@@ -438,7 +467,7 @@ class Mat:
                     f"matrix is {self.shape} but vector has length {other._len}"
                 )
             if not other._nz:
-                return Vec._raw((), nrows)
+                return Vec.zero(nrows)
             cols = self._columns()
             acc = {}
             get = acc.get

@@ -209,16 +209,21 @@ def second_fundamental_form(
 ) -> SubmanifoldGeometry:
     """The one constructor of a leaf: every table, checked, and its verdict.
 
-    In order: the frame (refused unless orthogonal with nonzero norms);
-    the brackets, refused if one leaves the span, as a non-involutive
-    distribution bounds no integral submanifold; nabla_{v_a} V for V the
-    frame as columns, whose normal part is Sigma_a, column b sigma(v_a,
-    v_b), and whose frame coordinates are nablabar_{v_a}; the Legendrian
-    check; the split of h; and Rbar.  The verdict is totally_geodesic
+    In order: the count of spanning vectors, which must be n; the frame
+    (refused unless orthogonal with nonzero norms); the brackets,
+    refused if one leaves the span, as a non-involutive distribution
+    bounds no integral submanifold; nabla_{v_a} V for V the frame as
+    columns, whose normal part is Sigma_a, column b sigma(v_a, v_b), and
+    whose frame coordinates are nablabar_{v_a}; the Legendrian check;
+    the split of h; and Rbar.  The verdict is totally_geodesic
     when sigma vanishes, totally_umbilical when sigma(X, Y) = g(X, Y) V
     for the mean curvature vector V, otherwise generic.
     """
     model, conn, cs = analysis.model, analysis.conn, analysis.cs
+    if len(spec.vectors) != model.n:
+        raise StructureError(
+            f"expected {model.n} spanning vectors, got {len(spec.vectors)}"
+        )
     frame = _Frame(spec.vectors, conn.metric)
     vectors, V = frame.vectors, frame.span
     dim, n = V.shape
@@ -274,13 +279,11 @@ def second_fundamental_form(
 def _check_legendrian(cs: ContactStructure, frame: _Frame):
     """Refuse a frame that is not Legendrian, naming the first failure.
 
-    A Legendrian frame has n vectors, each orthogonal to xi, and is
-    anti-invariant: g(v_a, phi v_b) = 0, entry (a, b) of the frame's
-    lowering times phi V.
+    A Legendrian frame has n vectors, a count ``second_fundamental_form``
+    checks before it builds the frame; each is orthogonal to xi, and the
+    frame is anti-invariant: g(v_a, phi v_b) = 0, entry (a, b) of the
+    frame's lowering times phi V.
     """
-    n, count = len(cs.xi) // 2, len(frame.vectors)
-    if count != n:
-        raise StructureError(f"expected {n} spanning vectors, got {count}")
     for a, _ in (frame.lowering @ cs.xi).nonzero_entries():
         raise StructureError(f"spanning vector {a} is not orthogonal to xi")
     for (a, b), _ in (frame.lowering @ (cs.phi @ frame.span)).nonzero_entries():

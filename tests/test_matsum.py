@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmu.errors import DimensionMismatchError, KmuError, ParameterError
-from kmu.linalg import _ONE, _ZERO, Mat, Vec, combine, matsum
+from kmu.linalg import _ONE, _ZERO, Mat, Vec, combine, matsum, outer
 
 from test_kernels import assert_support, dense_matmat, dense_rows, sparse_lists, sparse_rows
 from test_linalg import rationals
@@ -234,3 +234,62 @@ def test_shared_unit_coefficients_cost_no_multiply(monkeypatch):
         [(Fraction(3, 4), dense_rows(M), dense_rows(M)), (-1, dense_rows(M))], 3, 3
     )
     assert_support(v)
+
+
+def matrix_rows(M):
+    """M's rows, the very vectors it holds: row i is column i of M^T."""
+    T = M.transpose()
+    return [T.col(i) for i in range(M.shape[0])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sums())
+def test_every_zero_row_and_column_of_a_sum_is_the_shared_zero_vector(example):
+    nrows, ncols, terms = example
+    M = matsum(kernel_terms(terms), nrows, ncols)
+    for row in matrix_rows(M):
+        assert row.is_zero() == (row is Vec.zero(ncols))
+    for j in range(ncols):
+        assert M.col(j).is_zero() == (M.col(j) is Vec.zero(nrows))
+
+
+def test_zero_results_are_the_shared_zero_vector():
+    # A reads only columns 0 and 2, where B's rows are zero, so A B writes
+    # nothing; A - A writes every entry of A and cancels each
+    A = Mat([[1, 0, Fraction(2, 3)], [0, 0, 0]])
+    B = Mat([[0, 0], [5, 7], [0, 0]])
+    v = Vec([Fraction(-1, 2), 4, 0])
+    zero2, zero3 = Vec.zero(2), Vec.zero(3)
+    assert Vec.zero(2) is zero2 and Vec.zero(3) is zero3 and zero2 is not zero3
+    assert all(row is zero2 for row in matrix_rows(matsum(((1, A, B),), 2, 2)))
+    assert all(row is zero3 for row in matrix_rows(matsum(((1, A), (-1, A)), 2, 3)))
+    assert all(row is zero3 for row in matrix_rows(A - A))
+    assert combine((), 3) is zero3
+    assert combine(((1, v), (-1, v)), 3) is zero3
+    # Mat @ Vec: a zero vector, and a vector on A's zero column alone
+    assert A @ zero3 is zero2 and A @ Vec([0, 0, 0]) is zero2
+    assert A @ Vec([0, 5, 0]) is zero2
+    # columns, and so the rows of the transpose
+    assert A.col(1) is zero2
+    assert matrix_rows(A.transpose())[1] is zero2
+    assert matrix_rows(Mat.from_columns([v, Vec([0, 0, 0])]))[2] is zero2
+    # negation, scaling and cancelling sums of vectors
+    for z in (zero3, Vec([0, 0, 0])):
+        assert -z is zero3 and 5 * z is zero3 and z * Fraction(2, 3) is zero3
+    assert 0 * v is zero3 and v * Fraction(0) is zero3
+    assert v - v is zero3 and v + (-v) is zero3 and (-v) + v is zero3
+    # the zero rows of a diagonal matrix and of an outer product
+    assert matrix_rows(Mat.diagonal([1, 0, 2]))[1] is zero3
+    assert matrix_rows(outer(v, Vec([0, 1])))[2] is zero2
+    assert all(row is zero2 for row in matrix_rows(outer(v, zero2)))
+
+
+@pytest.mark.parametrize("length", [0, 1, 4])
+def test_the_shared_zero_vector_reads_as_its_dense_form(length):
+    z, dense = Vec.zero(length), Vec([0] * length)
+    assert z == dense and hash(z) == hash(dense)
+    assert list(z) == list(dense) == [ZERO] * length
+    assert [z[i] for i in range(length)] == [dense[i] for i in range(length)]
+    assert all(x is _ZERO for x in z)
+    # the reads share one tuple per length and leave the vector as it was
+    assert z._d is None

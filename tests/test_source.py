@@ -56,6 +56,32 @@ def test_only_linalg_writes_vector_supports():
     assert sites and all(site.startswith("linalg.py:") for site in sites), sites
 
 
+def test_zero_vectors_are_made_only_by_the_shared_constructor():
+    # every zero vector a kernel writes is Vec.zero(length), one shared
+    # object per length, so an empty support is written in one place and
+    # no kernel allocates a zero row of its own
+    def empty_supports(tree):
+        return [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_raw"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "Vec"
+            and node.args
+            and isinstance(node.args[0], ast.Tuple)
+            and not node.args[0].elts
+        ]
+
+    tree = ast.parse((SOURCE / "linalg.py").read_text(encoding="utf-8"))
+    zero = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "zero"
+    )
+    assert empty_supports(tree) == empty_supports(zero) != [], empty_supports(tree)
+
+
 def test_only_linalg_reads_vector_and_matrix_storage():
     # vectors and matrices are read through their public methods everywhere
     # else, so how linalg stores them (supports, lengths, the lazy dense

@@ -267,6 +267,26 @@ def test_leaf_of_the_wrong_rank_refused():
         second_fundamental_form(an, spec)
 
 
+def test_leaf_with_no_spanning_vectors_refused():
+    # the count is checked before the frame is built, so an empty spec is
+    # named by its count, not by the shape of its empty frame matrix
+    an = analysis(2, 0, 2)
+    spec = DistributionSpec(kind="x", vectors=())
+    with pytest.raises(StructureError, match="^expected 2 spanning vectors, got 0$"):
+        second_fundamental_form(an, spec)
+
+
+def test_leaf_with_too_many_spanning_vectors_refused():
+    # {X_1, X_2, Y_1} is orthogonal but not involutive; the count is
+    # checked first, so it is refused for its rank before its brackets
+    an = analysis(2, 0, 2)
+    m = an.model
+    vectors = tuple(Vec.basis(m.dim, k) for k in (m.x(1), m.x(2), m.y(1)))
+    spec = DistributionSpec(kind="x", vectors=vectors)
+    with pytest.raises(StructureError, match="^expected 2 spanning vectors, got 3$"):
+        second_fundamental_form(an, spec)
+
+
 def test_leaf_containing_xi_refused():
     # {xi, X_1} is orthogonal and involutive at (2, 0, 2), so only the
     # Legendrian check stands between it and a report of failing records
