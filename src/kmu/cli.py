@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -176,7 +176,7 @@ def _report(desc: ModelDescriptor, body: dict, ok: bool, notes: list) -> dict:
     return report
 
 
-def build_report(desc: ModelDescriptor, deformation_a: Fraction | None = None) -> dict:
+def build_report(desc: ModelDescriptor) -> dict:
     """Assemble the full verification report for one descriptor."""
     model = build_boeckx_model(desc.n, desc.alpha, desc.beta)
     analysis = analyze_structure(model)
@@ -187,9 +187,8 @@ def build_report(desc: ModelDescriptor, deformation_a: Fraction | None = None) -
         "identities": _records_json(analysis.records),
     }
 
-    a = deformation_a if deformation_a is not None else desc.deformation_a
-    if a is not None:
-        block, block_ok = _deformation_block(analysis, a)
+    if desc.deformation_a is not None:
+        block, block_ok = _deformation_block(analysis, desc.deformation_a)
         body["deformation"] = block
         ok = ok and block_ok
 
@@ -364,7 +363,7 @@ def main(argv=None) -> int:
             desc = load_descriptor(args.descriptor)
             a = rat(args.a)
             stage = "deform"
-            return _emit(build_report(desc, deformation_a=a), args.out)
+            return _emit(build_report(replace(desc, deformation_a=a)), args.out)
 
         if args.command == "submanifold":
             desc = load_descriptor(args.descriptor)

@@ -31,11 +31,12 @@ __all__ = ["d_homothetic", "predicted_invariants"]
 def d_homothetic(model: LieAlgebraModel, cs: ContactStructure, a) -> ContactStructure:
     """Deform (phi, xi, eta, g) by the positive constant a.
 
-    Returns the deformed structure, with h cleared (recompute it against
-    the deformed metric's connection); its ``metric`` is the deformed
-    metric.  The model supplies the bracket table for the contact-condition
-    recheck.  All contact metric axioms are re-verified exactly, and
-    their records travel with the deformed structure.
+    Returns the deformed structure, with h cleared (recompute it with
+    ``compute_h``, which reads only the brackets, phi and the deformed
+    xi); its ``metric`` is the deformed metric.  The model supplies the
+    bracket table for the contact-condition recheck.  All contact metric
+    axioms are re-verified exactly, and their records travel with the
+    deformed structure.
     """
     a = rat(a)
     if a <= 0:

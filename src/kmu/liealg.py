@@ -17,6 +17,7 @@ from functools import cached_property
 from .errors import (
     DegenerateModelError,
     DimensionMismatchError,
+    ParameterError,
     StructureError,
     UnsupportedDimensionError,
 )
@@ -66,16 +67,17 @@ class JacobiReport:
 def build_boeckx_model(n: int, alpha, beta) -> LieAlgebraModel:
     """Construct the bracket table of the standard model family.
 
-    Requires n >= 2 (the table refers to X_2, Y_2 unconditionally) and
-    beta^2 > alpha^2 (otherwise h would vanish and the model degenerates
-    into the excluded boundary case).
+    Requires an int n >= 2 (the table refers to X_2, Y_2 unconditionally)
+    and beta^2 > alpha^2 (otherwise h would vanish and the model
+    degenerates into the excluded boundary case).
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParameterError(f"n must be an int, got {n!r}")
     if n < 2:
         raise UnsupportedDimensionError(
             f"n={n} unsupported: the bracket table references X_2 and Y_2, so n >= 2"
         )
-    alpha = rat(alpha)
-    beta = rat(beta)
+    alpha, beta = rat(alpha), rat(beta)
     if alpha < 0:
         raise DegenerateModelError(f"alpha must be >= 0, got {alpha}")
     if beta * beta <= alpha * alpha:
@@ -84,69 +86,42 @@ def build_boeckx_model(n: int, alpha, beta) -> LieAlgebraModel:
         )
 
     dim = 2 * n + 1
-    XI = 0
-
-    def X(i):
-        return i
-
-    def Y(i):
-        return n + i
-
-    def vec(*terms) -> Vec:
-        return combine(((c, Vec.basis(dim, index)) for c, index in terms), dim)
-
-    table = {}
-
-    def put(a, b, value: Vec):
-        if (a, b) in table or (b, a) in table:
-            raise StructureError(f"bracket table lists the pair ({a}, {b}) twice")
-        table[(a, b)] = value
-
-    half_ab = alpha * beta / 2
-    half_a2 = alpha * alpha / 2
-    half_b2 = beta * beta / 2
-
-    put(XI, X(1), vec((-half_ab, X(2)), (-half_a2, Y(1))))
-    put(XI, X(2), vec((half_ab, X(1)), (-half_a2, Y(2))))
-    put(XI, Y(1), vec((half_b2, X(1)), (-half_ab, Y(2))))
-    put(XI, Y(2), vec((half_b2, X(2)), (half_ab, Y(1))))
-    for i in range(3, n + 1):
-        put(XI, X(i), vec((-half_a2, Y(i))))
-        put(XI, Y(i), vec((half_b2, X(i))))
-
-    for i in range(2, n + 1):
-        put(X(1), X(i), vec((alpha, X(i))))
-    for i in range(2, n + 1):
-        for j in range(i + 1, n + 1):
-            put(X(i), X(j), vec())
-
-    put(Y(2), Y(1), vec((beta, Y(1))))
-    for i in range(3, n + 1):
-        put(Y(2), Y(i), vec((beta, Y(i))))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if i != 2 and j != 2:
-                put(Y(i), Y(j), vec())
-
-    put(X(1), Y(1), vec((-beta, X(2)), (2, XI)))
-    for i in range(2, n + 1):
-        put(X(1), Y(i), vec())
-    put(X(2), Y(1), vec((beta, X(1)), (-alpha, Y(2))))
-    put(X(2), Y(2), vec((alpha, Y(1)), (2, XI)))
-    for i in range(3, n + 1):
-        put(X(2), Y(i), vec((beta, X(i))))
-    for i in range(3, n + 1):
-        put(X(i), Y(1), vec((-alpha, Y(i))))
-        put(X(i), Y(2), vec())
-        for j in range(3, n + 1):
-            if i == j:
-                put(X(i), Y(j), vec((-beta, X(2)), (alpha, Y(1)), (2, XI)))
-            else:
-                put(X(i), Y(j), vec())
+    ab, a2, b2 = alpha * beta / 2, alpha * alpha / 2, beta * beta / 2
+    x1, x2, y1, y2 = 1, 2, n + 1, n + 2
+    # every bracket that can be nonzero, as (a, b, ((c, m), ...)) for
+    # [e_a, e_b] = sum c e_m: the core on xi, X_1, X_2, Y_1, Y_2, then
+    # the block of each X_i, Y_i with i >= 3
+    brackets = [
+        (0, x1, ((-ab, x2), (-a2, y1))),
+        (0, x2, ((ab, x1), (-a2, y2))),
+        (0, y1, ((b2, x1), (-ab, y2))),
+        (0, y2, ((b2, x2), (ab, y1))),
+        (x1, x2, ((alpha, x2),)),
+        (y2, y1, ((beta, y1),)),
+        (x1, y1, ((-beta, x2), (2, 0))),
+        (x2, y1, ((beta, x1), (-alpha, y2))),
+        (x2, y2, ((alpha, y1), (2, 0))),
+    ]
+    for x, y in ((i, n + i) for i in range(3, n + 1)):
+        brackets += [
+            (0, x, ((-a2, y),)),
+            (0, y, ((b2, x),)),
+            (x1, x, ((alpha, x),)),
+            (y2, y, ((beta, y),)),
+            (x2, y, ((beta, x),)),
+            (x, y1, ((-alpha, y),)),
+            (x, y, ((-beta, x2), (alpha, y1), (2, 0))),
+        ]
 
     zero = Vec.zero(dim)
     structure = [[zero] * dim for _ in range(dim)]
-    for (a, b), value in table.items():
+    seen = set()
+    for a, b, terms in brackets:
+        pair = (min(a, b), max(a, b))
+        if pair in seen:
+            raise StructureError(f"bracket table lists the pair ({a}, {b}) twice")
+        seen.add(pair)
+        value = combine(((c, Vec.basis(dim, m)) for c, m in terms), dim)
         structure[a][b] = value
         structure[b][a] = -value
     structure = tuple(tuple(row) for row in structure)

@@ -522,26 +522,13 @@ def dot(u: Vec, v: Vec) -> Fraction:
 
 
 def inner(u: Vec, v: Vec, G: Mat) -> Fraction:
-    """Metric pairing u^T G v, exact, over the supports of u, G and v."""
+    """Metric pairing u^T G v = dot(u, G v), exact."""
     dim = u._len
     if v._len != dim or G.shape != (dim, dim):
         raise DimensionMismatchError(
             f"inner product dims: u={len(u)}, v={len(v)}, G={G.shape}"
         )
-    rows, vc = G._vecs, v._c
-    n, d = 0, 1
-    for i, x in u._nz:
-        xp, xq = x.numerator, x.denominator
-        for j, g in rows[i]._nz:
-            y = vc[j]
-            if y is not _ZERO:
-                p = xp * g.numerator * y.numerator
-                q = xq * g.denominator * y.denominator
-                if d == q:
-                    n += p
-                else:
-                    n, d = n * q + p * d, d * q
-    return Fraction(n, d) if n else _ZERO
+    return dot(u, G @ v)
 
 
 def metric_diagonal(G: Mat) -> tuple:

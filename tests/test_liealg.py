@@ -1,5 +1,6 @@
 """Bracket table rows, Jacobi certification, and fault injection."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from kmu import (
     check_jacobi,
     d_homothetic,
 )
-from kmu.errors import DegenerateModelError, UnsupportedDimensionError
+from kmu.errors import DegenerateModelError, ParameterError, UnsupportedDimensionError
+from kmu.linalg import rat_str
 
 from helpers import model
 
@@ -80,6 +82,36 @@ def test_unlisted_pairs_vanish():
     assert bracket(m, Vec.basis(m.dim, m.x(2)), Vec.basis(m.dim, m.x(3))).is_zero()
     assert bracket(m, Vec.basis(m.dim, m.y(1)), Vec.basis(m.dim, m.y(3))).is_zero()
     assert bracket(m, Vec.basis(m.dim, m.x(3)), Vec.basis(m.dim, m.y(2))).is_zero()
+
+
+# sha256 of the lines "a b m c", one per nonzero entry c of
+# structure[a][b] at index m, in index order
+GOLDEN_TABLES = {
+    (2, "0", "2"): "e27373277c85829b34ee0ecee5438002a2bfc7e123aa06ba6bd5e5dae7d246e1",
+    (2, "1", "3"): "b425031769e69e47ed7026462ba4a0f13ba41dfab297af53065e2483a1460373",
+    (2, "2/3", "7/5"): "ee18ba90cf47f58058e72384114e3f73776a032d916b324278d832fc880969f6",
+    (3, "0", "2"): "30ca32d72cf02c17fa8d0141a250fd14d1355d9d747c1e1cf342bf3a1cb09ab2",
+    (3, "1", "3"): "0eca54483ef248992d7d6a9718902930aeb7c3eb4e9c4fd2560048fe1cbc55fc",
+    (3, "2/3", "7/5"): "26891fc8bcba8846b8e2b0dfe1e3c876a8d67ff78c60ffdd6888963ea6b283da",
+    (5, "0", "2"): "4d040a256841a9df327f0afb681b49709f34109e9fe5f34ce814f2828d853ba2",
+    (5, "1", "3"): "331dcefe30c17630dd924e1dd432d336f41568ef980e4fea777e22bf674e0d4b",
+    (5, "2/3", "7/5"): "85124326f9a84cb84b5c3c7fd76ac1efa9d930eba8b6c024a5aa27727cdf9fbd",
+    (8, "0", "2"): "089483c100a9d11e3e83727871c809f12ef6388e1975507da775296189ee34b3",
+    (8, "1", "3"): "0c8322c1fb99d0597ff32b85144607eb1a97b49b014b8dc46569c6a078455eeb",
+    (8, "2/3", "7/5"): "08e84dcbb5cb6246d12a3843936897bbe7f753177374b6bde3576ebb4ad3277e",
+}
+
+
+@pytest.mark.parametrize("n,alpha,beta", sorted(GOLDEN_TABLES))
+def test_structure_table_matches_golden_digest(n, alpha, beta):
+    m = build_boeckx_model(n, alpha, beta)
+    text = "\n".join(
+        f"{a} {b} {k} {rat_str(c)}"
+        for a, row in enumerate(m.structure)
+        for b, v in enumerate(row)
+        for k, c in v.nonzero_entries()
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TABLES[(n, alpha, beta)]
 
 
 def test_structure_table_antisymmetric_closure():
@@ -187,6 +219,12 @@ def test_jacobi_checked_once_per_model(monkeypatch):
 def test_n_below_two_unsupported():
     with pytest.raises(UnsupportedDimensionError):
         build_boeckx_model(1, 0, 2)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None, True, Fraction(3)])
+def test_non_integer_n_rejected(n):
+    with pytest.raises(ParameterError, match="n must be an int"):
+        build_boeckx_model(n, 0, 1)
 
 
 @pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 1), (3, -3)])
