@@ -20,7 +20,6 @@ from .contact import (
     attach_h,
     build_contact_structure,
     closed_form_plane,
-    compute_h,
     extract_kappa_mu,
     verify_identities,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "build_distribution",
     "check_jacobi",
     "closed_form_plane",
-    "compute_h",
     "d_homothetic",
     "extract_kappa_mu",
     "inner",

@@ -34,8 +34,8 @@ class ContactStructure:
     """phi, xi and eta with their metric; h and lambda once computed.
 
     ``eta`` stores covector coefficients: eta(u) = sum_i eta[i] u[i].
-    ``axioms`` holds the contact metric axiom records of (phi, xi, eta,
-    metric), checked once where the structure is built.
+    The structure holds its tensors only: the contact metric axioms are
+    checked by ``analyze_structure`` on every structure it analyses.
     """
 
     phi: Mat
@@ -44,7 +44,6 @@ class ContactStructure:
     metric: Mat
     h: Mat | None = None
     lam: Fraction | None = None
-    axioms: tuple = ()
 
     @cached_property
     def tables(self) -> StructureTables:
@@ -55,26 +54,19 @@ class ContactStructure:
 
 
 class StructureTables:
-    """Columns and metric pairings of one structure with h, built once.
+    """The products of one structure with h, built once.
 
-    phih is the operator phi h; hcol[t], phicol[t] and phihcol[t] are
-    h e_t, phi e_t and phi h e_t.  The pairings are
-    matrices: g_id[a, b], g_h[a, b], g_phi[a, b] and g_phih[a, b] are
-    g(e_a, e_b), g(h e_a, e_b), g(phi e_a, e_b) and g(phi h e_a, e_b), so
-    row a is the covector g(u, .) of one vector u.  g_id is the metric
-    itself, and the pairing of an operator T is the product T^T G.  Every
-    structure identity reads these tables.
+    phih is the operator phi h.  The pairings are matrices: g_h[a, b],
+    g_phi[a, b] and g_phih[a, b] are g(h e_a, e_b), g(phi e_a, e_b) and
+    g(phi h e_a, e_b), so row a is the covector g(u, .) of one vector u;
+    the pairing of an operator T is the product T^T G.  The metric itself
+    is ``cs.metric``, and a column T e_t is ``T.col(t)``, which ``Mat``
+    caches.
     """
 
     def __init__(self, cs: ContactStructure):
-        dim = len(cs.xi)
-        self.dim = dim
-        self.basis = tuple(Vec.basis(dim, t) for t in range(dim))
         self.phih = cs.phi @ cs.h
-        self.hcol, self.phicol, self.phihcol = (
-            tuple(map(T.col, range(dim))) for T in (cs.h, cs.phi, self.phih)
-        )
-        G = self.g_id = cs.metric
+        G = cs.metric
         self.g_h, self.g_phi, self.g_phih = (
             T.transpose() @ G for T in (cs.h, cs.phi, self.phih)
         )
@@ -94,21 +86,6 @@ class ModelInvariants:
             "lambda": rat_str(self.lam),
             "boeckx_invariant": rat_str(self.boeckx_invariant),
         }
-
-    @cached_property
-    def closed_form_constants(self) -> tuple:
-        """The constants ``ClosedFormRows`` reads, computed once."""
-        kappa, mu = self.kappa, self.mu
-        half_mu = mu / 2
-        return (
-            1 - half_mu,
-            (1 - half_mu) / (1 - kappa),
-            (kappa - half_mu) / (1 - kappa),
-            half_mu,
-            mu,
-            kappa - 1 + half_mu,
-            mu - 1,
-        )
 
 
 def check_contact_axioms(
@@ -163,22 +140,19 @@ def standard_phi(model: LieAlgebraModel) -> Mat:
 
 
 def build_contact_structure(model: LieAlgebraModel) -> ContactStructure:
-    """(phi, xi, eta, g) on the model; raises if any axiom fails.
+    """(phi, xi, eta, g) on the model, with h not yet computed.
 
     phi annihilates xi and rotates X_i to Y_i, Y_i to -X_i; eta is the
-    metric dual of xi.
+    metric dual of xi.  Only the tensors are built: ``analyze_structure``
+    checks the contact metric axioms.
     """
     phi = standard_phi(model)
     xi = Vec.basis(model.dim, 0)
-    eta = model.metric @ xi
-    axioms = check_contact_axioms(model, phi, xi, eta, model.metric)
-    return ContactStructure(
-        phi=phi, xi=xi, eta=eta, metric=model.metric, axioms=tuple(axioms)
-    )
+    return ContactStructure(phi=phi, xi=xi, eta=model.metric @ xi, metric=model.metric)
 
 
-def compute_h(model: LieAlgebraModel, cs: ContactStructure) -> tuple[Mat, Fraction]:
-    """h = (Lie derivative of phi along xi) / 2, plus its eigenvalue.
+def attach_h(model: LieAlgebraModel, cs: ContactStructure) -> ContactStructure:
+    """The structure with h = (Lie derivative of phi along xi) / 2 and lambda.
 
     On left-invariant fields h(u) = ([xi, phi u] - phi [xi, u]) / 2, so
     h = [ad_xi, phi] / 2 with ad_xi = [xi, .], and lambda is read off
@@ -191,12 +165,6 @@ def compute_h(model: LieAlgebraModel, cs: ContactStructure) -> tuple[Mat, Fracti
     lam = h[1, 1]
     if lam <= 0:
         raise StructureError(f"computed h eigenvalue {rat_str(lam)} is not positive")
-    return h, lam
-
-
-def attach_h(model: LieAlgebraModel, cs: ContactStructure) -> ContactStructure:
-    """Convenience: return the structure with h and lambda filled in."""
-    h, lam = compute_h(model, cs)
     return replace(cs, h=h, lam=lam)
 
 
@@ -249,7 +217,8 @@ def verify_structure(
     is nonzero, so a pair away from xi compares R(e_i, e_j) xi with zero.
     """
     t = cs.tables
-    dim, n = t.dim, (t.dim - 1) // 2
+    dim = len(cs.xi)
+    n = (dim - 1) // 2
     h, lam = cs.h, cs.lam
     kappa, mu = inv.kappa, inv.mu
 
@@ -261,7 +230,7 @@ def verify_structure(
         yield from (((k,), x) for k, x in (h @ cs.xi).nonzero_entries())
         yield from matsum(((1, h, cs.phi), (1, cs.phi, h)), dim, dim).nonzero_entries()
         for s in range(1, dim):
-            col = t.hcol[s] - (lam if s <= n else -lam) * t.basis[s]
+            col = h.col(s) - (lam if s <= n else -lam) * Vec.basis(dim, s)
             yield from (((k, s), x) for k, x in col.nonzero_entries())
 
     def kappa_mu_residuals():
@@ -289,9 +258,8 @@ def verify_structure(
 class ClosedFormRows:
     """The covector rows of the closed-form curvature of the class.
 
-    With the constants of ``ModelInvariants.closed_form_constants``, the
-    closed form of R(e_i, e_j) e_k, grouped by the vector each term
-    carries, is
+    With (kappa, mu) of the invariants, the closed form of R(e_i, e_j) e_k,
+    grouped by the vector each term carries, is
 
         W1[j][k] e_i - W1[i][k] e_j + W2[j][k] h e_i - W2[i][k] h e_j
         - P[j][k] phi e_i + P[i][k] phi e_j + mu g(phi e_i, e_j) phi e_k
@@ -310,16 +278,21 @@ class ClosedFormRows:
     (1 - kappa), c1 = kappa - 1 + mu/2 and c2 = mu - 1.  The eta(e_a) eta
     parts of W1 and W2 and the xi term form the eta tail: the unique
     completion antisymmetric in (e_i, e_j) that restricts to the defining
-    curvature condition at e_k = xi.  The rows are read off the
-    structure's tables once; ``closed_form_plane`` sums them into one
-    plane at a time.
+    curvature condition at e_k = xi.  The constants, the rows and the
+    columns e_t, h e_t, phi e_t and phi h e_t of the vector families are
+    built once; ``closed_form_plane`` sums them into one plane at a time.
     """
 
     def __init__(self, inv: ModelInvariants, cs: ContactStructure):
         t = cs.tables
-        dim = self.dim = t.dim
-        one_minus_half_mu, coef_h, coef_phih, half_mu, mu, c1, c2 = inv.closed_form_constants
-        g_id, g_h, g_phi = t.g_id, t.g_h, t.g_phi
+        dim = self.dim = len(cs.xi)
+        kappa, mu = inv.kappa, inv.mu
+        half_mu = mu / 2
+        one_minus_half_mu = 1 - half_mu
+        coef_h = one_minus_half_mu / (1 - kappa)
+        coef_phih = (kappa - half_mu) / (1 - kappa)
+        c1, c2 = kappa - 1 + half_mu, mu - 1
+        G, g_h, g_phi = cs.metric, t.g_h, t.g_phi
         eta_eta = outer(cs.eta, cs.eta)
 
         def rows(*terms):
@@ -330,18 +303,22 @@ class ClosedFormRows:
         def negated(ws):
             return tuple(-w for w in ws)
 
-        W1 = rows((one_minus_half_mu, g_id), (1, g_h), (c1, eta_eta))
-        W2 = rows((1, g_id), (coef_h, g_h), (c2, eta_eta))
+        W1 = rows((one_minus_half_mu, G), (1, g_h), (c1, eta_eta))
+        W2 = rows((1, G), (coef_h, g_h), (c2, eta_eta))
         P = rows((half_mu, g_phi))
         Q = rows((coef_phih, t.g_phih))
-        T = rows((c1, g_id), (c2, g_h))
+        T = rows((c1, G), (c2, g_h))
         # (U, W, -W) per vector family: the plane (i, j) sums the rank-one
         # terms U[i] W[j]^T and U[j] (-W[i])^T of every family
+        basis = tuple(Vec.basis(dim, a) for a in range(dim))
+        hcol, phicol, phihcol = (
+            tuple(map(op.col, range(dim))) for op in (cs.h, cs.phi, t.phih)
+        )
         self.families = (
-            (t.basis, W1, negated(W1)),
-            (t.hcol, W2, negated(W2)),
-            (t.phicol, negated(P), P),
-            (t.phihcol, Q, negated(Q)),
+            (basis, W1, negated(W1)),
+            (hcol, W2, negated(W2)),
+            (phicol, negated(P), P),
+            (phihcol, Q, negated(Q)),
             (tuple(cs.xi * e for e in cs.eta), T, negated(T)),
         )
         self.mu, self.g_phi = mu, g_phi
@@ -409,20 +386,20 @@ def verify_identities(
     # Each right-hand side is one matrix whose column j is the identity at
     # Y = e_j; column i of phi_w and h_w is its xi coefficient at X = e_i.
     one_minus_kappa = 1 - kappa
-    phi_w = t.g_id.transpose() + t.g_h
+    phi_w = cs.metric.transpose() + t.g_h
     h_w = matsum(((one_minus_kappa, t.g_phi), (-1, t.g_phih)), dim, dim)
 
     def nabla_phi_rhs(i):
         # minus g(X, Y + h Y) xi - eta(Y) (X + h X), at X = e_i
         return (
             (-1, outer(xi, phi_w.col(i))),
-            (1, outer(t.basis[i] + t.hcol[i], cs.eta)),
+            (1, outer(Vec.basis(dim, i) + h.col(i), cs.eta)),
         )
 
     def nabla_h_rhs(i):
         # minus g((1 - kappa) phi Y - phi h Y, X) xi
         # - eta(Y) ((1 - kappa) phi X + phi h X) - mu eta(X) phi h Y, at X = e_i
-        eta_factor = one_minus_kappa * t.phicol[i] + t.phihcol[i]
+        eta_factor = one_minus_kappa * phi.col(i) + t.phih.col(i)
         return (
             (-1, outer(xi, h_w.col(i))),
             (1, outer(eta_factor, cs.eta)),
@@ -432,7 +409,7 @@ def verify_identities(
     def closed_form_differences():
         # both sides are antisymmetric in (i, j): R by construction, and
         # the closed form because g(phi ., .) is skew under the contact
-        # axioms every structure passes; so i < j alone finds the first
+        # axioms analyze_structure checks; so i < j alone finds the first
         # failure of the full index order.  An equal plane is covered by
         # one Mat equality and never subtracted.
         rows = ClosedFormRows(invariants, cs)
@@ -444,7 +421,7 @@ def verify_identities(
 
     def nabla_xi_residuals():
         for i in range(dim):
-            yield (i,), conn.nabla(t.basis[i], xi) + t.phicol[i] + t.phihcol[i]
+            yield (i,), conn.nabla(Vec.basis(dim, i), xi) + phi.col(i) + t.phih.col(i)
 
     return [
         scan("h_square", h_square.nonzero_entries()),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .contact import ContactStructure, check_contact_axioms
+from .contact import ContactStructure
 from .errors import ParameterError
 from .liealg import LieAlgebraModel
 from .linalg import outer, rat
@@ -31,24 +31,21 @@ __all__ = ["d_homothetic", "predicted_invariants"]
 def d_homothetic(model: LieAlgebraModel, cs: ContactStructure, a) -> ContactStructure:
     """Deform (phi, xi, eta, g) by the positive constant a.
 
-    Returns the deformed structure, with h cleared (recompute it with
-    ``compute_h``, which reads only the brackets, phi and the deformed
-    xi); its ``metric`` is the deformed metric.  The model supplies the
-    bracket table for the contact-condition recheck.  All contact metric
-    axioms are re-verified exactly, and their records travel with the
-    deformed structure.
+    Returns the deformed tensors, with h cleared (``attach_h`` recomputes
+    it from the brackets, phi and the deformed xi); its ``metric`` is the
+    deformed metric.  Only the tensors are built: ``analyze_structure``
+    checks the contact metric axioms on the deformed structure, as on
+    every structure it analyses.  ``model`` is not read; it keeps the
+    call shape of the other structure builders.
     """
     a = rat(a)
     if a <= 0:
         raise ParameterError(f"deformation constant must be positive, got {a}")
-    G = cs.metric
-    phi_t = cs.phi
-    xi_t = Fraction(1, a) * cs.xi
-    eta_t = a * cs.eta
-    G_t = a * G + (a * (a - 1)) * outer(cs.eta, cs.eta)
-    axioms = check_contact_axioms(model, phi_t, xi_t, eta_t, G_t)
     return ContactStructure(
-        phi=phi_t, xi=xi_t, eta=eta_t, metric=G_t, axioms=tuple(axioms)
+        phi=cs.phi,
+        xi=Fraction(1, a) * cs.xi,
+        eta=a * cs.eta,
+        metric=a * cs.metric + (a * (a - 1)) * outer(cs.eta, cs.eta),
     )
 
 

@@ -62,7 +62,7 @@ def sectional_records(
     plane by ``CurvatureTable.sectional``.
     """
     n, dim = model.n, model.dim
-    t = cs.tables
+    G, g_phi = cs.metric, cs.tables.g_phi
     k_plus = 2 * (1 + inv.lam) - inv.mu
     k_minus = 2 * (1 - inv.lam) - inv.mu
 
@@ -74,13 +74,13 @@ def sectional_records(
         for i in range(1, n + 1):
             for j in range(n + 1, dim):
                 K = R.sectional(i, j)
-                g_i_phi_j = t.g_phi[j, i]  # g(e_i, phi e_j)
+                g_i_phi_j = g_phi[j, i]  # g(e_i, phi e_j)
                 if not g_i_phi_j:
                     yield (i, j), K
                     continue
                 # the closed form is stated for unit vectors; normalize by
                 # the Gram determinant so non-unit frames are handled too
-                gram = gram_determinant(t.g_id[i, i], t.g_id[j, j], t.g_id[i, j])
+                gram = gram_determinant(G[i, i], G[j, j], G[i, j])
                 expected = -(inv.kappa + inv.mu) * g_i_phi_j ** 2 / gram
                 yield (i, j), K - expected
 
@@ -94,8 +94,9 @@ def analyze_structure(
 
     With ``cs=None`` the native contact structure is built; passing a
     deformed structure re-derives the connection, curvature, h and
-    invariants with respect to its metric.  Either way the report carries
-    the axiom records made when the structure was built.
+    invariants with respect to its metric.  Either way the contact metric
+    axioms are checked here, once, on the structure analysed, and a
+    failure raises ``StructureError``.
     """
     jacobi = model.jacobi
     # the first violating triple, reported with the largest residual of all
@@ -103,9 +104,7 @@ def analyze_structure(
 
     if cs is None:
         cs = build_contact_structure(model)
-    # the axioms were checked where cs was built; a structure built by
-    # hand, with no records, is checked here
-    records += cs.axioms or check_contact_axioms(model, cs.phi, cs.xi, cs.eta, cs.metric)
+    records += check_contact_axioms(model, cs.phi, cs.xi, cs.eta, cs.metric)
 
     conn = levi_civita(model, metric=cs.metric)
     records.append(scan("torsion_free", torsion_residuals(model, conn)))

@@ -6,15 +6,14 @@ from fractions import Fraction
 import pytest
 
 import kmu.contact as contact
-import kmu.deformation as deformation
 import kmu.pipeline as pipeline
 from kmu import (
     Mat,
     Vec,
+    attach_h,
     bracket,
     build_boeckx_model,
     build_contact_structure,
-    compute_h,
     d_homothetic,
     verify_identities,
 )
@@ -84,7 +83,7 @@ def test_contact_axioms_checked_once_per_structure(monkeypatch):
         calls.append(args)
         return check_contact_axioms(*args)
 
-    for module in (contact, deformation, pipeline):
+    for module in (contact, pipeline):
         monkeypatch.setattr(module, "check_contact_axioms", counting)
     m = build_boeckx_model(2, 1, 3)
     native = pipeline.analyze_structure(m)
@@ -98,9 +97,27 @@ def test_contact_axioms_checked_once_per_structure(monkeypatch):
         fresh = check_contact_axioms(m, cs.phi, cs.xi, cs.eta, cs.metric)
         ids = {r.identity_id for r in fresh}
         assert [r for r in an.records if r.identity_id in ids] == fresh
-    # a structure carrying no records is checked by the analysis itself
-    bare = replace(build_contact_structure(m), axioms=())
-    assert pipeline.analyze_structure(m, bare).records == native.records
+
+
+@pytest.mark.parametrize("bump,message", [
+    ("phi", "phi_square fails at (1, 4) with residual -1"),
+    ("metric", "metric_phi_compatibility fails at (0, 0) with residual -1"),
+], ids=["phi", "metric"])
+def test_analysis_checks_the_axioms_of_the_structure_it_is_given(bump, message):
+    # a structure edited after it was built is checked afresh: phi + X_1 (x) X_2*
+    # breaks phi^2 = -Id + eta (x) xi, and 2G breaks g(phi ., phi .) = g - eta (x) eta
+    m = build_boeckx_model(2, 1, 3)
+    cs = build_contact_structure(m)
+    if bump == "phi":
+        e1, e2 = Vec.basis(m.dim, m.x(1)), Vec.basis(m.dim, m.x(2))
+        cs = replace(cs, phi=cs.phi + outer(e1, e2))
+    else:
+        cs = replace(cs, metric=2 * cs.metric)
+    with pytest.raises(StructureError) as fresh:
+        check_contact_axioms(m, cs.phi, cs.xi, cs.eta, cs.metric)
+    with pytest.raises(StructureError) as analysed:
+        pipeline.analyze_structure(m, cs)
+    assert str(analysed.value) == str(fresh.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +132,8 @@ def test_h_on_alpha0_beta2_by_lie_derivative_oracle():
     cs = analysis(2, 0, 2).cs
     assert bracket(m, cs.xi, Vec.basis(m.dim, m.x(1))).is_zero()
     assert bracket(m, cs.xi, Vec.basis(m.dim, m.y(1))) == 2 * Vec.basis(m.dim, m.x(1))
-    h, lam = compute_h(m, build_contact_structure(m))
+    attached = attach_h(m, build_contact_structure(m))
+    h, lam = attached.h, attached.lam
     assert lam == 1
     assert h @ Vec.basis(m.dim, m.x(1)) == Vec.basis(m.dim, m.x(1))
     assert cs.h == h and cs.lam == lam
@@ -295,8 +313,7 @@ def _reference_kappa_mu(cs, R, inv):
     Column j of matsum(outer(K e_i, eta) - eta(e_i) K), K = kappa Id + mu h,
     is eta(e_j) K e_i - eta(e_i) K e_j, read for every j > i.
     """
-    t = cs.tables
-    dim = t.dim
+    dim = len(cs.xi)
     K = matsum(((inv.kappa, Mat.identity(dim)), (inv.mu, cs.h)), dim, dim)
 
     def residuals():

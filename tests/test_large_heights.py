@@ -7,15 +7,16 @@ denominators.  The Hypothesis tests below compare ``combine``,
 whose numerators and denominators are around 10^12, with many entries
 over one shared denominator and with terms that cancel exactly.  The
 CLI tests run an n = 3 ``verify`` and ``deform`` with alpha, beta, a, c
-and d of that height, check the closed forms and the Tanno maps, and
-round-trip every rational of the reports through ``rat_str`` and ``rat``.
+and d of that height, and a Hypothesis ``verify`` draws all five at
+n = 2, 4 and 5; each checks the closed forms and the Tanno maps, and
+round-trips every rational of the reports through ``rat_str`` and ``rat``.
 """
 
 import json
 import re
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kmu.cli import main
@@ -169,9 +170,9 @@ def _rationals(node):
         yield node
 
 
-def _check_closed_forms(report, a):
-    lam = (BETA ** 2 - ALPHA ** 2) / 4
-    kappa, boeckx = 1 - lam ** 2, -(BETA ** 2 + ALPHA ** 2) / (BETA ** 2 - ALPHA ** 2)
+def _check_closed_forms(report, alpha, beta, a):
+    lam = (beta ** 2 - alpha ** 2) / 4
+    kappa, boeckx = 1 - lam ** 2, -(beta ** 2 + alpha ** 2) / (beta ** 2 - alpha ** 2)
     mu = 2 * (1 - lam * boeckx)
     native = {"kappa": kappa, "mu": mu, "lambda": lam, "boeckx_invariant": boeckx}
     assert {key: rat(value) for key, value in report["invariants"].items()} == native
@@ -200,7 +201,7 @@ def test_verify_at_height_ten_to_the_twelve(tmp_path, capsys):
         "deformation_a": rat_str(A), "submanifolds": LEAVES,
     }
     report = _report(tmp_path, capsys, ["verify"], descriptor)
-    _check_closed_forms(report, A)
+    _check_closed_forms(report, ALPHA, BETA, A)
     _check_round_trip(report)
     kinds = [block["classification"] for block in report["submanifolds"]]
     assert kinds == ["totally_geodesic"] * 3 + ["totally_umbilical"]
@@ -209,5 +210,52 @@ def test_verify_at_height_ten_to_the_twelve(tmp_path, capsys):
 def test_deform_at_height_ten_to_the_twelve(tmp_path, capsys):
     descriptor = {"n": 3, "alpha": rat_str(ALPHA), "beta": rat_str(BETA)}
     report = _report(tmp_path, capsys, ["deform", "--a", rat_str(A)], descriptor)
-    _check_closed_forms(report, A)
+    _check_closed_forms(report, ALPHA, BETA, A)
     _check_round_trip(report)
+
+
+# the four primes after 10^12: over any of them a numerator in 1..10^12 is
+# already in lowest terms, so every drawn rational keeps its height
+PRIMES = (1000000000039, 1000000000061, 1000000000063, 1000000000091)
+
+
+def tall_rationals(sign=1):
+    """A rational of height about 10^12, of the given sign."""
+    return st.builds(
+        lambda p, q: Fraction(sign * p, q), st.integers(1, HEIGHT), st.sampled_from(PRIMES)
+    )
+
+
+@st.composite
+def tall_descriptors(draw):
+    """A verify descriptor at n in {2, 4, 5} with tall alpha, beta, a, c and d."""
+    n = draw(st.sampled_from([2, 4, 5]))
+    alpha, beta = sorted(draw(st.lists(tall_rationals(), min_size=2, max_size=2, unique=True)))
+    c, d = (draw(st.one_of(tall_rationals(), tall_rationals(-1))) for _ in range(2))
+    leaves = [
+        {"kind": "x"},
+        {"kind": "y"},
+        {"kind": "mixed", "k": draw(st.integers(1, n - 1))},
+        {"kind": "diag", "c": rat_str(c), "d": rat_str(d)},
+    ]
+    return {
+        "n": n, "alpha": rat_str(alpha), "beta": rat_str(beta),
+        "deformation_a": rat_str(draw(tall_rationals())), "submanifolds": leaves,
+    }
+
+
+# each example overwrites the one descriptor file and reads its own output,
+# so the function-scoped fixtures carry nothing from one example to the next
+@settings(
+    max_examples=10, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(tall_descriptors())
+def test_verify_at_drawn_heights_and_other_n(tmp_path, capsys, descriptor):
+    report = _report(tmp_path, capsys, ["verify"], descriptor)
+    _check_closed_forms(
+        report, *(rat(descriptor[key]) for key in ("alpha", "beta", "deformation_a"))
+    )
+    _check_round_trip(report)
+    kinds = [block["classification"] for block in report["submanifolds"]]
+    assert kinds == ["totally_geodesic"] * 3 + ["totally_umbilical"]

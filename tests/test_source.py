@@ -38,6 +38,21 @@ def test_identity_records_are_made_only_by_report():
     assert made and all(site.startswith("report.py:") for site in made), made
 
 
+def test_contact_axioms_are_checked_only_by_the_pipeline():
+    # a structure holds its tensors only, and analyze_structure checks the
+    # axioms of every structure it analyses; a check made anywhere else
+    # would be a second record of the same axioms, which could go stale
+    def calls_check(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name == "check_contact_axioms"
+
+    calls = [f"{name}:{node.lineno}" for name, node in _nodes() if calls_check(node)]
+    assert calls and all(site.startswith("pipeline.py:") for site in calls), calls
+
+
 def test_only_linalg_writes_vector_supports():
     # a vector's support is written once, by the kernel that makes it; a
     # stale support would hide a nonzero residual, so one module owns it

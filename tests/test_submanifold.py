@@ -254,6 +254,22 @@ def test_zero_length_frame_vector_refused():
         second_fundamental_form(an, spec)
 
 
+def test_asymmetric_sigma_refused():
+    # adding Y_1 to nabla_{X_1} X_2 alone makes sigma(X_1, X_2) = Y_1 while
+    # sigma(X_2, X_1) stays 0 on the x leaf, which a torsion-free
+    # connection cannot give; the leaf is refused by the pair it breaks at
+    an = analysis(2, 1, 3)
+    m = an.model
+    e2, e3 = Vec.basis(m.dim, m.x(2)), Vec.basis(m.dim, m.y(1))
+    ops = list(an.conn.ops)
+    ops[m.x(1)] = ops[m.x(1)] + outer(e3, e2)
+    bad = replace(an, conn=replace(an.conn, ops=tuple(ops)))
+    spec = build_distribution(m, "x")
+    second_fundamental_form(an, spec)
+    with pytest.raises(StructureError, match=r"^sigma is not symmetric at \(0, 1\)$"):
+        second_fundamental_form(bad, spec)
+
+
 # ---------------------------------------------------------------------------
 # Legendrian check, made on every leaf where it is built
 # ---------------------------------------------------------------------------

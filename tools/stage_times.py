@@ -79,7 +79,7 @@ from kmu import (  # noqa: E402
     verify_identities,
 )
 from kmu.connection import curvature_symmetry_residuals, levi_civita  # noqa: E402
-from kmu.contact import verify_structure  # noqa: E402
+from kmu.contact import check_contact_axioms, verify_structure  # noqa: E402
 from kmu.pipeline import sectional_records  # noqa: E402
 from kmu.submanifold import (  # noqa: E402
     build_distribution,
@@ -108,8 +108,8 @@ METRICS = ("python_calls", "fraction_operations")
 COUNTED = {
     f.__code__: f.__name__
     for f in (
-        analyze_structure, levi_civita, riemann, curvature_symmetry_residuals,
-        verify_structure, verify_identities, sectional_records,
+        analyze_structure, check_contact_axioms, levi_civita, riemann,
+        curvature_symmetry_residuals, verify_structure, verify_identities, sectional_records,
         analyze_submanifold, second_fundamental_form, verify_split_identities,
         verify_prop32, gauss_codazzi_residuals, leaf_curvature_records,
     )
