@@ -127,10 +127,8 @@ def _records_json(records):
 
 
 def _deformation_block(analysis, a: Fraction) -> tuple[dict, bool]:
-    model = analysis.model
     before = analysis.invariants
-    deformed_cs = d_homothetic(model, analysis.cs, a)
-    deformed = analyze_structure(model, deformed_cs)
+    deformed = analyze_structure(analysis.model, d_homothetic(analysis.cs, a))
     kappa_t, mu_t = predicted_invariants(before.kappa, before.mu, a)
     match = deformed.invariants.kappa == kappa_t and deformed.invariants.mu == mu_t
     invariance = deformed.invariants.boeckx_invariant == before.boeckx_invariant
@@ -297,8 +295,16 @@ def _emit(report: dict, out_path: str | None) -> int:
     return 0 if report.get("pass") else 1
 
 
-def _parse_rational_list(text: str):
-    return [rat(part) for part in text.split(",") if part.strip()]
+def _parse_rational_list(text: str, flag: str):
+    """The distinct rationals of a comma-separated flag; a repeat is refused."""
+    values = []
+    for part in text.split(","):
+        if part.strip():
+            value = rat(part)
+            if value in values:
+                raise ParameterError(f"{flag} repeats the value {rat_str(value)}")
+            values.append(value)
+    return values
 
 
 @functools.cache
@@ -382,8 +388,8 @@ def main(argv=None) -> int:
             return _emit(report, args.out)
 
         if args.command == "sweep":
-            alphas = _parse_rational_list(args.alphas)
-            betas = _parse_rational_list(args.betas)
+            alphas = _parse_rational_list(args.alphas, "--alphas")
+            betas = _parse_rational_list(args.betas, "--betas")
             stage = "sweep"
             return _emit(sweep_report(args.n, alphas, betas), args.out)
 

@@ -22,21 +22,19 @@ from fractions import Fraction
 
 from .contact import ContactStructure
 from .errors import ParameterError
-from .liealg import LieAlgebraModel
 from .linalg import outer, rat
 
 __all__ = ["d_homothetic", "predicted_invariants"]
 
 
-def d_homothetic(model: LieAlgebraModel, cs: ContactStructure, a) -> ContactStructure:
+def d_homothetic(cs: ContactStructure, a) -> ContactStructure:
     """Deform (phi, xi, eta, g) by the positive constant a.
 
     Returns the deformed tensors, with h cleared (``attach_h`` recomputes
     it from the brackets, phi and the deformed xi); its ``metric`` is the
     deformed metric.  Only the tensors are built: ``analyze_structure``
     checks the contact metric axioms on the deformed structure, as on
-    every structure it analyses.  ``model`` is not read; it keeps the
-    call shape of the other structure builders.
+    every structure it analyses, against the model's brackets.
     """
     a = rat(a)
     if a <= 0:

@@ -18,8 +18,14 @@ its own, since a dense read of any zero vector returns one shared tuple
 of zeros per length.  A matrix keeps its rows, and on first use its
 columns, as such vectors.  ``combine`` sums scaled vectors and
 ``matsum`` sums matrix products c A B, one dict per output row; every
-operator between matrices is one ``matsum`` call, the one
-row-accumulation path.
+operator between matrices is one ``matsum`` call.  ``matsum`` scatters
+a product column by column, in the outer-product form of Gustavson's
+sparse product (ACM TOMS 4, 1978): for each k whose row k of B is
+nonzero, each entry A[r, k] of A's cached column k adds A[r, k] times
+that row into row r.  The frame matrices of the leaf checks have few
+nonzero rows, and no entry of A that meets an empty row of B is read.
+Each output entry still takes its terms in term order, then k
+ascending, the order of a row-by-row product, so every sum is the same.
 ``Mat @ Vec`` sums v_k times column k over the support of v in a loop of
 its own, with the accumulation of ``combine`` but no call to it and no
 term list; a zero vector costs it one length test.  Each kernel writes
@@ -314,10 +320,16 @@ def matsum(terms, nrows: int, ncols: int) -> "Mat":
     """The nrows x ncols matrix sum_t c_t A_t B_t, built with no intermediate.
 
     Each term is (c, A, B) for c A B, or (c, A) for c A; c is an int or
-    a Fraction, and a term with c = 0 is skipped.  Row r accumulates in
-    one dict of integer numerators and denominators, as in ``combine``:
-    each nonzero A[r, k] is scaled by c once, then written at column k or
-    multiplied into row k of B.  A term (1, A) writes A's entries as they
+    a Fraction, and a term with c = 0 is skipped.  Each output row r
+    accumulates in one dict of integer numerators and denominators, as in
+    ``combine``, made when the first term writes it.  A term c A walks
+    A's rows and writes each nonzero A[r, k] at column k.  A term c A B
+    is a column-wise scatter: for each k whose row k of B is nonzero, it
+    scales each entry A[r, k] of A's cached column k by c once and adds
+    that times row k of B into row r.  So it reads no entry of A that
+    meets an empty row of B.  The terms run in order and k ascends within
+    each, so every entry gets its terms in the order of a row-by-row
+    product, and the same sum.  A term (1, A) writes A's entries as they
     are, so an entry that term alone writes keeps its Fraction.  A row
     that nothing writes is the shared zero vector, with no ``_collect``.
     """
@@ -328,35 +340,62 @@ def matsum(terms, nrows: int, ncols: int) -> "Mat":
         s = c if type(c) is int else _scalar(c)
         if s is None:
             raise ParameterError(f"coefficient {c!r} rejected: use an int or a Fraction")
-        inner_dim = ncols if B is None else B.shape[0]
-        if A.shape != (nrows, inner_dim) or (B is not None and B.shape[1] != ncols):
+        arows = A._vecs
+        brows = None if B is None else B._vecs
+        inner_dim = ncols if B is None else len(brows)
+        if (
+            len(arows) != nrows
+            or (arows[0]._len if arows else 0) != inner_dim
+            or (B is not None and (brows[0]._len if brows else 0) != ncols)
+        ):
             shapes = A.shape if B is None else f"{A.shape} @ {B.shape}"
             raise DimensionMismatchError(f"term {shapes} in a {(nrows, ncols)} sum")
         if s:
-            a, b = s.numerator, s.denominator
-            plan.append((a, b, a == b, A._vecs, None if B is None else B._vecs))
-    rows, empty = [], Vec.zero(ncols)
-    for r in range(nrows):
-        acc = {}
-        get = acc.get
-        for a, b, unit, arows, brows in plan:
-            for k, x in arows[r]._nz:
-                xp, xq = a * x.numerator, b * x.denominator
-                if brows is None:
-                    e = get(k)
-                    if e is None:
-                        acc[k] = x if unit else [xp, xq]
-                    else:
-                        _add(acc, k, e, xp, xq)
+            plan.append((s.numerator, s.denominator, A, brows))
+    accs = {}
+    for a, b, A, brows in plan:
+        if brows is None:
+            unit = a == b
+            for r, row in enumerate(A._vecs):
+                if not row._nz:
                     continue
-                for j, y in brows[k]._nz:
+                acc = accs.get(r)
+                if acc is None:
+                    acc = accs[r] = {}
+                for k, x in row._nz:
+                    e = acc.get(k)
+                    if e is None:
+                        acc[k] = x if unit else [a * x.numerator, b * x.denominator]
+                    else:
+                        _add(acc, k, e, a * x.numerator, b * x.denominator)
+            continue
+        cols = A._columns()
+        for k, brow in enumerate(brows):
+            bnz = brow._nz
+            if not bnz:
+                continue
+            for r, x in cols[k]._nz:
+                acc = accs.get(r)
+                if acc is None:
+                    acc = accs[r] = {}
+                xp, xq = a * x.numerator, b * x.denominator
+                for j, y in bnz:
                     p, q = xp * y.numerator, xq * y.denominator
-                    e = get(j)
+                    e = acc.get(j)
                     if e is None:
                         acc[j] = [p, q]
+                        continue
+                    if type(e) is not list:
+                        e = acc[j] = [e.numerator, e.denominator]
+                    d = e[1]
+                    if d == q:
+                        e[0] += p
                     else:
-                        _add(acc, j, e, p, q)
-        rows.append(_collect(acc, ncols) if acc else empty)
+                        e[0] = e[0] * q + p * d
+                        e[1] = d * q
+    rows = [Vec.zero(ncols)] * nrows
+    for r, acc in accs.items():
+        rows[r] = _collect(acc, ncols)
     return Mat._raw(tuple(rows))
 
 

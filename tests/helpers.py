@@ -32,7 +32,7 @@ def analysis(n, alpha, beta):
 def deformed_analysis(n, alpha, beta, a):
     """The analysis of the model's native structure deformed by the constant a."""
     native = analysis(n, alpha, beta)
-    return analyze_structure(native.model, d_homothetic(native.model, native.cs, Fraction(a)))
+    return analyze_structure(native.model, d_homothetic(native.cs, Fraction(a)))
 
 
 def grid_points():

@@ -288,7 +288,7 @@ def test_criterion_6_deformation():
         m = model(n, alpha, beta)
         base = analysis(n, alpha, beta)
         for a in a_values:
-            cs_t = d_homothetic(m, base.cs, a)
+            cs_t = d_homothetic(base.cs, a)
             deformed = analyze_structure(m, cs_t)
             kappa_t, mu_t = predicted_invariants(
                 base.invariants.kappa, base.invariants.mu, a

@@ -344,6 +344,19 @@ def test_sweep_grid_and_rejections(tmp_path, capsys):
     assert report["summary"]["max_boeckx_invariant"] == "-1"
 
 
+@pytest.mark.parametrize("alphas,betas,message", [
+    ("0,0", "1", "--alphas repeats the value 0"),
+    ("0", "1,2/2", "--betas repeats the value 1"),
+    ("1/2,0,2/4", "3", "--alphas repeats the value 1/2"),
+])
+def test_sweep_refuses_a_repeated_value(capsys, alphas, betas, message):
+    # a repeated value would analyse one grid point twice and count it twice
+    argv = ["sweep", "--n", "2", "--alphas", alphas, "--betas", betas]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"stage": "parse", "message": message}}
+
+
 def test_sweep_empty_grid_errors(capsys):
     code, _, err = run_cli(capsys, ["sweep", "--n", "2", "--alphas", "2", "--betas", "1"])
     assert code == 1

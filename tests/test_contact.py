@@ -88,7 +88,7 @@ def test_contact_axioms_checked_once_per_structure(monkeypatch):
     m = build_boeckx_model(2, 1, 3)
     native = pipeline.analyze_structure(m)
     assert len(calls) == 1
-    deformed_cs = d_homothetic(m, native.cs, Fraction(5, 2))
+    deformed_cs = d_homothetic(native.cs, Fraction(5, 2))
     deformed = pipeline.analyze_structure(m, deformed_cs)
     assert len(calls) == 2
     # the reported axiom records are those of a fresh check

@@ -14,9 +14,8 @@ A_VALUES = [Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(3)]
 
 
 def test_identity_deformation_changes_nothing():
-    m = model(2, 1, 3)
     an = analysis(2, 1, 3)
-    cs_t = d_homothetic(m, an.cs, 1)
+    cs_t = d_homothetic(an.cs, 1)
     G_t = cs_t.metric
     assert cs_t.phi == an.cs.phi
     assert cs_t.xi == an.cs.xi
@@ -30,7 +29,7 @@ def test_deformed_tensors_satisfy_the_transform():
     m = model(2, 0, 2)
     an = analysis(2, 0, 2)
     a = Fraction(3)
-    cs_t = d_homothetic(m, an.cs, a)
+    cs_t = d_homothetic(an.cs, a)
     G_t = cs_t.metric
     assert G_t == a * an.cs.metric + (a * (a - 1)) * outer(an.cs.eta, an.cs.eta)
     assert G_t == Mat.diagonal([a * a, a, a, a, a])
@@ -44,11 +43,10 @@ def test_deformed_tensors_satisfy_the_transform():
 
 
 def test_rejects_nonpositive_constant():
-    m = model(2, 0, 2)
     an = analysis(2, 0, 2)
     for bad in (0, Fraction(-1, 2)):
         with pytest.raises(ParameterError):
-            d_homothetic(m, an.cs, bad)
+            d_homothetic(an.cs, bad)
     with pytest.raises(ParameterError):
         predicted_invariants(0, 4, 0)
 
@@ -96,7 +94,7 @@ def test_kappa_stays_below_one(a):
 def test_recomputed_invariants_match_prediction(n, alpha, beta, a):
     m = model(n, alpha, beta)
     an = analysis(n, alpha, beta)
-    cs_t = d_homothetic(m, an.cs, a)
+    cs_t = d_homothetic(an.cs, a)
     deformed = analyze_structure(m, cs_t)
     kappa_t, mu_t = predicted_invariants(an.invariants.kappa, an.invariants.mu, a)
     assert deformed.invariants.kappa == kappa_t
@@ -111,7 +109,7 @@ def test_deformed_structure_survives_whole_identity_suite():
     # identity record must hold against its own metric
     m = model(2, 1, 2)
     an = analysis(2, 1, 2)
-    cs_t = d_homothetic(m, an.cs, Fraction(5, 2))
+    cs_t = d_homothetic(an.cs, Fraction(5, 2))
     deformed = analyze_structure(m, cs_t)
     failing = [r.identity_id for r in deformed.records if not r.passed]
     assert failing == []

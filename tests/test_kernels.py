@@ -389,6 +389,6 @@ def test_deformed_tables_match_dense_rebuild(n):
     # a non-identity metric exercises the metric's support in the
     # lowered table and the Koszul solve
     m = model(n, 1, 3)
-    G = d_homothetic(m, analysis(n, 1, 3).cs, Fraction(7, 3)).metric
+    G = d_homothetic(analysis(n, 1, 3).cs, Fraction(7, 3)).metric
     conn = levi_civita(m, metric=G)
     assert_tables_match_dense(m, conn, riemann(m, conn))

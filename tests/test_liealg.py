@@ -197,7 +197,7 @@ def test_jacobi_checked_once_per_model(monkeypatch):
     monkeypatch.setattr(liealg, "check_jacobi", counting)
     m = build_boeckx_model(2, 1, 3)
     native = analyze_structure(m)
-    deformed = analyze_structure(m, d_homothetic(m, native.cs, Fraction(5, 2)))
+    deformed = analyze_structure(m, d_homothetic(native.cs, Fraction(5, 2)))
     assert calls == [m]
     jacobi = [r for r in native.records if r.identity_id == "jacobi"]
     assert jacobi == [r for r in deformed.records if r.identity_id == "jacobi"]

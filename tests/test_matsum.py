@@ -1,9 +1,10 @@
 """The matrix kernel ``matsum`` against a dense list-of-lists definition.
 
-``matsum(terms, nrows, ncols)`` evaluates sum_t c_t A_t B_t (or c_t A_t)
-one output row at a time.  The reference below multiplies and adds
-every entry with no zero test, so a kernel that loses a sign, keeps a
-cancelled entry or reads B the wrong way round disagrees with it.
+``matsum(terms, nrows, ncols)`` evaluates sum_t c_t A_t B_t (or c_t A_t),
+scattering each product column by column.  The reference below
+multiplies and adds every entry with no zero test, so a kernel that
+loses a sign, keeps a cancelled entry or reads B the wrong way round
+disagrees with it.
 Inputs are sparse rationals of random rectangular shapes, and every
 example also carries terms that cancel exactly.
 """
@@ -35,8 +36,9 @@ sizes = st.integers(1, 4)
 def sums(draw):
     """(nrows, ncols, terms) with dense list-of-lists factors.
 
-    Up to two of the terms come back with the opposite coefficient, so
-    parts of the sum cancel to exactly zero.
+    About half the rows of each B factor are empty, as in most products
+    of the package.  Up to two of the terms come back with the opposite
+    coefficient, so parts of the sum cancel to exactly zero.
     """
     nrows, ncols = draw(sizes), draw(sizes)
     terms = []
@@ -44,7 +46,10 @@ def sums(draw):
         c = draw(coefficients)
         if draw(st.booleans()):
             k = draw(sizes)
-            terms.append((c, draw(sparse_rows(nrows, k)), draw(sparse_rows(k, ncols))))
+            empty = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+            rows = draw(sparse_rows(k, ncols))
+            B = [[ZERO] * ncols if e else row for e, row in zip(empty, rows)]
+            terms.append((c, draw(sparse_rows(nrows, k)), B))
         else:
             terms.append((c, draw(sparse_rows(nrows, ncols))))
     for c, *factors in draw(st.lists(st.sampled_from(terms), max_size=2)):
@@ -119,6 +124,65 @@ def test_unit_coefficients_cost_no_multiply(monkeypatch):
     assert dense_rows(M) == expected
     # with c = 1 the entries of A are written as they are
     assert all(M[i, j] is A[i, j] for (i, j), _ in A.nonzero_entries() if not B[i, j])
+
+
+class CountedFraction(Fraction):
+    """A Fraction that counts the reads of its numerator, one per entry visited."""
+
+    reads = 0
+
+    @property
+    def numerator(self):
+        CountedFraction.reads += 1
+        return self._numerator
+
+
+def counted(rows):
+    """The matrix of rows with every entry a CountedFraction."""
+    return Mat([[CountedFraction(x) for x in row] for row in rows])
+
+
+def useful_reads(terms):
+    """The entries A[r, k] of the product terms whose row k of B is nonzero."""
+    reads = 0
+    for c, *factors in terms:
+        if len(factors) == 2 and c:
+            a, b = factors
+            reads += sum(1 for row in a for k, x in enumerate(row) if x and any(b[k]))
+    return reads
+
+
+def test_a_product_reads_only_the_entries_of_a_that_meet_a_nonzero_row_of_b():
+    # a dense 6 x 6 A against a B with one live row: a row-by-row walk
+    # reads all 36 entries of A, the column scatter the 6 of column 2
+    a = [[Fraction(i + 1, j + 2) for j in range(6)] for i in range(6)]
+    b = [[ZERO] * 4 for _ in range(6)]
+    b[2] = [Fraction(1, 3), ZERO, Fraction(-2), ZERO]
+    A = counted(a)
+    CountedFraction.reads = 0
+    M = matsum([(Fraction(2, 5), A, Mat(b))], 6, 4)
+    assert CountedFraction.reads == 6
+    assert dense_rows(M) == dense_sum([(Fraction(2, 5), a, b)], 6, 4)
+    # a B with no live row reads nothing
+    CountedFraction.reads = 0
+    assert matsum([(1, A, Mat([[ZERO] * 4] * 6))], 6, 4).is_zero()
+    assert CountedFraction.reads == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(sums())
+def test_every_product_term_reads_only_the_columns_of_a_it_needs(example):
+    nrows, ncols, terms = example
+    kernel = [
+        (c, counted(factors[0]), Mat(factors[1])) if len(factors) == 2 else (c, Mat(*factors))
+        for c, *factors in terms
+    ]
+    CountedFraction.reads = 0
+    M = matsum(kernel, nrows, ncols)
+    # only the A of a product term counts: it reads A[r, k] once where row
+    # k of B is live, and no other entry
+    assert CountedFraction.reads == useful_reads(terms)
+    assert dense_rows(M) == dense_sum(terms, nrows, ncols)
 
 
 def test_kernel_refuses_bad_shapes_with_a_typed_error():

@@ -40,7 +40,7 @@ DEFORMATIONS = (2, Fraction(991, 363))
 
 def deformed_metric(n, alpha, beta, a):
     an = analysis(n, alpha, beta)
-    return d_homothetic(an.model, an.cs, a).metric
+    return d_homothetic(an.cs, a).metric
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +353,7 @@ def _fault_inputs():
     an = analysis(N, ALPHA, BETA)
     m, cs = an.model, an.cs
     dim = m.dim
-    deformed = d_homothetic(m, cs, Fraction(991, 363))
+    deformed = d_homothetic(cs, Fraction(991, 363))
     structure = bump(
         bump(m.structure, (X1, Y1), Vec.basis(dim, 0)), (Y1, X1), -Vec.basis(dim, 0)
     )
@@ -443,7 +443,7 @@ def test_sectional_records_take_no_zero_operand(monkeypatch, a):
     if a is None:
         m, R, cs, inv = an.model, an.curvature, an.cs, an.invariants
     else:
-        deformed = pipeline.analyze_structure(an.model, d_homothetic(an.model, an.cs, a))
+        deformed = pipeline.analyze_structure(an.model, d_homothetic(an.cs, a))
         m, R, cs, inv = deformed.model, deformed.curvature, deformed.cs, deformed.invariants
     cs.tables  # built outside the count
     records, calls, zero = _zero_operand_calls(

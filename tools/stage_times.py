@@ -188,7 +188,7 @@ def stage_times() -> dict:
         add("verify_identities", dim, best_ms(
             lambda: verify_identities(an.model, an.cs, an.curvature, an.invariants, an.conn)
         ))
-        deformed = d_homothetic(an.model, an.cs, DEFORMATION_A)
+        deformed = d_homothetic(an.cs, DEFORMATION_A)
         add("analyze_structure[deformed]", dim, best_ms(
             lambda: analyze_structure(an.model, deformed)
         ))
