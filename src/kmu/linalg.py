@@ -384,15 +384,8 @@ def matsum(terms, nrows: int, ncols: int) -> "Mat":
                     e = acc.get(j)
                     if e is None:
                         acc[j] = [p, q]
-                        continue
-                    if type(e) is not list:
-                        e = acc[j] = [e.numerator, e.denominator]
-                    d = e[1]
-                    if d == q:
-                        e[0] += p
                     else:
-                        e[0] = e[0] * q + p * d
-                        e[1] = d * q
+                        _add(acc, j, e, p, q)
     rows = [Vec.zero(ncols)] * nrows
     for r, acc in accs.items():
         rows[r] = _collect(acc, ncols)

@@ -36,9 +36,10 @@ sizes = st.integers(1, 4)
 def sums(draw):
     """(nrows, ncols, terms) with dense list-of-lists factors.
 
-    About half the rows of each B factor are empty, as in most products
-    of the package.  Up to two of the terms come back with the opposite
-    coefficient, so parts of the sum cancel to exactly zero.
+    About a third of the rows of each B factor are empty, as in most
+    products of the package; the others leave room for several rows k
+    to write one output entry.  Up to two of the terms come back with
+    the opposite coefficient, so parts of the sum cancel to exactly zero.
     """
     nrows, ncols = draw(sizes), draw(sizes)
     terms = []
@@ -46,7 +47,9 @@ def sums(draw):
         c = draw(coefficients)
         if draw(st.booleans()):
             k = draw(sizes)
-            empty = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+            empty = draw(
+                st.lists(st.sampled_from([False, False, True]), min_size=k, max_size=k)
+            )
             rows = draw(sparse_rows(k, ncols))
             B = [[ZERO] * ncols if e else row for e, row in zip(empty, rows)]
             terms.append((c, draw(sparse_rows(nrows, k)), B))

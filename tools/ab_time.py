@@ -2,7 +2,7 @@
 
 Usage, from any directory:
 
-    python3 tools/ab_time.py OLD NEW [--rounds N] [--out FILE]
+    python3 tools/ab_time.py OLD NEW
 
 OLD and NEW are checkout roots.  Each one's ``src/kmu`` is loaded into
 this process as a package of its own (``kmu_old``, ``kmu_new``), so both
@@ -55,7 +55,7 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# pairs per request of each workload, unless --rounds is given
+# pairs per request of each workload
 ROUNDS = {
     "verify_leaves": 15,
     "deform3": 5,
@@ -213,13 +213,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="root of the checkout to compare against")
     parser.add_argument("new", type=Path, help="root of the checkout to measure")
-    parser.add_argument(
-        "--rounds", type=int, help="pairs per request in every workload (default: per workload)"
-    )
-    parser.add_argument("--out", help="also write the JSON result to this file")
     args = parser.parse_args(argv)
-    if args.rounds is not None and args.rounds < 2:
-        parser.error("--rounds must be at least 2")
     clis = {
         "old": load_cli(args.old.resolve(), "kmu_old"),
         "new": load_cli(args.new.resolve(), "kmu_new"),
@@ -227,7 +221,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         requests = workloads(ROOT / "perfbench" / "catalogue.json", workdir)
         timed = {
-            name: paired(clis, reqs, args.rounds or ROUNDS[name])
+            name: paired(clis, reqs, ROUNDS[name])
             for name, reqs in requests.items()
         }
         by_key = {key: argv for reqs in requests.values() for key, argv in reqs}
@@ -236,8 +230,7 @@ def main(argv=None) -> int:
             for key in READ_REQUESTS
         }
     result = {
-        "command": "python3 tools/ab_time.py OLD NEW"
-        + (f" --rounds {args.rounds}" if args.rounds else ""),
+        "command": "python3 tools/ab_time.py OLD NEW",
         "machine": {
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -246,11 +239,7 @@ def main(argv=None) -> int:
         "paired_timing": timed,
         "matsum_product_reads": reads,
     }
-    text = json.dumps(result, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    print(text)
+    print(json.dumps(result, indent=2))
     return 0
 
 
