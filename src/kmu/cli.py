@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -49,33 +50,33 @@ def _no_floats(obj, where="descriptor"):
             _no_floats(value, f"{where}[{i}]")
 
 
-def _parse_leaf(block: dict, where: str) -> dict:
-    """One leaf block checked against its kind's key set, rationals parsed.
+def _parse_leaf(block: dict, where: str, n: int) -> dict:
+    """One leaf block checked against its kind's key set and block rule at n.
 
-    Returns the kind and exactly the keys the block gave, ready for
-    ``build_distribution``.
+    Returns the kind and exactly the keys the block gave, rationals
+    parsed, ready for ``build_distribution``.
     """
     keys = set(block) - {"kind"}
     try:
-        leaf_preset(block.get("kind"), keys)
+        _, blocks = leaf_preset(block.get("kind"), keys)
+        leaf = {"kind": block["kind"]}
+        if "k" in block:
+            leaf["k"] = block["k"]  # its type and range are the block rule's
+        if "z_choices" in block:
+            z_choices = block["z_choices"]
+            strings = isinstance(z_choices, list) and all(isinstance(z, str) for z in z_choices)
+            if not strings:
+                raise DescriptorError(
+                    f"{where}.z_choices must be a list of strings, got {z_choices!r}"
+                )
+            leaf["z_choices"] = tuple(z_choices)
+        for key in ("c", "d"):
+            if key in block:
+                leaf[key] = rat(block[key])
+        # a value out of range for this n fails here, not after the analysis
+        blocks(n, leaf)
     except ParameterError as exc:
         raise DescriptorError(f"{where}: {exc}") from exc
-    leaf = {"kind": block["kind"]}
-    if "k" in block:
-        k = block["k"]
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise DescriptorError(f"{where}.k must be an integer, got {k!r}")
-        leaf["k"] = k
-    if "z_choices" in block:
-        z_choices = block["z_choices"]
-        if not isinstance(z_choices, list) or not all(isinstance(z, str) for z in z_choices):
-            raise DescriptorError(
-                f"{where}.z_choices must be a list of strings, got {z_choices!r}"
-            )
-        leaf["z_choices"] = tuple(z_choices)
-    for key in ("c", "d"):
-        if key in block:
-            leaf[key] = rat(block[key])
     return leaf
 
 
@@ -100,7 +101,7 @@ def parse_descriptor(data: dict) -> ModelDescriptor:
     for i, block in enumerate(blocks):
         if not isinstance(block, dict):
             raise DescriptorError(f"submanifolds[{i}] must be an object")
-        subs.append(_parse_leaf(block, f"submanifolds[{i}]"))
+        subs.append(_parse_leaf(block, f"submanifolds[{i}]", data["n"]))
 
     return ModelDescriptor(
         n=data["n"],
@@ -122,10 +123,6 @@ def load_descriptor(path: str) -> ModelDescriptor:
     return parse_descriptor(data)
 
 
-def _records_json(records):
-    return [r.to_dict() for r in records]
-
-
 def _deformation_block(analysis, a: Fraction) -> tuple[dict, bool]:
     before = analysis.invariants
     deformed = analyze_structure(analysis.model, d_homothetic(analysis.cs, a))
@@ -140,7 +137,7 @@ def _deformation_block(analysis, a: Fraction) -> tuple[dict, bool]:
         "predicted": {"kappa": rat_str(kappa_t), "mu": rat_str(mu_t)},
         "kappa_mu_match": "pass" if match else "fail",
         "boeckx_invariance": "pass" if invariance else "fail",
-        "identities": _records_json(records),
+        "identities": [r.to_dict() for r in records],
     }
     ok = match and invariance and all_passed(records)
     return block, ok
@@ -150,7 +147,7 @@ def _submanifold_block(analysis, sub: dict) -> tuple[dict, bool]:
     spec = build_distribution(analysis.model, **sub)
     _, records, summary = analyze_submanifold(analysis, spec)
     block = dict(summary)
-    block["identities"] = _records_json(records)
+    block["identities"] = [r.to_dict() for r in records]
     return block, all_passed(records)
 
 
@@ -182,7 +179,7 @@ def build_report(desc: ModelDescriptor) -> dict:
 
     body = {
         "invariants": analysis.invariants.to_dict(),
-        "identities": _records_json(analysis.records),
+        "identities": [r.to_dict() for r in analysis.records],
     }
 
     if desc.deformation_a is not None:
@@ -295,6 +292,13 @@ def _emit(report: dict, out_path: str | None) -> int:
     return 0 if report.get("pass") else 1
 
 
+def _int_flag(text: str, flag: str) -> int:
+    """An integer flag; only [+-]digits, so '2.0' and '2_0' are refused."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ParameterError(f"{flag} must be an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_rational_list(text: str, flag: str):
     """The distinct rationals of a comma-separated flag; a repeat is refused."""
     values = []
@@ -330,7 +334,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("submanifold", help="classify and verify one distribution")
     p.add_argument("descriptor")
     p.add_argument("--kind", required=True, choices=list(PRESETS))
-    p.add_argument("--k", type=int, help="E(lambda) dimension for kind=mixed")
+    p.add_argument("--k", help="E(lambda) dimension for kind=mixed")
     p.add_argument(
         "--z-choices",
         type=list,
@@ -341,7 +345,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("sweep", help="verify a rational (alpha, beta) grid")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--alphas", required=True, help="comma-separated rationals")
     p.add_argument("--betas", required=True, help="comma-separated rationals")
     p.add_argument("--out")
@@ -374,9 +378,12 @@ def main(argv=None) -> int:
         if args.command == "submanifold":
             desc = load_descriptor(args.descriptor)
             given = {key: getattr(args, key) for key in ("kind", "k", "z_choices", "c", "d")}
+            if args.k is not None:
+                given["k"] = _int_flag(args.k, "--k")
             leaf = _parse_leaf(
                 {key: value for key, value in given.items() if value is not None},
                 "submanifold",
+                desc.n,
             )
             stage = "submanifold"
             model = build_boeckx_model(desc.n, desc.alpha, desc.beta)
@@ -388,10 +395,11 @@ def main(argv=None) -> int:
             return _emit(report, args.out)
 
         if args.command == "sweep":
+            n = _int_flag(args.n, "--n")
             alphas = _parse_rational_list(args.alphas, "--alphas")
             betas = _parse_rational_list(args.betas, "--betas")
             stage = "sweep"
-            return _emit(sweep_report(args.n, alphas, betas), args.out)
+            return _emit(sweep_report(n, alphas, betas), args.out)
 
         if args.command == "dump-tables":
             desc = load_descriptor(args.descriptor)

@@ -5,7 +5,8 @@ The (2n+1)-dimensional algebra is spanned by the ordered basis
 order.  Index 0 is xi, index i is X_i and index n+i is Y_i (1-based i).
 The bracket table depends on two rational parameters alpha, beta with
 beta^2 > alpha^2; pairs the table does not list commute, and the Jacobi
-checker guards that reading.
+record guards that reading: ``check_jacobi`` scans the Jacobiator of
+every basis triple i < j < k like any other identity.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from .errors import (
     DegenerateModelError,
@@ -22,6 +24,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .linalg import Mat, Vec, combine, rat
+from .report import IdentityRecord, scan
 
 
 @dataclass(frozen=True)
@@ -47,21 +50,13 @@ class LieAlgebraModel:
         return self.n + i
 
     @cached_property
-    def jacobi(self) -> JacobiReport:
-        """The Jacobi sweep of this bracket table, run once per model.
+    def jacobi(self) -> IdentityRecord:
+        """The ``jacobi`` record of this bracket table, checked once per model.
 
-        The sweep reads only the structure constants, so a deformed
+        The check reads only the structure constants, so a deformed
         structure on the same model reuses it.
         """
         return check_jacobi(self)
-
-
-@dataclass(frozen=True)
-class JacobiReport:
-    """Result of sweeping the Jacobi identity over all basis triples."""
-
-    max_residual: Fraction
-    violations: tuple
 
 
 def build_boeckx_model(n: int, alpha, beta) -> LieAlgebraModel:
@@ -150,32 +145,28 @@ def bracket(model: LieAlgebraModel, u: Vec, v: Vec) -> Vec:
     )
 
 
-def check_jacobi(model: LieAlgebraModel) -> JacobiReport:
-    """Sweep [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0.
+def check_jacobi(model: LieAlgebraModel) -> IdentityRecord:
+    """Scan [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0.
 
-    Returns the largest residual magnitude over all components and the
-    list of violating (i, j, k) triples; both are empty/zero for every
-    valid model.
+    The Jacobiator of each basis triple i < j < k is one residual, so a
+    fail record names the first violating triple and the largest entry
+    of its own Jacobiator.
     """
-    dim = model.dim
-    c = model.structure
-    max_residual = Fraction(0)
-    violations = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                # sum_m c_ij^m [e_m, e_k] + c_jk^m [e_m, e_i] + c_ki^m [e_m, e_j]
-                acc = combine(
-                    (
-                        (x, c[m][last])
-                        for first, last in ((c[i][j], k), (c[j][k], i), (c[k][i], j))
-                        for m, x in first.nonzero_entries()
-                    ),
-                    dim,
-                )
-                if not acc.is_zero():
-                    violations.append((i, j, k))
-                    worst = max(abs(x) for x in acc)
-                    if worst > max_residual:
-                        max_residual = worst
-    return JacobiReport(max_residual=max_residual, violations=tuple(violations))
+    dim, c = model.dim, model.structure
+    # sum_m c_ij^m [e_m, e_k] + c_jk^m [e_m, e_i] + c_ki^m [e_m, e_j], for
+    # each i < j < k in the order of the triple loop
+    jacobiators = (
+        (
+            (i, j, k),
+            combine(
+                (
+                    (x, c[m][last])
+                    for first, last in ((c[i][j], k), (c[j][k], i), (c[k][i], j))
+                    for m, x in first.nonzero_entries()
+                ),
+                dim,
+            ),
+        )
+        for i, j, k in combinations(range(dim), 3)
+    )
+    return scan("jacobi", jacobiators)

@@ -1,9 +1,9 @@
 """End-to-end verification pipelines reused by the CLI and the tests.
 
-``analyze_structure`` drives build -> Jacobi -> connection -> curvature
--> contact -> h -> invariant extraction -> identity suite for either
-the native structure of a model or a deformed one, and returns every
-record produced along the way.
+``analyze_structure`` starts from the model's cached ``jacobi`` record
+and drives contact axioms -> connection -> curvature -> h -> invariant
+extraction -> identity suite for either the native structure of a model
+or a deformed one, and returns every record produced along the way.
 """
 
 from __future__ import annotations
@@ -98,9 +98,7 @@ def analyze_structure(
     axioms are checked here, once, on the structure analysed, and a
     failure raises ``StructureError``.
     """
-    jacobi = model.jacobi
-    # the first violating triple, reported with the largest residual of all
-    records = [scan("jacobi", ((w, jacobi.max_residual) for w in jacobi.violations))]
+    records = [model.jacobi]
 
     if cs is None:
         cs = build_contact_structure(model)

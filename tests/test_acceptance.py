@@ -83,7 +83,7 @@ def test_criterion_1_model_validity():
     ok = True
     for n, alpha, beta in grid_points():
         m = build_boeckx_model(n, alpha, beta)
-        ok = ok and not check_jacobi(m).violations
+        ok = ok and check_jacobi(m).passed
         conn = levi_civita(m)
         ok = ok and failures(torsion_residuals(m, conn)) == []
         ok = ok and failures(metric_compatibility_residuals(conn)) == []
@@ -454,8 +454,8 @@ def test_criterion_11_negative_controls():
     bad[0] += 1
     structure[1][3] = Vec(bad)
     structure[3][1] = -Vec(bad)
-    report = check_jacobi(replace(m, structure=tuple(tuple(row) for row in structure)))
-    ok = ok and len(report.violations) > 0
+    record = check_jacobi(replace(m, structure=tuple(tuple(row) for row in structure)))
+    ok = ok and not record.passed and record.witness_indices is not None
 
     # the X_1, Y_1 plane is not involutive, witness named
     spec = DistributionSpec(

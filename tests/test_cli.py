@@ -107,10 +107,10 @@ def test_malformed_leaf_descriptor_is_a_parse_error(tmp_path):
 
 
 @pytest.mark.parametrize("leaf,message", [
-    ({"kind": "mixed", "k": "2"}, "submanifolds[0].k must be an integer, got '2'"),
+    ({"kind": "mixed", "k": "2"}, "submanifolds[0]: k must be an integer, got '2'"),
     ({"kind": "mixed", "k": 1.0},
      "floating-point literal 1.0 in descriptor.submanifolds[0].k; use exact 'p/q' strings"),
-    ({"kind": "mixed", "k": True}, "submanifolds[0].k must be an integer, got True"),
+    ({"kind": "mixed", "k": True}, "submanifolds[0]: k must be an integer, got True"),
     ({"kind": "mixed", "z_choices": 5},
      "submanifolds[0].z_choices must be a list of strings, got 5"),
 ])
@@ -181,6 +181,44 @@ def test_malformed_rational_flags_are_parse_errors(tmp_path, capsys, argv, liter
     assert json.loads(err) == {
         "error": {"stage": "parse", "message": f"not a rational literal: {literal}"}
     }
+
+
+@pytest.mark.parametrize("literal", ["x", "2.0", "2_0"])
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--n", "{literal}", "--alphas", "0", "--betas", "2"], "--n"),
+    (["submanifold", "{path}", "--kind", "mixed", "--k", "{literal}"], "--k"),
+], ids=["sweep-n", "submanifold-k"])
+def test_malformed_integer_flags_are_parse_errors(tmp_path, capsys, argv, flag, literal):
+    # int() would read '2_0' as 20, so only [+-]digits are an integer
+    path = write_descriptor(tmp_path, {"n": 3, "alpha": "0", "beta": "2"})
+    code, out, err = run_cli(
+        capsys, [arg.format(path=path, literal=literal) for arg in argv]
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": {"stage": "parse", "message": f"{flag} must be an integer, got {literal!r}"}
+    }
+
+
+@pytest.mark.parametrize("argv,leaf,message", [
+    (["verify"], {"kind": "mixed", "k": 5}, "submanifolds[0]: k must be in 1..2, got 5"),
+    (["verify"], {"kind": "mixed", "z_choices": ["x", "y"]},
+     "submanifolds[0]: z_choices must be 1 entries of 'x'/'y', got ('x', 'y')"),
+    (["verify"], {"kind": "diag", "c": "0", "d": "1"},
+     "submanifolds[0]: diagonal distribution requires nonzero rationals c and d"),
+    (["submanifold", "--kind", "mixed", "--k", "0"], None,
+     "submanifold: k must be in 1..2, got 0"),
+], ids=["k-range", "z-choices-length", "diag-zero-c", "flag-k-range"])
+def test_out_of_range_leaf_values_are_parse_errors(tmp_path, capsys, argv, leaf, message):
+    # the kind's block rule runs at parse with the descriptor's n, as
+    # the type checks do, so no structure is analysed first
+    payload = {"n": 3, "alpha": "1", "beta": "3"}
+    if leaf is not None:
+        payload["submanifolds"] = [leaf]
+    path = write_descriptor(tmp_path, payload)
+    code, out, err = run_cli(capsys, [argv[0], path, *argv[1:]])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"stage": "parse", "message": message}}
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +351,13 @@ def test_submanifold_command_mixed_with_z_choices(tmp_path, capsys):
 
 
 def test_submanifold_command_rejects_zero_c(tmp_path, capsys):
+    # the block rule runs on the flags before any analysis
     path = write_descriptor(tmp_path, {"n": 2, "alpha": "0", "beta": "2"})
     code, _, err = run_cli(
         capsys, ["submanifold", path, "--kind", "diag", "--c", "0", "--d", "1"]
     )
     assert code == 1
-    assert json.loads(err)["error"]["stage"] == "submanifold"
+    assert json.loads(err)["error"]["stage"] == "parse"
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ ROWS = [
     pytest.param(
         None, "analyze_structure", {"inputs": {"model": _structure_plus(2, 6, 1)}},
         {
-            "jacobi": ((0, 1, 6), Fraction(9, 2)),
+            "jacobi": ((0, 1, 6), Fraction(3, 2)),
             "curvature_symmetries": ((0, 1, 6), Fraction(3, 2)),
             "kappa_mu_condition": ((1, 3), Fraction(3, 2)),
             "nabla_phi": ((1, 2), Fraction(1, 2)),

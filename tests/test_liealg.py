@@ -166,10 +166,10 @@ def test_jacobi_zero_by_direct_triple_loop(n, alpha, beta):
         for j in range(i + 1, m.dim):
             for k in range(j + 1, m.dim):
                 assert jacobiator(m, i, j, k).is_zero(), (i, j, k)
-    report = check_jacobi(m)
-    assert not report.violations
-    assert report.max_residual == 0
-    assert report.violations == ()
+    record = check_jacobi(m)
+    assert record.passed
+    assert record.witness_indices is None
+    assert record.residual == 0
 
 
 def test_corrupted_constant_fails_jacobi_with_named_triple():
@@ -181,10 +181,34 @@ def test_corrupted_constant_fails_jacobi_with_named_triple():
     structure[1][3] = Vec(bad)
     structure[3][1] = -Vec(bad)
     corrupted = replace(m, structure=tuple(tuple(row) for row in structure))
-    report = check_jacobi(corrupted)
-    assert report.violations
-    assert report.max_residual > 0
-    assert any(1 in triple or 3 in triple for triple in report.violations)
+    record = check_jacobi(corrupted)
+    assert not record.passed
+    assert record.residual > 0
+    assert 1 in record.witness_indices or 3 in record.witness_indices
+
+
+def test_jacobi_residual_is_read_at_its_witness():
+    # [X_2, Y_3] + X_1 breaks 10 triples; the first, (0, 1, 6), has a
+    # Jacobiator of largest entry 3/2, below the 9/2 of other triples
+    m = model(3, 1, 3)
+    structure = [list(row) for row in m.structure]
+    structure[2][6] = structure[2][6] + Vec.basis(m.dim, 1)
+    structure[6][2] = -structure[2][6]
+    corrupted = replace(m, structure=tuple(tuple(row) for row in structure))
+    record = check_jacobi(corrupted)
+    assert (record.status, record.witness_indices) == ("fail", (0, 1, 6))
+    assert record.residual == max(abs(x) for x in jacobiator(corrupted, 0, 1, 6))
+    assert record.residual == Fraction(3, 2)
+    failing = [
+        (i, j, k)
+        for i in range(m.dim)
+        for j in range(i + 1, m.dim)
+        for k in range(j + 1, m.dim)
+        if not jacobiator(corrupted, i, j, k).is_zero()
+    ]
+    assert len(failing) == 10 and failing[0] == record.witness_indices
+    largest = max(max(abs(x) for x in jacobiator(corrupted, *t)) for t in failing)
+    assert largest == Fraction(9, 2)
 
 
 def test_jacobi_checked_once_per_model(monkeypatch):
@@ -207,7 +231,7 @@ def test_jacobi_checked_once_per_model(monkeypatch):
     structure[1][3] = structure[1][3] + Vec.basis(m.dim, 1)
     structure[3][1] = -structure[1][3]
     corrupted = replace(m, structure=tuple(tuple(row) for row in structure))
-    assert corrupted.jacobi.violations
+    assert not corrupted.jacobi.passed
     assert calls == [m, corrupted]
 
 

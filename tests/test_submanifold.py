@@ -395,6 +395,36 @@ def test_mixed_family_totally_geodesic():
         assert geom.classification == "totally_geodesic"
 
 
+@pytest.mark.parametrize("n,alpha,beta,count", [
+    (3, 1, 3, 4), (4, 1, 3, 6), (5, 1, 3, 10),
+    (3, 0, 2, 5), (4, 0, 2, 9), (5, 0, 2, 17),
+])
+def test_coordinate_spans_involutive_exactly_on_the_known_families(n, alpha, beta, count):
+    # every span {Z_1..Z_n}, Z_i in {X_i, Y_i}, as "x"/"y" per block: at
+    # alpha != 0 the involutive ones are x, y and X_1 Y_2 Z_3..; at
+    # alpha = 0 (I = -1) the Y_1 Y_2 Z_3.. spans are involutive too
+    an = analysis(n, alpha, beta)
+    m = an.model
+    involutive = set()
+    for choice in itertools.product("xy", repeat=n):
+        vectors = tuple(
+            Vec.basis(m.dim, m.x(i) if z == "x" else m.y(i))
+            for i, z in enumerate(choice, start=1)
+        )
+        try:
+            geom = second_fundamental_form(an, DistributionSpec("span", vectors))
+        except NonInvolutiveError:
+            continue
+        assert geom.classification == "totally_geodesic", choice
+        involutive.add("".join(choice))
+    tails = {"".join(z) for z in itertools.product("xy", repeat=n - 2)}
+    expected = {"x" * n, "y" * n} | {"xy" + t for t in tails}
+    if alpha == 0:
+        expected |= {"yy" + t for t in tails}
+    assert involutive == expected
+    assert len(involutive) == count
+
+
 # ---------------------------------------------------------------------------
 # h splitting
 # ---------------------------------------------------------------------------

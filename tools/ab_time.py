@@ -22,9 +22,10 @@ Workloads, after one untimed pass of each on both trees:
 * ``deform3``: the 24 ``deform3x*`` requests of the same catalogue
   (``deform`` at n = 3, rationals of height about 10^3);
 * ``reference_verify_n8``, ``_n16``, ``_n32``: one ``verify`` of the
-  reference descriptor of ``tools/stage_times.py`` (alpha = 1,
-  beta = 3, deformation_a = 2, the x, y, diag(2, 1) and mixed k = 2
-  leaves) at that n.
+  reference descriptor (``reference_descriptor``, which
+  ``tools/stage_times.py`` also counts: alpha = 1, beta = 3,
+  deformation_a = 2, the x, y, diag(2, 1) and mixed k = 2 leaves) at
+  that n.
 
 For each workload it prints the median over the pairs of new time over
 old time, with the quartiles of those ratios and each tree's median
@@ -81,7 +82,7 @@ def load_cli(root: Path, name: str):
 
 
 def reference_descriptor(n: int) -> dict:
-    """The descriptor of ``reference_descriptor`` in ``tools/stage_times.py``."""
+    """The reference ``verify`` descriptor at n, also counted by ``tools/stage_times.py``."""
     leaves = [{"kind": "x"}, {"kind": "y"}, {"kind": "diag", "c": "2", "d": "1"}]
     if n >= 3:
         leaves.append({"kind": "mixed", "k": 2})
@@ -89,6 +90,7 @@ def reference_descriptor(n: int) -> dict:
 
 
 def request_argv(entry: dict, workdir: str) -> list:
+    """Write the entry's descriptor under ``workdir``; return its ``kmu`` argv."""
     path = os.path.join(workdir, entry["key"] + ".json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(entry["descriptor"], handle)

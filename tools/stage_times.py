@@ -5,8 +5,9 @@ Usage, from the repository root:
     python3 tools/stage_times.py
 
 ``kmu`` is imported from ``src/`` of the same checkout, so the script can
-be copied into another checkout and run there to compare two trees.  It
-uses the standard library only.
+be copied into another checkout, together with ``tools/ab_time.py``
+(whose ``reference_descriptor`` and ``request_argv`` it uses), and run
+there to compare two trees.  It uses the standard library only.
 
 * ``stages``: ``analyze_structure`` on a freshly built Boeckx model
   (alpha = 1, beta = 3), and ``levi_civita``, ``riemann``,
@@ -41,13 +42,14 @@ uses the standard library only.
   left to ``perfbench/run.py``, which calibrates them against the
   machine's speed.
 * ``stage_counts``: the same two counts per stage, on one ``verify`` of
-  the reference descriptor (``reference_descriptor``: alpha = 1,
+  the reference descriptor (``ab_time.reference_descriptor``: alpha = 1,
   beta = 3, deformation_a = 2, the x, y and diag(2, 1) leaves and, for
   n >= 3, the mixed k = 2 leaf) at n in ``COUNT_SIZES``, after one
   warm-up.  A stage's counts are inclusive (``riemann`` is also counted
   in ``analyze_structure``) and summed over its calls in the request
   (``analyze_structure`` runs on the native and the deformed structure,
-  the leaf stages once per leaf), and ``verify`` is the whole request.
+  the leaf stages once per leaf, ``check_jacobi``, the dense i < j < k
+  sweep, once per model), and ``verify`` is the whole request.
   ``slope_by_n`` is the log-log slope against dim from the size before,
   as in ``"32"`` for dim 33 to 65.
 """
@@ -70,10 +72,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from ab_time import reference_descriptor, request_argv  # noqa: E402
 from kmu import (  # noqa: E402
     analyze_structure,
     analyze_submanifold,
     build_boeckx_model,
+    check_jacobi,
     d_homothetic,
     riemann,
     verify_identities,
@@ -108,7 +112,7 @@ METRICS = ("python_calls", "fraction_operations")
 COUNTED = {
     f.__code__: f.__name__
     for f in (
-        analyze_structure, check_contact_axioms, levi_civita, riemann,
+        analyze_structure, check_jacobi, check_contact_axioms, levi_civita, riemann,
         curvature_symmetry_residuals, verify_structure, verify_identities, sectional_records,
         analyze_submanifold, second_fundamental_form, verify_split_identities,
         verify_prop32, gauss_codazzi_residuals, leaf_curvature_records,
@@ -212,15 +216,6 @@ def stage_times() -> dict:
     }
 
 
-def request_argv(entry: dict, workdir: str) -> list:
-    path = os.path.join(workdir, entry["key"] + ".json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(entry["descriptor"], handle)
-    if entry["command"] == "deform":
-        return ["deform", path, "--a", entry["a"]]
-    return [entry["command"], path]
-
-
 def run_quietly(argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         status = kmu_main(argv)
@@ -277,14 +272,6 @@ def counts(argv) -> dict:
         for name, method in originals.items():
             setattr(Fraction, name, method)
     return {"python_calls": calls, "fraction_operations": operations, "stages": per_stage}
-
-
-def reference_descriptor(n: int) -> dict:
-    """The ``verify`` descriptor whose per-stage counts ``stage_counts`` gives."""
-    leaves = [{"kind": "x"}, {"kind": "y"}, {"kind": "diag", "c": "2", "d": "1"}]
-    if n >= 3:
-        leaves.append({"kind": "mixed", "k": 2})
-    return {"n": n, "alpha": "1", "beta": "3", "deformation_a": "2", "submanifolds": leaves}
 
 
 def stage_counts(workdir: str) -> dict:
