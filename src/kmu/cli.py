@@ -61,7 +61,11 @@ def _parse_leaf(block: dict, where: str, n: int) -> dict:
         _, blocks = leaf_preset(block.get("kind"), keys)
         leaf = {"kind": block["kind"]}
         if "k" in block:
-            leaf["k"] = block["k"]  # its type and range are the block rule's
+            k = block["k"]
+            # a bool is an int, but True is no eigenspace dimension
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise DescriptorError(f"{where}.k must be an integer, got {k!r}")
+            leaf["k"] = k  # its range is the block rule's
         if "z_choices" in block:
             z_choices = block["z_choices"]
             strings = isinstance(z_choices, list) and all(isinstance(z, str) for z in z_choices)

@@ -107,10 +107,10 @@ def test_malformed_leaf_descriptor_is_a_parse_error(tmp_path):
 
 
 @pytest.mark.parametrize("leaf,message", [
-    ({"kind": "mixed", "k": "2"}, "submanifolds[0]: k must be an integer, got '2'"),
+    ({"kind": "mixed", "k": "2"}, "submanifolds[0].k must be an integer, got '2'"),
     ({"kind": "mixed", "k": 1.0},
      "floating-point literal 1.0 in descriptor.submanifolds[0].k; use exact 'p/q' strings"),
-    ({"kind": "mixed", "k": True}, "submanifolds[0]: k must be an integer, got True"),
+    ({"kind": "mixed", "k": True}, "submanifolds[0].k must be an integer, got True"),
     ({"kind": "mixed", "z_choices": 5},
      "submanifolds[0].z_choices must be a list of strings, got 5"),
 ])
