@@ -23,7 +23,13 @@ from .liealg import build_boeckx_model
 from .linalg import Vec, rat, rat_str
 from .pipeline import analyze_structure
 from .report import LAMBDA_NOTE, all_passed
-from .submanifold import PRESETS, analyze_submanifold, build_distribution, leaf_preset
+from .submanifold import (
+    PRESETS,
+    DistributionSpec,
+    analyze_submanifold,
+    build_distribution,
+    leaf_preset,
+)
 
 _DESCRIPTOR_KEYS = {"n", "alpha", "beta", "deformation_a", "submanifolds"}
 
@@ -53,6 +59,8 @@ def _no_floats(obj, where="descriptor"):
 def _parse_leaf(block: dict, where: str, n: int) -> dict:
     """One leaf block checked against its kind's key set and block rule at n.
 
+    Below n = 2 the block rule is skipped: the model is refused for its
+    n later, with the same error as a descriptor without leaves.
     Returns the kind and exactly the keys the block gave, rationals
     parsed, ready for ``build_distribution``.
     """
@@ -78,7 +86,8 @@ def _parse_leaf(block: dict, where: str, n: int) -> dict:
             if key in block:
                 leaf[key] = rat(block[key])
         # a value out of range for this n fails here, not after the analysis
-        blocks(n, leaf)
+        if n >= 2:
+            blocks(n, leaf)
     except ParameterError as exc:
         raise DescriptorError(f"{where}: {exc}") from exc
     return leaf
@@ -147,8 +156,7 @@ def _deformation_block(analysis, a: Fraction) -> tuple[dict, bool]:
     return block, ok
 
 
-def _submanifold_block(analysis, sub: dict) -> tuple[dict, bool]:
-    spec = build_distribution(analysis.model, **sub)
+def _submanifold_block(analysis, spec: DistributionSpec) -> tuple[dict, bool]:
     _, records, summary = analyze_submanifold(analysis, spec)
     block = dict(summary)
     block["identities"] = [r.to_dict() for r in records]
@@ -192,9 +200,16 @@ def build_report(desc: ModelDescriptor) -> dict:
         ok = ok and block_ok
 
     if desc.submanifolds:
+        # a block reads only the label and the spanning vectors, so two
+        # leaves that span the same frame share one certificate
+        certified = {}
         blocks = []
         for sub in desc.submanifolds:
-            block, block_ok = _submanifold_block(analysis, sub)
+            spec = build_distribution(model, **sub)
+            key = (spec.kind, spec.vectors)
+            if key not in certified:
+                certified[key] = _submanifold_block(analysis, spec)
+            block, block_ok = certified[key]
             blocks.append(block)
             ok = ok and block_ok
         body["submanifolds"] = blocks
@@ -392,7 +407,7 @@ def main(argv=None) -> int:
             stage = "submanifold"
             model = build_boeckx_model(desc.n, desc.alpha, desc.beta)
             analysis = analyze_structure(model)
-            block, ok = _submanifold_block(analysis, leaf)
+            block, ok = _submanifold_block(analysis, build_distribution(model, **leaf))
             report = _report(
                 desc, {"submanifold": block}, ok and analysis.passed, [LAMBDA_NOTE]
             )

@@ -163,7 +163,8 @@ class _Frame:
         self.norms = tuple(gram[a, a] for a in range(n))
         self.induced = Mat.diagonal(self.norms)
         self.pairing = Mat(row * (1 / nv) for row, nv in zip(rows, self.norms))
-        self.perp = Mat.identity(metric.shape[0]) - self.span @ self.pairing
+        dim = metric.shape[0]
+        self.perp = matsum(((1, Mat.identity(dim)), (-1, self.span, self.pairing)), dim, dim)
 
     def project(self, w: Vec) -> tuple[Vec, Vec]:
         """Frame coordinates of the tangential part of w, and the normal part."""
@@ -185,7 +186,9 @@ class SubmanifoldGeometry:
     """One leaf's tables, each built once, and its classification verdict.
 
     In frame coordinates nbar is the ``ConnectionTable`` of nablabar on
-    the induced metric, br[a][b] is [v_a, v_b], rbar.column(a, b, c) is
+    the induced metric, br[a][b] is [v_a, v_b] (bracketed for a < b; the
+    b > a half is its negation and the diagonal zero, and
+    ``curvature_from`` reads only a < b), rbar.column(a, b, c) is
     Rbar(v_a, v_b) v_c, and h1, h2 are the split of h; sigma[a] is the
     dim x n matrix whose column b is sigma(v_a, v_b) in the ambient basis.
     Every check on the leaf reads these tables, never rebuilds them.
@@ -210,9 +213,11 @@ def second_fundamental_form(
     """The one constructor of a leaf: every table, checked, and its verdict.
 
     In order: the count of spanning vectors, which must be n; the frame
-    (refused unless orthogonal with nonzero norms); the brackets,
-    refused if one leaves the span, as a non-involutive distribution
-    bounds no integral submanifold; nabla_{v_a} V for V the frame as
+    (refused unless orthogonal with nonzero norms); the brackets of the
+    n(n-1)/2 pairs a < b, refused if one leaves the span, as a
+    non-involutive distribution bounds no integral submanifold, with
+    br[b][a] = -br[a][b] and a zero diagonal filled in (``curvature_from``
+    reads the a < b half); nabla_{v_a} V for V the frame as
     columns, whose normal part is Sigma_a, column b sigma(v_a, v_b), and
     whose frame coordinates are nablabar_{v_a}; the Legendrian check;
     the split of h; and Rbar.  The verdict is totally_geodesic
@@ -227,14 +232,17 @@ def second_fundamental_form(
     frame = _Frame(spec.vectors, conn.metric)
     vectors, V = frame.vectors, frame.span
     dim, n = V.shape
-    br = [[None] * n for _ in range(n)]
+    # (b, a) leaves the span exactly when (a, b) does, so the first
+    # failure in row-major order is a pair a < b
+    br = [[Vec.zero(n)] * n for _ in range(n)]
     for a in range(n):
-        for b in range(n):
-            br[a][b], off = frame.project(bracket(model, vectors[a], vectors[b]))
+        for b in range(a + 1, n):
+            coeffs, off = frame.project(bracket(model, vectors[a], vectors[b]))
             if not off.is_zero():
                 raise NonInvolutiveError(
                     f"distribution is not involutive: [v_{a}, v_{b}] leaves the span"
                 )
+            br[a][b], br[b][a] = coeffs, -coeffs
     br = tuple(map(tuple, br))
     nb_ops, sigma = [], []
     for v in vectors:

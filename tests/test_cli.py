@@ -221,6 +221,30 @@ def test_out_of_range_leaf_values_are_parse_errors(tmp_path, capsys, argv, leaf,
     assert json.loads(err) == {"error": {"stage": "parse", "message": message}}
 
 
+@pytest.mark.parametrize("argv,leaf", [
+    (["verify"], {"kind": "mixed", "k": 1}),
+    (["verify"], {"kind": "mixed", "z_choices": []}),
+    (["submanifold", "--kind", "mixed", "--k", "1"], None),
+], ids=["k", "z-choices", "flag-k"])
+def test_leaves_below_n_two_meet_the_dimension_error(tmp_path, capsys, argv, leaf):
+    # no block rule runs below n = 2, so the leaf meets the model's own
+    # refusal: the error of a leafless descriptor, or of the x leaf on
+    # the subcommand
+    payload = {"n": 1, "alpha": "1", "beta": "3"}
+    plain = write_descriptor(tmp_path, payload, "plain.json")
+    if leaf is not None:
+        payload["submanifolds"] = [leaf]
+    path = write_descriptor(tmp_path, payload)
+    expected_argv = ["verify", plain] if leaf else ["submanifold", plain, "--kind", "x"]
+    expected = run_cli(capsys, expected_argv)
+    assert run_cli(capsys, [argv[0], path, *argv[1:]]) == expected
+    code, out, err = expected
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["stage"] == argv[0]
+    assert error["message"].startswith("n=1 unsupported: ")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -286,6 +310,34 @@ def test_verify_with_submanifold_blocks(tmp_path, capsys):
     assert blocks[1]["classification"] == "totally_umbilical"
     # V = 2 c d lambda / (c^2 + d^2) xi = xi for c = d = lambda = 1
     assert blocks[1]["V"][0] == "1"
+
+
+def test_leaves_spanning_one_frame_are_certified_once(monkeypatch):
+    # k = 2 stands for z_choices x, y, y at n = 5: the same label and
+    # spanning vectors, so one analysis serves both blocks
+    leaves = [
+        {"kind": "mixed", "k": 2},
+        {"kind": "mixed", "z_choices": ["x", "y", "y"]},
+        {"kind": "diag", "c": "2", "d": "1"},
+    ]
+    base = {"n": 5, "alpha": "1", "beta": "3"}
+    alone = [
+        json.dumps(build_report(parse_descriptor({**base, "submanifolds": [leaf]}))
+                   ["submanifolds"][0])
+        for leaf in leaves
+    ]
+    calls, analyze = [], kmu.cli.analyze_submanifold
+
+    def counted(analysis, spec):
+        calls.append(spec.kind)
+        return analyze(analysis, spec)
+
+    monkeypatch.setattr(kmu.cli, "analyze_submanifold", counted)
+    report = build_report(parse_descriptor({**base, "submanifolds": leaves}))
+    assert calls == ["mixed", "diagonal"]
+    blocks = [json.dumps(block) for block in report["submanifolds"]]
+    assert blocks[0] == blocks[1]
+    assert blocks == alone
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,33 @@ def test_x1_y1_plane_not_involutive():
     assert all(inner(br, v, m.metric) == 0 for v in spec.vectors)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_brackets_are_taken_once_per_pair_a_below_b(monkeypatch, n):
+    # br[b][a] = -br[a][b] and br[a][a] = 0 are filled in, not bracketed;
+    # the table still equals the projection of every bracket
+    m, an = model(n, 1, 3), analysis(n, 1, 3)
+    specs = [build_distribution(m, "x"), build_distribution(m, "y")]
+    specs += [build_distribution(m, "mixed", k=k) for k in range(1, n)]
+    specs.append(build_distribution(m, "diag", c=2, d=1))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    monkeypatch.setattr("kmu.submanifold.bracket", counted)
+    for spec in specs:
+        calls.clear()
+        geom = second_fundamental_form(an, spec)
+        assert len(calls) == n * (n - 1) // 2, spec.kind
+        vs = spec.vectors
+        full = tuple(
+            tuple(geom.frame.project(bracket(m, vs[a], vs[b]))[0] for b in range(n))
+            for a in range(n)
+        )
+        assert geom.br == full, spec.kind
+
+
 def test_second_fundamental_form_refuses_non_involutive():
     m = model(2, 0, 2)
     an = analysis(2, 0, 2)
