@@ -9,14 +9,13 @@ strings "p/q" or "p"; floats are rejected everywhere.
 
 The model tables are a few percent dense, so every kernel here visits
 only nonzero coefficients.  A vector is its length and its support, the
-(index, entry) pairs of its nonzero entries; its dense tuple is built
-on the first index, iteration or hash, with every zero the one shared
-``_ZERO``.  A zero vector is ``Vec.zero(length)``, one shared empty
-vector per length: every zero row, column or result a kernel writes is
-that object, so it costs no allocation, and it keeps no dense tuple of
-its own, since a dense read of any zero vector returns one shared tuple
-of zeros per length.  A matrix keeps its rows, and on first use its
-columns, as such vectors.  ``combine`` sums scaled vectors and
+(index, entry) pairs of its nonzero entries, and nothing else: an index
+bisects the support, an iteration builds the dense entries and keeps
+none, and every zero read is the one shared ``_ZERO``.  A zero vector
+is ``Vec.zero(length)``, one shared empty vector per length: every zero
+row, column or result a kernel writes is that object, so it costs no
+allocation.  A matrix keeps its rows, and on first use its columns, as
+such vectors.  ``combine`` sums scaled vectors and
 ``matsum`` sums matrix products c A B, one dict per output row; every
 operator between matrices is one ``matsum`` call.  ``matsum`` scatters
 a product column by column, in the outer-product form of Gustavson's
@@ -47,7 +46,9 @@ work on numerators and denominators the same way.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
+from operator import index
 
 from .errors import DimensionMismatchError, ParameterError, SingularMetricError
 
@@ -81,16 +82,14 @@ def rat_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-# Shared exact constants: every zero entry of every vector and matrix is
-# this one object, so a dense read tells a zero by identity, with no call
-# to Fraction.__bool__.
+# Shared exact constants: every zero read from a vector or matrix is this
+# one object, so a caller tells a zero by identity, with no call to
+# Fraction.__bool__.
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# The shared zero vectors and their dense tuples, one per length, each
-# made on first use (Vec.zero, Vec._c)
+# The shared zero vectors, one per length, each made on first use (Vec.zero)
 _EMPTY = {}
-_ZEROS = {}
 
 
 def _frac(x) -> Fraction:
@@ -148,17 +147,17 @@ class Vec:
 
     A vector is its length and its support, ``nonzero_entries()``, so
     every kernel below iterates over supports instead of full ranges.
-    The dense entries are built on the first index, iteration or hash;
-    a zero vector reads the shared tuple of its length and stores none.
+    ``v[i]`` takes an int index as a tuple does and bisects the support;
+    iteration builds the dense entries on each call.  Both read a zero
+    as the shared ``_ZERO``.
     """
 
-    __slots__ = ("_nz", "_len", "_d")
+    __slots__ = ("_nz", "_len")
 
     def __init__(self, coeffs):
         c = [_frac(x) for x in coeffs]
         self._nz = tuple((i, x) for i, x in enumerate(c) if x)
         self._len = len(c)
-        self._d = None
 
     @classmethod
     def _raw(cls, nz: tuple, dim: int) -> "Vec":
@@ -166,24 +165,7 @@ class Vec:
         v = object.__new__(cls)
         v._nz = nz
         v._len = dim
-        v._d = None
         return v
-
-    @property
-    def _c(self) -> tuple:
-        """The dense entries, built once on first read; every zero is _ZERO."""
-        if self._d is None:
-            if not self._nz:
-                # left unset, so the shared zero vector stays as it was made
-                d = _ZEROS.get(self._len)
-                if d is None:
-                    d = _ZEROS[self._len] = (_ZERO,) * self._len
-                return d
-            c = [_ZERO] * self._len
-            for i, x in self._nz:
-                c[i] = x
-            self._d = tuple(c)
-        return self._d
 
     @staticmethod
     def from_dict(entries: dict, dim: int) -> "Vec":
@@ -213,10 +195,22 @@ class Vec:
         return self._len
 
     def __getitem__(self, i):
-        return self._c[i]
+        # an int index as on a tuple: negative counts from the end; (i,)
+        # sorts before (i, x), so the bisection compares indices only
+        i = index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("Vec index out of range")
+        nz = self._nz
+        k = bisect_left(nz, (i,))
+        return nz[k][1] if k < len(nz) and nz[k][0] == i else _ZERO
 
     def __iter__(self):
-        return iter(self._c)
+        c = [_ZERO] * self._len
+        for i, x in self._nz:
+            c[i] = x
+        return iter(c)
 
     def __eq__(self, other):
         return (
@@ -224,10 +218,10 @@ class Vec:
         )
 
     def __hash__(self):
-        return hash(self._c)
+        return hash((self._len, self._nz))
 
     def __repr__(self):
-        return "Vec(%s)" % ", ".join(rat_str(c) for c in self._c)
+        return "Vec(%s)" % ", ".join(rat_str(c) for c in self)
 
     def _merge(self, other: "Vec", negate: bool) -> "Vec":
         # self plus (or minus) other; an entry both write is summed on its
@@ -540,11 +534,11 @@ def dot(u: Vec, v: Vec) -> Fraction:
     """
     if u._len != v._len:
         raise DimensionMismatchError(f"dot product dims: u={u._len}, v={v._len}")
-    vc = v._c
+    vc = dict(v._nz)
     n, d = 0, 1
     for k, x in u._nz:
-        y = vc[k]
-        if y is not _ZERO:
+        y = vc.get(k)
+        if y is not None:
             p, q = x.numerator * y.numerator, x.denominator * y.denominator
             if d == q:
                 n += p

@@ -53,7 +53,7 @@ def scan(identity_id: str, residuals) -> IdentityRecord:
             # a Vec has a length, so its truth value says nothing
             if residual.is_zero():
                 continue
-            residual = max(abs(x) for x in residual)
+            residual = max(abs(x) for _, x in residual.nonzero_entries())
         elif not residual:
             continue
         witness = tuple(witness) if witness is not None else None

@@ -182,14 +182,14 @@ def test_matvec_matches_dense(rows, vs, noise, emptied):
         "M v": (M @ v, dense_matvec(rows, vs)),
         # the zero vector, drawn on every example: its product has no support
         "M 0": (M @ Vec([ZERO] * 5), [ZERO] * 4),
-        "M 0 (no dense tuple)": (M @ Vec.zero(5), [ZERO] * 4),
+        "M 0 (shared zero)": (M @ Vec.zero(5), [ZERO] * 4),
         "H w": (H @ w, [ZERO] * 4),
         "H v": (H @ v, dense_matvec(hollow, vs)),
     }
     # a unit entry, the shared one of a basis vector, writes column k as it is
     basis = {k: M @ Vec.basis(5, k) for k in range(5)}
     outputs = [out for out, _ in products.values()] + list(basis.values())
-    assert all(len(out) == 4 and out._d is None for out in outputs)
+    assert all(len(out) == 4 for out in outputs)
     for out, expected in products.values():
         exact_vec(out, expected)
     for k, out in basis.items():

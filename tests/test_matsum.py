@@ -228,12 +228,16 @@ def test_lazy_vectors_agree_with_their_dense_form(example):
     rows = M.transpose()
     for i in range(nrows):
         row = rows.col(i)
-        assert row._d is None  # a kernel's output holds no dense tuple
         dense = Vec(expected[i])
         assert row == dense and dense == row
         assert hash(row) == hash(dense)
         assert len(row) == ncols
         assert [row[j] for j in range(ncols)] == expected[i]
+        # an index reads as on a list: negative from the end, none past it
+        assert [row[j] for j in range(-ncols, ncols)] == expected[i] * 2
+        for j in (ncols, -ncols - 1):
+            with pytest.raises(IndexError):
+                row[j]
         assert list(row) == expected[i] and tuple(row) == tuple(dense)
         # the same support at another length is another vector
         assert row != Vec(expected[i] + [ZERO])
@@ -358,5 +362,5 @@ def test_the_shared_zero_vector_reads_as_its_dense_form(length):
     assert list(z) == list(dense) == [ZERO] * length
     assert [z[i] for i in range(length)] == [dense[i] for i in range(length)]
     assert all(x is _ZERO for x in z)
-    # the reads share one tuple per length and leave the vector as it was
-    assert z._d is None
+    with pytest.raises(IndexError):
+        z[length]

@@ -99,9 +99,9 @@ def test_zero_vectors_are_made_only_by_the_shared_constructor():
 
 def test_only_linalg_reads_vector_and_matrix_storage():
     # vectors and matrices are read through their public methods everywhere
-    # else, so how linalg stores them (supports, lengths, the lazy dense
-    # tuple, rows and cached columns) can change in one module
-    storage = {"_c", "_cols", "_d", "_len", "_nz", "_rows", "_vecs"}
+    # else, so how linalg stores them (supports, lengths, rows and cached
+    # columns) can change in one module
+    storage = {"_cols", "_len", "_nz", "_rows", "_vecs"}
     sites = [
         f"{name}:{node.lineno} .{node.attr}"
         for name, node in _nodes()
@@ -160,6 +160,15 @@ def test_curvature_table_stores_only_its_table():
     from kmu.connection import CurvatureTable
 
     assert [f.name for f in fields(CurvatureTable)] == ["dim", "metric", "planes"]
+
+
+def test_vector_stores_only_its_support():
+    # a vector is its length and its support: an index bisects the support
+    # and an iteration builds the dense entries without keeping them, so
+    # no vector holds a second, dense copy that a read could fill
+    from kmu.linalg import Vec
+
+    assert Vec.__slots__ == ("_nz", "_len")
 
 
 def test_connection_table_stores_only_its_operators():

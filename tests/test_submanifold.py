@@ -429,20 +429,39 @@ def test_mixed_family_totally_geodesic():
 def test_coordinate_spans_involutive_exactly_on_the_known_families(n, alpha, beta, count):
     # every span {Z_1..Z_n}, Z_i in {X_i, Y_i}, as "x"/"y" per block: at
     # alpha != 0 the involutive ones are x, y and X_1 Y_2 Z_3..; at
-    # alpha = 0 (I = -1) the Y_1 Y_2 Z_3.. spans are involutive too
+    # alpha = 0 (I = -1) the Y_1 Y_2 Z_3.. spans are involutive too.  Each
+    # passes every record, and its summary (theta, K, the h1 and h2
+    # eigenvalues, the E(+-lambda) dimensions, V) and identity ids are
+    # those of the x, y or some mixed preset: so the alpha = 0 family
+    # shares the certified invariants of the mixed presets, which alone
+    # does not make it locally isometric to a mixed leaf
     an = analysis(n, alpha, beta)
     m = an.model
+
+    def certified(spec):
+        _, records, summary = analyze_submanifold(an, spec)
+        assert all_passed(records), [r.identity_id for r in records if not r.passed]
+        del summary["kind"]
+        return summary, [r.identity_id for r in records]
+
+    presets = [certified(build_distribution(m, "x")), certified(build_distribution(m, "y"))]
+    presets += [
+        certified(build_distribution(m, "mixed", z_choices=z))
+        for z in itertools.product("xy", repeat=n - 2)
+    ]
     involutive = set()
     for choice in itertools.product("xy", repeat=n):
         vectors = tuple(
             Vec.basis(m.dim, m.x(i) if z == "x" else m.y(i))
             for i, z in enumerate(choice, start=1)
         )
+        spec = DistributionSpec("span", vectors)
         try:
-            geom = second_fundamental_form(an, DistributionSpec("span", vectors))
+            geom = second_fundamental_form(an, spec)
         except NonInvolutiveError:
             continue
         assert geom.classification == "totally_geodesic", choice
+        assert certified(spec) in presets, choice
         involutive.add("".join(choice))
     tails = {"".join(z) for z in itertools.product("xy", repeat=n - 2)}
     expected = {"x" * n, "y" * n} | {"xy" + t for t in tails}

@@ -8,19 +8,22 @@ OLD and NEW are checkout roots.  Each one's ``src/kmu`` is loaded into
 this process as a package of its own (``kmu_old``, ``kmu_new``), so both
 run under one interpreter, with the same warm caches and the same load
 on the machine.  Each request runs through the package's ``cli.main``
-with the argument list a user would type: once on each tree, back to
-back, the tree that goes first alternating from pair to pair.  Each
-request's two outputs must be the same apart from the ``generated_at``
-line, and its two exit codes equal; the script stops at the first pair
-that differs.
+with the argument list a user would type, which
+``perfbench/workloads.argv`` builds: once on each tree, back to back,
+the tree that goes first alternating from pair to pair.  Each request's
+two outputs must be the same apart from the ``generated_at`` line, and
+its two exit codes equal; the script stops at the first pair that
+differs.
 
 Workloads, after one untimed pass of each on both trees:
 
 * ``verify_leaves``: the eight ``verify_leaves`` requests of
   ``perfbench/catalogue.json`` (``verify`` at n = 5 with every leaf
   family);
-* ``deform3``: the 24 ``deform3x*`` requests of the same catalogue
-  (``deform`` at n = 3, rationals of height about 10^3);
+* ``sweep``, ``deform2``, ``deform3``: the 12 ``sweep*``, 24
+  ``deform2x*`` and 24 ``deform3x*`` requests of its
+  ``sweep_deform_small`` workload (``sweep`` at n = 2 with rejected
+  rows, ``deform`` at n = 2 and n = 3, rationals of height about 10^3);
 * ``reference_verify_n8``, ``_n16``, ``_n32``: one ``verify`` of the
   reference descriptor (``reference_descriptor``, which
   ``tools/stage_times.py`` also counts: alpha = 1, beta = 3,
@@ -56,9 +59,14 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads as bench  # noqa: E402  (the benchmark's request argv)
+
 # pairs per request of each workload
 ROUNDS = {
     "verify_leaves": 15,
+    "sweep": 5,
+    "deform2": 5,
     "deform3": 5,
     "reference_verify_n8": 20,
     "reference_verify_n16": 10,
@@ -89,23 +97,26 @@ def reference_descriptor(n: int) -> dict:
     return {"n": n, "alpha": "1", "beta": "3", "deformation_a": "2", "submanifolds": leaves}
 
 
-def request_argv(entry: dict, workdir: str) -> list:
-    """Write the entry's descriptor under ``workdir``; return its ``kmu`` argv."""
-    path = os.path.join(workdir, entry["key"] + ".json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(entry["descriptor"], handle)
-    if entry["command"] == "deform":
-        return ["deform", path, "--a", entry["a"]]
-    return [entry["command"], path]
+def request_argv(entry: dict, workdir: Path) -> list:
+    """The entry's ``kmu`` argv, as the benchmark builds it.
+
+    A descriptor is written under ``workdir``, where the argv names it.
+    """
+    if "descriptor" in entry:
+        with open(bench.descriptor_file(entry, workdir), "w", encoding="utf-8") as handle:
+            json.dump(entry["descriptor"], handle)
+    return bench.argv(entry, workdir)
 
 
-def workloads(catalogue_path: Path, workdir: str) -> dict:
+def workloads(catalogue_path: Path, workdir: Path) -> dict:
     """workload name -> [(request key, argv)]."""
-    with open(catalogue_path, encoding="utf-8") as handle:
-        catalogue = json.load(handle)
+    catalogue = bench.load_catalogue(catalogue_path)
+    small = catalogue["sweep_deform_small"]
     found = {
         "verify_leaves": catalogue["verify_leaves"]["verify"],
-        "deform3": catalogue["sweep_deform_small"]["deform_n3"],
+        "sweep": small["sweep"],
+        "deform2": small["deform_n2"],
+        "deform3": small["deform_n3"],
     }
     for n in (8, 16, 32):
         entry = {"key": f"reference{n}", "command": "verify"}
@@ -221,7 +232,7 @@ def main(argv=None) -> int:
         "new": load_cli(args.new.resolve(), "kmu_new"),
     }
     with tempfile.TemporaryDirectory() as workdir:
-        requests = workloads(ROOT / "perfbench" / "catalogue.json", workdir)
+        requests = workloads(ROOT / "perfbench" / "catalogue.json", Path(workdir))
         timed = {
             name: paired(clis, reqs, ROUNDS[name])
             for name, reqs in requests.items()
