@@ -380,7 +380,19 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # exact I/O at any height
+        sys.set_int_max_str_digits(0)
+    # argparse reads a word such as -3/2,2 as an option: after a rational
+    # flag, or an abbreviation of one, it is taken as --flag=-3/2,2
+    words = []
+    for word in sys.argv[1:] if argv is None else argv:
+        prev = words[-1][2:] if words and words[-1][:2] == "--" else ""
+        flag = prev and any(f.startswith(prev) for f in ("a", "c", "d", "alphas", "betas"))
+        if flag and word[:1] == "-" and word[1:2].isdigit():
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    args = make_parser().parse_args(words)
     stage = "parse"
     try:
         if args.command == "verify":

@@ -25,9 +25,8 @@ that row into row r.  The frame matrices of the leaf checks have few
 nonzero rows, and no entry of A that meets an empty row of B is read.
 Each output entry still takes its terms in term order, then k
 ascending, the order of a row-by-row product, so every sum is the same.
-``Mat @ Vec`` sums v_k times column k over the support of v in a loop of
-its own, with the accumulation of ``combine`` but no call to it and no
-term list; a zero vector costs it one length test.  Each kernel writes
+``Mat @ Vec`` is the ``combine`` of v_k times column k over the support
+of v; a zero vector costs it one length test.  Each kernel writes
 the support of its result and tests each entry it wrote for
 cancellation once.  Skipping a zero term never changes an exact
 sum, so results equal those of dense loops entry for entry.
@@ -70,7 +69,11 @@ def rat(value) -> Fraction:
             f"floating-point value {value!r} rejected; use an exact 'p/q' string"
         )
     if isinstance(value, str) and _RATIONAL_RE.match(value.strip()):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ValueError as exc:
+            # longer than sys.get_int_max_str_digits(), which cli.main lifts
+            raise ParameterError(f"rational literal rejected: {exc}") from exc
     raise ParameterError(f"not a rational literal: {value!r}")
 
 
@@ -483,9 +486,9 @@ class Mat:
 
     def __matmul__(self, other):
         if isinstance(other, Vec):
-            # the sum over the support of other of other_k times column k,
-            # accumulated as in combine; a zero vector costs one length
-            # test, reads no column and gives the shared zero vector
+            # the combine of other_k times column k over the support of
+            # other; a zero vector costs one length test, reads no column
+            # and gives the shared zero vector
             vecs = self._vecs
             nrows = len(vecs)
             if other._len != (vecs[0]._len if vecs else 0):
@@ -495,18 +498,7 @@ class Mat:
             if not other._nz:
                 return Vec.zero(nrows)
             cols = self._columns()
-            acc = {}
-            get = acc.get
-            for k, x in other._nz:
-                unit = x is _ONE
-                a, b = x.numerator, x.denominator
-                for t, y in cols[k]._nz:
-                    e = get(t)
-                    if e is None:
-                        acc[t] = y if unit else [a * y.numerator, b * y.denominator]
-                    else:
-                        _add(acc, t, e, a * y.numerator, b * y.denominator)
-            return _collect(acc, nrows)
+            return combine(((x, cols[k]) for k, x in other._nz), nrows)
         if isinstance(other, Mat):
             return matsum(((1, self, other),), self.shape[0], other.shape[1])
         return NotImplemented

@@ -144,6 +144,7 @@ class _Frame:
     coordinates of the tangential part of any w.  Every leaf scan
     therefore reads rows in frame coordinates, lowered by ``induced`` =
     diag(norms), instead of pairing ambient vectors entry by entry.
+    ``project`` is the one tangent/normal split of the leaf checks.
     """
 
     def __init__(self, vectors, metric: Mat):
@@ -166,15 +167,12 @@ class _Frame:
         dim = metric.shape[0]
         self.perp = matsum(((1, Mat.identity(dim)), (-1, self.span, self.pairing)), dim, dim)
 
-    def project(self, w: Vec) -> tuple[Vec, Vec]:
-        """Frame coordinates of the tangential part of w, and the normal part."""
-        if w.is_zero():
-            return Vec.zero(len(self.vectors)), w
-        coeffs = self.pairing @ w
-        return coeffs, w - self.span @ coeffs
+    def project(self, w):
+        """Frame coordinates of the tangential part of a Vec or Mat w, and the normal part."""
+        return self.pairing @ w, self.perp @ w
 
-    def coords(self, w: Vec) -> Vec:
-        """Frame coordinates of a tangent vector; raises if not tangent."""
+    def coords(self, w):
+        """Frame coordinates of a tangent Vec or Mat; raises if not tangent."""
         coeffs, off = self.project(w)
         if not off.is_zero():
             raise StructureError("vector is not tangent to the distribution")
@@ -218,8 +216,8 @@ def second_fundamental_form(
     non-involutive distribution bounds no integral submanifold, with
     br[b][a] = -br[a][b] and a zero diagonal filled in (``curvature_from``
     reads the a < b half); nabla_{v_a} V for V the frame as
-    columns, whose normal part is Sigma_a, column b sigma(v_a, v_b), and
-    whose frame coordinates are nablabar_{v_a}; the Legendrian check;
+    columns, projected to its frame coordinates nablabar_{v_a} and its
+    normal part Sigma_a, column b sigma(v_a, v_b); the Legendrian check;
     the split of h; and Rbar.  The verdict is totally_geodesic
     when sigma vanishes, totally_umbilical when sigma(X, Y) = g(X, Y) V
     for the mean curvature vector V, otherwise generic.
@@ -248,9 +246,9 @@ def second_fundamental_form(
     for v in vectors:
         # nabla_{v_a} V, summed over the support of v_a
         N = matsum([(x, conn.ops[i], V) for i, x in v.nonzero_entries()], dim, n)
-        coords = frame.pairing @ N
+        coords, Sigma_a = frame.project(N)
         nb_ops.append(coords)
-        sigma.append(matsum(((1, N), (-1, V, coords)), dim, n))
+        sigma.append(Sigma_a)
     for a in range(n):
         for b in range(a + 1, n):
             if sigma[a].col(b) != sigma[b].col(a):
@@ -310,22 +308,18 @@ def intrinsic_curvature(nbar: ConnectionTable, br: tuple) -> CurvatureTable:
 def split_h(cs: ContactStructure, frame: _Frame) -> tuple[Mat, Mat]:
     """Tangential / phi-twisted-normal components of h on the frame.
 
-    Returns (h1, h2) as rank-n matrices in frame coordinates.  The
-    normal part of h X is checked to carry no xi component before
-    applying -phi to it, and h2 X is checked to be tangent.
+    Returns (h1, h2) as rank-n matrices in frame coordinates: h1 and
+    the normal parts are one projection of h V.  The normal part of h X
+    is checked to carry no xi component before applying -phi to it, and
+    h2 X is checked to be tangent.
     """
     if cs.h is None:
         raise StructureError("h has not been computed for this structure")
-    h1_cols, h2_cols = [], []
-    for a, v in enumerate(frame.vectors):
-        coeffs, normal = frame.project(cs.h @ v)
-        if inner(normal, cs.xi, cs.metric) != 0:
-            raise StructureError(
-                f"normal part of h v_{a} has a xi component; split undefined"
-            )
-        h1_cols.append(coeffs)
-        h2_cols.append(frame.coords(-(cs.phi @ normal)))
-    return Mat.from_columns(h1_cols), Mat.from_columns(h2_cols)
+    h1, normal = frame.project(cs.h @ frame.span)
+    # entry a is g(normal part of h v_a, xi)
+    for a, _ in (normal.transpose() @ (cs.metric @ cs.xi)).nonzero_entries():
+        raise StructureError(f"normal part of h v_{a} has a xi component; split undefined")
+    return h1, frame.coords(-(cs.phi @ normal))
 
 
 def verify_split_identities(
@@ -389,9 +383,7 @@ def verify_prop32(
     # Sigma[a] has sigma(v_a, v_b) as column b, so phi_Sigma[a] has
     # phi sigma(v_a, v_b); as operators on frame coordinates too
     phi_Sigma = [S if S.is_zero() else phi @ S for S in Sigma]
-    phi_sigma_ops = [
-        Mat.from_columns(map(frame.coords, map(S.col, range(n)))) for S in phi_Sigma
-    ]
+    phi_sigma_ops = [frame.coords(S) for S in phi_Sigma]
 
     def shape_operator_differences():
         # column b is A_{phi v_b} v_a + phi sigma(v_a, v_b), A assembled from

@@ -1,10 +1,12 @@
 """Reports stay byte-identical: replay benchmark catalogue requests.
 
 Every request in ``perfbench/catalogue.json`` carries the sha256 digest of
-its reference report (``generated_at`` removed).  This test replays a
-fixed selection through ``kmu.cli.main`` with the benchmark's own command
-lines and requires ``oracle.check`` to find no problem, so any change to
-a record, witness, residual, key order or table entry fails here.
+its reference report (``generated_at`` removed).  This test replays every
+request, and the two ``dump-tables`` requests of every entry with
+reference tables, through ``kmu.cli.main`` with the benchmark's own
+command lines, and requires ``oracle.check`` to find no problem, so any
+change to a record, witness, residual, key order or table entry fails
+here.  The catalogue is read, never written.
 """
 
 import importlib.util
@@ -18,19 +20,24 @@ from kmu.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# (workload, pool, index[, dump-tables table]) of each replayed request
-REQUESTS = [
-    ("verify_leaves", "warmup", 0),
-    ("verify_large", "warmup", 0),
-    ("sweep_deform_small", "warmup", 0),
-    ("sweep_deform_small", "warmup", 1),
-    ("verify_leaves", "verify", 0),
-    ("sweep_deform_small", "sweep", 0),
-    ("sweep_deform_small", "deform_n2", 0),
-    ("sweep_deform_small", "deform_n3", 0),
-    ("verify_leaves", "verify", 0, "connection"),
-    ("verify_leaves", "verify", 0, "curvature"),
-]
+
+def catalogue_requests():
+    """(workload, pool, index[, dump-tables table]) of every catalogue request.
+
+    A verify entry with reference tables adds its connection and
+    curvature ``dump-tables`` requests.
+    """
+    with open(PERFBENCH / "catalogue.json", "r", encoding="utf-8") as handle:
+        catalogue = json.load(handle)
+    for workload, pools in catalogue.items():
+        for pool, entries in pools.items():
+            for index, entry in enumerate(entries):
+                yield workload, pool, index
+                for table in entry.get("tables", ()):
+                    yield workload, pool, index, table
+
+
+REQUESTS = list(catalogue_requests())
 
 
 @pytest.fixture(scope="module")

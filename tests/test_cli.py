@@ -20,7 +20,8 @@ from kmu.cli import (
     parse_descriptor,
     sweep_report,
 )
-from kmu.errors import DescriptorError, KmuError
+from kmu.errors import DescriptorError, KmuError, ParameterError
+from kmu.linalg import rat
 from kmu.report import LAMBDA_NOTE
 
 
@@ -198,6 +199,98 @@ def test_malformed_integer_flags_are_parse_errors(tmp_path, capsys, argv, flag, 
     assert json.loads(err) == {
         "error": {"stage": "parse", "message": f"{flag} must be an integer, got {literal!r}"}
     }
+
+
+def report_without_timestamp(text):
+    report = json.loads(text)
+    report.pop("generated_at", None)
+    return report
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "2", "--alphas", "0", "--betas", "-3/2,2"],
+    ["sweep", "--n", "2", "--alphas", "-1,0", "--betas", "3"],
+    ["sweep", "--n", "2", "--alphas", "0", "--bet", "-3/2,2"],
+    ["deform", "{path}", "--a", "-1/2"],
+    ["submanifold", "{path}", "--kind", "diag", "--c", "-2/3", "--d", "1"],
+    ["submanifold", "{path}", "--kind", "diag", "--c", "2", "--d", "-1/2"],
+], ids=[
+    "sweep-betas", "sweep-alphas", "sweep-abbreviated", "deform-a", "submanifold-c",
+    "submanifold-d",
+])
+def test_negative_rational_flag_values_read_as_values(tmp_path, capsys, argv):
+    # argparse reads a word such as -3/2,2 as an option string; the value
+    # given after a space must mean what it means after an '='
+    path = write_descriptor(tmp_path, {"n": 2, "alpha": "1", "beta": "3"})
+    argv = [arg.format(path=path) for arg in argv]
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    code, out, err = run_cli(capsys, argv)
+    joined_code, joined_out, joined_err = run_cli(capsys, joined)
+    assert (code, err) == (joined_code, joined_err)
+    if code == 0:
+        assert report_without_timestamp(out) == report_without_timestamp(joined_out)
+    else:
+        # refused where the value is used, never by argparse at parse
+        assert json.loads(err)["error"]["stage"] in ("deform", "sweep")
+
+
+def test_negative_flag_values_mean_what_the_descriptor_says(tmp_path, capsys):
+    path = write_descriptor(tmp_path, {"n": 3, "alpha": "1", "beta": "3"})
+    code, out, _ = run_cli(
+        capsys, ["submanifold", path, "--kind", "diag", "--c", "2", "--d", "-1/2"]
+    )
+    leaf = {"kind": "diag", "c": "2", "d": "-1/2"}
+    leaf_path = write_descriptor(
+        tmp_path, {"n": 3, "alpha": "1", "beta": "3", "submanifolds": [leaf]}, "leaf.json"
+    )
+    _, verified, _ = run_cli(capsys, ["verify", leaf_path])
+    assert code == 0
+    assert json.loads(out)["submanifold"] == json.loads(verified)["submanifolds"][0]
+    code, _, err = run_cli(capsys, ["deform", path, "--a", "-1/2"])
+    assert code == 1
+    assert json.loads(err) == {"error": {
+        "stage": "deform", "message": "deformation constant must be positive, got -1/2"
+    }}
+
+
+# ---------------------------------------------------------------------------
+# literals longer than the interpreter's int/str digit limit
+# ---------------------------------------------------------------------------
+
+
+def test_verify_prints_a_rational_past_the_digit_limit(tmp_path):
+    # 2501 digits: the model is read, and its report printed, exactly
+    beta = "2" + "0" * 2500
+    path = write_descriptor(tmp_path, {"n": 2, "alpha": "0", "beta": beta})
+    done = run_cli_process(["verify", path])
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["pass"] is True
+    assert report["model"]["beta"] == beta
+
+
+def test_sweep_reads_a_rational_past_the_digit_limit():
+    beta = "1" + "0" * 5000
+    done = run_cli_process(["sweep", "--n", "2", "--alphas", "0", "--betas", beta])
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["pass"] is True
+    assert report["grid"][0]["beta"] == beta
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no digit limit"
+)
+def test_rat_past_the_default_digit_limit_is_a_parameter_error():
+    # main lifts the limit; under the default one a long literal is refused
+    # as a bad parameter, not with a ValueError
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParameterError, match="rational literal rejected"):
+            rat("1" * 5001)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("argv,leaf,message", [

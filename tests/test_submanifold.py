@@ -6,6 +6,8 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmu import (
     Vec,
@@ -17,7 +19,7 @@ from kmu import (
     split_h,
 )
 from kmu.errors import NonInvolutiveError, ParameterError, StructureError
-from kmu.linalg import Mat, dot, outer, rat_str
+from kmu.linalg import Mat, dot, matsum, outer, rat_str
 from kmu.report import all_passed
 from kmu.submanifold import (
     DistributionSpec,
@@ -523,6 +525,103 @@ def test_split_on_diagonal_closed_forms(c, d):
     h1, h2 = split_h(an.cs, second_fundamental_form(an, spec).frame)
     assert h1 == (lam * (c * c - d * d) / (c * c + d * d)) * Mat.identity(3)
     assert h2 == (-2 * c * d * lam / (c * c + d * d)) * Mat.identity(3)
+
+
+def preset_leaves(n):
+    """Every preset leaf at n: x, y, each mixed k and z_choices, and diag samples."""
+    leaves = [("x", {}), ("y", {})]
+    leaves += [("mixed", {"k": k}) for k in range(1, n)]
+    leaves += [("mixed", {"z_choices": z}) for z in itertools.product("xy", repeat=n - 2)]
+    leaves += [("diag", {"c": c, "d": d}) for c, d in [(1, 1), (2, -1), ("-1/2", "3/4")]]
+    return leaves
+
+
+def project_by_columns(frame, M):
+    """(pairing w, w - span (pairing w)) one column w of M at a time."""
+    columns = [M.col(b) for b in range(M.shape[1])]
+    coeffs = [frame.pairing @ w for w in columns]
+    normal = [w - frame.span @ x for w, x in zip(columns, coeffs)]
+    return Mat.from_columns(coeffs), Mat.from_columns(normal)
+
+
+def split_h_by_columns(cs, frame):
+    """h1, h2 one frame vector at a time, the normal part as w - span (pairing w)."""
+    h1_cols, h2_cols = [], []
+    for a, v in enumerate(frame.vectors):
+        hv = cs.h @ v
+        coeffs = frame.pairing @ hv
+        normal = hv - frame.span @ coeffs
+        if inner(normal, cs.xi, cs.metric) != 0:
+            raise StructureError(
+                f"normal part of h v_{a} has a xi component; split undefined"
+            )
+        h2v = -(cs.phi @ normal)
+        if not (h2v - frame.span @ (frame.pairing @ h2v)).is_zero():
+            raise StructureError("vector is not tangent to the distribution")
+        h1_cols.append(coeffs)
+        h2_cols.append(frame.pairing @ h2v)
+    return Mat.from_columns(h1_cols), Mat.from_columns(h2_cols)
+
+
+def assert_matrix_split_is_the_column_split(an, geom):
+    """project and coords on matrices against their columns, and split_h."""
+    cs, frame = an.cs, geom.frame
+    V = frame.span
+    dim, n = V.shape
+    tangent = [V, V @ geom.h1, V @ geom.h2] + [V @ op for op in geom.nbar.ops]
+    nablas = [
+        matsum([(x, an.conn.ops[i], V) for i, x in v.nonzero_entries()], dim, n)
+        for v in frame.vectors
+    ]
+    for M in tangent + nablas + [cs.h @ V, cs.phi @ V]:
+        columns = [frame.project(M.col(b)) for b in range(n)]
+        expected = tuple(Mat.from_columns(half) for half in zip(*columns))
+        assert frame.project(M) == expected == project_by_columns(frame, M)
+    for M in tangent:
+        assert frame.coords(M) == Mat.from_columns(frame.coords(M.col(b)) for b in range(n))
+    # phi V is normal and nonzero on a Legendrian frame
+    for M in [cs.phi @ V] + [S for S in geom.sigma if not S.is_zero()]:
+        with pytest.raises(StructureError, match="vector is not tangent to the distribution"):
+            frame.coords(M)
+    for a, Sigma in enumerate(geom.sigma):
+        assert (geom.nbar.ops[a], Sigma) == frame.project(nablas[a])
+    assert split_h(cs, frame) == split_h_by_columns(cs, frame) == (geom.h1, geom.h2)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1, 3), (0, 2)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_matrix_projection_and_split_equal_their_columns(n, alpha, beta):
+    an = analysis(n, alpha, beta)
+    for kind, keys in preset_leaves(n):
+        geom = second_fundamental_form(an, build_distribution(an.model, kind, **keys))
+        assert_matrix_split_is_the_column_split(an, geom)
+
+
+NONZERO_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 1, 3), (3, 1, 3), (3, 0, 2), (4, 0, 2)]),
+    NONZERO_RATIONALS,
+    NONZERO_RATIONALS,
+)
+def test_diagonal_matrix_projection_and_split_equal_their_columns(point, c, d):
+    an = analysis(*point)
+    geom = second_fundamental_form(an, build_distribution(an.model, "diag", c=c, d=d))
+    assert_matrix_split_is_the_column_split(an, geom)
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_split_h_names_the_first_normal_part_with_a_xi_component(a):
+    # h + xi g(., v_a) adds g(v_a, v_a) xi to h v_a alone: a normal xi part
+    an = analysis(3, 1, 3)
+    frame = second_fundamental_form(an, build_distribution(an.model, "x")).frame
+    cs = replace(an.cs, h=an.cs.h + outer(an.cs.xi, an.cs.metric @ frame.vectors[a]))
+    message = f"normal part of h v_{a} has a xi component; split undefined"
+    for split in (split_h, split_h_by_columns):
+        with pytest.raises(StructureError, match=message):
+            split(cs, frame)
 
 
 @pytest.mark.parametrize("kind,kwargs", [
