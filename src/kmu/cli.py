@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -116,11 +117,15 @@ def parse_descriptor(data: dict) -> ModelDescriptor:
             raise DescriptorError(f"submanifolds[{i}] must be an object")
         subs.append(_parse_leaf(block, f"submanifolds[{i}]", data["n"]))
 
+    deformation_a = rat(data["deformation_a"]) if "deformation_a" in data else None
+    # refused here, not after the native analysis has run
+    if deformation_a is not None and deformation_a <= 0:
+        raise DescriptorError(f"deformation_a must be positive, got {deformation_a}")
     return ModelDescriptor(
         n=data["n"],
         alpha=rat(data["alpha"]),
         beta=rat(data["beta"]),
-        deformation_a=rat(data["deformation_a"]) if "deformation_a" in data else None,
+        deformation_a=deformation_a,
         submanifolds=tuple(subs),
     )
 
@@ -298,7 +303,8 @@ def _emit(report: dict, out_path: str | None) -> int:
     """Write the report to ``out_path``, if given, then print it.
 
     The file is written first, so a path that cannot be written prints
-    nothing and raises a KmuError naming it.
+    nothing and raises a KmuError naming it.  A stdout whose reader is
+    gone raises a KmuError too.
     """
     text = json.dumps(report, indent=2)
     if out_path:
@@ -307,7 +313,14 @@ def _emit(report: dict, out_path: str | None) -> int:
                 handle.write(text + "\n")
         except OSError as exc:
             raise KmuError(f"cannot write report to {out_path}: {exc}") from exc
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise KmuError(f"cannot write report to stdout: {exc}") from exc
     return 0 if report.get("pass") else 1
 
 
@@ -319,7 +332,7 @@ def _int_flag(text: str, flag: str) -> int:
 
 
 def _parse_rational_list(text: str, flag: str):
-    """The distinct rationals of a comma-separated flag; a repeat is refused."""
+    """The distinct rationals of a comma-separated flag; a repeat or no value is refused."""
     values = []
     for part in text.split(","):
         if part.strip():
@@ -327,6 +340,8 @@ def _parse_rational_list(text: str, flag: str):
             if value in values:
                 raise ParameterError(f"{flag} repeats the value {rat_str(value)}")
             values.append(value)
+    if not values:
+        raise ParameterError(f"{flag} lists no value")
     return values
 
 

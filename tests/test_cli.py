@@ -37,13 +37,13 @@ def run_cli(capsys, args):
     return code, captured.out, captured.err
 
 
-def run_cli_process(args):
+def run_cli_process(args, stdout=subprocess.PIPE):
     """``python -m kmu.cli`` in a fresh interpreter, so a traceback would show."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(Path(kmu.__file__).resolve().parent.parent))
     return subprocess.run(
         [sys.executable, "-m", "kmu.cli", *args],
-        capture_output=True, text=True, env=env, timeout=300,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
     )
 
 
@@ -451,6 +451,18 @@ def test_deform_command(tmp_path, capsys):
     assert block["boeckx_invariance"] == "pass"
 
 
+@pytest.mark.parametrize("a", ["0", "-1"])
+def test_nonpositive_deformation_a_is_a_parse_error(tmp_path, capsys, a):
+    # refused before the native analysis runs, as a bad leaf value is
+    path = write_descriptor(tmp_path, {"n": 2, "alpha": "0", "beta": "2", "deformation_a": a})
+    for argv in (["verify", path], ["deform", path, "--a", "2"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {
+            "stage": "parse", "message": f"deformation_a must be positive, got {a}"
+        }}
+
+
 def test_deform_rejects_nonpositive(tmp_path, capsys):
     # a well-formed a out of range is refused where the deformation runs
     path = write_descriptor(tmp_path, {"n": 2, "alpha": "0", "beta": "2"})
@@ -545,6 +557,17 @@ def test_sweep_empty_grid_errors(capsys):
     code, _, err = run_cli(capsys, ["sweep", "--n", "2", "--alphas", "2", "--betas", "1"])
     assert code == 1
     assert "empty" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("flag", ["--alphas", "--betas"])
+@pytest.mark.parametrize("text", ["", ","], ids=["empty", "comma"])
+def test_sweep_flag_without_a_value_is_a_parse_error(capsys, flag, text):
+    # the grid is not empty for want of beta^2 > alpha^2: a flag gave no value
+    argv = ["sweep", "--n", "2", "--alphas", "0", "--betas", "2"]
+    argv[argv.index(flag) + 1] = text
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"stage": "parse", "message": f"{flag} lists no value"}}
 
 
 def test_sweep_report_values_match_closed_form():
@@ -652,6 +675,27 @@ def test_out_flag_unwritable_path_is_an_error(tmp_path, target):
     error = json.loads(done.stderr)["error"]
     assert error["stage"] == "verify"
     assert error["message"].startswith(f"cannot write report to {out_path}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["sweep", "--n", "2", "--alphas", "0,1", "--betas", "2,3"],
+], ids=["verify", "sweep"])
+def test_closed_stdout_is_a_typed_error(tmp_path, argv):
+    # as in `kmu verify d.json | head -1` once head has exited
+    if argv == ["verify"]:
+        argv = ["verify", write_descriptor(tmp_path, {"n": 2, "alpha": "0", "beta": "2"})]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = run_cli_process(argv, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert json.loads(done.stderr) == {"error": {
+        "stage": argv[0], "message": "cannot write report to stdout: [Errno 32] Broken pipe"
+    }}
 
 
 def test_build_report_direct():

@@ -25,8 +25,7 @@ Workloads, after one untimed pass of each on both trees:
   ``sweep_deform_small`` workload (``sweep`` at n = 2 with rejected
   rows, ``deform`` at n = 2 and n = 3, rationals of height about 10^3);
 * ``reference_verify_n8``, ``_n16``, ``_n32``: one ``verify`` of the
-  reference descriptor (``reference_descriptor``, which
-  ``tools/stage_times.py`` also counts: alpha = 1, beta = 3,
+  reference descriptor (``reference_descriptor``: alpha = 1, beta = 3,
   deformation_a = 2, the x, y, diag(2, 1) and mixed k = 2 leaves) at
   that n.
 
@@ -38,7 +37,33 @@ the ``matsum`` product terms c A B of each tree read, and how many of
 them meet a nonzero row k of B.  A read is counted by giving each such
 A, for that request only, entries of a Fraction subclass that counts
 the reads of its numerator: both kernels read it once per entry they
-visit.  The catalogue is read, never written.  Standard library only.
+visit.
+
+``exact_counts`` holds, for each tree, counts that repeat exactly, where
+times swing between runs on a shared machine:
+
+* ``kmu_calls``: the ``call`` events of ``sys.setprofile`` in frames
+  whose code lies in that tree's ``src/kmu``, which also count each
+  resumption of a generator;
+* ``fractions_calls``: the ``call`` events in frames of the standard
+  library's ``fractions.py``, kept apart, since they depend on the
+  Python version;
+* ``fraction_operations``: the calls of Fraction's arithmetic operators
+  (+ - * / ** with their reflected forms, unary - and +, abs).
+
+``requests`` gives them for one request each of ``leaves0`` (a
+``verify`` at n = 5 with nine leaves) and ``deform3x0`` (a ``deform`` at
+n = 3 with alpha, beta and a of height about 10^3).  ``stage_counts``
+gives them per stage on one ``verify`` of the reference descriptor at n
+in ``COUNT_SIZES``: the 15 functions of ``STAGES``, each summed over its
+calls in the request (``analyze_structure`` runs on the native and the
+deformed structure, the leaf stages once per leaf), and ``verify``, the
+whole request.  A stage's counts are inclusive: ``riemann`` is also
+counted in ``analyze_structure``.  ``by_n`` gives the count at each n,
+and ``slope_by_n`` the log-log slope against dim from the size before,
+as in ``"32"`` for dim 33 to 65.  Each request is counted after one
+uncounted run.  The catalogue is read, never written.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -49,6 +74,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -73,6 +99,26 @@ ROUNDS = {
     "reference_verify_n32": 5,
 }
 READ_REQUESTS = ("leaves0", "reference16", "reference32")
+COUNT_REQUESTS = ("leaves0", "deform3x0")
+COUNT_SIZES = (4, 8, 16, 32)
+# the stages of ``stage_counts``, by module of the package
+STAGES = {
+    "pipeline": ("analyze_structure", "sectional_records"),
+    "liealg": ("check_jacobi",),
+    "contact": ("check_contact_axioms", "verify_structure", "verify_identities"),
+    "connection": ("levi_civita", "riemann", "curvature_symmetry_residuals"),
+    "submanifold": (
+        "analyze_submanifold", "second_fundamental_form", "verify_split_identities",
+        "verify_prop32", "gauss_codazzi_residuals", "leaf_curvature_records",
+    ),
+}
+METRICS = ("kmu_calls", "fractions_calls", "fraction_operations")
+OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__pow__", "__rpow__",
+    "__neg__", "__pos__", "__abs__",
+)
+FRACTIONS_FILE = Fraction.limit_denominator.__code__.co_filename
 
 
 def load_cli(root: Path, name: str):
@@ -90,7 +136,7 @@ def load_cli(root: Path, name: str):
 
 
 def reference_descriptor(n: int) -> dict:
-    """The reference ``verify`` descriptor at n, also counted by ``tools/stage_times.py``."""
+    """The reference ``verify`` descriptor at n."""
     leaves = [{"kind": "x"}, {"kind": "y"}, {"kind": "diag", "c": "2", "d": "1"}]
     if n >= 3:
         leaves.append({"kind": "mixed", "k": 2})
@@ -125,6 +171,14 @@ def workloads(catalogue_path: Path, workdir: Path) -> dict:
         name: [(entry["key"], request_argv(entry, workdir)) for entry in entries]
         for name, entries in found.items()
     }
+
+
+def counted_argv(requests: dict, workdir: Path) -> dict:
+    """Request key -> argv, over ``workloads`` and the reference request at n = 4."""
+    by_key = {key: argv for reqs in requests.values() for key, argv in reqs}
+    entry = {"key": "reference4", "command": "verify", "descriptor": reference_descriptor(4)}
+    by_key["reference4"] = request_argv(entry, workdir)
+    return by_key
 
 
 def run(cli, argv) -> tuple[float, int, list]:
@@ -222,6 +276,97 @@ def product_reads(cli, argv) -> dict:
     return {"read": CountedFraction.reads, "meet_a_nonzero_row_of_b": useful}
 
 
+def counts(cli, argv) -> tuple[dict, dict]:
+    """The ``METRICS`` of one request, in total and per stage of ``STAGES``.
+
+    One pass, after an uncounted run: ``sys.setprofile`` sorts each
+    ``call`` event by the file of its code, and each of Fraction's
+    operators is wrapped to count its calls; the wrappers' frames lie in
+    neither file.  A stage's counts are the totals between its call and
+    return events, its own call left out, summed over its calls.
+    """
+    package = sys.modules[cli.__name__.rpartition(".")[0]]
+    kmu_dir = os.path.dirname(package.__file__) + os.sep
+    stages = {
+        getattr(getattr(package, module), name).__code__: name
+        for module, names in STAGES.items()
+        for name in names
+    }
+    kmu_calls = fractions_calls = operations = 0
+    per_stage = {}
+    open_stages = []  # (frame, stage, totals at its call)
+
+    def counted(method):
+        def wrapper(*args):
+            nonlocal operations
+            operations += 1
+            return method(*args)
+        return wrapper
+
+    def profile(frame, event, arg):
+        nonlocal kmu_calls, fractions_calls
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(kmu_dir):
+                kmu_calls += 1
+            elif code.co_filename == FRACTIONS_FILE:
+                fractions_calls += 1
+            stage = stages.get(code)
+            if stage is not None:
+                open_stages.append((frame, stage, (kmu_calls, fractions_calls, operations)))
+        elif event == "return" and open_stages and open_stages[-1][0] is frame:
+            _, stage, entry = open_stages.pop()
+            now = (kmu_calls, fractions_calls, operations)
+            total = per_stage.setdefault(stage, dict.fromkeys(METRICS, 0))
+            for metric, before, after in zip(METRICS, entry, now):
+                total[metric] += after - before
+
+    originals = {name: getattr(Fraction, name) for name in OPERATORS}
+    previous = sys.getprofile()
+    run(cli, argv)
+    try:
+        for name, method in originals.items():
+            setattr(Fraction, name, counted(method))
+        sys.setprofile(profile)
+        _, code, _ = run(cli, argv)
+    finally:
+        sys.setprofile(previous)
+        for name, method in originals.items():
+            setattr(Fraction, name, method)
+    if code != 0:
+        raise SystemExit(f"kmu {' '.join(argv)} exited with status {code}")
+    totals = dict(zip(METRICS, (kmu_calls, fractions_calls, operations)))
+    return totals, per_stage
+
+
+def exact_counts(cli, by_key: dict, sizes=COUNT_SIZES) -> dict:
+    """``requests`` and ``stage_counts`` of one tree; ``by_key`` maps request keys to argv."""
+    requests = {key: counts(cli, by_key[key])[0] for key in COUNT_REQUESTS}
+    points = {}  # stage -> metric -> [(dim, count)]
+    for n in sizes:
+        total, per_stage = counts(cli, by_key[f"reference{n}"])
+        for stage, counted in {"verify": total, **per_stage}.items():
+            for metric in METRICS:
+                points.setdefault(stage, {}).setdefault(metric, []).append(
+                    (2 * n + 1, counted[metric])
+                )
+    stage_counts = {
+        stage: {
+            metric: {
+                "by_n": {str((dim - 1) // 2): count for dim, count in series},
+                "slope_by_n": {
+                    str((d2 - 1) // 2): round(math.log(c2 / c1) / math.log(d2 / d1), 3)
+                    if c1 and c2 else None
+                    for (d1, c1), (d2, c2) in zip(series, series[1:])
+                },
+            }
+            for metric, series in metrics.items()
+        }
+        for stage, metrics in sorted(points.items())
+    }
+    return {"requests": requests, "stage_counts": stage_counts}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="root of the checkout to compare against")
@@ -237,11 +382,12 @@ def main(argv=None) -> int:
             name: paired(clis, reqs, ROUNDS[name])
             for name, reqs in requests.items()
         }
-        by_key = {key: argv for reqs in requests.values() for key, argv in reqs}
+        by_key = counted_argv(requests, Path(workdir))
         reads = {
             key: {tree: product_reads(cli, by_key[key]) for tree, cli in clis.items()}
             for key in READ_REQUESTS
         }
+        counted = {tree: exact_counts(cli, by_key) for tree, cli in clis.items()}
     result = {
         "command": "python3 tools/ab_time.py OLD NEW",
         "machine": {
@@ -251,6 +397,7 @@ def main(argv=None) -> int:
         },
         "paired_timing": timed,
         "matsum_product_reads": reads,
+        "exact_counts": counted,
     }
     print(json.dumps(result, indent=2))
     return 0
